@@ -23,6 +23,7 @@ from .solver import (
     InfeasibleError,
     InstanceError,
     ProblemInstance,
+    SearchBudget,
     SolveReport,
     SolverLimitReached,
     SolverLimits,
@@ -63,6 +64,7 @@ __all__ = [
     "ProblemInstance",
     "REQUEST",
     "RESPONSE",
+    "SearchBudget",
     "SimReport",
     "SolveReport",
     "SolverLimitReached",

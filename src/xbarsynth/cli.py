@@ -11,7 +11,9 @@ All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible instance, 3 solver
-limit hit (incumbent, if any, still written and flagged).
+limit hit (incumbent, if any, still written and flagged; a cut tie-break
+leaves a proven maxov on a non-canonical binding).  One solver budget
+bounds the whole solve of a ``design`` run.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .solver import (
     CrossbarConfig,
     InfeasibleError,
     ProblemInstance,
+    SearchBudget,
     SolveReport,
     SolverLimitReached,
     SolverLimits,
@@ -172,16 +175,21 @@ def design(run: RunConfig) -> DesignOutcome:
     status, message = EXIT_OK, "ok"
     report: SolveReport | None = None
     rows: list[CompareRow] = []
+    budget = SearchBudget(run.limits)  # one budget bounds the whole solve
     try:
         if run.buses_override is not None:
-            report = optimal_binding(inst, run.buses_override, run.limits)
+            report = optimal_binding(inst, run.buses_override, budget)
         else:
-            buses, probes = min_config(inst, run.limits)
-            report = optimal_binding(inst, buses, run.limits)
+            buses, probes = min_config(inst, budget)
+            report = optimal_binding(inst, buses, budget)
             report.feasibility_probes = probes + report.feasibility_probes
         if not report.optimal:
             status = EXIT_LIMIT
             message = "solver limit hit; incumbent binding returned, optimality unproven"
+        elif not report.tie_break_complete:
+            status = EXIT_LIMIT
+            message = ("solver limit hit in the tie-break; maxov is proven optimal "
+                       "but the binding is not the canonical one")
     except InfeasibleError as exc:
         status, message = EXIT_INFEASIBLE, str(exc)
     except SolverLimitReached as exc:
@@ -385,7 +393,8 @@ def _add_common(p: argparse.ArgumentParser, needs_analysis: bool = True) -> None
         grp.add_argument("--window-size", type=int, default=1000)
         grp.add_argument("--overlap-threshold", type=float, default=0.3)
         grp.add_argument("--max-targets-per-bus", type=int, default=None)
-        grp.add_argument("--time-limit", type=float, default=None, help="solver seconds")
+        grp.add_argument("--time-limit", type=float, default=None,
+                         help="seconds for the whole solve (all probes and phases)")
         grp.add_argument("--buses", type=int, default=None, help="fix the bus count")
 
 

@@ -18,6 +18,20 @@ Buses are interchangeable, so the search only enumerates canonical label
 assignments (a target may open at most one fresh bus beyond those already
 used); returned bindings are canonicalized so that bus labels appear in
 first-use order by target id, making output independent of search order.
+
+One :class:`SearchBudget` bounds every search of a run: pass the same
+budget to :func:`min_config` and :func:`optimal_binding` and the node and
+time limits cover the whole solve, probes and tie-break included.
+
+Bus loads inside the search are bit-packed (SWAR): each bus's loads over
+the W windows form one Python int with one ``f``-bit field per window,
+field ``m`` in bits ``[m*f, (m+1)*f)``.  A field holds ``load + bias`` with
+``bias = 2**(f-1) - 1 - window_size``, so its top (guard) bit is set exactly
+when ``load > window_size``.  ``f`` is the smallest of 16, 32 or 64 (or a
+multiple of 64 beyond) with ``window_size + max(comm) < 2**(f-1)``: a placed
+load never exceeds the window size, so adding any one target's packed
+``comm`` row keeps every field below ``2**f`` and no carry crosses fields.
+One add and one mask test then check every window at once.
 """
 
 from __future__ import annotations
@@ -107,6 +121,8 @@ class ProblemInstance:
             raise InstanceError("conflict matrix must be symmetric")
         if self.conflict.diagonal().any():
             raise InstanceError("conflict matrix diagonal must be zero")
+        if (self.comm < 0).any():
+            raise InstanceError("busy cycles (comm) must be non-negative")
         if self.maxtb < 1:
             raise InstanceError("maxtb must be >= 1")
         if self.window_size < 1:
@@ -230,6 +246,10 @@ class SolveReport:
     nodes_explored: int = 0
     wall_time_s: float = 0.0
     optimal: bool = True
+    # False when the budget ran out in the lex-min tie-break: maxov is still
+    # proven, but the binding is not the canonical one and depends on timing.
+    # Not serialized, so reports of complete runs keep their bytes.
+    tie_break_complete: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -243,10 +263,15 @@ class SolveReport:
         }
 
 
-class _Budget:
-    """Shared node/time accounting across one search."""
+class SearchBudget:
+    """Node/time accounting shared by every search of one run.
 
-    def __init__(self, limits: SolverLimits | None):
+    The deadline starts when the budget is created.  Functions taking
+    ``limits`` accept either a :class:`SolverLimits` (a fresh budget for
+    that call) or a budget to share with other calls.
+    """
+
+    def __init__(self, limits: SolverLimits | None = None):
         limits = limits or SolverLimits()
         self.nodes = 0
         self.node_limit = limits.node_limit
@@ -264,22 +289,54 @@ class _Budget:
                 raise SolverLimitReached("time limit exhausted")
 
 
+def _as_budget(limits: SolverLimits | SearchBudget | None) -> SearchBudget:
+    return limits if isinstance(limits, SearchBudget) else SearchBudget(limits)
+
+
 def _busy_order(inst: ProblemInstance) -> list[int]:
     """Targets by decreasing total busy cycles (first-fail heuristic)."""
     totals = inst.comm.sum(axis=1)
     return sorted(range(inst.num_targets), key=lambda i: (-int(totals[i]), i))
 
 
+def _field_width(peak: int) -> int:
+    """Bits per packed window field so that values up to ``peak`` leave the
+    guard bit clear (see the module docstring)."""
+    for width in (16, 32, 64):
+        if peak < 1 << (width - 1):
+            return width
+    return 64 * -(-(peak.bit_length() + 1) // 64)
+
+
+def _pack_rows(rows: np.ndarray, width: int) -> list[int]:
+    """One int per row of non-negative values, element m in field m."""
+    if width <= 64:
+        dtype = f"<u{width // 8}"
+        return [int.from_bytes(row.astype(dtype).tobytes(), "little") for row in rows]
+    return [sum(int(v) << (width * m) for m, v in enumerate(row)) for row in rows]
+
+
 class _AssignState:
-    """Incremental per-bus loads, members, conflict masks and overlap sums."""
+    """Incremental per-bus loads, members, conflict masks and overlap sums.
+
+    ``loads[k]`` is bus k's bit-packed window loads; ``can_place`` is one add
+    and one mask test, ``place``/``unplace`` one add or subtract each.
+    """
 
     def __init__(self, inst: ProblemInstance, num_buses: int):
-        self.inst = inst
-        self.num_buses = num_buses
-        w = inst.comm.shape[1]
-        self.loads = np.zeros((num_buses, w), dtype=np.int64)
+        self.maxtb = inst.maxtb
+        comm = inst.comm
+        peak = inst.window_size + (int(comm.max()) if comm.size else 0)
+        width = _field_width(peak)
+        ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
+        self.guard = (1 << (width - 1)) * ones
+        bias = (1 << (width - 1)) - 1 - inst.window_size
+        self.loads = [bias * ones] * num_buses
+        self.comm_packed = _pack_rows(comm, width)
+        self.om_rows: list[list[int]] = inst.om.tolist()
         self.members: list[list[int]] = [[] for _ in range(num_buses)]
         self.conflict_mask = [0] * num_buses  # OR of members' conflict bitsets
+        self.mask_stack: list[int] = []       # bus masks saved by place()
         self.overlap = [0] * num_buses        # per-bus pairwise overlap sum
         self.used = 0
         masks = []
@@ -291,18 +348,19 @@ class _AssignState:
         self.target_conflict = masks
 
     def can_place(self, t: int, k: int) -> bool:
-        inst = self.inst
-        if len(self.members[k]) >= inst.maxtb:
+        if len(self.members[k]) >= self.maxtb:
             return False
-        if self.conflict_mask[k] & (1 << t):
+        if self.conflict_mask[k] >> t & 1:
             return False
-        return bool((self.loads[k] + inst.comm[t] <= inst.window_size).all())
+        return not (self.loads[k] + self.comm_packed[t]) & self.guard
 
     def place(self, t: int, k: int) -> int:
         """Place target t on bus k; returns the pairwise overlap added."""
-        added = int(self.inst.om[t, self.members[k]].sum()) if self.members[k] else 0
-        self.loads[k] += self.inst.comm[t]
-        self.members[k].append(t)
+        members = self.members[k]
+        added = sum(map(self.om_rows[t].__getitem__, members))
+        self.loads[k] += self.comm_packed[t]
+        members.append(t)
+        self.mask_stack.append(self.conflict_mask[k])
         self.conflict_mask[k] |= self.target_conflict[t]
         self.overlap[k] += added
         if k + 1 > self.used:
@@ -310,19 +368,15 @@ class _AssignState:
         return added
 
     def unplace(self, t: int, k: int, added: int, prev_used: int) -> None:
-        self.loads[k] -= self.inst.comm[t]
+        self.loads[k] -= self.comm_packed[t]
         self.members[k].pop()
+        self.conflict_mask[k] = self.mask_stack.pop()
         self.overlap[k] -= added
         self.used = prev_used
-        # conflict mask rebuilt from scratch: cheap for <=32 targets
-        m = 0
-        for j in self.members[k]:
-            m |= self.target_conflict[j]
-        self.conflict_mask[k] = m
 
 
 def _search_feasible(inst: ProblemInstance, num_buses: int,
-                     budget: _Budget) -> list[int] | None:
+                     budget: SearchBudget) -> list[int] | None:
     """DFS for any constraint-satisfying assignment; None proves none exists."""
     order = _busy_order(inst)
     state = _AssignState(inst, num_buses)
@@ -351,7 +405,7 @@ def _search_feasible(inst: ProblemInstance, num_buses: int,
 def check_feasible(
     inst: ProblemInstance,
     num_buses: int,
-    limits: SolverLimits | None = None,
+    limits: SolverLimits | SearchBudget | None = None,
 ) -> tuple[bool, CrossbarConfig | None]:
     """Exactly decide whether any binding onto ``num_buses`` buses exists.
 
@@ -361,8 +415,7 @@ def check_feasible(
         raise InstanceError(
             f"bus count {num_buses} outside 1..{inst.num_targets}"
         )
-    budget = _Budget(limits)
-    binding = _search_feasible(inst, num_buses, budget)
+    binding = _search_feasible(inst, num_buses, _as_budget(limits))
     if binding is None:
         return False, None
     return True, CrossbarConfig(num_buses, canonical_binding(binding))
@@ -403,32 +456,46 @@ def lower_bound(inst: ProblemInstance) -> int:
 
 def min_config(
     inst: ProblemInstance,
-    limits: SolverLimits | None = None,
+    limits: SolverLimits | SearchBudget | None = None,
 ) -> tuple[int, list[tuple[int, bool]]]:
     """Binary-search the minimum feasible bus count.
 
     Valid because feasibility is monotone in the bus count.  Raises
     :class:`BandwidthInfeasibleError` when some target alone overflows a
-    window (infeasible even with one bus per target).
+    window (infeasible even with one bus per target).  When the budget
+    runs out after a feasible probe, the :class:`SolverLimitReached` carries
+    the smallest witness found as an ``optimal=False`` incumbent.
     """
+    t0 = time.monotonic()
     _check_single_target_fit(inst)
+    budget = _as_budget(limits)
     lo = lower_bound(inst)
     hi = inst.num_targets
     assert lo <= hi, "lower bound cannot exceed target count once comm <= WS"
     probes: list[tuple[int, bool]] = []
+    witness: CrossbarConfig | None = None
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            feasible, _ = check_feasible(inst, mid, limits)
+            feasible, config = check_feasible(inst, mid, budget)
             probes.append((mid, feasible))
             if feasible:
-                hi = mid
+                hi, witness = mid, config
             else:
                 lo = mid + 1
     except SolverLimitReached as exc:
+        incumbent = None
+        if witness is not None:
+            incumbent = SolveReport(
+                config=witness,
+                maxov=binding_maxov(inst.om, witness),
+                feasibility_probes=list(probes),
+                wall_time_s=time.monotonic() - t0,
+                optimal=False,
+            )
         raise SolverLimitReached(
             f"bus-count search stopped with proven bounds [{lo}, {hi}]: {exc}",
-            lower_bound=lo, upper_bound=hi, probes=probes,
+            lower_bound=lo, upper_bound=hi, probes=probes, incumbent=incumbent,
         ) from None
     return lo, probes
 
@@ -436,19 +503,22 @@ def min_config(
 def optimal_binding(
     inst: ProblemInstance,
     num_buses: int,
-    limits: SolverLimits | None = None,
+    limits: SolverLimits | SearchBudget | None = None,
 ) -> SolveReport:
     """Find the binding minimizing the worst per-bus overlap sum.
 
     Exact branch-and-bound seeded with a feasibility witness; ties between
     optimal bindings resolve to the lexicographically smallest canonical
     binding.  If the budget runs out the incumbent is returned with
-    ``optimal=False``.
+    ``optimal=False``; if it runs out in the tie-break, with
+    ``tie_break_complete=False``.  ``nodes_explored`` counts this call's
+    nodes only, also when the budget is shared.
     """
     t0 = time.monotonic()
     if not 1 <= num_buses <= inst.num_targets:
         raise InstanceError(f"bus count {num_buses} outside 1..{inst.num_targets}")
-    budget = _Budget(limits)
+    budget = _as_budget(limits)
+    start_nodes = budget.nodes
     try:
         seed_binding = _search_feasible(inst, num_buses, budget)
     except SolverLimitReached as exc:
@@ -464,6 +534,7 @@ def optimal_binding(
     state = _AssignState(inst, num_buses)
     binding = [0] * inst.num_targets
     hit_limit = False
+    tie_break_complete = False
 
     def improve(depth: int, cost: int) -> None:
         nonlocal best_cost, best_binding
@@ -495,20 +566,21 @@ def optimal_binding(
     if not hit_limit:
         try:
             best_binding = _lex_min_binding(inst, num_buses, best_cost, budget)
+            tie_break_complete = True
         except SolverLimitReached:
             pass  # optimum already proven; only the tie-break is budget-cut
-    report = SolveReport(
+    return SolveReport(
         config=CrossbarConfig(num_buses, canonical_binding(best_binding)),
         maxov=best_cost,
-        nodes_explored=budget.nodes,
+        nodes_explored=budget.nodes - start_nodes,
         wall_time_s=time.monotonic() - t0,
         optimal=not hit_limit,
+        tie_break_complete=tie_break_complete,
     )
-    return report
 
 
 def _lex_min_binding(inst: ProblemInstance, num_buses: int, target_cost: int,
-                     budget: _Budget) -> list[int]:
+                     budget: SearchBudget) -> list[int]:
     """First canonical binding (target-id order, lowest bus first) meeting
     the proven optimum; DFS prefix order makes it the lexicographic minimum."""
     state = _AssignState(inst, num_buses)

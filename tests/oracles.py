@@ -13,7 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from xbarsynth.solver import CrossbarConfig, ProblemInstance
+from xbarsynth.solver import (
+    CrossbarConfig,
+    ProblemInstance,
+    SolverLimitReached,
+    SolverLimits,
+    optimal_binding,
+)
 from xbarsynth.trace import Trace, Transaction
 
 
@@ -214,6 +220,25 @@ def make_random_config(rng: np.random.Generator, num_targets: int) -> CrossbarCo
     num_buses = int(rng.integers(1, num_targets + 1))
     binding = tuple(int(b) for b in rng.integers(1, num_buses + 1, num_targets))
     return CrossbarConfig(num_buses, binding)
+
+
+# ---------------------------------------------------------------- budgets
+
+def nodes_before_tie_break(inst: ProblemInstance, num_buses: int) -> int:
+    """Smallest node limit under which ``optimal_binding`` still proves its
+    optimum, found by bisection; the tie-break's first node lies beyond it."""
+    lo, hi = 1, optimal_binding(inst, num_buses).nodes_explored
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            proven = optimal_binding(inst, num_buses, SolverLimits(node_limit=mid)).optimal
+        except SolverLimitReached:  # cut before the first incumbent
+            proven = False
+        if proven:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ------------------------------------------------------------ LP parsing

@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from xbarsynth.cli import main
-from xbarsynth.gen import GenSpec, spec_to_text
+from xbarsynth.analysis import AnalysisParams
+from xbarsynth.cli import RunConfig, design, main
+from xbarsynth.gen import GenSpec, benchmark_preset, spec_to_text
+from xbarsynth.solver import SearchBudget, SolverLimits, check_feasible, min_config
 from xbarsynth.trace import Trace, Transaction, load_trace, save_trace
+
+from oracles import nodes_before_tie_break
 
 
 def tiny_spec(**kw):
@@ -127,6 +131,64 @@ def test_solver_time_limit_exits_three(tmp_path):
                  "--window-size", "250", "--overlap-threshold", "0.1",
                  "--time-limit", "0.001"])
     assert code == 3
+
+
+def design_mat2like(out_dir, node_limit=None):
+    # default analysis knobs: probes 7/5/4/3 all feasible, then a short
+    # binding search, so every solve phase has nodes to cut
+    run = RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
+                    limits=SolverLimits(node_limit=node_limit), out_dir=out_dir)
+    return design(run)
+
+
+def probe_nodes(inst):
+    budget = SearchBudget()
+    min_config(inst, budget)
+    return budget.nodes
+
+
+def test_node_limit_bounds_the_whole_solve(tmp_path):
+    full = design_mat2like(tmp_path / "full")
+    assert full.status == 0
+    probes, binding = probe_nodes(full.instance), full.report.nodes_explored
+    limit = max(probes, binding) + 1
+    assert limit < probes + binding  # each phase fits alone, not both
+    cut = design_mat2like(tmp_path / "cut", node_limit=limit)
+    assert cut.status == 3
+    assert "status = limit" in (tmp_path / "cut" / "manifest.txt").read_text()
+
+
+def test_limit_after_feasible_probe_writes_witness(tmp_path):
+    full = design_mat2like(tmp_path / "full")
+    (b1, ok1), (b2, ok2) = full.report.feasibility_probes[:2]
+    assert ok1 and ok2 and b2 < b1
+    budget = SearchBudget()
+    check_feasible(full.instance, b1, budget)
+    _, witness = check_feasible(full.instance, b2, budget)
+    out = tmp_path / "cut"
+    cut = design_mat2like(out, node_limit=budget.nodes)
+    assert cut.status == 3
+    assert cut.report.config == witness
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["optimal"] is False
+    assert report["num_buses"] == b2
+    assert report["feasibility_probes"] == [[b1, True], [b2, True]]
+    assert (out / "comparison.csv").exists()
+
+
+def test_cut_tie_break_exits_three(tmp_path):
+    full = design_mat2like(tmp_path / "full")
+    inst, buses = full.instance, full.report.config.num_buses
+    limit = probe_nodes(inst) + nodes_before_tie_break(inst, buses)
+    out = tmp_path / "cut"
+    cut = design_mat2like(out, node_limit=limit)
+    assert cut.status == 3
+    assert cut.report.optimal and not cut.report.tie_break_complete
+    assert cut.report.maxov == full.report.maxov
+    manifest = (out / "manifest.txt").read_text()
+    assert "status = limit" in manifest
+    assert "optimal = True" in manifest
+    assert "not the canonical one" in manifest
 
 
 def test_saturated_target_still_fits_one_window(tmp_path):

@@ -5,15 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from xbarsynth.analysis import AnalysisParams, profile
+from xbarsynth.analysis import AnalysisParams, aggregate_overlap, preprocess, profile
+from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.solver import (
     BandwidthInfeasibleError,
     CrossbarConfig,
     InfeasibleError,
     InstanceError,
     ProblemInstance,
+    SearchBudget,
     SolverLimitReached,
     SolverLimits,
+    _AssignState,
+    _field_width,
     binding_maxov,
     build_instance,
     canonical_binding,
@@ -32,6 +36,7 @@ from oracles import (
     brute_min_buses,
     brute_optimal_bindings,
     make_random_instance,
+    nodes_before_tie_break,
 )
 
 
@@ -247,6 +252,34 @@ def test_budget_cut_returns_incumbent_flagged():
     assert rep.maxov == binding_maxov(inst.om, rep.config)
 
 
+def test_tie_break_cut_keeps_proven_optimum():
+    om = np.arange(64).reshape(8, 8)
+    om = np.triu(om, 1) + np.triu(om, 1).T
+    inst = inst_of(100, np.ones((8, 2)), om=om)
+    full = optimal_binding(inst, 4)
+    assert full.tie_break_complete
+    proven = nodes_before_tie_break(inst, 4)
+    assert proven < full.nodes_explored
+    rep = optimal_binding(inst, 4, SolverLimits(node_limit=proven))
+    assert rep.optimal and not rep.tie_break_complete
+    assert rep.maxov == full.maxov == binding_maxov(inst.om, rep.config)
+    assert validate_binding(inst, rep.config) == []
+    assert "tie_break_complete" not in rep.to_dict()
+    assert not optimal_binding(inst, 4, SolverLimits(node_limit=proven - 1)).optimal
+
+
+def test_shared_budget_counts_binding_phase_nodes_only():
+    rng = np.random.Generator(np.random.PCG64(71))
+    inst = make_random_instance(rng, max_targets=7)
+    budget = SearchBudget()
+    buses, _ = min_config(inst, budget)
+    probe_nodes = budget.nodes
+    rep = optimal_binding(inst, buses, budget)
+    assert rep.nodes_explored == budget.nodes - probe_nodes
+    assert rep.nodes_explored == optimal_binding(inst, buses).nodes_explored
+    assert 0 < probe_nodes < budget.nodes
+
+
 def test_instance_validation():
     good = np.zeros((2, 1))
     with pytest.raises(InstanceError, match="symmetric"):
@@ -257,6 +290,8 @@ def test_instance_validation():
         ProblemInstance(10, good, np.zeros((3, 3)), np.zeros((3, 3), bool), 2)
     with pytest.raises(InstanceError, match="maxtb"):
         ProblemInstance(10, good, np.zeros((2, 2)), np.zeros((2, 2), bool), 0)
+    with pytest.raises(InstanceError, match="non-negative"):
+        ProblemInstance(10, np.array([[1], [-1]]), np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
     with pytest.raises(InstanceError, match="32"):
         t = 33
         ProblemInstance(10, np.zeros((t, 1)), np.zeros((t, t)), np.zeros((t, t), bool), t)
@@ -311,3 +346,105 @@ def test_report_serialization():
     assert d["maxov"] == 0
     assert d["optimal"] is True
     assert json.dumps(d)  # plain types only
+
+
+# Search-tree pins for the criterion-6 instance, recorded before bus loads
+# were bit-packed: (num_buses, probes, nodes_explored, maxov, binding).  A
+# change to these numbers is a change to the search tree, not a speed-up.
+UNIFORM_PINS = {
+    250: (7, [(13, True), (10, True), (8, True), (7, True)], 142537, 0,
+          (1, 1, 1, 2, 3, 4, 5, 3, 6, 5, 1, 7, 6, 3, 3, 2, 4, 7, 1, 2)),
+    8000: (2, [(11, True), (6, True), (4, True), (3, True), (2, True)], 67237, 11778,
+           (1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 1, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("ws", sorted(UNIFORM_PINS))
+def test_uniform_search_tree_pinned(ws):
+    trace = generate(benchmark_preset("uniform"))
+    params = AnalysisParams(ws, 0.1)
+    prof = profile(trace, ws)
+    inst = build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
+    buses, probes = min_config(inst)
+    rep = optimal_binding(inst, buses)
+    assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding) == UNIFORM_PINS[ws]
+
+
+def test_field_width_boundaries():
+    assert _field_width(0) == 16
+    assert _field_width(2**15 - 1) == 16
+    assert _field_width(2**15) == 32
+    assert _field_width(2**31) == 64
+    assert _field_width(2**63 - 1) == 64
+    assert _field_width(2**63) == 128
+
+
+@pytest.mark.parametrize("ws, windows, oversize", [
+    (37, 4, False),          # 16-bit fields; loads land exactly on ws
+    (1, 5, False),           # window_size 1
+    (10, 0, False),          # zero windows
+    (40_000, 3, False),      # 32-bit fields
+    (2**62 - 1, 3, False),   # 64-bit fields at the top of their range
+    (2**70, 2, False),       # wider than 64 bits
+    (37, 4, True),           # one target alone exceeds the window
+])
+def test_packed_can_place_matches_reference(ws, windows, oversize):
+    """Random place/unplace walks: packed can_place equals the direct check."""
+    rng = np.random.Generator(np.random.PCG64(ws % 1000 + windows + 7 * oversize))
+    values = [v for v in (0, 1, ws // 2, ws - ws // 2, ws) if v < 2**63]
+    exact_hits = 0
+    for _ in range(20):
+        t = int(rng.integers(2, 8))
+        comm = rng.choice(np.array(values, dtype=np.int64), size=(t, windows))
+        big = int(rng.integers(t))
+        if oversize:
+            comm[big, int(rng.integers(windows))] = ws + 1 + int(rng.integers(ws))
+        om = np.triu(rng.integers(0, 50, size=(t, t)), 1)
+        conflict = np.triu(rng.random((t, t)) < 0.2, 1)
+        inst = ProblemInstance(ws, comm, om + om.T, conflict | conflict.T,
+                               int(rng.integers(1, t + 1)))
+        num_buses = int(rng.integers(1, t + 1))
+        state = _AssignState(inst, num_buses)
+        empty = list(state.loads)
+        rows = [[int(v) for v in row] for row in comm]
+        loads = [[0] * windows for _ in range(num_buses)]
+        members = [[] for _ in range(num_buses)]
+        stack = []
+        for _ in range(40):
+            free = [i for i in range(t) if not any(i in m for m in members)]
+            if stack and (not free or rng.random() < 0.3):
+                i, k, added, prev_used = stack.pop()
+                state.unplace(i, k, added, prev_used)
+                members[k].pop()
+                loads[k] = [a - b for a, b in zip(loads[k], rows[i])]
+                continue
+            i = int(rng.choice(free))
+            fits = []
+            for k in range(num_buses):
+                expected = (len(members[k]) < inst.maxtb
+                            and not any(inst.conflict[i, j] for j in members[k])
+                            and all(a + b <= ws for a, b in zip(loads[k], rows[i])))
+                assert state.can_place(i, k) == expected
+                if expected:
+                    fits.append(k)
+            if oversize and i == big:
+                assert not fits
+            if not fits:
+                continue
+            k = int(rng.choice(fits))
+            prev_used = state.used
+            added = state.place(i, k)
+            assert added == sum(int(inst.om[i, j]) for j in members[k])
+            members[k].append(i)
+            loads[k] = [a + b for a, b in zip(loads[k], rows[i])]
+            exact_hits += ws in loads[k]
+            stack.append((i, k, added, prev_used))
+        while stack:
+            i, k, added, prev_used = stack.pop()
+            state.unplace(i, k, added, prev_used)
+        assert state.loads == empty
+        assert state.conflict_mask == [0] * num_buses
+        if oversize:
+            assert not any(check_feasible(inst, b)[0] for b in range(1, t + 1))
+    if windows and ws in values:
+        assert exact_hits
