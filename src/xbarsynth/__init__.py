@@ -43,11 +43,9 @@ from .trace import (
     RESPONSE,
     Trace,
     TraceError,
-    TraceStats,
     Transaction,
     load_trace,
     save_trace,
-    trace_stats,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +69,6 @@ __all__ = [
     "SolverLimits",
     "Trace",
     "TraceError",
-    "TraceStats",
     "Transaction",
     "WindowProfile",
     "aggregate_overlap",
@@ -96,7 +93,6 @@ __all__ = [
     "simulate",
     "spec_from_text",
     "spec_to_text",
-    "trace_stats",
     "validate_binding",
     "validate_profile",
 ]

@@ -9,8 +9,8 @@ binding optimization; thresholding per-window overlaps (plus any overlap
 between critical streams) gives the conflict matrix of pairs that must not
 share a bus.
 
-Implementation note: profiles are computed from merged busy intervals with
-integer window clipping, never by stepping individual cycles, so the test
+Implementation note: profiles are computed from merged busy intervals cut
+at window boundaries, never by stepping individual cycles, so the test
 suite's per-cycle oracle is an independent check.
 """
 
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace
-
-Intervals = list[tuple[int, int]]
+from .trace import Trace, group_rows
 
 
 @dataclass
@@ -72,44 +70,66 @@ class WindowProfile:
         return self.comm.shape[0]
 
 
-def _merge_intervals(intervals: Intervals) -> Intervals:
-    """Merge possibly-overlapping half-open intervals into disjoint ones."""
-    merged: Intervals = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
+def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union of half-open intervals sorted by start, as disjoint intervals.
+
+    Touching intervals merge too, so the results are separated by gaps.
+    """
+    if not len(start):
+        return start, end
+    reach = np.maximum.accumulate(end)
+    first = np.flatnonzero(np.r_[True, start[1:] > reach[:-1]])
+    return start[first], reach[np.r_[first[1:] - 1, len(start) - 1]]
 
 
-def _intersect(a: Intervals, b: Intervals) -> Intervals:
-    """Intersect two disjoint sorted interval lists (two-pointer sweep)."""
-    out: Intervals = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        lo = max(a[ia][0], b[ib][0])
-        hi = min(a[ia][1], b[ib][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[ia][1] <= b[ib][1]:
-            ia += 1
-        else:
-            ib += 1
-    return out
+def _overlap_tensor(start: np.ndarray, end: np.ndarray, target: np.ndarray,
+                    num_targets: int, window_size: int, num_windows: int) -> np.ndarray:
+    """wo[i, j, m]: cycles of window m in which targets i+1 and j+1 are busy.
 
-
-def _scatter_into_windows(intervals: Intervals, window_size: int, row: np.ndarray) -> None:
-    """Add each interval's per-window cycle counts into ``row``."""
-    for start, end in intervals:
-        w = start // window_size
-        last = (end - 1) // window_size
-        while w <= last:
-            lo = max(start, w * window_size)
-            hi = min(end, (w + 1) * window_size)
-            row[w] += hi - lo
-            w += 1
+    Rows are (start, end, 1-based target), sorted by start.  Each target's
+    intervals are merged; the cut points of all merged intervals plus the
+    window boundaries split the horizon into segments on which every
+    target is busy throughout or idle throughout.  Every pair of targets
+    busy on a segment then adds its length to that segment's window.
+    """
+    wo = np.zeros((num_targets, num_targets, num_windows), dtype=np.int64)
+    order, bounds = group_rows(target - 1, num_targets)
+    pieces = [
+        (i, *_merged(start[idx], end[idx]))
+        for i in range(num_targets)
+        if len(idx := order[bounds[i]:bounds[i + 1]])
+    ]
+    if not pieces:
+        return wo
+    owner = np.concatenate([np.full(len(s), i) for i, s, _ in pieces])
+    lo = np.concatenate([s for _, s, _ in pieces])
+    hi = np.concatenate([e for _, _, e in pieces])
+    points = np.concatenate(
+        [lo, hi, np.arange(window_size, num_windows * window_size, window_size)]
+    )
+    # The points are a few sorted runs, which a stable sort merges fast.
+    by_value = np.argsort(points, kind="stable")
+    ranked = points[by_value]
+    first = np.r_[True, ranked[1:] != ranked[:-1]]
+    cuts = ranked[first]
+    at = np.empty(len(points), dtype=np.int64)  # index in cuts of each point
+    at[by_value] = np.cumsum(first) - 1
+    # Merged intervals of one target never touch, so each cut opens or
+    # closes at most one of them: a running parity marks the busy segments.
+    toggle = np.zeros((num_targets, len(cuts)), dtype=bool)
+    toggle[owner, at[:len(lo)]] = True
+    toggle[owner, at[len(lo):2 * len(lo)]] = True
+    busy = np.logical_xor.accumulate(toggle, axis=1)[:, :-1]
+    length = np.diff(cuts)
+    window = cuts[:-1] // window_size
+    for i, _, _ in pieces:
+        seg = np.flatnonzero(busy[i])
+        j, k = np.nonzero(busy[i:, seg])  # targets i.. busy on i's segments
+        j, seg = j + i, seg[k]
+        np.add.at(wo, (i, j, window[seg]), length[seg])
+        below = j > i
+        np.add.at(wo, (j[below], i, window[seg[below]]), length[seg[below]])
+    return wo
 
 
 def profile(trace: Trace, window_size: int) -> WindowProfile:
@@ -118,31 +138,12 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
         raise ValueError("window size must be >= 1 cycle")
     n = trace.num_targets
     num_windows = math.ceil(trace.horizon / window_size)
-
-    busy: list[Intervals] = [[] for _ in range(n)]
-    crit_busy: list[Intervals] = [[] for _ in range(n)]
-    for tx in trace.transactions:
-        busy[tx.target_id - 1].append((tx.start_cycle, tx.end_cycle))
-        if tx.critical:
-            crit_busy[tx.target_id - 1].append((tx.start_cycle, tx.end_cycle))
-    busy = [_merge_intervals(iv) for iv in busy]
-    crit_busy = [_merge_intervals(iv) for iv in crit_busy]
-
-    comm = np.zeros((n, num_windows), dtype=np.int64)
-    wo = np.zeros((n, n, num_windows), dtype=np.int64)
-    crit_wo = np.zeros((n, n, num_windows), dtype=np.int64)
-    for i in range(n):
-        _scatter_into_windows(busy[i], window_size, comm[i])
-        wo[i, i] = comm[i]
-        _scatter_into_windows(crit_busy[i], window_size, crit_wo[i, i])
-        for j in range(i + 1, n):
-            _scatter_into_windows(_intersect(busy[i], busy[j]), window_size, wo[i, j])
-            wo[j, i] = wo[i, j]
-            _scatter_into_windows(
-                _intersect(crit_busy[i], crit_busy[j]), window_size, crit_wo[i, j]
-            )
-            crit_wo[j, i] = crit_wo[i, j]
-
+    start, end, target = trace.start, trace.start + trace.duration, trace.target
+    wo = _overlap_tensor(start, end, target, n, window_size, num_windows)
+    crit = trace.critical
+    crit_wo = _overlap_tensor(start[crit], end[crit], target[crit], n, window_size,
+                              num_windows)
+    comm = wo[np.arange(n), np.arange(n)]
     return WindowProfile(window_size, num_windows, comm, wo, crit_wo)
 
 

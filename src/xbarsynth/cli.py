@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .solver import (
     SolveReport,
     SolverLimitReached,
     SolverLimits,
+    binding_maxov,
     build_instance,
     full_crossbar_config,
     min_config,
@@ -175,14 +177,16 @@ def design(run: RunConfig) -> DesignOutcome:
     status, message = EXIT_OK, "ok"
     report: SolveReport | None = None
     rows: list[CompareRow] = []
+    probes: list[tuple[int, bool]] = []
+    witness: CrossbarConfig | None = None
     budget = SearchBudget(run.limits)  # one budget bounds the whole solve
     try:
         if run.buses_override is not None:
             report = optimal_binding(inst, run.buses_override, budget)
         else:
-            buses, probes = min_config(inst, budget)
+            buses, probes, witness = min_config(inst, budget)
+            binding_nodes, binding_t0 = budget.nodes, time.monotonic()
             report = optimal_binding(inst, buses, budget)
-            report.feasibility_probes = probes + report.feasibility_probes
         if not report.optimal:
             status = EXIT_LIMIT
             message = "solver limit hit; incumbent binding returned, optimality unproven"
@@ -195,8 +199,20 @@ def design(run: RunConfig) -> DesignOutcome:
     except SolverLimitReached as exc:
         status, message = EXIT_LIMIT, str(exc)
         report = exc.incumbent
+        if report is None and witness is not None:
+            # the binding search was cut before its first incumbent; the
+            # bus-count search proved the same bus count with this binding
+            report = SolveReport(
+                config=witness,
+                maxov=binding_maxov(inst.om, witness),
+                nodes_explored=budget.nodes - binding_nodes,
+                wall_time_s=time.monotonic() - binding_t0,
+                optimal=False,
+            )
+            message += "; the bus-count search's witness is returned"
 
     if report is not None:
+        report.feasibility_probes = probes + report.feasibility_probes
         violations = validate_binding(inst, report.config)
         if violations:
             raise RuntimeError(
@@ -541,7 +557,7 @@ def _cmd_export_lp(args) -> int:
     if args.buses:
         buses = args.buses
     else:
-        buses, _ = min_config(inst, run.limits)
+        buses, _, _ = min_config(inst, run.limits)
     text = export_milp(inst, buses)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "model.lp"

@@ -29,7 +29,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .trace import REQUEST, Trace, Transaction
+from .trace import Trace
 
 PRESET_NAMES = ("mat2like", "uniform", "hotspot")
 
@@ -110,16 +110,17 @@ class GenSpec:
         return [t for t in range(1, self.num_targets + 1) if t not in shared]
 
 
-def _emit_run(out: list[Transaction], start: int, length: int, init: int,
-              tgt: int, critical: bool, packet_len: int) -> None:
-    """Append one busy run as back-to-back packet transactions."""
+def _emit_run(rows: list[tuple[int, int, int, int, bool]], start: int, length: int,
+              init: int, tgt: int, critical: bool, packet_len: int) -> None:
+    """Append one busy run as back-to-back packet rows (start, duration,
+    initiator, target, critical)."""
     if packet_len <= 0 or packet_len >= length:
-        out.append(Transaction(start, length, init, tgt, critical))
+        rows.append((start, length, init, tgt, critical))
         return
     off = 0
     while off < length:
         piece = min(packet_len, length - off)
-        out.append(Transaction(start + off, piece, init, tgt, critical))
+        rows.append((start + off, piece, init, tgt, critical))
         off += piece
 
 
@@ -142,7 +143,7 @@ def generate(spec: GenSpec) -> Trace:
         )
 
     seq = np.random.SeedSequence(spec.seed).spawn(spec.num_initiators + 1)
-    txs: list[Transaction] = []
+    rows: list[tuple[int, int, int, int, bool]] = []
     spread = 1.0 - spec.phase_correlation
     pc = spec.phase_correlation
     for idx in range(spec.num_initiators):
@@ -179,7 +180,7 @@ def generate(spec: GenSpec) -> Trace:
             for q, run_len in enumerate(lengths):
                 run_start = span_start + int(frac[q] * slack) + offset
                 crit = (init, tgt) in critical_set
-                _emit_run(txs, run_start, run_len, init, tgt, crit, spec.packet_len)
+                _emit_run(rows, run_start, run_len, init, tgt, crit, spec.packet_len)
                 offset += run_len
             emitted += 1
             if shared:
@@ -188,7 +189,7 @@ def generate(spec: GenSpec) -> Trace:
                 sstart = span_start + span + rank * (shared_len + 1)
                 if sstart + shared_len <= spec.horizon:
                     crit = (init, stgt) in critical_set
-                    txs.append(Transaction(sstart, shared_len, init, stgt, crit))
+                    rows.append((sstart, shared_len, init, stgt, crit))
             gap = round(
                 spec.inter_burst_gap_mean * (1.0 + spec.burst_len_jitter * eps)
             )
@@ -198,7 +199,11 @@ def generate(spec: GenSpec) -> Trace:
                 f"horizon {spec.horizon} too small: initiator i_{init} "
                 f"cannot fit one burst of ~{spec.burst_len_mean} cycles"
             )
-    return Trace(spec.num_initiators, spec.num_targets, txs, horizon=spec.horizon)
+    start, duration, initiator, target, critical = (
+        np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    )
+    return Trace.from_columns(spec.num_initiators, spec.num_targets, start, duration,
+                              initiator, target, critical, horizon=spec.horizon)
 
 
 def benchmark_preset(name: str) -> GenSpec:

@@ -11,10 +11,12 @@ separately as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .solver import CrossbarConfig, full_crossbar_config, shared_bus_config
-from .trace import Trace
+from .trace import Trace, group_rows
 
 
 class SimulationError(ValueError):
@@ -50,49 +52,47 @@ def simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0) -> S
 
     ``grant_overhead`` adds a fixed bus-occupancy cost to every grant
     (defaults to zero: pure transfer time).
+
+    Each bus is a FIFO single server fed in grant order, so completions
+    follow Lindley's recursion c[k] = max(s[k], c[k-1]) + h[k] with hold
+    h = duration + grant_overhead.  Unrolled with H = cumsum(h), that is
+    the max-plus scan c = H + cummax(s - (H - h)), computed exactly in
+    int64 per bus.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
         raise SimulationError(
             f"binding missing a referenced target: t_{missing} has no bus"
         )
-    bus_free = [0] * config.num_buses
-    bus_busy = [0] * config.num_buses
-    latencies: list[int] = []
-    tgt_sum = [0] * trace.num_targets
-    tgt_cnt = [0] * trace.num_targets
+    start = trace.start
+    hold = trace.duration + grant_overhead
+    bus = np.asarray(config.binding, dtype=np.int64)[trace.target - 1] - 1
+    order, bounds = group_rows(bus, config.num_buses)  # grant order within a bus
+    completion = np.empty_like(start)
+    bus_busy = []
+    for k in range(config.num_buses):
+        rows = order[bounds[k]:bounds[k + 1]]
+        s, h = start[rows], hold[rows]
+        done = np.cumsum(h)
+        completion[rows] = done + np.maximum.accumulate(s - (done - h))
+        bus_busy.append(int(done[-1]) if len(done) else 0)
+    latency = completion - start
 
-    makespan = trace.horizon
-    for tx in trace.transactions:  # already sorted in grant order
-        k = config.binding[tx.target_id - 1] - 1
-        begin = max(tx.start_cycle, bus_free[k])
-        hold = grant_overhead + tx.duration
-        completion = begin + hold
-        bus_free[k] = completion
-        bus_busy[k] += hold
-        latency = completion - tx.start_cycle
-        latencies.append(latency)
-        tgt_sum[tx.target_id - 1] += latency
-        tgt_cnt[tx.target_id - 1] += 1
-        makespan = max(makespan, completion)
-
-    n = len(latencies)
-    avg = sum(latencies) / n if n else 0.0
-    total_duration = sum(tx.duration for tx in trace.transactions)
-    avg_queuing = (sum(latencies) - total_duration - n * grant_overhead) / n if n else 0.0
-    per_target_avg = [
-        tgt_sum[i] / tgt_cnt[i] if tgt_cnt[i] else 0.0 for i in range(trace.num_targets)
-    ]
-    utilization = [
-        bus_busy[k] / makespan if makespan else 0.0 for k in range(config.num_buses)
-    ]
+    n = len(latency)
+    total = int(latency.sum())
+    tgt_sum = np.zeros(trace.num_targets, dtype=np.int64)
+    np.add.at(tgt_sum, trace.target - 1, latency)
+    tgt_cnt = np.bincount(trace.target - 1, minlength=trace.num_targets)
+    makespan = max(trace.horizon, int(completion.max()) if n else 0)
+    avg_queuing = (total - int(trace.duration.sum()) - n * grant_overhead) / n if n else 0.0
     return SimReport(
-        per_transaction_latency=latencies,
-        avg_latency=avg,
-        max_latency=max(latencies, default=0),
+        per_transaction_latency=latency.tolist(),
+        avg_latency=total / n if n else 0.0,
+        max_latency=int(latency.max()) if n else 0,
         avg_queuing=avg_queuing,
-        per_target_avg=per_target_avg,
-        per_bus_utilization=utilization,
+        per_target_avg=[s / c if c else 0.0
+                        for s, c in zip(tgt_sum.tolist(), tgt_cnt.tolist())],
+        per_bus_utilization=[b / makespan if makespan else 0.0 for b in bus_busy],
     )
 
 

@@ -457,14 +457,18 @@ def lower_bound(inst: ProblemInstance) -> int:
 def min_config(
     inst: ProblemInstance,
     limits: SolverLimits | SearchBudget | None = None,
-) -> tuple[int, list[tuple[int, bool]]]:
+) -> tuple[int, list[tuple[int, bool]], CrossbarConfig | None]:
     """Binary-search the minimum feasible bus count.
 
-    Valid because feasibility is monotone in the bus count.  Raises
-    :class:`BandwidthInfeasibleError` when some target alone overflows a
-    window (infeasible even with one bus per target).  When the budget
-    runs out after a feasible probe, the :class:`SolverLimitReached` carries
-    the smallest witness found as an ``optimal=False`` incumbent.
+    Returns ``(buses, probes, witness)``: the minimum, the ``(bus count,
+    feasible)`` probes in order, and the canonical binding that proved
+    ``buses`` feasible (None when no probe did; ``buses`` is then the
+    target count).  Valid because feasibility is monotone in the bus
+    count.  Raises :class:`BandwidthInfeasibleError` when some target
+    alone overflows a window (infeasible even with one bus per target).
+    When the budget runs out after a feasible probe, the
+    :class:`SolverLimitReached` carries the smallest witness found as an
+    ``optimal=False`` incumbent.
     """
     t0 = time.monotonic()
     _check_single_target_fit(inst)
@@ -497,7 +501,7 @@ def min_config(
             f"bus-count search stopped with proven bounds [{lo}, {hi}]: {exc}",
             lower_bound=lo, upper_bound=hi, probes=probes, incumbent=incumbent,
         ) from None
-    return lo, probes
+    return lo, probes, witness
 
 
 def optimal_binding(

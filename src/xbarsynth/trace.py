@@ -15,19 +15,28 @@ File format (UTF-8 CSV)::
 
 Ids are 1-based.  Lines starting with ``#`` are comments.  Busy intervals
 are half-open: a transaction occupies [start, start + duration).
+
+In memory a :class:`Trace` is a set of numpy columns, one entry per
+transaction; :class:`Transaction` objects are built only when a caller
+reads rows through :attr:`Trace.transactions`.
 """
 
 from __future__ import annotations
 
+import io
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 REQUEST = "req"
 RESPONSE = "resp"
 DIRECTIONS = (REQUEST, RESPONSE)
 
 _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class TraceError(ValueError):
@@ -53,46 +62,309 @@ class Transaction:
         return (self.start_cycle, self.target_id, self.initiator_id)
 
 
-@dataclass
+def _first_invalid_row(start: np.ndarray, duration: np.ndarray, initiator: np.ndarray,
+                       target: np.ndarray, num_initiators: int,
+                       num_targets: int) -> tuple[int, str, int, int] | None:
+    """First row breaking a range rule, as ``(row, rule, value, declared)``.
+
+    ``rule`` is ``"duration"``, ``"start"``, ``"initiator"`` or ``"target"``;
+    ``declared`` is the core count an id must lie in.  Rules are tried in
+    that order within a row, so a row breaking several reports the first.
+    """
+    rules = (
+        ("duration", duration, duration < 1, 0),
+        ("start", start, start < 0, 0),
+        ("initiator", initiator, (initiator < 1) | (initiator > num_initiators), num_initiators),
+        ("target", target, (target < 1) | (target > num_targets), num_targets),
+    )
+    bad = rules[0][2] | rules[1][2] | rules[2][2] | rules[3][2]
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    rule, values, _, declared = next(r for r in rules if r[2][row])
+    return row, rule, int(values[row]), declared
+
+
+def _range_message(rule: str, value: int, declared: int, lineno: int | None = None) -> str:
+    """Text of a range error; a ``lineno`` selects the wording of file errors."""
+    in_file = lineno is not None
+    if rule == "duration":
+        return (f"non-positive duration at line {lineno}" if in_file
+                else f"non-positive duration {value}")
+    if rule == "start":
+        return "negative start cycle" if in_file else f"negative start cycle {value}"
+    return f"{rule} id {value} outside {'declared ' if in_file else ''}1..{declared}"
+
+
 class Trace:
-    """A validated, sorted collection of transactions.
+    """A validated trace stored as columns sorted by (start, target, initiator).
+
+    Columns (read-only numpy arrays, one entry per transaction):
+    ``start``, ``duration``, ``initiator`` and ``target`` (int64, ids
+    1-based), ``critical`` and ``response`` (bool; ``response`` marks rows
+    whose direction is ``resp``).  Rows with equal sort keys keep their
+    input order.
 
     ``horizon`` defaults to the last busy cycle (max start+duration) but can
     be overridden, e.g. by a generator that knows the intended run length.
     """
 
-    num_initiators: int
-    num_targets: int
-    transactions: list[Transaction] = field(default_factory=list)
-    horizon: int | None = None
+    def __init__(self, num_initiators: int, num_targets: int,
+                 transactions: Iterable[Transaction] = (), horizon: int | None = None):
+        txs = list(transactions)
+        for tx in txs:
+            if tx.direction not in DIRECTIONS:
+                raise TraceError(f"unknown direction {tx.direction!r}")
+        rows = np.array(
+            [(tx.start_cycle, tx.duration, tx.initiator_id, tx.target_id,
+              tx.critical, tx.direction == RESPONSE) for tx in txs],
+            dtype=np.int64,
+        ).reshape(-1, 6)
+        self._set_columns(num_initiators, num_targets, *rows.T, horizon)
 
-    def __post_init__(self) -> None:
-        if self.num_initiators < 1 or self.num_targets < 1:
-            raise TraceError("core counts must be positive")
-        self.transactions = sorted(self.transactions, key=Transaction.sort_key)
-        for tx in self.transactions:
-            _check_transaction(tx, self.num_initiators, self.num_targets)
-        derived = max((tx.end_cycle for tx in self.transactions), default=0)
-        if self.horizon is None:
-            self.horizon = derived
-        elif self.horizon < derived:
-            raise TraceError(
-                f"horizon {self.horizon} shorter than last transaction end {derived}"
-            )
+    @classmethod
+    def from_columns(cls, num_initiators: int, num_targets: int, start, duration,
+                     initiator, target, critical=None, response=None,
+                     horizon: int | None = None) -> Trace:
+        """Build a trace from per-transaction columns (any order).
 
-def _check_transaction(tx: Transaction, num_initiators: int, num_targets: int) -> None:
-    if tx.duration < 1:
-        raise TraceError(f"non-positive duration {tx.duration}")
-    if tx.start_cycle < 0:
-        raise TraceError(f"negative start cycle {tx.start_cycle}")
-    if not 1 <= tx.initiator_id <= num_initiators:
-        raise TraceError(
-            f"initiator id {tx.initiator_id} outside 1..{num_initiators}"
+        ``critical`` and ``response`` default to all False.
+        """
+        trace = cls.__new__(cls)
+        n = len(start)
+        trace._set_columns(
+            num_initiators, num_targets, start, duration, initiator, target,
+            np.zeros(n, dtype=bool) if critical is None else critical,
+            np.zeros(n, dtype=bool) if response is None else response,
+            horizon,
         )
-    if not 1 <= tx.target_id <= num_targets:
-        raise TraceError(f"target id {tx.target_id} outside 1..{num_targets}")
-    if tx.direction not in DIRECTIONS:
-        raise TraceError(f"unknown direction {tx.direction!r}")
+        return trace
+
+    def _set_columns(self, num_initiators, num_targets, start, duration, initiator,
+                     target, critical, response, horizon) -> None:
+        if num_initiators < 1 or num_targets < 1:
+            raise TraceError("core counts must be positive")
+        start, duration, initiator, target = (
+            np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)
+        )
+        critical, response = (np.array(c, dtype=bool) for c in (critical, response))
+        if not _is_sorted(start, target, initiator):
+            order = np.lexsort((initiator, target, start))  # stable
+            start, duration, initiator, target, critical, response = (
+                c[order] for c in (start, duration, initiator, target, critical, response)
+            )
+        bad = _first_invalid_row(start, duration, initiator, target,
+                                 num_initiators, num_targets)
+        if bad is not None:
+            raise TraceError(_range_message(*bad[1:]))
+        for col in (start, duration, initiator, target, critical, response):
+            col.flags.writeable = False
+        self.num_initiators = num_initiators
+        self.num_targets = num_targets
+        self.start, self.duration = start, duration
+        self.initiator, self.target = initiator, target
+        self.critical, self.response = critical, response
+        derived = int((start + duration).max()) if len(start) else 0
+        if horizon is None:
+            horizon = derived
+        elif horizon < derived:
+            raise TraceError(f"horizon {horizon} shorter than last transaction end {derived}")
+        self.horizon = horizon
+
+    @property
+    def transactions(self) -> TransactionView:
+        """The rows as a read-only sequence of :class:`Transaction`.
+
+        ``len`` is O(1); indexing, slicing and iteration build the
+        requested rows on access.  The view compares equal to a list of
+        the same transactions.
+        """
+        return TransactionView(self)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.start, self.duration, self.initiator, self.target,
+                self.critical, self.response)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            (self.num_initiators, self.num_targets, self.horizon)
+            == (other.num_initiators, other.num_targets, other.horizon)
+            and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+        )
+
+    def __repr__(self) -> str:
+        return (f"Trace(num_initiators={self.num_initiators}, num_targets={self.num_targets}, "
+                f"{len(self.start)} transactions, horizon={self.horizon})")
+
+
+def _is_sorted(start: np.ndarray, target: np.ndarray, initiator: np.ndarray) -> bool:
+    """Whether rows are already in (start, target, initiator) order."""
+    ds, dt, di = np.diff(start), np.diff(target), np.diff(initiator)
+    return bool(((ds > 0) | ((ds == 0) & ((dt > 0) | ((dt == 0) & (di >= 0))))).all())
+
+
+def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable grouping of rows by ids in ``range(num_groups)``.
+
+    Returns ``(order, bounds)``: the rows of group g are
+    ``order[bounds[g]:bounds[g + 1]]``, in their original order.
+    """
+    keys = ids.astype(np.min_scalar_type(num_groups))  # 8/16-bit keys radix-sort
+    order = np.argsort(keys, kind="stable")
+    return order, np.r_[0, np.cumsum(np.bincount(ids, minlength=num_groups))]
+
+
+class TransactionView(Sequence):
+    """Read-only :class:`Transaction` rows of a :class:`Trace`, built on access."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.start)
+
+    def _row(self, start, duration, initiator, target, critical, response) -> Transaction:
+        return Transaction(start, duration, initiator, target, critical,
+                           RESPONSE if response else REQUEST)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("transaction index out of range")
+        return self._row(*(c[i].item() for c in self._trace._columns()))
+
+    def __iter__(self):
+        for values in zip(*(c.tolist() for c in self._trace._columns())):
+            yield self._row(*values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TransactionView):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._trace._columns(), other._trace._columns()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} transactions>"
+
+
+def _parse_plain(body: str) -> np.ndarray | None:
+    """Bulk-parse a body written in the canonical layout, or return None.
+
+    The canonical layout is what :func:`save_trace` writes: every line is
+    ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
+    comments or blank lines.  The direction and critical fields are checked
+    at fixed offsets from each line end, the direction is overwritten in
+    place by a digit of the same width (req -> 000, resp -> 0001), and
+    numpy's integer reader parses the rest.  It is handed only digits,
+    minus signs, commas and newlines: numpy 1.23-1.26 read a float such as
+    ``1.5`` or ``1e3`` into an integer column, with only a warning.
+    Returns an (n, 6) int64 array with the direction as 0/1, or None when
+    any line deviates; callers then parse line by line, which also locates
+    errors.
+    """
+    if not body:
+        return np.zeros((0, 6), dtype=np.int64)
+    if not body.endswith("\n"):
+        body += "\n"
+    try:
+        buf = bytearray(body.encode("ascii"))
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(buf, dtype=np.uint8)
+    nl = np.flatnonzero(b == ord("\n"))
+    if nl[0] < 7:  # shorter than any valid line (and keeps offsets in range)
+        return None
+
+    # The last 8 bytes of each line, newline included, as one integer.
+    tail = b[nl[:, None] + np.arange(-7, 1)].view("<u8")[:, 0]
+
+    def ends_with(text: str) -> np.ndarray:
+        width = 8 * len(text)
+        return tail >> np.uint64(64 - width) == int.from_bytes(text.encode(), "little")
+
+    is_req = ends_with(",req,0\n") | ends_with(",req,1\n")
+    is_resp = ends_with(",resp,0\n") | ends_with(",resp,1\n")
+    if not (is_req | is_resp).all():
+        return None
+    for k in range(3):
+        b[nl[is_req] - 5 + k] = ord("0")
+    for k in range(4):
+        b[nl[is_resp] - 6 + k] = ord("1" if k == 3 else "0")
+    if buf.translate(None, b"0123456789-,\n"):  # any byte but these
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(buf), delimiter=",", dtype=np.int64,
+                          comments=None, ndmin=2, encoding="ascii")
+    except (ValueError, OverflowError):
+        return None
+    if rows.shape != (len(nl), 6):  # ragged rows or skipped lines
+        return None
+    return rows
+
+
+def _parse_lines(lines: list[str], path: Path, num_initiators: int,
+                 num_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse body lines one by one; returns (n, 6) rows and their line numbers.
+
+    ``lines`` starts at line 2 of the file.  A malformed line raises
+    :class:`TraceError` naming it, unless an earlier line breaks a range
+    rule, which is then reported instead.
+    """
+    rows: list[tuple[int, ...]] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        error = None
+        if len(parts) != 6:
+            error = f"expected 6 fields, got {len(parts)}"
+        else:
+            try:
+                values = [int(p) for p in parts[:4]]
+            except ValueError as exc:
+                error = str(exc)
+            else:
+                if not all(_INT64_MIN <= v <= _INT64_MAX for v in values):
+                    error = "value outside the 64-bit integer range"
+                elif parts[4] not in DIRECTIONS:
+                    error = f"direction must be req or resp, got {parts[4]!r}"
+                elif parts[5] not in ("0", "1"):
+                    error = f"critical must be 0 or 1, got {parts[5]!r}"
+        if error is not None:
+            _check_rows(np.array(rows, dtype=np.int64).reshape(-1, 6), linenos,
+                        num_initiators, num_targets, path)
+            raise TraceError(f"{path}:{lineno}: {error}")
+        rows.append((*values, parts[4] == RESPONSE, parts[5] == "1"))
+        linenos.append(lineno)
+    return np.array(rows, dtype=np.int64).reshape(-1, 6), np.array(linenos, dtype=np.int64)
+
+
+def _header_counts(header: str, path: Path) -> tuple[int, int]:
+    m = _HEADER_RE.match(header)
+    if not m:
+        raise TraceError(
+            f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
+        )
+    return int(m.group(1)), int(m.group(2))
+
+
+def _check_rows(rows: np.ndarray, linenos, num_initiators: int, num_targets: int,
+                path: Path) -> None:
+    """Raise for the first row breaking a range rule, naming its line."""
+    bad = _first_invalid_row(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
+                             num_initiators, num_targets)
+    if bad is not None:
+        lineno = int(linenos[bad[0]])
+        raise TraceError(f"{path}:{lineno}: {_range_message(*bad[1:], lineno)}")
 
 
 def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
@@ -100,59 +372,36 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
 
     For ``direction="resp"`` the initiator/target roles (and the declared
     core counts) are swapped in the returned trace, so downstream analysis
-    always binds the *receivers* of the selected flow to buses.
+    always binds the *receivers* of the selected flow to buses.  Every row
+    is validated, whatever its direction; errors name the first offending
+    line.
     """
     if direction not in DIRECTIONS:
         raise TraceError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    text = path.read_text(encoding="utf-8")
+    if not text:
         raise TraceError(f"{path}: empty file, missing header")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise TraceError(f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'")
-    num_initiators, num_targets = int(m.group(1)), int(m.group(2))
+    header, _, body = text.partition("\n")
+    rows = _parse_plain(body) if _HEADER_RE.match(header) else None
+    if rows is not None:
+        num_initiators, num_targets = _header_counts(header, path)
+        linenos = np.arange(2, len(rows) + 2)
+    else:
+        lines = text.splitlines()
+        num_initiators, num_targets = _header_counts(lines[0], path)
+        rows, linenos = _parse_lines(lines[1:], path, num_initiators, num_targets)
+    _check_rows(rows, linenos, num_initiators, num_targets, path)
 
-    transactions = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 6:
-            raise TraceError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            start, dur, init_id, tgt_id = (int(p) for p in parts[:4])
-        except ValueError as exc:
-            raise TraceError(f"{path}:{lineno}: {exc}") from None
-        row_dir = parts[4]
-        if row_dir not in DIRECTIONS:
-            raise TraceError(f"{path}:{lineno}: direction must be req or resp, got {row_dir!r}")
-        if parts[5] not in ("0", "1"):
-            raise TraceError(f"{path}:{lineno}: critical must be 0 or 1, got {parts[5]!r}")
-        if dur < 1:
-            raise TraceError(f"{path}:{lineno}: non-positive duration at line {lineno}")
-        if start < 0:
-            raise TraceError(f"{path}:{lineno}: negative start cycle")
-        if not 1 <= init_id <= num_initiators:
-            raise TraceError(
-                f"{path}:{lineno}: initiator id {init_id} outside declared 1..{num_initiators}"
-            )
-        if not 1 <= tgt_id <= num_targets:
-            raise TraceError(
-                f"{path}:{lineno}: target id {tgt_id} outside declared 1..{num_targets}"
-            )
-        if row_dir != direction:
-            continue
-        if direction == RESPONSE:
-            init_id, tgt_id = tgt_id, init_id
-        transactions.append(
-            Transaction(start, dur, init_id, tgt_id, parts[5] == "1", row_dir)
-        )
-
+    keep = rows[:, 4] == (direction == RESPONSE)
+    if not keep.all():
+        rows = rows[keep]
+    start, duration, initiator, target, response, critical = rows.T
     if direction == RESPONSE:
+        initiator, target = target, initiator
         num_initiators, num_targets = num_targets, num_initiators
-    return Trace(num_initiators, num_targets, transactions)
+    return Trace.from_columns(num_initiators, num_targets, start, duration,
+                              initiator, target, critical, response)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -163,47 +412,20 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     with the same direction reproduces the trace.  Note the header carries
     no horizon: an overridden horizon reverts to the derived one on reload.
     """
-    directions = {tx.direction for tx in trace.transactions}
-    if len(directions) > 1:
+    swapped = bool(trace.response.any())
+    if swapped and not trace.response.all():
         raise TraceError("cannot serialize a trace mixing req and resp transactions")
-    swapped = directions == {RESPONSE}
     n_init, n_tgt = trace.num_initiators, trace.num_targets
+    init_ids, tgt_ids = trace.initiator, trace.target
     if swapped:
         n_init, n_tgt = n_tgt, n_init
+        init_ids, tgt_ids = tgt_ids, init_ids
+    direction = RESPONSE if swapped else REQUEST
     out = [f"#xbar-trace v1,initiators={n_init},targets={n_tgt}"]
-    for tx in trace.transactions:
-        init_id, tgt_id = tx.initiator_id, tx.target_id
-        if swapped:
-            init_id, tgt_id = tgt_id, init_id
-        out.append(
-            f"{tx.start_cycle},{tx.duration},{init_id},{tgt_id},"
-            f"{tx.direction},{1 if tx.critical else 0}"
-        )
+    out += [
+        f"{s},{d},{i},{t},{direction},{c}"
+        for s, d, i, t, c in zip(trace.start.tolist(), trace.duration.tolist(),
+                                 init_ids.tolist(), tgt_ids.tolist(),
+                                 trace.critical.astype(np.int64).tolist())
+    ]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    """Per-target demand totals used for average-bandwidth baseline sizing."""
-
-    per_target_busy: list[int]
-    per_target_count: list[int]
-    horizon: int
-
-    @property
-    def total_busy(self) -> int:
-        return sum(self.per_target_busy)
-
-
-def trace_stats(trace: Trace) -> TraceStats:
-    """Sum per-target durations and transaction counts.
-
-    These are additive demand totals (concurrent same-target transfers both
-    count), unlike the occupancy counting done by window analysis.
-    """
-    busy = [0] * trace.num_targets
-    count = [0] * trace.num_targets
-    for tx in trace.transactions:
-        busy[tx.target_id - 1] += tx.duration
-        count[tx.target_id - 1] += 1
-    return TraceStats(busy, count, trace.horizon)

@@ -9,6 +9,7 @@ branch-and-bound, and per-bus queue replay instead of the one-pass sweep.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +58,33 @@ def whole_trace_overlap(trace: Trace) -> np.ndarray:
 def target_occupancy(trace: Trace) -> np.ndarray:
     """Per-target busy cycle counts (concurrent transfers counted once)."""
     return np.diagonal(whole_trace_overlap(trace)).copy()
+
+
+@dataclass(frozen=True)
+class TraceStats:
+    """Per-target demand totals used for average-bandwidth baseline sizing."""
+
+    per_target_busy: list[int]
+    per_target_count: list[int]
+    horizon: int
+
+    @property
+    def total_busy(self) -> int:
+        return sum(self.per_target_busy)
+
+
+def trace_stats(trace: Trace) -> TraceStats:
+    """Sum per-target durations and transaction counts row by row.
+
+    These are additive demand totals (concurrent same-target transfers both
+    count), unlike the occupancy counting done by window analysis.
+    """
+    busy = [0] * trace.num_targets
+    count = [0] * trace.num_targets
+    for tx in trace.transactions:
+        busy[tx.target_id - 1] += tx.duration
+        count[tx.target_id - 1] += 1
+    return TraceStats(busy, count, trace.horizon)
 
 
 # ------------------------------------------------------------- partitions

@@ -176,6 +176,27 @@ def test_limit_after_feasible_probe_writes_witness(tmp_path):
     assert (out / "comparison.csv").exists()
 
 
+def test_seed_search_cut_writes_last_probe_witness(tmp_path):
+    # the budget ends one node into optimal_binding's seed search, after the
+    # last min_config probe proved the same bus count feasible
+    full = design_mat2like(tmp_path / "full")
+    inst, probes = full.instance, full.report.feasibility_probes
+    buses = full.report.config.num_buses
+    assert probes[-1] == (buses, True)
+    _, witness = check_feasible(inst, buses)
+    out = tmp_path / "cut"
+    cut = design_mat2like(out, node_limit=probe_nodes(inst) + 1)
+    assert cut.status == 3
+    assert cut.report.config == witness
+    assert not cut.report.optimal
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["optimal"] is False
+    assert report["num_buses"] == buses
+    assert report["feasibility_probes"] == [list(p) for p in probes]
+    assert (out / "comparison.csv").exists()
+    assert "optimal = False" in (out / "manifest.txt").read_text()
+
+
 def test_cut_tie_break_exits_three(tmp_path):
     full = design_mat2like(tmp_path / "full")
     inst, buses = full.instance, full.report.config.num_buses
@@ -189,6 +210,16 @@ def test_cut_tie_break_exits_three(tmp_path):
     assert "status = limit" in manifest
     assert "optimal = True" in manifest
     assert "not the canonical one" in manifest
+
+
+def test_design_on_csv_builds_no_transaction_objects(tmp_path, count_transactions):
+    path = tmp_path / "t.csv"
+    save_trace(loose_pair_trace(), path)
+    count_transactions.clear()
+    assert main(["design", "--trace", str(path), "--out-dir", str(tmp_path / "o"),
+                 "--window-size", "50"]) == 0
+    assert (tmp_path / "o" / "comparison.csv").exists()
+    assert count_transactions == []
 
 
 def test_saturated_target_still_fits_one_window(tmp_path):

@@ -15,9 +15,8 @@ from xbarsynth.gen import (
     spec_to_text,
     with_seed,
 )
-from xbarsynth.trace import trace_stats
 
-from oracles import target_occupancy
+from oracles import target_occupancy, trace_stats
 
 
 def plain_spec(**kw):

@@ -1,0 +1,159 @@
+"""Property tests: columnar trace, profile and simulator against the oracles.
+
+Hypothesis shrinks any counterexample to a minimal trace.  Traces are kept
+small (a few targets, horizons of a few hundred cycles) so the per-cycle
+and per-bus-queue oracles stay fast, and starts are drawn from a narrow
+range often enough to produce same-cycle arrivals.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from xbarsynth.analysis import profile
+from xbarsynth.sim import simulate
+from xbarsynth.solver import CrossbarConfig
+from xbarsynth.trace import (
+    REQUEST,
+    RESPONSE,
+    Trace,
+    TraceError,
+    Transaction,
+    load_trace,
+    save_trace,
+)
+
+from oracles import cycle_profile, replay_simulate
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def traces(draw, direction=REQUEST, max_rows=25):
+    num_initiators = draw(st.integers(1, 4))
+    num_targets = draw(st.integers(1, 5))
+    span = draw(st.sampled_from([3, 40, 200]))  # narrow spans force ties
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, span),
+            st.integers(1, 30),
+            st.integers(1, num_initiators),
+            st.integers(1, num_targets),
+            st.booleans(),
+        ),
+        max_size=max_rows,
+    ))
+    txs = [Transaction(s, d, i, t, c, direction) for s, d, i, t, c in rows]
+    derived = max((tx.end_cycle for tx in txs), default=0)
+    horizon = derived + draw(st.integers(0, 20)) if draw(st.booleans()) else None
+    return Trace(num_initiators, num_targets, txs, horizon=horizon)
+
+
+@st.composite
+def trace_and_config(draw):
+    trace = draw(traces())
+    num_buses = draw(st.integers(1, trace.num_targets))
+    binding = tuple(draw(st.lists(st.integers(1, num_buses), min_size=trace.num_targets,
+                                  max_size=trace.num_targets)))
+    return trace, CrossbarConfig(num_buses, binding)
+
+
+@SETTINGS
+@given(trace_and_config(), st.integers(0, 4))
+def test_simulate_matches_replay(case, grant_overhead):
+    trace, config = case
+    rep = simulate(trace, config, grant_overhead)
+    latencies, bus_busy = replay_simulate(trace, config, grant_overhead)
+    assert rep.per_transaction_latency == latencies
+    n = len(latencies)
+    assert rep.avg_latency == (sum(latencies) / n if n else 0.0)
+    assert rep.max_latency == max(latencies, default=0)
+    durations = sum(tx.duration for tx in trace.transactions)
+    assert rep.avg_queuing == ((sum(latencies) - durations - n * grant_overhead) / n
+                               if n else 0.0)
+    ends = [tx.start_cycle + lat for tx, lat in zip(trace.transactions, latencies)]
+    makespan = max([trace.horizon] + ends)
+    assert rep.per_bus_utilization == [b / makespan if makespan else 0.0 for b in bus_busy]
+
+
+@SETTINGS
+@given(traces(), st.one_of(st.just(1), st.integers(1, 64)))
+def test_profile_matches_cycle_oracle(trace, window_size):
+    prof = profile(trace, window_size)
+    comm, wo, crit_wo = cycle_profile(trace, window_size)
+    assert np.array_equal(prof.comm, comm)
+    assert np.array_equal(prof.wo, wo)
+    assert np.array_equal(prof.crit_wo, crit_wo)
+
+
+@SETTINGS
+@given(st.sampled_from([REQUEST, RESPONSE]).flatmap(
+    lambda d: st.tuples(st.just(d), traces(direction=d))))
+def test_save_load_round_trip(tmp_path_factory, case):
+    direction, trace = case
+    # An empty trace carries no direction, so its file is written in
+    # request frame; only request round trips can keep it.
+    assume(direction == REQUEST or len(trace.transactions) > 0)
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    save_trace(trace, path)
+    back = load_trace(path, direction)
+    assert back.transactions == trace.transactions
+    assert (back.num_initiators, back.num_targets) == (trace.num_initiators, trace.num_targets)
+    # the other direction's view of the file is empty
+    other = RESPONSE if direction == REQUEST else REQUEST
+    assert len(load_trace(path, other).transactions) == 0
+
+
+CORRUPTIONS = {
+    "duration": (lambda f: f[:1] + ["0"] + f[2:], "non-positive duration"),
+    "start": (lambda f: ["-3"] + f[1:], "negative start cycle"),
+    "initiator": (lambda f: f[:2] + ["99"] + f[3:], "initiator id 99 outside"),
+    "target": (lambda f: f[:3] + ["0"] + f[4:], "target id 0 outside"),
+    "direction": (lambda f: f[:4] + ["both"] + f[5:], "direction must be req or resp"),
+    "critical": (lambda f: f[:5] + ["2"], "critical must be 0 or 1"),
+    "fields": (lambda f: f[:5], "expected 6 fields"),
+    "literal": (lambda f: ["1.5"] + f[1:], "invalid literal"),
+}
+
+
+@SETTINGS
+@given(traces(max_rows=12).filter(lambda t: len(t.transactions) > 0),
+       st.sampled_from(sorted(CORRUPTIONS)), st.data())
+def test_corrupted_row_reported_at_its_line(tmp_path_factory, trace, kind, data):
+    path = tmp_path_factory.mktemp("bad") / "t.csv"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    # optional comment and blank lines shift the physical line numbers
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(
+            st.sampled_from(["# note", "", "  "])))
+    rows = [k for k, line in enumerate(lines) if k > 0 and line.strip()
+            and not line.startswith("#")]
+    victim = data.draw(st.sampled_from(rows))
+    corrupt, fragment = CORRUPTIONS[kind]
+    lines[victim] = ",".join(corrupt(lines[victim].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    lineno = victim + 1
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert fragment in str(err.value)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(0, 500), st.integers(1, 200), st.integers(0, 3))
+def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size, grant_overhead):
+    trace = Trace(1, num_targets, horizon=horizon)
+    prof = profile(trace, window_size)
+    num_windows = -(-horizon // window_size)
+    assert prof.num_windows == num_windows
+    assert prof.comm.shape == (num_targets, num_windows) and not prof.comm.any()
+    assert prof.wo.shape == prof.crit_wo.shape == (num_targets, num_targets, num_windows)
+    assert not prof.wo.any() and not prof.crit_wo.any()
+    config = CrossbarConfig(num_targets, tuple(range(1, num_targets + 1)))
+    rep = simulate(trace, config, grant_overhead)
+    assert rep.per_transaction_latency == []
+    assert (rep.avg_latency, rep.max_latency, rep.avg_queuing) == (0.0, 0, 0.0)
+    assert rep.per_target_avg == [0.0] * num_targets
+    assert rep.per_bus_utilization == [0.0] * num_targets

@@ -86,14 +86,14 @@ def test_bandwidth_pairs_need_three_buses():
 
 def test_min_config_idle_instance():
     inst = inst_of(10, np.zeros((4, 2)))
-    buses, probes = min_config(inst)
+    buses, probes, _ = min_config(inst)
     assert buses == 1
     assert all(isinstance(b, int) for b, _ in probes)
 
 
 def test_min_config_conflict_clique_of_four():
     inst = inst_of(10, np.ones((6, 1)), conflict=clique_conflict(6, range(4)))
-    buses, _ = min_config(inst)
+    buses, _, _ = min_config(inst)
     assert buses == 4
     assert brute_min_buses(inst) == 4
 
@@ -101,11 +101,25 @@ def test_min_config_conflict_clique_of_four():
 def test_min_config_probes_are_honest():
     rng = np.random.Generator(np.random.PCG64(31))
     inst = make_random_instance(rng)
-    buses, probes = min_config(inst)
+    buses, probes, _ = min_config(inst)
     for b, feas in probes:
         assert check_feasible(inst, b)[0] == feas
     assert check_feasible(inst, buses)[0]
     assert buses == 1 or not check_feasible(inst, buses - 1)[0]
+
+
+def test_min_config_returns_the_witness_of_its_minimum():
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(10):
+        inst = make_random_instance(rng)
+        buses, probes, witness = min_config(inst)
+        if (buses, True) in probes:
+            assert witness == check_feasible(inst, buses)[1]
+            assert witness.num_buses == buses
+        else:  # only infeasible probes: the minimum is the target count
+            assert buses == inst.num_targets and witness is None
+    clique = inst_of(10, np.ones((4, 1)), conflict=clique_conflict(4, range(4)))
+    assert min_config(clique) == (4, [], None)
 
 
 def test_optimal_binding_splits_heavy_pair():
@@ -141,7 +155,7 @@ def test_oracle_equivalence_small_random():
     rng = np.random.Generator(np.random.PCG64(41))
     for _ in range(40):
         inst = make_random_instance(rng, max_targets=6, max_windows=4)
-        buses, _ = min_config(inst)
+        buses, _, _ = min_config(inst)
         assert buses == brute_min_buses(inst)
         rep = optimal_binding(inst, buses)
         assert rep.maxov == brute_best_maxov(inst, buses)
@@ -162,7 +176,7 @@ def test_lex_min_tie_break():
     rng = np.random.Generator(np.random.PCG64(47))
     for _ in range(15):
         inst = make_random_instance(rng, max_targets=6, max_windows=3)
-        buses, _ = min_config(inst)
+        buses, _, _ = min_config(inst)
         rep = optimal_binding(inst, buses)
         candidates = brute_optimal_bindings(inst, buses, rep.maxov)
         assert rep.config.binding == min(candidates)
@@ -272,7 +286,7 @@ def test_shared_budget_counts_binding_phase_nodes_only():
     rng = np.random.Generator(np.random.PCG64(71))
     inst = make_random_instance(rng, max_targets=7)
     budget = SearchBudget()
-    buses, _ = min_config(inst, budget)
+    buses, _, _ = min_config(inst, budget)
     probe_nodes = budget.nodes
     rep = optimal_binding(inst, buses, budget)
     assert rep.nodes_explored == budget.nodes - probe_nodes
@@ -330,7 +344,7 @@ def test_build_instance_defaults_maxtb():
 def test_solver_determinism():
     rng = np.random.Generator(np.random.PCG64(67))
     inst = make_random_instance(rng, max_targets=7)
-    buses, _ = min_config(inst)
+    buses, _, _ = min_config(inst)
     a = optimal_binding(inst, buses)
     b = optimal_binding(inst, buses)
     assert a.config == b.config
@@ -365,7 +379,7 @@ def test_uniform_search_tree_pinned(ws):
     params = AnalysisParams(ws, 0.1)
     prof = profile(trace, ws)
     inst = build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
-    buses, probes = min_config(inst)
+    buses, probes, _ = min_config(inst)
     rep = optimal_binding(inst, buses)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding) == UNIFORM_PINS[ws]
 

@@ -11,10 +11,9 @@ from xbarsynth.trace import (
     Transaction,
     load_trace,
     save_trace,
-    trace_stats,
 )
 
-from oracles import make_random_trace
+from oracles import make_random_trace, trace_stats
 
 
 def write(tmp_path, body, name="t.csv"):
@@ -88,6 +87,44 @@ def test_malformed_rows_rejected(tmp_path, row, fragment):
         load_trace(path)
 
 
+@pytest.mark.parametrize("row,file_msg,tx,ctor_msg", [
+    ("3,0,1,2,req,0", "non-positive duration at line 2",
+     Transaction(3, 0, 1, 2), "non-positive duration 0"),
+    ("-1,5,1,2,req,0", "negative start cycle",
+     Transaction(-1, 5, 1, 2), "negative start cycle -1"),
+    ("0,5,10,2,req,0", "initiator id 10 outside declared 1..9",
+     Transaction(0, 5, 10, 2), "initiator id 10 outside 1..9"),
+    ("0,5,1,13,req,0", "target id 13 outside declared 1..12",
+     Transaction(0, 5, 1, 13), "target id 13 outside 1..12"),
+])
+def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
+    path = write(tmp_path, HEADER + row + "\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}:2: {file_msg}"
+    with pytest.raises(TraceError) as err:
+        Trace(9, 12, [tx])
+    assert str(err.value) == ctor_msg
+
+
+@pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0"])
+def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start):
+    # numpy 1.23-1.26 read "1.5" into an int64 column as 1, with only a
+    # DeprecationWarning.  Emulate that reader, so the check holds on any
+    # installed numpy.
+    strict = np.loadtxt
+
+    def lenient(fname, *args, dtype=float, **kwargs):
+        return strict(fname, *args, dtype=np.float64, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    path = write(tmp_path, HEADER + "0,5,1,2,req,0\n" + start + ",5,1,2,req,0\n")
+    with pytest.raises(TraceError, match=f"t.csv:3: invalid literal .*'{start}'"):
+        load_trace(path)
+    good = write(tmp_path, HEADER + "0,5,1,2,req,0\n7,5,1,2,resp,1\n", "good.csv")
+    assert load_trace(good, RESPONSE).transactions == [Transaction(7, 5, 2, 1, True, RESPONSE)]
+
+
 def test_bad_header_and_empty_file(tmp_path):
     with pytest.raises(TraceError, match="bad header"):
         load_trace(write(tmp_path, "start,dur\n"))
@@ -156,6 +193,39 @@ def test_horizon_defaults_to_last_busy_cycle():
     tr = Trace(1, 2, [Transaction(3, 4, 1, 2), Transaction(0, 2, 1, 1)])
     assert tr.horizon == 7
     assert Trace(1, 1).horizon == 0
+
+
+def test_transactions_view_reads_columns(tmp_path, count_transactions):
+    path = write(tmp_path, HEADER + "9,1,1,1,req,0\n0,4,2,2,req,1\n0,1,1,1,req,0\n")
+    tr = load_trace(path)
+    assert count_transactions == []
+    view = tr.transactions
+    assert len(view) == 3 and view
+    assert count_transactions == []  # len and truth build no rows
+    assert view[0] == Transaction(0, 1, 1, 1)
+    assert view[-1] == Transaction(9, 1, 1, 1)
+    assert view[1:] == [Transaction(0, 4, 2, 2, True), Transaction(9, 1, 1, 1)]
+    assert list(view) == [view[0], view[1], view[2]]
+    assert view == list(view) and list(view) == view
+    assert view != list(view)[:2]
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(ValueError):
+        tr.start[0] = 5  # columns are read-only
+
+
+def test_columns_match_transactions():
+    txs = [Transaction(4, 2, 1, 2, True), Transaction(1, 3, 2, 1, direction=RESPONSE)]
+    tr = Trace(2, 2, txs)
+    assert tr.start.tolist() == [1, 4]
+    assert tr.duration.tolist() == [3, 2]
+    assert tr.initiator.tolist() == [2, 1]
+    assert tr.target.tolist() == [1, 2]
+    assert tr.critical.tolist() == [False, True]
+    assert tr.response.tolist() == [True, False]
+    same = Trace.from_columns(2, 2, [4, 1], [2, 3], [1, 2], [2, 1], [True, False],
+                              [False, True])
+    assert same == tr and same.transactions == txs[::-1]
 
 
 def test_stats_empty_trace():
