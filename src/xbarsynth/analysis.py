@@ -17,7 +17,7 @@ suite's per-cycle oracle is an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,22 +52,60 @@ class AnalysisParams:
 
 @dataclass
 class WindowProfile:
-    """Per-window busy cycles and pairwise overlaps.
+    """What the pipeline uses of the per-window busy and overlap counts.
 
-    comm[i, m]     busy cycles of target i+1 in window m
-    wo[i, j, m]    cycles in window m where targets i+1 and j+1 are both busy
-    crit_wo[i, j, m]  same, counting only critical-critical co-activity
+    With wo[i, j, m] the cycles of window m in which targets i+1 and j+1
+    are both busy (wo[i, i, m] is target i+1's busy cycles) and crit_wo
+    the same count over critical streams only:
+
+    comm[i, m]   busy cycles of target i+1 in window m (= wo[i, i, m])
+    om[i, j]     overlap summed over all windows (= wo[i, j].sum())
+    peak[i, j]   largest overlap in one window (= wo[i, j].max(), 0 with no windows)
+    crit[i, j]   whether the critical streams of i+1 and j+1 are ever busy
+                 at once (= (crit_wo[i, j] > 0).any())
+
+    ``wo`` and ``crit_wo`` themselves (T x T x windows) are built from
+    ``trace`` on each access, for checks against per-cycle oracles; the
+    profile proper is O(T*W + T^2).
     """
 
     window_size: int
     num_windows: int
     comm: np.ndarray
-    wo: np.ndarray
-    crit_wo: np.ndarray
+    om: np.ndarray
+    peak: np.ndarray
+    crit: np.ndarray
+    trace: Trace = field(repr=False, compare=False)
 
     @property
     def num_targets(self) -> int:
         return self.comm.shape[0]
+
+    @property
+    def wo(self) -> np.ndarray:
+        """Dense wo[i, j, m], built from the trace on each access."""
+        return self._dense(slice(None))
+
+    @property
+    def crit_wo(self) -> np.ndarray:
+        """Dense crit_wo[i, j, m], built from the trace on each access."""
+        return self._dense(self.trace.critical)
+
+    def _dense(self, rows) -> np.ndarray:
+        """The overlap tensor of the trace rows selected by ``rows``."""
+        tr = self.trace
+        wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
+        busy, cuts = _busy_segments(tr.start[rows], (tr.start + tr.duration)[rows],
+                                    tr.target[rows], self.num_targets,
+                                    self._boundaries())
+        for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size):
+            wo[i, i:][:, windows] = per_window
+            wo[i:, i][:, windows] = per_window
+        return wo
+
+    def _boundaries(self) -> np.ndarray:
+        ws = self.window_size
+        return np.arange(ws, self.num_windows * ws, ws)
 
 
 def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,17 +120,16 @@ def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return start[first], reach[np.r_[first[1:] - 1, len(start) - 1]]
 
 
-def _overlap_tensor(start: np.ndarray, end: np.ndarray, target: np.ndarray,
-                    num_targets: int, window_size: int, num_windows: int) -> np.ndarray:
-    """wo[i, j, m]: cycles of window m in which targets i+1 and j+1 are busy.
+def _busy_segments(start: np.ndarray, end: np.ndarray, target: np.ndarray,
+                   num_targets: int, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the timeline into segments on which each target is busy or idle throughout.
 
     Rows are (start, end, 1-based target), sorted by start.  Each target's
     intervals are merged; the cut points of all merged intervals plus the
-    window boundaries split the horizon into segments on which every
-    target is busy throughout or idle throughout.  Every pair of targets
-    busy on a segment then adds its length to that segment's window.
+    sorted ``boundaries`` give ``cuts``, and segment k is
+    [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
+    true when target i+1 is busy on segment k.
     """
-    wo = np.zeros((num_targets, num_targets, num_windows), dtype=np.int64)
     order, bounds = group_rows(target - 1, num_targets)
     pieces = [
         (i, *_merged(start[idx], end[idx]))
@@ -100,13 +137,11 @@ def _overlap_tensor(start: np.ndarray, end: np.ndarray, target: np.ndarray,
         if len(idx := order[bounds[i]:bounds[i + 1]])
     ]
     if not pieces:
-        return wo
+        return np.zeros((num_targets, 0), dtype=bool), np.zeros(0, dtype=np.int64)
     owner = np.concatenate([np.full(len(s), i) for i, s, _ in pieces])
     lo = np.concatenate([s for _, s, _ in pieces])
     hi = np.concatenate([e for _, _, e in pieces])
-    points = np.concatenate(
-        [lo, hi, np.arange(window_size, num_windows * window_size, window_size)]
-    )
+    points = np.concatenate([lo, hi, boundaries])
     # The points are a few sorted runs, which a stable sort merges fast.
     by_value = np.argsort(points, kind="stable")
     ranked = points[by_value]
@@ -119,37 +154,74 @@ def _overlap_tensor(start: np.ndarray, end: np.ndarray, target: np.ndarray,
     toggle = np.zeros((num_targets, len(cuts)), dtype=bool)
     toggle[owner, at[:len(lo)]] = True
     toggle[owner, at[len(lo):2 * len(lo)]] = True
-    busy = np.logical_xor.accumulate(toggle, axis=1)[:, :-1]
+    return np.logical_xor.accumulate(toggle, axis=1)[:, :-1], cuts
+
+
+def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):
+    """Per-window overlaps of each target with itself and the targets after it.
+
+    Takes the output of ``_busy_segments``.  Yields ``(i, windows,
+    per_window)`` for each target i+1 busy on some segment, where
+    ``per_window[j - i, r]`` (j >= i) is the number of cycles of window
+    ``windows[r]`` in which targets i+1 and j+1 are both busy; windows in
+    which i+1 is idle are left out.  Segments come in time order, so each
+    window's segments form one run for ``np.add.reduceat``.  Besides
+    ``per_window`` (at most T x W) the scratch is at most one row of i's
+    segments or the size of ``per_window``, whichever is larger.
+    """
+    num_targets = len(busy)
     length = np.diff(cuts)
     window = cuts[:-1] // window_size
-    for i, _, _ in pieces:
+    for i in range(num_targets):
         seg = np.flatnonzero(busy[i])
-        j, k = np.nonzero(busy[i:, seg])  # targets i.. busy on i's segments
-        j, seg = j + i, seg[k]
-        np.add.at(wo, (i, j, window[seg]), length[seg])
-        below = j > i
-        np.add.at(wo, (j[below], i, window[seg[below]]), length[seg[below]])
-    return wo
+        if not len(seg):
+            continue
+        w = window[seg]
+        run = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+        per_window = np.empty((num_targets - i, len(run)), dtype=np.int64)
+        # As many targets at a time as keep the int64 scratch within per_window.
+        step = max(1, per_window.size // len(seg))
+        for j in range(i, num_targets, step):
+            both = busy[j:j + step, seg] * length[seg]
+            per_window[j - i:j - i + step] = np.add.reduceat(both, run, axis=1)
+        yield i, w[run], per_window
 
 
 def profile(trace: Trace, window_size: int) -> WindowProfile:
-    """Compute the per-window occupancy and overlap profile of a trace."""
+    """Compute the per-window occupancy and overlap profile of a trace.
+
+    Row i of the overlap counts is summed per window over the segments on
+    which target i+1 is busy (``_row_overlaps``), reduced to ``om`` and
+    ``peak`` and dropped, so no T x T x windows tensor is ever held.
+    """
     if window_size < 1:
         raise ValueError("window size must be >= 1 cycle")
     n = trace.num_targets
     num_windows = math.ceil(trace.horizon / window_size)
+    comm = np.zeros((n, num_windows), dtype=np.int64)
+    om = np.zeros((n, n), dtype=np.int64)
+    peak = np.zeros((n, n), dtype=np.int64)
+    crit = np.zeros((n, n), dtype=bool)
+    prof = WindowProfile(window_size, num_windows, comm, om, peak, crit, trace)
+
     start, end, target = trace.start, trace.start + trace.duration, trace.target
-    wo = _overlap_tensor(start, end, target, n, window_size, num_windows)
-    crit = trace.critical
-    crit_wo = _overlap_tensor(start[crit], end[crit], target[crit], n, window_size,
-                              num_windows)
-    comm = wo[np.arange(n), np.arange(n)]
-    return WindowProfile(window_size, num_windows, comm, wo, crit_wo)
+    busy, cuts = _busy_segments(start, end, target, n, prof._boundaries())
+    for i, windows, per_window in _row_overlaps(busy, cuts, window_size):
+        comm[i, windows] = per_window[0]
+        om[i, i:] = om[i:, i] = per_window.sum(axis=1)
+        peak[i, i:] = peak[i:, i] = per_window.max(axis=1)
+
+    # Critical overlap needs no windows: any shared busy segment counts.
+    c = trace.critical
+    busy, _ = _busy_segments(start[c], end[c], target[c], n, np.zeros(0, dtype=np.int64))
+    for i in range(n):
+        crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
+    return prof
 
 
 def aggregate_overlap(prof: WindowProfile) -> np.ndarray:
-    """Sum pairwise overlaps over all windows into the overlap matrix."""
-    return prof.wo.sum(axis=2)
+    """The overlap matrix: pairwise overlaps summed over all windows."""
+    return prof.om
 
 
 def preprocess(prof: WindowProfile, params: AnalysisParams) -> np.ndarray:
@@ -164,7 +236,7 @@ def preprocess(prof: WindowProfile, params: AnalysisParams) -> np.ndarray:
             f"params window size {params.window_size} != profile window size {prof.window_size}"
         )
     threshold_cycles = int(params.overlap_threshold * prof.window_size)
-    conflict = (prof.wo > threshold_cycles).any(axis=2) | (prof.crit_wo > 0).any(axis=2)
+    conflict = (prof.peak > threshold_cycles) | prof.crit
     np.fill_diagonal(conflict, False)
     return conflict
 
@@ -174,13 +246,26 @@ def validate_profile(prof: WindowProfile) -> None:
     ws = prof.window_size
     if (prof.comm < 0).any() or (prof.comm > ws).any():
         raise ValueError("comm entries must lie in [0, WS]")
-    if not np.array_equal(prof.wo, prof.wo.transpose(1, 0, 2)):
-        raise ValueError("wo must be symmetric in the target pair")
-    mins = np.minimum(prof.comm[:, None, :], prof.comm[None, :, :])
-    if (prof.wo > mins).any():
-        raise ValueError("wo[i,j,m] must not exceed min(comm[i,m], comm[j,m])")
-    for i in range(prof.num_targets):
-        if not np.array_equal(prof.wo[i, i], prof.comm[i]):
-            raise ValueError("wo diagonal must equal comm")
-    if (prof.crit_wo > prof.wo).any():
-        raise ValueError("crit_wo must not exceed wo")
+    if (prof.peak < 0).any() or (prof.peak > ws).any():
+        raise ValueError("peak entries must lie in [0, WS]")
+    for name in ("om", "peak", "crit"):
+        mat = getattr(prof, name)
+        if not np.array_equal(mat, mat.T):
+            raise ValueError(f"{name} must be symmetric in the target pair")
+    if not np.array_equal(prof.om.diagonal(), prof.comm.sum(axis=1)):
+        raise ValueError("om diagonal must equal the comm row sums")
+    row_max = prof.comm.max(axis=1, initial=0)
+    if not np.array_equal(prof.peak.diagonal(), row_max):
+        raise ValueError("peak diagonal must equal the comm row maxima")
+    # A pair is busy at once only while each of its two targets is busy.
+    for name in ("om", "peak"):
+        mat = getattr(prof, name)
+        diag = mat.diagonal()
+        if (mat > np.minimum.outer(diag, diag)).any():
+            raise ValueError(
+                f"{name} off-diagonal entries must not exceed the smaller diagonal entry"
+            )
+    if (prof.peak > prof.om).any():
+        raise ValueError("peak must not exceed om")
+    if (prof.crit & (prof.om == 0)).any():
+        raise ValueError("crit only where om > 0")

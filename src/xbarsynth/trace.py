@@ -37,6 +37,7 @@ DIRECTIONS = (REQUEST, RESPONSE)
 
 _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_BLOCK_LINES = 1 << 16  # lines the bulk parser hands numpy's reader at once
 
 
 class TraceError(ValueError):
@@ -254,36 +255,35 @@ class TransactionView(Sequence):
         return f"<{len(self)} transactions>"
 
 
-def _parse_plain(body: str) -> np.ndarray | None:
-    """Bulk-parse a body written in the canonical layout, or return None.
+def _parse_plain(data: bytes, offset: int) -> np.ndarray | None:
+    """Bulk-parse the body ``data[offset:]`` in the canonical layout, or return None.
 
     The canonical layout is what :func:`save_trace` writes: every line is
     ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
     comments or blank lines.  The direction and critical fields are checked
-    at fixed offsets from each line end, the direction is overwritten in
-    place by a digit of the same width (req -> 000, resp -> 0001), and
-    numpy's integer reader parses the rest.  It is handed only digits,
-    minus signs, commas and newlines: numpy 1.23-1.26 read a float such as
-    ``1.5`` or ``1e3`` into an integer column, with only a warning.
-    Returns an (n, 6) int64 array with the direction as 0/1, or None when
-    any line deviates; callers then parse line by line, which also locates
-    errors.
+    at fixed offsets from each line end.  Then, a block of lines at a time,
+    the direction is overwritten in a copy of the block by a digit of the
+    same width (req -> 000, resp -> 0001), and numpy's integer reader
+    parses the block.  It is handed only digits, minus signs, commas and
+    newlines: numpy 1.23-1.26 read a float such as ``1.5`` or ``1e3`` into
+    an integer column, with only a warning.  Returns an (n, 6) int64 array
+    with the direction as 0/1, or None when any line deviates; callers then
+    parse line by line, which also locates errors.
     """
+    body = memoryview(data)[offset:]
     if not body:
         return np.zeros((0, 6), dtype=np.int64)
-    if not body.endswith("\n"):
-        body += "\n"
-    try:
-        buf = bytearray(body.encode("ascii"))
-    except UnicodeEncodeError:
-        return None
-    b = np.frombuffer(buf, dtype=np.uint8)
+    if body[-1] != ord("\n"):
+        body = memoryview(bytes(body) + b"\n")
+    b = np.frombuffer(body, dtype=np.uint8)
     nl = np.flatnonzero(b == ord("\n"))
     if nl[0] < 7:  # shorter than any valid line (and keeps offsets in range)
         return None
 
     # The last 8 bytes of each line, newline included, as one integer.
-    tail = b[nl[:, None] + np.arange(-7, 1)].view("<u8")[:, 0]
+    tail = np.zeros(len(nl), dtype=np.uint64)
+    for k in range(8):
+        tail |= b[nl - k].astype(np.uint64) << np.uint64(56 - 8 * k)
 
     def ends_with(text: str) -> np.ndarray:
         width = 8 * len(text)
@@ -293,19 +293,29 @@ def _parse_plain(body: str) -> np.ndarray | None:
     is_resp = ends_with(",resp,0\n") | ends_with(",resp,1\n")
     if not (is_req | is_resp).all():
         return None
-    for k in range(3):
-        b[nl[is_req] - 5 + k] = ord("0")
-    for k in range(4):
-        b[nl[is_resp] - 6 + k] = ord("1" if k == 3 else "0")
-    if buf.translate(None, b"0123456789-,\n"):  # any byte but these
-        return None
-    try:
-        rows = np.loadtxt(io.BytesIO(buf), delimiter=",", dtype=np.int64,
-                          comments=None, ndmin=2, encoding="ascii")
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape != (len(nl), 6):  # ragged rows or skipped lines
-        return None
+    rows = np.empty((len(nl), 6), dtype=np.int64)
+    # Blocks keep the copies and the reader's buffers small next to ``rows``.
+    for first in range(0, len(nl), _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, len(nl))
+        lo = nl[first - 1] + 1 if first else 0
+        block = bytearray(body[lo:nl[last - 1] + 1])
+        c = np.frombuffer(block, dtype=np.uint8)
+        eol = nl[first:last] - lo
+        req, resp = eol[is_req[first:last]], eol[is_resp[first:last]]
+        for k in range(3):
+            c[req - 5 + k] = ord("0")
+        for k in range(4):
+            c[resp - 6 + k] = ord("1" if k == 3 else "0")
+        if block.translate(None, b"0123456789-,\n"):  # any byte but these
+            return None
+        try:
+            part = np.loadtxt(io.BytesIO(block), delimiter=",", dtype=np.int64,
+                              comments=None, ndmin=2, encoding="ascii")
+        except (ValueError, OverflowError):
+            return None
+        if part.shape != (last - first, 6):  # ragged rows or skipped lines
+            return None
+        rows[first:last] = part
     return rows
 
 
@@ -379,18 +389,23 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     if direction not in DIRECTIONS:
         raise TraceError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text:
+    data = path.read_bytes()
+    if not data:
         raise TraceError(f"{path}: empty file, missing header")
-    header, _, body = text.partition("\n")
-    rows = _parse_plain(body) if _HEADER_RE.match(header) else None
+    eol = data.find(b"\n")
+    eol = len(data) if eol < 0 else eol
+    # A non-ASCII header never matches; the line parser then decodes the
+    # whole file as UTF-8 and reports any error in it.
+    header = data[:eol].decode("ascii", errors="replace")
+    rows = _parse_plain(data, eol + 1) if _HEADER_RE.match(header) else None
     if rows is not None:
         num_initiators, num_targets = _header_counts(header, path)
-        linenos = np.arange(2, len(rows) + 2)
+        linenos = range(2, len(rows) + 2)
     else:
-        lines = text.splitlines()
+        lines = data.decode("utf-8").splitlines()
         num_initiators, num_targets = _header_counts(lines[0], path)
         rows, linenos = _parse_lines(lines[1:], path, num_initiators, num_targets)
+    del data
     _check_rows(rows, linenos, num_initiators, num_targets, path)
 
     keep = rows[:, 4] == (direction == RESPONSE)

@@ -59,7 +59,7 @@ def test_criterion_2_sharing_linearization_is_exact():
 
 
 def test_criterion_3_profile_matches_per_cycle_simulation():
-    """100 random traces (horizon <= 1e5): comm/wo/crit_wo exact, < 30 s."""
+    """100 random traces (horizon <= 1e5): comm/wo/crit_wo and om/peak/crit exact, < 30 s."""
     t0 = time.monotonic()
     rng = np.random.Generator(np.random.PCG64(2203))
     for _ in range(100):
@@ -71,6 +71,9 @@ def test_criterion_3_profile_matches_per_cycle_simulation():
         assert np.array_equal(prof.comm, comm)
         assert np.array_equal(prof.wo, wo)
         assert np.array_equal(prof.crit_wo, crit_wo)
+        assert np.array_equal(prof.om, wo.sum(axis=2))
+        assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
+        assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"criterion 3: 100/100 profiles exact [{elapsed:.1f}s] PASS")

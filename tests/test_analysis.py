@@ -1,11 +1,13 @@
 """Window profiling and conflict pre-processing against per-cycle oracles."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xbarsynth.analysis import (
     AnalysisParams,
-    WindowProfile,
     aggregate_overlap,
     preprocess,
     profile,
@@ -56,6 +58,9 @@ def test_profile_matches_cycle_oracle():
         assert np.array_equal(prof.comm, comm)
         assert np.array_equal(prof.wo, wo)
         assert np.array_equal(prof.crit_wo, crit_wo)
+        assert np.array_equal(prof.om, wo.sum(axis=2))
+        assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
+        assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
         validate_profile(prof)
 
 
@@ -160,10 +165,63 @@ def test_preprocess_rejects_mismatched_window_size():
 
 
 def test_validate_profile_catches_tampering():
-    prof = profile(Trace(1, 2, [Transaction(0, 10, 1, 1), Transaction(0, 10, 1, 2)]), 10)
+    # WS 10: t_1 busy (critically) on [0, 10), t_2 on [5, 15), t_3 idle:
+    # om = [[10, 5, 0], [5, 10, 0], [0, 0, 0]], peak = [[10, 5, 0], [5, 5, 0], [0, 0, 0]]
+    prof = profile(Trace(1, 3, [Transaction(0, 10, 1, 1, critical=True),
+                                Transaction(5, 10, 1, 2)]), 10)
     validate_profile(prof)
-    bad = WindowProfile(prof.window_size, prof.num_windows,
-                        prof.comm, prof.wo.copy(), prof.crit_wo)
-    bad.wo[0, 1, 0] = 99  # exceeds min(comm) and breaks symmetry
-    with pytest.raises(ValueError):
-        validate_profile(bad)
+    for field, cells, value, fragment in [
+        ("comm", [(0, 0)], 11, "comm entries"),
+        ("peak", [(0, 0)], 11, "peak entries"),
+        ("om", [(0, 1)], 3, "om must be symmetric"),
+        ("om", [(1, 1)], 7, "om diagonal"),
+        ("peak", [(1, 1)], 4, "peak diagonal"),
+        ("om", [(0, 2), (2, 0)], 5, "om off-diagonal"),
+        ("peak", [(0, 2), (2, 0)], 5, "peak off-diagonal"),
+        ("om", [(0, 1), (1, 0)], 4, "peak must not exceed om"),
+        ("crit", [(0, 2), (2, 0)], True, "crit only where om > 0"),
+    ]:
+        bad = replace(prof, **{field: getattr(prof, field).copy()})
+        for cell in cells:
+            getattr(bad, field)[cell] = value
+        with pytest.raises(ValueError, match=fragment):
+            validate_profile(bad)
+
+
+def _long_sparse_trace():
+    # 200 k windows of 3 cycles: the dense T x T x W tensor would be T times comm
+    rng = np.random.Generator(np.random.PCG64(31))
+    num_targets, horizon, rows = 8, 600_000, 3000
+    start = np.sort(rng.integers(0, horizon - 200, rows))
+    return Trace.from_columns(2, num_targets, start, rng.integers(1, 200, rows),
+                              rng.integers(1, 3, rows), rng.integers(1, num_targets + 1, rows),
+                              rng.random(rows) < 0.3, horizon=horizon), 3
+
+
+def _short_dense_trace():
+    # 200 windows, 20 k short transfers, target 1 busy throughout: its row
+    # spans every segment, and the segments, not the windows, set the size
+    rng = np.random.Generator(np.random.PCG64(32))
+    num_targets, horizon, rows = 64, 200_000, 20_000
+    start = np.r_[0, np.sort(rng.integers(0, horizon - 4, rows - 1))]
+    return Trace.from_columns(1, num_targets, start,
+                              np.r_[horizon, rng.integers(1, 4, rows - 1)],
+                              np.ones(rows, dtype=np.int64),
+                              np.r_[1, rng.integers(2, num_targets + 1, rows - 1)],
+                              rng.random(rows) < 0.3, horizon=horizon), 1000
+
+
+@pytest.mark.parametrize("make_trace", [_long_sparse_trace, _short_dense_trace])
+def test_profile_memory_is_linear_in_windows_and_segments(make_trace):
+    trace, window_size = make_trace()
+    tracemalloc.start()
+    try:
+        prof = profile(trace, window_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two ends per transfer plus the window cuts.  The T x segments arrays
+    # are booleans: an int64 matrix of that shape would take 8 bytes per
+    # target and segment, and the dense T x T x W tensor 8 * T per window.
+    max_segments = 2 * len(trace.start) + prof.num_windows
+    assert peak < 3 * prof.comm.nbytes + 5 * trace.num_targets * max_segments

@@ -1,15 +1,26 @@
 """Command-line flow: artifacts, exit codes, reproducibility."""
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from xbarsynth import cli
 from xbarsynth.analysis import AnalysisParams
 from xbarsynth.cli import RunConfig, design, main
-from xbarsynth.gen import GenSpec, benchmark_preset, spec_to_text
-from xbarsynth.solver import SearchBudget, SolverLimits, check_feasible, min_config
+from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
+from xbarsynth.sim import simulate
+from xbarsynth.solver import (
+    CrossbarConfig,
+    SearchBudget,
+    SolverLimits,
+    check_feasible,
+    full_crossbar_config,
+    min_config,
+    shared_bus_config,
+)
 from xbarsynth.trace import Trace, Transaction, load_trace, save_trace
 
 from oracles import nodes_before_tie_break
@@ -246,6 +257,23 @@ def test_simulate_baselines_and_binding(tmp_path, config_file, capsys):
     assert {r[0] for r in rows[1:]} == {"shared", "full", "bound"}
 
 
+def test_latency_csv_bytes_match_csv_writer(tmp_path, config_file):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
+                 "--binding", "1,2,1", "--buses", "2"]) == 0
+    trace = generate(tiny_spec())
+    configs = [("shared", shared_bus_config(3)), ("full", full_crossbar_config(3)),
+               ("bound", CrossbarConfig(2, (1, 2, 1)))]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["config", "txn", "latency"])
+    for name, config in configs:
+        writer.writerows([name, i, lat] for i, lat in
+                         enumerate(simulate(trace, config).per_transaction_latency))
+    assert len(trace.transactions) > 10
+    assert (out / "latency.csv").read_bytes() == expected.getvalue().encode()
+
+
 def test_simulate_bad_binding_length(tmp_path, config_file):
     assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path),
                  "--binding", "1,2"]) == 1
@@ -316,6 +344,47 @@ def test_sweep_threshold_conflict_counts_non_increasing(tmp_path, config_file):
     rows = read_csv(out / "sweep_threshold.csv")
     pairs = [int(r[2]) for r in rows[1:]]
     assert pairs == sorted(pairs, reverse=True)
+
+
+def test_sweeps_load_and_profile_once(tmp_path, config_file, monkeypatch):
+    calls = {"generate": 0, "profile": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "o"
+    assert main(["sweep-window", "--config", str(config_file), "--out-dir", str(out / "w"),
+                 "--ws-list", "25,50,400"]) == 0
+    assert calls == {"generate": 1, "profile": 3}
+    assert main(["sweep-threshold", "--config", str(config_file), "--out-dir", str(out / "t"),
+                 "--window-size", "50", "--theta-list", "0.1,0.3,0.5"]) == 0
+    assert calls == {"generate": 2, "profile": 4}
+    # every point's artifacts are those of a design run on its own
+    for sub, flags in [("w/ws_25", ["--window-size", "25"]),
+                       ("t/theta_0.300000", ["--window-size", "50",
+                                             "--overlap-threshold", "0.3"])]:
+        alone = tmp_path / "alone" / sub
+        assert main(["design", "--config", str(config_file), "--out-dir", str(alone)]
+                    + flags) == 0
+        for name in ("conflict.csv", "comparison.csv", "manifest.txt"):
+            assert (out / sub / name).read_bytes() == (alone / name).read_bytes(), name
+        a, b = (json.loads((d / "solve_report.json").read_text()) for d in (out / sub, alone))
+        a.pop("wall_time_s"), b.pop("wall_time_s")
+        assert a == b
+
+
+def test_sweep_point_failures_repeat_per_point(tmp_path):
+    out = tmp_path / "o"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("#xbar-trace v1,initiators=1,targets=1\n0,0,1,1,req,0\n")
+    assert main(["sweep-threshold", "--trace", str(bad), "--out-dir", str(out),
+                 "--theta-list", "0.1,0.2"]) == 0
+    rows = read_csv(out / "sweep_threshold.csv")
+    assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration at line 2"] * 2
 
 
 def loose_pair_trace():

@@ -85,6 +85,9 @@ def test_profile_matches_cycle_oracle(trace, window_size):
     assert np.array_equal(prof.comm, comm)
     assert np.array_equal(prof.wo, wo)
     assert np.array_equal(prof.crit_wo, crit_wo)
+    assert np.array_equal(prof.om, wo.sum(axis=2))
+    assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
+    assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
 
 
 @SETTINGS
@@ -151,6 +154,8 @@ def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size, gra
     assert prof.comm.shape == (num_targets, num_windows) and not prof.comm.any()
     assert prof.wo.shape == prof.crit_wo.shape == (num_targets, num_targets, num_windows)
     assert not prof.wo.any() and not prof.crit_wo.any()
+    assert prof.om.shape == prof.peak.shape == prof.crit.shape == (num_targets, num_targets)
+    assert not prof.om.any() and not prof.peak.any() and not prof.crit.any()
     config = CrossbarConfig(num_targets, tuple(range(1, num_targets + 1)))
     rep = simulate(trace, config, grant_overhead)
     assert rep.per_transaction_latency == []

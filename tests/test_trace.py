@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xbarsynth import trace as trace_module
 from xbarsynth.trace import (
     REQUEST,
     RESPONSE,
@@ -123,6 +124,33 @@ def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start)
         load_trace(path)
     good = write(tmp_path, HEADER + "0,5,1,2,req,0\n7,5,1,2,resp,1\n", "good.csv")
     assert load_trace(good, RESPONSE).transactions == [Transaction(7, 5, 2, 1, True, RESPONSE)]
+
+
+def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 3)
+    blocks = []
+    strict = np.loadtxt
+
+    def counted(*args, **kwargs):
+        blocks.append(1)
+        return strict(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    rows = [f"{s},{s % 4 + 1},{s % 9 + 1},{s % 12 + 1},{'resp' if s % 3 else 'req'},{s % 2}"
+            for s in range(8)]
+    body = HEADER + "\n".join(rows)  # no final newline
+    req = [Transaction(s, s % 4 + 1, s % 9 + 1, s % 12 + 1, bool(s % 2))
+           for s in range(8) if not s % 3]
+    resp = [Transaction(s, s % 4 + 1, s % 12 + 1, s % 9 + 1, bool(s % 2), RESPONSE)
+            for s in range(8) if s % 3]
+    assert load_trace(write(tmp_path, body)).transactions == req
+    assert load_trace(write(tmp_path, body), RESPONSE).transactions == resp
+    assert len(blocks) == 2 * 3  # 8 lines in blocks of 3, parsed in bulk twice
+    crlf = write(tmp_path, body.replace("\n", "\r\n"), "crlf.csv")
+    assert load_trace(crlf, RESPONSE).transactions == resp
+    rows[6] = "1e3" + rows[6][1:]  # third block
+    with pytest.raises(TraceError, match="t.csv:8: invalid literal"):
+        load_trace(write(tmp_path, HEADER + "\n".join(rows) + "\n"))
 
 
 def test_bad_header_and_empty_file(tmp_path):
