@@ -23,11 +23,11 @@ class SimulationError(ValueError):
     """Config does not cover the trace (missing target binding)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SimReport:
     """Per-transaction latencies plus aggregate statistics."""
 
-    per_transaction_latency: list[int]
+    latency: np.ndarray  # int64 per transaction in trace order, read-only
     avg_latency: float
     max_latency: int
     avg_queuing: float
@@ -35,12 +35,17 @@ class SimReport:
     per_bus_utilization: list[float]
     dropped: int = 0
 
+    @property
+    def per_transaction_latency(self) -> list[int]:
+        """``latency`` as a list of ints, built on each access."""
+        return self.latency.tolist()
+
     def to_dict(self) -> dict:
         return {
             "avg_latency": self.avg_latency,
             "max_latency": self.max_latency,
             "avg_queuing": self.avg_queuing,
-            "num_transactions": len(self.per_transaction_latency),
+            "num_transactions": len(self.latency),
             "per_target_avg": self.per_target_avg,
             "per_bus_utilization": self.per_bus_utilization,
             "dropped": self.dropped,
@@ -77,6 +82,7 @@ def simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0) -> S
         completion[rows] = done + np.maximum.accumulate(s - (done - h))
         bus_busy.append(int(done[-1]) if len(done) else 0)
     latency = completion - start
+    latency.flags.writeable = False
 
     n = len(latency)
     total = int(latency.sum())
@@ -86,7 +92,7 @@ def simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0) -> S
     makespan = max(trace.horizon, int(completion.max()) if n else 0)
     avg_queuing = (total - int(trace.duration.sum()) - n * grant_overhead) / n if n else 0.0
     return SimReport(
-        per_transaction_latency=latency.tolist(),
+        latency=latency,
         avg_latency=total / n if n else 0.0,
         max_latency=int(latency.max()) if n else 0,
         avg_queuing=avg_queuing,

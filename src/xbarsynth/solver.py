@@ -19,6 +19,11 @@ assignments (a target may open at most one fresh bus beyond those already
 used); returned bindings are canonicalized so that bus labels appear in
 first-use order by target id, making output independent of search order.
 
+One depth-first kernel, :func:`_search`, runs every search: the feasibility
+probes (first complete binding, no cost bound), the branch-and-bound (every
+complete binding tightens the bound) and the lexicographic tie-break
+(target-id order, first binding within the proven optimum).
+
 One :class:`SearchBudget` bounds every search of a run: pass the same
 budget to :func:`min_config` and :func:`optimal_binding` and the node and
 time limits cover the whole solve, probes and tie-break included.
@@ -36,6 +41,7 @@ One add and one mask test then check every window at once.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +50,7 @@ import numpy as np
 from .analysis import AnalysisParams, WindowProfile
 
 MAX_SOLVER_TARGETS = 32
+_UNLIMITED = 1 << 63  # a tick count no search reaches
 
 
 class InstanceError(ValueError):
@@ -280,13 +287,25 @@ class SearchBudget:
             if limits.time_limit_s is not None else None
         )
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+    def next_check(self, nodes: int) -> int:
+        """First tick count after ``nodes`` at which a limit can trip: one
+        past the node limit, or the next multiple of 256 with a deadline."""
+        nxt = self.node_limit + 1 if self.node_limit is not None else _UNLIMITED
+        if self.deadline is not None:
+            nxt = min(nxt, (nodes | 0xFF) + 1)
+        return nxt
+
+    def check(self, nodes: int) -> int:
+        """Record ``nodes`` ticks and raise :class:`SolverLimitReached` at
+        the first tick past the node limit, or on a multiple of 256 ticks
+        past the deadline; otherwise return :meth:`next_check`."""
+        self.nodes = nodes
+        if self.node_limit is not None and nodes > self.node_limit:
             raise SolverLimitReached(f"node limit {self.node_limit} exhausted")
-        if self.deadline is not None and (self.nodes & 0xFF) == 0:
+        if self.deadline is not None and not nodes & 0xFF:
             if time.monotonic() > self.deadline:
                 raise SolverLimitReached("time limit exhausted")
+        return self.next_check(nodes)
 
 
 def _as_budget(limits: SolverLimits | SearchBudget | None) -> SearchBudget:
@@ -316,90 +335,96 @@ def _pack_rows(rows: np.ndarray, width: int) -> list[int]:
     return [sum(int(v) << (width * m) for m, v in enumerate(row)) for row in rows]
 
 
-class _AssignState:
-    """Incremental per-bus loads, members, conflict masks and overlap sums.
+def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: float,
+            first_only: bool, budget: SearchBudget,
+            ) -> tuple[list[int] | None, float, SolverLimitReached | None]:
+    """Depth-first branch-and-bound over canonical bindings onto ``num_buses``.
 
-    ``loads[k]`` is bus k's bit-packed window loads; ``can_place`` is one add
-    and one mask test, ``place``/``unplace`` one add or subtract each.
+    Targets are placed in ``order``, each on every used bus and then on one
+    fresh bus, lowest bus first.  The cost of a partial binding is its worst
+    per-bus pairwise overlap sum; a placement is taken only when that cost
+    stays below ``bound``.  With ``first_only`` the search stops at the first
+    complete binding; otherwise each complete binding tightens ``bound`` to
+    its cost.  Returns ``(binding, bound, cut)``: the last complete binding
+    found (1-based labels by target, None when there was none), the final
+    bound, and the :class:`SolverLimitReached` that cut the search short
+    (None when it finished).
+
+    Each ``(target, bus)`` attempt ticks one node before it is tested; the
+    count is compared with the budget's next check count, so a node limit
+    cuts at the same node on every run and the deadline is read on every
+    256th node.  The count is written back to ``budget.nodes`` on every
+    exit.  The state is bit-packed (see the module docstring) and kept in
+    local lists: a bus's conflict mask holds its members' conflict bits, or
+    every bit once it carries ``maxtb`` targets, so one test rejects both.
     """
-
-    def __init__(self, inst: ProblemInstance, num_buses: int):
-        self.maxtb = inst.maxtb
-        comm = inst.comm
-        peak = inst.window_size + (int(comm.max()) if comm.size else 0)
-        width = _field_width(peak)
-        ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
-        self.guard = (1 << (width - 1)) * ones
-        bias = (1 << (width - 1)) - 1 - inst.window_size
-        self.loads = [bias * ones] * num_buses
-        self.comm_packed = _pack_rows(comm, width)
-        self.om_rows: list[list[int]] = inst.om.tolist()
-        self.members: list[list[int]] = [[] for _ in range(num_buses)]
-        self.conflict_mask = [0] * num_buses  # OR of members' conflict bitsets
-        self.mask_stack: list[int] = []       # bus masks saved by place()
-        self.overlap = [0] * num_buses        # per-bus pairwise overlap sum
-        self.used = 0
-        masks = []
-        for i in range(inst.num_targets):
-            m = 0
-            for j in np.flatnonzero(inst.conflict[i]):
-                m |= 1 << int(j)
-            masks.append(m)
-        self.target_conflict = masks
-
-    def can_place(self, t: int, k: int) -> bool:
-        if len(self.members[k]) >= self.maxtb:
-            return False
-        if self.conflict_mask[k] >> t & 1:
-            return False
-        return not (self.loads[k] + self.comm_packed[t]) & self.guard
-
-    def place(self, t: int, k: int) -> int:
-        """Place target t on bus k; returns the pairwise overlap added."""
-        members = self.members[k]
-        added = sum(map(self.om_rows[t].__getitem__, members))
-        self.loads[k] += self.comm_packed[t]
-        members.append(t)
-        self.mask_stack.append(self.conflict_mask[k])
-        self.conflict_mask[k] |= self.target_conflict[t]
-        self.overlap[k] += added
-        if k + 1 > self.used:
-            self.used = k + 1
-        return added
-
-    def unplace(self, t: int, k: int, added: int, prev_used: int) -> None:
-        self.loads[k] -= self.comm_packed[t]
-        self.members[k].pop()
-        self.conflict_mask[k] = self.mask_stack.pop()
-        self.overlap[k] -= added
-        self.used = prev_used
-
-
-def _search_feasible(inst: ProblemInstance, num_buses: int,
-                     budget: SearchBudget) -> list[int] | None:
-    """DFS for any constraint-satisfying assignment; None proves none exists."""
-    order = _busy_order(inst)
-    state = _AssignState(inst, num_buses)
+    comm = inst.comm
+    width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
+    ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
+    guard = (1 << (width - 1)) * ones
+    rows = _pack_rows(comm, width)
+    om_rows: list[list[int]] = inst.om.tolist()
+    conflicts = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inst.conflict]
+    maxtb = inst.maxtb
+    loads = [((1 << (width - 1)) - 1 - inst.window_size) * ones] * num_buses
+    masks = [0] * num_buses
+    overlap = [0] * num_buses
+    members: list[list[int]] = [[] for _ in range(num_buses)]
     binding = [0] * inst.num_targets
+    best = None
+    nodes = budget.nodes
+    next_check = budget.next_check(nodes)
+    last = len(order) - 1
 
-    def descend(depth: int) -> bool:
-        if depth == len(order):
-            return True
+    def descend(depth: int, cost: int, used: int) -> bool:
+        nonlocal nodes, next_check, bound, best
         t = order[depth]
-        limit = min(state.used + 1, num_buses)
-        for k in range(limit):
-            budget.tick()
-            if not state.can_place(t, k):
+        bit = 1 << t
+        row = rows[t]
+        om_t = om_rows[t]
+        for k in range(used + 1 if used < num_buses else num_buses):
+            nodes += 1
+            if nodes >= next_check:
+                next_check = budget.check(nodes)
+            mask = masks[k]
+            if mask & bit:
                 continue
-            prev_used = state.used
-            added = state.place(t, k)
+            load = loads[k] + row
+            if load & guard:
+                continue
+            mem = members[k]
+            ov = overlap[k]
+            new = ov + sum(map(om_t.__getitem__, mem))
+            c = new if new > cost else cost
+            if c >= bound:
+                continue
             binding[t] = k + 1
-            if descend(depth + 1):
+            if depth == last:
+                best = binding.copy()
+                if first_only:
+                    return True
+                bound = c
+                continue
+            loads[k] = load
+            masks[k] = mask | conflicts[t] if len(mem) + 1 < maxtb else -1
+            overlap[k] = new
+            mem.append(t)
+            if descend(depth + 1, c, used + (k == used)):
                 return True
-            state.unplace(t, k, added, prev_used)
+            loads[k] -= row
+            masks[k] = mask
+            overlap[k] = ov
+            mem.pop()
         return False
 
-    return binding if descend(0) else None
+    cut = None
+    try:
+        if bound > 0:
+            descend(0, 0, 0)
+        budget.nodes = nodes
+    except SolverLimitReached as exc:
+        cut = exc
+    return best, bound, cut
 
 
 def check_feasible(
@@ -415,7 +440,10 @@ def check_feasible(
         raise InstanceError(
             f"bus count {num_buses} outside 1..{inst.num_targets}"
         )
-    binding = _search_feasible(inst, num_buses, _as_budget(limits))
+    binding, _, cut = _search(inst, num_buses, _busy_order(inst), math.inf, True,
+                              _as_budget(limits))
+    if cut is not None:
+        raise cut
     if binding is None:
         return False, None
     return True, CrossbarConfig(num_buses, canonical_binding(binding))
@@ -523,90 +551,33 @@ def optimal_binding(
         raise InstanceError(f"bus count {num_buses} outside 1..{inst.num_targets}")
     budget = _as_budget(limits)
     start_nodes = budget.nodes
-    try:
-        seed_binding = _search_feasible(inst, num_buses, budget)
-    except SolverLimitReached as exc:
+    order = _busy_order(inst)
+    seed, _, cut = _search(inst, num_buses, order, math.inf, True, budget)
+    if cut is not None:
         raise SolverLimitReached(
             f"binding search on {num_buses} buses stopped before any "
-            f"incumbent was found: {exc}"
+            f"incumbent was found: {cut}"
         ) from None
-    if seed_binding is None:
+    if seed is None:
         raise InfeasibleError(f"no feasible binding exists on {num_buses} buses")
-    best_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed_binding)))
-    best_binding = seed_binding
-    order = _busy_order(inst)
-    state = _AssignState(inst, num_buses)
-    binding = [0] * inst.num_targets
-    hit_limit = False
+    seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
+    improved, best_cost, cut = _search(inst, num_buses, order, seed_cost, False, budget)
+    best_binding = improved or seed
+    optimal = cut is None
     tie_break_complete = False
-
-    def improve(depth: int, cost: int) -> None:
-        nonlocal best_cost, best_binding
-        if cost >= best_cost:
-            return
-        if depth == len(order):
-            best_cost = cost
-            best_binding = binding.copy()
-            return
-        t = order[depth]
-        limit = min(state.used + 1, num_buses)
-        for k in range(limit):
-            budget.tick()
-            if not state.can_place(t, k):
-                continue
-            prev_used = state.used
-            added = state.place(t, k)
-            new_cost = max(cost, state.overlap[k])
-            if new_cost < best_cost:
-                binding[t] = k + 1
-                improve(depth + 1, new_cost)
-            state.unplace(t, k, added, prev_used)
-
-    try:
-        improve(0, 0)
-    except SolverLimitReached:
-        hit_limit = True
-
-    if not hit_limit:
-        try:
-            best_binding = _lex_min_binding(inst, num_buses, best_cost, budget)
-            tie_break_complete = True
-        except SolverLimitReached:
-            pass  # optimum already proven; only the tie-break is budget-cut
+    if optimal:
+        # the first binding in target-id order within the proven optimum is
+        # the lexicographically smallest canonical one
+        lex_min, _, cut = _search(inst, num_buses, list(range(inst.num_targets)),
+                                  best_cost + 1, True, budget)
+        if cut is None:
+            assert lex_min is not None, "a binding achieving the proven optimum must exist"
+            best_binding, tie_break_complete = lex_min, True
     return SolveReport(
         config=CrossbarConfig(num_buses, canonical_binding(best_binding)),
         maxov=best_cost,
         nodes_explored=budget.nodes - start_nodes,
         wall_time_s=time.monotonic() - t0,
-        optimal=not hit_limit,
+        optimal=optimal,
         tie_break_complete=tie_break_complete,
     )
-
-
-def _lex_min_binding(inst: ProblemInstance, num_buses: int, target_cost: int,
-                     budget: SearchBudget) -> list[int]:
-    """First canonical binding (target-id order, lowest bus first) meeting
-    the proven optimum; DFS prefix order makes it the lexicographic minimum."""
-    state = _AssignState(inst, num_buses)
-    binding = [0] * inst.num_targets
-
-    def descend(t: int) -> bool:
-        if t == inst.num_targets:
-            return True
-        limit = min(state.used + 1, num_buses)
-        for k in range(limit):
-            budget.tick()
-            if not state.can_place(t, k):
-                continue
-            prev_used = state.used
-            added = state.place(t, k)
-            if state.overlap[k] <= target_cost:
-                binding[t] = k + 1
-                if descend(t + 1):
-                    return True
-            state.unplace(t, k, added, prev_used)
-        return False
-
-    found = descend(0)
-    assert found, "a binding achieving the proven optimum must exist"
-    return binding

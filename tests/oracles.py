@@ -4,11 +4,16 @@ Everything here is written directly from the definitions, with different
 mechanics than the shipped code: per-cycle boolean arrays instead of
 interval arithmetic, exhaustive set-partition enumeration instead of
 branch-and-bound, and per-bus queue replay instead of the one-pass sweep.
+The reference search keeps the solver's branch-and-bound as three readable
+depth-first searches over a state object, with one budget tick per attempt,
+to pin the fused search kernel's tree and budget accounting.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,8 +22,11 @@ import numpy as np
 from xbarsynth.solver import (
     CrossbarConfig,
     ProblemInstance,
+    SearchBudget,
     SolverLimitReached,
     SolverLimits,
+    _field_width,
+    _pack_rows,
     optimal_binding,
 )
 from xbarsynth.trace import Trace, Transaction
@@ -267,6 +275,198 @@ def nodes_before_tie_break(inst: ProblemInstance, num_buses: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+# -------------------------------------------------------- reference search
+
+def tick(budget: SearchBudget) -> None:
+    """Count one search node; raise past the node limit, or past the
+    deadline on every 256th node."""
+    budget.nodes += 1
+    if budget.node_limit is not None and budget.nodes > budget.node_limit:
+        raise SolverLimitReached(f"node limit {budget.node_limit} exhausted")
+    if budget.deadline is not None and (budget.nodes & 0xFF) == 0:
+        if time.monotonic() > budget.deadline:
+            raise SolverLimitReached("time limit exhausted")
+
+
+class _AssignState:
+    """Incremental per-bus loads, members, conflict masks and overlap sums.
+
+    ``loads[k]`` is bus k's bit-packed window loads; ``can_place`` is one add
+    and one mask test, ``place``/``unplace`` one add or subtract each.
+    """
+
+    def __init__(self, inst: ProblemInstance, num_buses: int):
+        self.maxtb = inst.maxtb
+        comm = inst.comm
+        peak = inst.window_size + (int(comm.max()) if comm.size else 0)
+        width = _field_width(peak)
+        ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
+        self.guard = (1 << (width - 1)) * ones
+        bias = (1 << (width - 1)) - 1 - inst.window_size
+        self.loads = [bias * ones] * num_buses
+        self.comm_packed = _pack_rows(comm, width)
+        self.om_rows: list[list[int]] = inst.om.tolist()
+        self.members: list[list[int]] = [[] for _ in range(num_buses)]
+        self.conflict_mask = [0] * num_buses  # OR of members' conflict bitsets
+        self.mask_stack: list[int] = []       # bus masks saved by place()
+        self.overlap = [0] * num_buses        # per-bus pairwise overlap sum
+        self.used = 0
+        masks = []
+        for i in range(inst.num_targets):
+            m = 0
+            for j in np.flatnonzero(inst.conflict[i]):
+                m |= 1 << int(j)
+            masks.append(m)
+        self.target_conflict = masks
+
+    def can_place(self, t: int, k: int) -> bool:
+        if len(self.members[k]) >= self.maxtb:
+            return False
+        if self.conflict_mask[k] >> t & 1:
+            return False
+        return not (self.loads[k] + self.comm_packed[t]) & self.guard
+
+    def place(self, t: int, k: int) -> int:
+        """Place target t on bus k; returns the pairwise overlap added."""
+        members = self.members[k]
+        added = sum(map(self.om_rows[t].__getitem__, members))
+        self.loads[k] += self.comm_packed[t]
+        members.append(t)
+        self.mask_stack.append(self.conflict_mask[k])
+        self.conflict_mask[k] |= self.target_conflict[t]
+        self.overlap[k] += added
+        if k + 1 > self.used:
+            self.used = k + 1
+        return added
+
+    def unplace(self, t: int, k: int, added: int, prev_used: int) -> None:
+        self.loads[k] -= self.comm_packed[t]
+        self.members[k].pop()
+        self.conflict_mask[k] = self.mask_stack.pop()
+        self.overlap[k] -= added
+        self.used = prev_used
+
+
+def reference_feasible(inst: ProblemInstance, num_buses: int, order: list[int],
+                       budget: SearchBudget) -> list[int] | None:
+    """DFS for any constraint-satisfying assignment; None proves none exists."""
+    state = _AssignState(inst, num_buses)
+    binding = [0] * inst.num_targets
+
+    def descend(depth: int) -> bool:
+        if depth == len(order):
+            return True
+        t = order[depth]
+        limit = min(state.used + 1, num_buses)
+        for k in range(limit):
+            tick(budget)
+            if not state.can_place(t, k):
+                continue
+            prev_used = state.used
+            added = state.place(t, k)
+            binding[t] = k + 1
+            if descend(depth + 1):
+                return True
+            state.unplace(t, k, added, prev_used)
+        return False
+
+    return binding if descend(0) else None
+
+
+def reference_improve(inst: ProblemInstance, num_buses: int, order: list[int],
+                      best_cost: int, budget: SearchBudget):
+    """Branch-and-bound for bindings cheaper than ``best_cost``.
+
+    Returns ``(binding, cost, cut)``: the cheapest binding found (None if
+    none beat ``best_cost``), its cost, and the limit that cut the search.
+    """
+    state = _AssignState(inst, num_buses)
+    binding = [0] * inst.num_targets
+    best_binding = None
+
+    def improve(depth: int, cost: int) -> None:
+        nonlocal best_cost, best_binding
+        if cost >= best_cost:
+            return
+        if depth == len(order):
+            best_cost = cost
+            best_binding = binding.copy()
+            return
+        t = order[depth]
+        limit = min(state.used + 1, num_buses)
+        for k in range(limit):
+            tick(budget)
+            if not state.can_place(t, k):
+                continue
+            prev_used = state.used
+            added = state.place(t, k)
+            new_cost = max(cost, state.overlap[k])
+            if new_cost < best_cost:
+                binding[t] = k + 1
+                improve(depth + 1, new_cost)
+            state.unplace(t, k, added, prev_used)
+
+    try:
+        improve(0, 0)
+    except SolverLimitReached as exc:
+        return best_binding, best_cost, exc
+    return best_binding, best_cost, None
+
+
+def reference_lex_min(inst: ProblemInstance, num_buses: int, target_cost: int,
+                      budget: SearchBudget) -> list[int] | None:
+    """First canonical binding (target-id order, lowest bus first) with
+    every bus's overlap sum at most ``target_cost``."""
+    state = _AssignState(inst, num_buses)
+    binding = [0] * inst.num_targets
+
+    def descend(t: int) -> bool:
+        if t == inst.num_targets:
+            return True
+        limit = min(state.used + 1, num_buses)
+        for k in range(limit):
+            tick(budget)
+            if not state.can_place(t, k):
+                continue
+            prev_used = state.used
+            added = state.place(t, k)
+            if state.overlap[k] <= target_cost:
+                binding[t] = k + 1
+                if descend(t + 1):
+                    return True
+            state.unplace(t, k, added, prev_used)
+        return False
+
+    return binding if descend(0) else None
+
+
+def reference_search(inst: ProblemInstance, num_buses: int, order: list[int], bound,
+                     first_only: bool, budget: SearchBudget):
+    """``solver._search``'s contract served by the three reference searches:
+    feasibility (infinite bound), improvement (all leaves) and the
+    target-id-order tie-break (finite bound, first leaf)."""
+    if not first_only:
+        return reference_improve(inst, num_buses, order, bound, budget)
+    try:
+        if bound == math.inf:
+            return reference_feasible(inst, num_buses, order, budget), bound, None
+        assert list(order) == list(range(inst.num_targets))
+        return reference_lex_min(inst, num_buses, bound - 1, budget), bound, None
+    except SolverLimitReached as exc:
+        return None, bound, exc
+
+
+def search_outcome(search, inst: ProblemInstance, num_buses: int, order: list[int], bound,
+                   first_only: bool, limits: SolverLimits | None = None,
+                   start_nodes: int = 0):
+    """Everything a ``_search``-shaped function leaves observable: binding,
+    bound, the cut's type and message, and the budget's final node count."""
+    budget = SearchBudget(limits)
+    budget.nodes = start_nodes
+    binding, bound, cut = search(inst, num_buses, order, bound, first_only, budget)
+    return binding, bound, type(cut), str(cut), budget.nodes
 
 
 # ------------------------------------------------------------ LP parsing

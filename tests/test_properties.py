@@ -1,19 +1,34 @@
-"""Property tests: columnar trace, profile and simulator against the oracles.
+"""Property tests: columnar trace, profile, simulator and search kernel
+against the oracles.
 
 Hypothesis shrinks any counterexample to a minimal trace.  Traces are kept
 small (a few targets, horizons of a few hundred cycles) so the per-cycle
 and per-bus-queue oracles stay fast, and starts are drawn from a narrow
-range often enough to produce same-cycle arrivals.
+range often enough to produce same-cycle arrivals.  Solver instances come
+from ``make_random_instance`` with a drawn seed.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xbarsynth import solver
 from xbarsynth.analysis import profile
 from xbarsynth.sim import simulate
-from xbarsynth.solver import CrossbarConfig
+from xbarsynth.solver import (
+    CrossbarConfig,
+    InfeasibleError,
+    SearchBudget,
+    SolverLimitReached,
+    SolverLimits,
+    _busy_order,
+    _search,
+    min_config,
+    optimal_binding,
+)
 from xbarsynth.trace import (
     REQUEST,
     RESPONSE,
@@ -24,7 +39,13 @@ from xbarsynth.trace import (
     save_trace,
 )
 
-from oracles import cycle_profile, replay_simulate
+from oracles import (
+    cycle_profile,
+    make_random_instance,
+    reference_search,
+    replay_simulate,
+    search_outcome,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -162,3 +183,89 @@ def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size, gra
     assert (rep.avg_latency, rep.max_latency, rep.avg_queuing) == (0.0, 0, 0.0)
     assert rep.per_target_avg == [0.0] * num_targets
     assert rep.per_bus_utilization == [0.0] * num_targets
+
+
+@st.composite
+def solver_instances(draw):
+    """A ``make_random_instance`` instance (maxtb drawn from 1..T), sometimes
+    made infeasible at every bus count by one target overflowing a window."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    inst = make_random_instance(rng, max_targets=7, max_windows=4)
+    if draw(st.integers(0, 3)) == 0:  # one instance in four
+        i = draw(st.integers(0, inst.num_targets - 1))
+        m = draw(st.integers(0, inst.comm.shape[1] - 1))
+        inst.comm[i, m] = inst.window_size + 1
+    return inst
+
+
+def budget_limits(draw, full_nodes: int) -> SolverLimits:
+    """No limit, a node limit below the full count, or a deadline that has
+    passed (trips at the first multiple of 256 nodes)."""
+    kind = draw(st.sampled_from(["none", "nodes", "nodes", "deadline"]))
+    if kind == "nodes":
+        return SolverLimits(node_limit=draw(st.integers(0, max(full_nodes - 1, 0))))
+    if kind == "deadline":
+        return SolverLimits(time_limit_s=0.0)
+    return SolverLimits()
+
+
+@SETTINGS
+@given(solver_instances(), st.data())
+def test_search_kernel_matches_reference(inst, data):
+    """One call of the fused kernel against the reference search: same
+    binding, bound, cut type and message, and final budget node count."""
+    t = inst.num_targets
+    num_buses = data.draw(st.integers(1, t))
+    mode = data.draw(st.sampled_from(["feasible", "improve", "tie-break"]))
+    order, first_only = _busy_order(inst), mode != "improve"
+    top = int(inst.om.sum()) // 2 + 1  # above any binding's cost
+    if mode == "feasible":
+        bound = float("inf")
+    elif mode == "improve":
+        bound = data.draw(st.integers(0, top))
+    else:
+        bound, order = data.draw(st.integers(1, top)), list(range(t))
+    args = (inst, num_buses, order, bound, first_only)
+    full = search_outcome(reference_search, *args)
+    assert search_outcome(_search, *args) == full
+    limits = budget_limits(data.draw, full[-1])
+    start = data.draw(st.integers(0, 600))
+    assert (search_outcome(_search, *args, limits, start)
+            == search_outcome(reference_search, *args, limits, start))
+
+
+def solve_outcome(inst, limits, buses):
+    """Observable result of ``min_config`` then ``optimal_binding`` on one
+    budget (or ``optimal_binding`` alone at ``buses``), wall times aside."""
+    budget = SearchBudget(limits)
+    out = []
+    try:
+        if buses is None:
+            buses, probes, witness = min_config(inst, budget)
+            out.append((buses, probes, witness))
+        rep = optimal_binding(inst, buses, budget)
+        out.append((rep.config, rep.maxov, rep.nodes_explored, rep.optimal,
+                    rep.tie_break_complete, rep.feasibility_probes))
+    except SolverLimitReached as exc:
+        inc = exc.incumbent
+        out.append((type(exc), str(exc), exc.lower_bound, exc.upper_bound, exc.probes,
+                    inc and (inc.config, inc.maxov, inc.feasibility_probes, inc.optimal)))
+    except InfeasibleError as exc:
+        out.append((type(exc), str(exc)))
+    return out, budget.nodes
+
+
+@SETTINGS
+@given(solver_instances(), st.data())
+def test_solve_matches_reference_search(inst, data):
+    """The whole solve with the fused kernel against the same solve run on
+    the reference search, under node limits below its full count, deadlines,
+    maxtb caps, infeasible bus counts and overflowing targets."""
+    buses = data.draw(st.one_of(st.none(), st.integers(1, inst.num_targets)))
+    with mock.patch.object(solver, "_search", reference_search):
+        full = solve_outcome(inst, SolverLimits(), buses)
+    assert solve_outcome(inst, SolverLimits(), buses) == full
+    limits = budget_limits(data.draw, full[1])
+    with mock.patch.object(solver, "_search", reference_search):
+        expected = solve_outcome(inst, limits, buses)
+    assert solve_outcome(inst, limits, buses) == expected

@@ -1,8 +1,13 @@
 """Contention simulator: hand examples, invariants, replay oracle."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from xbarsynth import sim
+from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.sim import SimulationError, baseline_configs, compare, simulate
 from xbarsynth.solver import CrossbarConfig, full_crossbar_config, shared_bus_config
 from xbarsynth.trace import Trace, Transaction
@@ -167,3 +172,33 @@ def test_compare_table_and_size_ratio():
     assert rows[1].size_ratio == 2.0
     assert rows[0].avg_latency >= rows[1].avg_latency
     assert rows[0].to_dict()["num_buses"] == 1
+
+
+def test_compare_builds_no_per_transaction_list(monkeypatch):
+    """``compare`` keeps latencies in numpy: right after each ``simulate``
+    returns, the Python objects allocated since tracing began (tracemalloc
+    domain 0; numpy buffers are traced in their own domain) stay far below
+    one pointer per transaction, let alone one int object each."""
+    trace = generate(replace(benchmark_preset("uniform"), horizon=4 * 120_000))
+    n = len(trace.transactions)
+    assert n > 10_000
+    python_bytes = []
+
+    def traced_simulate(*args, **kwargs):
+        report = simulate(*args, **kwargs)
+        snap = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, 0)])
+        python_bytes.append(sum(stat.size for stat in snap.statistics("filename")))
+        return report
+
+    monkeypatch.setattr(sim, "simulate", traced_simulate)
+    tracemalloc.start()
+    try:
+        rows = compare(trace, baseline_configs(trace.num_targets))
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(python_bytes) == 2
+    assert max(python_bytes) < 8 * n
+    report = simulate(trace, shared_bus_config(trace.num_targets))
+    assert report.latency.dtype == np.int64 and not report.latency.flags.writeable
+    assert report.per_transaction_latency == report.latency.tolist()
+    assert report.to_dict()["num_transactions"] == n

@@ -16,8 +16,9 @@ from xbarsynth.solver import (
     SearchBudget,
     SolverLimitReached,
     SolverLimits,
-    _AssignState,
+    _busy_order,
     _field_width,
+    _search,
     binding_maxov,
     build_instance,
     canonical_binding,
@@ -32,11 +33,14 @@ from xbarsynth.solver import (
 from xbarsynth.trace import Trace, Transaction
 
 from oracles import (
+    _AssignState,
     brute_best_maxov,
     brute_min_buses,
     brute_optimal_bindings,
     make_random_instance,
     nodes_before_tie_break,
+    reference_search,
+    search_outcome,
 )
 
 
@@ -362,26 +366,67 @@ def test_report_serialization():
     assert json.dumps(d)  # plain types only
 
 
-# Search-tree pins for the criterion-6 instance, recorded before bus loads
-# were bit-packed: (num_buses, probes, nodes_explored, maxov, binding).  A
-# change to these numbers is a change to the search tree, not a speed-up.
+# Search-tree pins for the criterion-6 instances: (num_buses, probes,
+# nodes_explored, maxov, binding, budget nodes), the last being every tick of
+# min_config and optimal_binding on one budget, probes included.  A change
+# to these numbers is a change to the search tree, not a speed-up.
 UNIFORM_PINS = {
     250: (7, [(13, True), (10, True), (8, True), (7, True)], 142537, 0,
-          (1, 1, 1, 2, 3, 4, 5, 3, 6, 5, 1, 7, 6, 3, 3, 2, 4, 7, 1, 2)),
+          (1, 1, 1, 2, 3, 4, 5, 3, 6, 5, 1, 7, 6, 3, 3, 2, 4, 7, 1, 2), 143931),
+    500: (7, [(13, True), (10, True), (8, True), (7, True)], 142537, 0,
+          (1, 1, 1, 2, 3, 4, 5, 3, 6, 5, 1, 7, 6, 3, 3, 2, 4, 7, 1, 2), 143931),
+    1000: (7, [(13, True), (9, True), (7, True), (6, False)], 143801, 0,
+           (1, 1, 1, 2, 3, 4, 5, 3, 6, 5, 1, 7, 6, 3, 3, 2, 4, 7, 1, 2), 1078539),
+    2000: (6, [(13, True), (9, True), (7, True), (6, True)], 1684729, 146,
+           (1, 1, 1, 2, 3, 4, 5, 3, 2, 5, 1, 6, 2, 3, 3, 2, 4, 6, 1, 4), 1730357),
+    4000: (5, [(12, True), (8, True), (6, True), (5, True), (4, False)], 2278051, 679,
+           (1, 1, 1, 1, 2, 3, 4, 2, 2, 4, 1, 5, 5, 5, 2, 3, 1, 2, 4, 3), 2383874),
     8000: (2, [(11, True), (6, True), (4, True), (3, True), (2, True)], 67237, 11778,
-           (1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 1, 2, 2, 2)),
+           (1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 1, 2, 2, 2), 67372),
 }
 
 
-@pytest.mark.parametrize("ws", sorted(UNIFORM_PINS))
-def test_uniform_search_tree_pinned(ws):
-    trace = generate(benchmark_preset("uniform"))
-    params = AnalysisParams(ws, 0.1)
+def analysed_instance(trace, ws, theta):
+    params = AnalysisParams(ws, theta)
     prof = profile(trace, ws)
-    inst = build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
-    buses, probes, _ = min_config(inst)
-    rep = optimal_binding(inst, buses)
-    assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding) == UNIFORM_PINS[ws]
+    return build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
+
+
+@pytest.fixture(scope="module")
+def uniform_trace():
+    return generate(benchmark_preset("uniform"))
+
+
+@pytest.mark.parametrize("ws", sorted(UNIFORM_PINS))
+def test_uniform_search_tree_pinned(ws, uniform_trace):
+    inst = analysed_instance(uniform_trace, ws, 0.1)
+    budget = SearchBudget()
+    buses, probes, _ = min_config(inst, budget)
+    rep = optimal_binding(inst, buses, budget)
+    assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
+            budget.nodes) == UNIFORM_PINS[ws]
+
+
+def limited_solve(inst, node_limit):
+    """min_config then optimal_binding on one budget; (cut?, budget nodes)."""
+    budget = SearchBudget(SolverLimits(node_limit=node_limit))
+    try:
+        buses, _, _ = min_config(inst, budget)
+        rep = optimal_binding(inst, buses, budget)
+    except SolverLimitReached:
+        return True, budget.nodes
+    return not (rep.optimal and rep.tie_break_complete), budget.nodes
+
+
+def test_every_node_limit_cuts_at_its_node():
+    """Whichever search the limit falls in, the cut is the tick past it."""
+    inst = analysed_instance(generate(benchmark_preset("mat2like")), 1000, 0.3)
+    full_cut, total = limited_solve(inst, None)
+    assert not full_cut
+    stride = max(1, total // 400)
+    for limit in [*range(1, total, stride), total - 1]:
+        assert limited_solve(inst, limit) == (True, limit + 1), limit
+    assert limited_solve(inst, total) == (False, total)
 
 
 def test_field_width_boundaries():
@@ -393,7 +438,7 @@ def test_field_width_boundaries():
     assert _field_width(2**63) == 128
 
 
-@pytest.mark.parametrize("ws, windows, oversize", [
+FIELD_WIDTH_CASES = pytest.mark.parametrize("ws, windows, oversize", [
     (37, 4, False),          # 16-bit fields; loads land exactly on ws
     (1, 5, False),           # window_size 1
     (10, 0, False),          # zero windows
@@ -402,11 +447,11 @@ def test_field_width_boundaries():
     (2**70, 2, False),       # wider than 64 bits
     (37, 4, True),           # one target alone exceeds the window
 ])
-def test_packed_can_place_matches_reference(ws, windows, oversize):
-    """Random place/unplace walks: packed can_place equals the direct check."""
-    rng = np.random.Generator(np.random.PCG64(ws % 1000 + windows + 7 * oversize))
-    values = [v for v in (0, 1, ws // 2, ws - ws // 2, ws) if v < 2**63]
-    exact_hits = 0
+
+
+def field_width_instances(rng, ws, windows, oversize, values):
+    """20 random instances with ``comm`` drawn from ``values``; with
+    ``oversize`` one target (yielded as ``big``) alone exceeds a window."""
     for _ in range(20):
         t = int(rng.integers(2, 8))
         comm = rng.choice(np.array(values, dtype=np.int64), size=(t, windows))
@@ -417,7 +462,17 @@ def test_packed_can_place_matches_reference(ws, windows, oversize):
         conflict = np.triu(rng.random((t, t)) < 0.2, 1)
         inst = ProblemInstance(ws, comm, om + om.T, conflict | conflict.T,
                                int(rng.integers(1, t + 1)))
-        num_buses = int(rng.integers(1, t + 1))
+        yield inst, int(rng.integers(1, t + 1)), big
+
+
+@FIELD_WIDTH_CASES
+def test_packed_can_place_matches_reference(ws, windows, oversize):
+    """Random place/unplace walks: packed can_place equals the direct check."""
+    rng = np.random.Generator(np.random.PCG64(ws % 1000 + windows + 7 * oversize))
+    values = [v for v in (0, 1, ws // 2, ws - ws // 2, ws) if v < 2**63]
+    exact_hits = 0
+    for inst, num_buses, big in field_width_instances(rng, ws, windows, oversize, values):
+        t, comm = inst.num_targets, inst.comm
         state = _AssignState(inst, num_buses)
         empty = list(state.loads)
         rows = [[int(v) for v in row] for row in comm]
@@ -462,3 +517,36 @@ def test_packed_can_place_matches_reference(ws, windows, oversize):
             assert not any(check_feasible(inst, b)[0] for b in range(1, t + 1))
     if windows and ws in values:
         assert exact_hits
+
+
+def search_modes(inst, num_buses):
+    """The kernel's three uses on one instance, parameters taken from the
+    reference: feasibility, improvement from the seed's cost, tie-break."""
+    order = _busy_order(inst)
+    modes = [(order, float("inf"), True)]
+    seed = reference_search(inst, num_buses, order, float("inf"), True, SearchBudget())[0]
+    if seed is not None:
+        seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
+        best = reference_search(inst, num_buses, order, seed_cost, False, SearchBudget())[1]
+        modes += [(order, seed_cost, False), (list(range(inst.num_targets)), best + 1, True)]
+    return modes
+
+
+@FIELD_WIDTH_CASES
+def test_search_kernel_matches_reference_on_field_widths(ws, windows, oversize):
+    """The fused kernel against the three reference searches on the packed
+    field-width edge cases: same binding, bound, cut and node count, in full
+    and under node limits and deadlines below the full count."""
+    rng = np.random.Generator(np.random.PCG64(ws % 997 + windows + 11 * oversize))
+    values = [v for v in (0, 1, ws // 2, ws - ws // 2, ws) if v < 2**63]
+    for inst, num_buses, _ in field_width_instances(rng, ws, windows, oversize, values):
+        for order, bound, first_only in search_modes(inst, num_buses):
+            args = (inst, num_buses, order, bound, first_only)
+            full = search_outcome(reference_search, *args)
+            assert search_outcome(_search, *args) == full
+            limits = [SolverLimits(node_limit=int(n)) for n in rng.integers(0, full[-1] + 1, 3)]
+            limits.append(SolverLimits(time_limit_s=0.0))
+            for lim in limits:
+                start = int(rng.integers(0, 300))
+                assert (search_outcome(_search, *args, lim, start)
+                        == search_outcome(reference_search, *args, lim, start))
