@@ -42,10 +42,8 @@ from .solver import (
     SolverLimits,
     binding_maxov,
     build_instance,
-    full_crossbar_config,
     min_config,
     optimal_binding,
-    shared_bus_config,
     validate_binding,
 )
 from .trace import REQUEST, Trace, TraceError, load_trace, save_trace
@@ -87,8 +85,6 @@ class DesignOutcome:
     status: int
     message: str
     trace: Trace
-    prof: WindowProfile
-    om: np.ndarray
     conflict: np.ndarray
     instance: ProblemInstance
     report: SolveReport | None
@@ -247,18 +243,16 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
         with open(artifacts["report"], "w", newline="") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        configs = [
-            ("shared", shared_bus_config(trace.num_targets)),
-            ("designed", report.config),
-            ("full", full_crossbar_config(trace.num_targets)),
-        ]
-        rows = compare(trace, configs)
+        shared, full = baseline_configs(trace.num_targets)
+        rows = compare(trace, [shared, ("designed", report.config), full])
         artifacts["comparison"] = out / "comparison.csv"
+        # size_ratio: bus count over the shared baseline's one bus
         _write_csv(
             artifacts["comparison"],
             ["name", "num_buses", "avg_latency", "max_latency", "size_ratio"],
             [
-                [r.name, r.num_buses, _fmt(r.avg_latency), r.max_latency, _fmt(r.size_ratio)]
+                [r.name, r.num_buses, _fmt(r.avg_latency), r.max_latency,
+                 _fmt(float(r.num_buses))]
                 for r in rows
             ],
         )
@@ -279,48 +273,63 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
     manifest = out / "manifest.txt"
     _write_manifest(manifest, manifest_items)
     artifacts["manifest"] = manifest
-    return DesignOutcome(
-        status, message, trace, prof, om, conflict, inst, report, rows, artifacts
-    )
+    return DesignOutcome(status, message, trace, conflict, inst, report, rows, artifacts)
+
+
+def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
+           cells) -> Path:
+    """One design() per ``(label, params)`` of ``points``, in ``<subdir>_<label>``.
+
+    The trace is loaded once, at the first point (a failed load is retried
+    at the next), and profiled once per window size.  A point whose load or
+    design fails gets an error row, any other its label and
+    ``cells(outcome)``.  ``points`` is read lazily, outside the error
+    handling: invalid params abort the sweep after the earlier points ran.
+    """
+    out = run.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    trace = prof = None
+    for label, params in points:
+        point = replace(run, params=params, out_dir=out / f"{subdir}_{label}")
+        try:
+            if trace is None:
+                trace = run.resolve_trace()
+            if prof is None or prof.window_size != params.window_size:
+                prof = None  # free the last window size's profile before the next
+                prof = profile(trace, params.window_size)
+            outcome = design(point, prof)
+        except (TraceError, GenError, ValueError) as exc:
+            rows.append([label] + [""] * (len(header) - 2) + [f"error: {exc}"])
+            continue
+        status = "ok" if outcome.status == EXIT_OK else outcome.message
+        rows.append([label] + cells(outcome, status))
+    path = out / name
+    _write_csv(path, header, rows)
+    return path
+
+
+def _window_cells(outcome: DesignOutcome, status: str) -> list:
+    if outcome.report is None:
+        return ["", "", "", status]
+    designed = next(r for r in outcome.rows if r.name == "designed")
+    return [outcome.report.config.num_buses, _fmt(designed.avg_latency),
+            designed.max_latency, status]
+
+
+def _threshold_cells(outcome: DesignOutcome, status: str) -> list:
+    bus_count = outcome.report.config.num_buses if outcome.report else ""
+    return [bus_count, int(np.triu(outcome.conflict, k=1).sum()), status]
 
 
 def sweep_window(run: RunConfig, ws_list: list[int]) -> Path:
     """One design() per window size on one trace; failures become in-row status text."""
     if not ws_list:
         raise ValueError("ws_list must be nonempty")
-    out = run.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    trace = None  # loaded at the first point; a failed load is retried per point
-    for ws in ws_list:
-        point = replace(
-            run,
-            params=replace(run.params, window_size=int(ws)),
-            out_dir=out / f"ws_{ws}",
-        )
-        try:
-            if trace is None:
-                trace = run.resolve_trace()
-            outcome = design(point, profile(trace, point.params.window_size))
-        except (TraceError, GenError, ValueError) as exc:
-            rows.append([ws, "", "", "", f"error: {exc}"])
-            continue
-        if outcome.report is None:
-            rows.append([ws, "", "", "", outcome.message])
-            continue
-        designed = next(r for r in outcome.rows if r.name == "designed")
-        rows.append(
-            [
-                ws,
-                outcome.report.config.num_buses,
-                _fmt(designed.avg_latency),
-                designed.max_latency,
-                "ok" if outcome.status == EXIT_OK else outcome.message,
-            ]
-        )
-    path = out / "sweep_window.csv"
-    _write_csv(path, ["window_size", "bus_count", "avg_latency", "max_latency", "status"], rows)
-    return path
+    points = ((ws, replace(run.params, window_size=int(ws))) for ws in ws_list)
+    return _sweep(run, points, "ws", "sweep_window.csv",
+                  ["window_size", "bus_count", "avg_latency", "max_latency", "status"],
+                  _window_cells)
 
 
 def sweep_threshold(run: RunConfig, theta_list: list[float]) -> Path:
@@ -331,32 +340,11 @@ def sweep_threshold(run: RunConfig, theta_list: list[float]) -> Path:
     """
     if not theta_list:
         raise ValueError("theta_list must be nonempty")
-    out = run.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    prof = None  # built at the first point; a failed load is retried per point
-    for theta in theta_list:
-        label = _fmt(float(theta))
-        point = replace(
-            run,
-            params=replace(run.params, overlap_threshold=float(theta)),
-            out_dir=out / f"theta_{label}",
-        )
-        try:
-            if prof is None:
-                prof = profile(run.resolve_trace(), run.params.window_size)
-            outcome = design(point, prof)
-        except (TraceError, GenError, ValueError) as exc:
-            rows.append([label, "", "", f"error: {exc}"])
-            continue
-        pairs = int(np.triu(outcome.conflict, k=1).sum())
-        bus_count = outcome.report.config.num_buses if outcome.report else ""
-        rows.append(
-            [label, bus_count, pairs, "ok" if outcome.status == EXIT_OK else outcome.message]
-        )
-    path = out / "sweep_threshold.csv"
-    _write_csv(path, ["overlap_threshold", "bus_count", "conflict_pairs", "status"], rows)
-    return path
+    points = ((_fmt(float(theta)), replace(run.params, overlap_threshold=float(theta)))
+              for theta in theta_list)
+    return _sweep(run, points, "theta", "sweep_threshold.csv",
+                  ["overlap_threshold", "bus_count", "conflict_pairs", "status"],
+                  _threshold_cells)
 
 
 def random_feasible_binding(
@@ -518,7 +506,7 @@ def _cmd_design(args) -> int:
         for r in outcome.rows:
             print(
                 f"  {r.name:>8}: buses={r.num_buses} avg={r.avg_latency:.2f} "
-                f"max={r.max_latency} size_ratio={r.size_ratio:.1f}"
+                f"max={r.max_latency} size_ratio={r.num_buses:.1f}"
             )
     if outcome.status != EXIT_OK:
         print(outcome.message, file=sys.stderr)

@@ -25,7 +25,7 @@ is dropped, biasing totals slightly low.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -322,7 +322,3 @@ def spec_from_text(text: str) -> GenSpec:
     if required:
         raise GenError(f"missing required keys: {', '.join(required)}")
     return GenSpec(**values)
-
-
-def with_seed(spec: GenSpec, seed: int) -> GenSpec:
-    return replace(spec, seed=seed)

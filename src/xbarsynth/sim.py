@@ -33,23 +33,11 @@ class SimReport:
     avg_queuing: float
     per_target_avg: list[float]
     per_bus_utilization: list[float]
-    dropped: int = 0
 
     @property
     def per_transaction_latency(self) -> list[int]:
         """``latency`` as a list of ints, built on each access."""
         return self.latency.tolist()
-
-    def to_dict(self) -> dict:
-        return {
-            "avg_latency": self.avg_latency,
-            "max_latency": self.max_latency,
-            "avg_queuing": self.avg_queuing,
-            "num_transactions": len(self.latency),
-            "per_target_avg": self.per_target_avg,
-            "per_bus_utilization": self.per_bus_utilization,
-            "dropped": self.dropped,
-        }
 
 
 def simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0) -> SimReport:
@@ -110,22 +98,12 @@ class CompareRow:
     num_buses: int
     avg_latency: float
     max_latency: int
-    size_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_buses": self.num_buses,
-            "avg_latency": self.avg_latency,
-            "max_latency": self.max_latency,
-            "size_ratio": self.size_ratio,
-        }
 
 
 def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]) -> list[CompareRow]:
-    """Simulate each named config; size ratios are bus counts normalized to
-    the one-bus shared baseline (bus-count granularity only: arbiters and
-    adapters of a real interconnect are not modeled)."""
+    """Simulate each named config.  A config's size relative to the one-bus
+    shared baseline is its bus count (bus-count granularity only: arbiters
+    and adapters of a real interconnect are not modeled)."""
     rows = []
     for name, config in configs:
         report = simulate(trace, config)
@@ -135,7 +113,6 @@ def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]) -> list[Com
                 num_buses=config.num_buses,
                 avg_latency=report.avg_latency,
                 max_latency=report.max_latency,
-                size_ratio=float(config.num_buses),
             )
         )
     return rows

@@ -17,8 +17,9 @@ Ids are 1-based.  Lines starting with ``#`` are comments.  Busy intervals
 are half-open: a transaction occupies [start, start + duration).
 
 In memory a :class:`Trace` is a set of numpy columns, one entry per
-transaction; :class:`Transaction` objects are built only when a caller
-reads rows through :attr:`Trace.transactions`.
+transaction, plus the one direction all its rows move in;
+:class:`Transaction` objects are built only when a caller reads rows
+through :attr:`Trace.transactions`.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class Trace:
 
     Columns (read-only numpy arrays, one entry per transaction):
     ``start``, ``duration``, ``initiator`` and ``target`` (int64, ids
-    1-based), ``critical`` and ``response`` (bool; ``response`` marks rows
-    whose direction is ``resp``).  Rows with equal sort keys keep their
-    input order.
+    1-based) and ``critical`` (bool).  Rows with equal sort keys keep their
+    input order.  Every row moves in ``direction`` (``req`` or ``resp``);
+    a trace built from rows takes theirs, and an empty one is ``req``.
 
     ``horizon`` defaults to the last busy cycle (max start+duration) but can
     be overridden, e.g. by a generator that knows the intended run length.
@@ -113,58 +114,59 @@ class Trace:
     def __init__(self, num_initiators: int, num_targets: int,
                  transactions: Iterable[Transaction] = (), horizon: int | None = None):
         txs = list(transactions)
-        for tx in txs:
-            if tx.direction not in DIRECTIONS:
-                raise TraceError(f"unknown direction {tx.direction!r}")
+        directions = {tx.direction for tx in txs} or {REQUEST}
+        if len(directions) > 1:
+            raise TraceError(f"a trace cannot be built mixing directions {sorted(directions)}")
         rows = np.array(
-            [(tx.start_cycle, tx.duration, tx.initiator_id, tx.target_id,
-              tx.critical, tx.direction == RESPONSE) for tx in txs],
+            [(tx.start_cycle, tx.duration, tx.initiator_id, tx.target_id, tx.critical)
+             for tx in txs],
             dtype=np.int64,
-        ).reshape(-1, 6)
-        self._set_columns(num_initiators, num_targets, *rows.T, horizon)
+        ).reshape(-1, 5)
+        self._set_columns(num_initiators, num_targets, *rows.T, directions.pop(), horizon)
 
     @classmethod
     def from_columns(cls, num_initiators: int, num_targets: int, start, duration,
-                     initiator, target, critical=None, response=None,
+                     initiator, target, critical=None, direction: str = REQUEST,
                      horizon: int | None = None) -> Trace:
         """Build a trace from per-transaction columns (any order).
 
-        ``critical`` and ``response`` default to all False.
+        ``critical`` defaults to all False.
         """
         trace = cls.__new__(cls)
-        n = len(start)
         trace._set_columns(
             num_initiators, num_targets, start, duration, initiator, target,
-            np.zeros(n, dtype=bool) if critical is None else critical,
-            np.zeros(n, dtype=bool) if response is None else response,
-            horizon,
+            np.zeros(len(start), dtype=bool) if critical is None else critical,
+            direction, horizon,
         )
         return trace
 
     def _set_columns(self, num_initiators, num_targets, start, duration, initiator,
-                     target, critical, response, horizon) -> None:
+                     target, critical, direction, horizon) -> None:
         if num_initiators < 1 or num_targets < 1:
             raise TraceError("core counts must be positive")
+        if direction not in DIRECTIONS:
+            raise TraceError(f"unknown direction {direction!r}")
         start, duration, initiator, target = (
             np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)
         )
-        critical, response = (np.array(c, dtype=bool) for c in (critical, response))
+        critical = np.array(critical, dtype=bool)
         if not _is_sorted(start, target, initiator):
             order = np.lexsort((initiator, target, start))  # stable
-            start, duration, initiator, target, critical, response = (
-                c[order] for c in (start, duration, initiator, target, critical, response)
+            start, duration, initiator, target, critical = (
+                c[order] for c in (start, duration, initiator, target, critical)
             )
         bad = _first_invalid_row(start, duration, initiator, target,
                                  num_initiators, num_targets)
         if bad is not None:
             raise TraceError(_range_message(*bad[1:]))
-        for col in (start, duration, initiator, target, critical, response):
+        for col in (start, duration, initiator, target, critical):
             col.flags.writeable = False
         self.num_initiators = num_initiators
         self.num_targets = num_targets
+        self.direction = direction
         self.start, self.duration = start, duration
         self.initiator, self.target = initiator, target
-        self.critical, self.response = critical, response
+        self.critical = critical
         derived = int((start + duration).max()) if len(start) else 0
         if horizon is None:
             horizon = derived
@@ -183,15 +185,14 @@ class Trace:
         return TransactionView(self)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.start, self.duration, self.initiator, self.target,
-                self.critical, self.response)
+        return (self.start, self.duration, self.initiator, self.target, self.critical)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
         return (
-            (self.num_initiators, self.num_targets, self.horizon)
-            == (other.num_initiators, other.num_targets, other.horizon)
+            (self.num_initiators, self.num_targets, self.horizon, self.direction)
+            == (other.num_initiators, other.num_targets, other.horizon, other.direction)
             and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
         )
 
@@ -226,9 +227,9 @@ class TransactionView(Sequence):
     def __len__(self) -> int:
         return len(self._trace.start)
 
-    def _row(self, start, duration, initiator, target, critical, response) -> Transaction:
+    def _row(self, start, duration, initiator, target, critical) -> Transaction:
         return Transaction(start, duration, initiator, target, critical,
-                           RESPONSE if response else REQUEST)
+                           self._trace.direction)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -245,8 +246,9 @@ class TransactionView(Sequence):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TransactionView):
-            return all(np.array_equal(a, b) for a, b in
-                       zip(self._trace._columns(), other._trace._columns()))
+            return self._trace.direction == other._trace.direction and all(
+                np.array_equal(a, b)
+                for a, b in zip(self._trace._columns(), other._trace._columns()))
         if isinstance(other, (list, tuple)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -411,34 +413,31 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     keep = rows[:, 4] == (direction == RESPONSE)
     if not keep.all():
         rows = rows[keep]
-    start, duration, initiator, target, response, critical = rows.T
+    start, duration, initiator, target, _, critical = rows.T
     if direction == RESPONSE:
         initiator, target = target, initiator
         num_initiators, num_targets = num_targets, num_initiators
     return Trace.from_columns(num_initiators, num_targets, start, duration,
-                              initiator, target, critical, response)
+                              initiator, target, critical, direction)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace back to the CSV format accepted by :func:`load_trace`.
 
-    Response transactions are written back in role frame (master column
-    first), undoing the swap done at load time, so a save/load round trip
-    with the same direction reproduces the trace.  Note the header carries
-    no horizon: an overridden horizon reverts to the derived one on reload.
+    A response trace is written back in role frame (master column and
+    count first), undoing the swap done at load time, so a save/load round
+    trip with the trace's direction reproduces it, empty or not.  Note the
+    header carries no horizon: an overridden horizon reverts to the derived
+    one on reload.
     """
-    swapped = bool(trace.response.any())
-    if swapped and not trace.response.all():
-        raise TraceError("cannot serialize a trace mixing req and resp transactions")
     n_init, n_tgt = trace.num_initiators, trace.num_targets
     init_ids, tgt_ids = trace.initiator, trace.target
-    if swapped:
+    if trace.direction == RESPONSE:
         n_init, n_tgt = n_tgt, n_init
         init_ids, tgt_ids = tgt_ids, init_ids
-    direction = RESPONSE if swapped else REQUEST
     out = [f"#xbar-trace v1,initiators={n_init},targets={n_tgt}"]
     out += [
-        f"{s},{d},{i},{t},{direction},{c}"
+        f"{s},{d},{i},{t},{trace.direction},{c}"
         for s, d, i, t, c in zip(trace.start.tolist(), trace.duration.tolist(),
                                  init_ids.tolist(), tgt_ids.tolist(),
                                  trace.critical.astype(np.int64).tolist())

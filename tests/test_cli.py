@@ -97,6 +97,8 @@ def test_design_full_pipeline(tmp_path, config_file):
     assert report["num_buses"] == 3  # lockstep conflicts force full isolation
     rows = read_csv(out / "comparison.csv")
     assert [r[0] for r in rows[1:]] == ["shared", "designed", "full"]
+    # size_ratio: bus count over the shared baseline's one bus
+    assert [r[4] for r in rows[1:]] == ["1.000000", "3.000000", "3.000000"]
     manifest = (out / "manifest.txt").read_text()
     assert "status = ok" in manifest
     assert "binding = " in manifest

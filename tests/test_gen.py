@@ -13,7 +13,6 @@ from xbarsynth.gen import (
     generate,
     spec_from_text,
     spec_to_text,
-    with_seed,
 )
 
 from oracles import target_occupancy, trace_stats
@@ -210,7 +209,7 @@ def test_spec_text_unknown_key():
 
 def test_with_seed():
     spec = benchmark_preset("uniform")
-    other = with_seed(spec, 99)
+    other = dataclasses.replace(spec, seed=99)
     assert other.seed == 99
     assert dataclasses.replace(other, seed=spec.seed) == spec
     assert generate(other).transactions != generate(spec).transactions

@@ -1,5 +1,5 @@
-"""Property tests: columnar trace, profile, simulator and search kernel
-against the oracles.
+"""Property tests: columnar trace, profile, pre-processing, simulator,
+search kernel and whole solve against the oracles.
 
 Hypothesis shrinks any counterexample to a minimal trace.  Traces are kept
 small (a few targets, horizons of a few hundred cycles) so the per-cycle
@@ -12,11 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarsynth import solver
-from xbarsynth.analysis import profile
+from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.sim import simulate
 from xbarsynth.solver import (
     CrossbarConfig,
@@ -34,12 +34,14 @@ from xbarsynth.trace import (
     RESPONSE,
     Trace,
     TraceError,
-    Transaction,
     load_trace,
     save_trace,
 )
 
 from oracles import (
+    brute_best_maxov,
+    brute_min_buses,
+    brute_optimal_bindings,
     cycle_profile,
     make_random_instance,
     reference_search,
@@ -51,7 +53,7 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def traces(draw, direction=REQUEST, max_rows=25):
+def traces(draw, direction=REQUEST, max_rows=25, critical=st.booleans()):
     num_initiators = draw(st.integers(1, 4))
     num_targets = draw(st.integers(1, 5))
     span = draw(st.sampled_from([3, 40, 200]))  # narrow spans force ties
@@ -61,14 +63,15 @@ def traces(draw, direction=REQUEST, max_rows=25):
             st.integers(1, 30),
             st.integers(1, num_initiators),
             st.integers(1, num_targets),
-            st.booleans(),
+            critical,
         ),
         max_size=max_rows,
     ))
-    txs = [Transaction(s, d, i, t, c, direction) for s, d, i, t, c in rows]
-    derived = max((tx.end_cycle for tx in txs), default=0)
+    columns = list(zip(*rows)) or [()] * 5
+    derived = max((s + d for s, d, *_ in rows), default=0)
     horizon = derived + draw(st.integers(0, 20)) if draw(st.booleans()) else None
-    return Trace(num_initiators, num_targets, txs, horizon=horizon)
+    return Trace.from_columns(num_initiators, num_targets, *columns, direction=direction,
+                              horizon=horizon)
 
 
 @st.composite
@@ -112,16 +115,26 @@ def test_profile_matches_cycle_oracle(trace, window_size):
 
 
 @SETTINGS
+@given(traces(critical=st.just(True)), st.integers(1, 64),
+       st.floats(0.0, 0.5, exclude_min=True))
+def test_all_critical_streams_conflict_wherever_they_overlap(trace, window_size, theta):
+    """With every stream critical, any overlap is a conflict, whatever θ."""
+    prof = profile(trace, window_size)
+    conflict = preprocess(prof, AnalysisParams(window_size, theta))
+    expected = prof.om > 0
+    np.fill_diagonal(expected, False)
+    assert np.array_equal(conflict, expected)
+
+
+@SETTINGS
 @given(st.sampled_from([REQUEST, RESPONSE]).flatmap(
     lambda d: st.tuples(st.just(d), traces(direction=d))))
 def test_save_load_round_trip(tmp_path_factory, case):
     direction, trace = case
-    # An empty trace carries no direction, so its file is written in
-    # request frame; only request round trips can keep it.
-    assume(direction == REQUEST or len(trace.transactions) > 0)
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     save_trace(trace, path)
     back = load_trace(path, direction)
+    assert back.direction == direction
     assert back.transactions == trace.transactions
     assert (back.num_initiators, back.num_targets) == (trace.num_initiators, trace.num_targets)
     # the other direction's view of the file is empty
@@ -269,3 +282,18 @@ def test_solve_matches_reference_search(inst, data):
     with mock.patch.object(solver, "_search", reference_search):
         expected = solve_outcome(inst, limits, buses)
     assert solve_outcome(inst, limits, buses) == expected
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_solve_matches_enumeration(seed):
+    """``min_config`` then ``optimal_binding`` against enumeration of every
+    partition: the minimum bus count, the optimal maxov and the
+    lexicographically smallest canonical binding reaching it."""
+    inst = make_random_instance(np.random.Generator(np.random.PCG64(seed)),
+                                max_targets=6, max_windows=4)
+    buses, _, _ = min_config(inst)
+    assert buses == brute_min_buses(inst)
+    rep = optimal_binding(inst, buses)
+    assert rep.maxov == brute_best_maxov(inst, buses)
+    assert rep.config.binding == min(brute_optimal_bindings(inst, buses, rep.maxov))

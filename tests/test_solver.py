@@ -550,3 +550,34 @@ def test_search_kernel_matches_reference_on_field_widths(ws, windows, oversize):
                 start = int(rng.integers(0, 300))
                 assert (search_outcome(_search, *args, lim, start)
                         == search_outcome(reference_search, *args, lim, start))
+
+
+def test_thirty_two_targets_pair_up_complementary_halves():
+    """T = 32, the largest supported crossbar: in each 10-cycle window the
+    16 odd-numbered targets are busy in the first half and the 16
+    even-numbered ones in the second.  Each half conflicts within itself,
+    so 16 buses are needed; an odd and an even target never overlap, so
+    16 buses reach maxov 0, and the smallest canonical binding pairs
+    t_1 with t_2, t_3 with t_4 and so on."""
+    txs = [Transaction(10 * m + 5 * (t % 2 == 0), 5, 1, t)
+           for m in range(4) for t in range(1, 33)]
+    inst = analysed_instance(Trace(1, 32, txs), 10, 0.3)
+    assert inst.num_targets == 32
+    assert lower_bound(inst) == 16  # the half-window cliques
+    buses, _, _ = min_config(inst)
+    assert buses == 16
+    rep = optimal_binding(inst, buses)
+    assert rep.maxov == 0 and rep.optimal and rep.tie_break_complete
+    assert rep.config.binding == tuple(k for k in range(1, 17) for _ in range(2))
+
+
+def test_one_target_per_bus_gives_the_full_crossbar():
+    rng = np.random.Generator(np.random.PCG64(71))
+    # the first instance would fit on one bus at no cost but for the cap
+    for inst in [inst_of(10, [[1]] * 4)] + [make_random_instance(rng, 8) for _ in range(20)]:
+        inst.maxtb = 1
+        t = inst.num_targets
+        assert min_config(inst) == (t, [], None)
+        rep = optimal_binding(inst, t)
+        assert rep.config == full_crossbar_config(t)
+        assert rep.maxov == 0 and rep.tie_break_complete

@@ -1,5 +1,7 @@
 """Trace model: parsing, validation, role swapping, stats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,12 +200,19 @@ def test_response_round_trip_restores_role_frame(tmp_path):
     save_trace(tr, out)
     assert load_trace(out, RESPONSE) == tr
     assert "initiators=3,targets=2" in out.read_text().splitlines()[0]
+    # an empty response trace keeps its direction, so its counts swap back too
+    empty = Trace.from_columns(3, 2, [], [], [], [], direction=RESPONSE)
+    save_trace(empty, out)
+    assert out.read_text() == "#xbar-trace v1,initiators=2,targets=3\n"
+    assert load_trace(out, RESPONSE) == empty
 
 
-def test_save_rejects_mixed_directions(tmp_path):
-    tr = Trace(2, 2, [Transaction(0, 1, 1, 1), Transaction(0, 1, 1, 2, direction=RESPONSE)])
+def test_trace_rejects_mixed_directions():
     with pytest.raises(TraceError, match="mixing"):
-        save_trace(tr, tmp_path / "x.csv")
+        Trace(2, 2, [Transaction(0, 1, 1, 1), Transaction(0, 1, 1, 2, direction=RESPONSE)])
+    with pytest.raises(TraceError, match="unknown direction"):
+        Trace(2, 2, [Transaction(0, 1, 1, 1, direction="both")])
+    assert Trace(2, 2).direction == REQUEST
 
 
 def test_trace_validation():
@@ -243,17 +252,19 @@ def test_transactions_view_reads_columns(tmp_path, count_transactions):
 
 
 def test_columns_match_transactions():
-    txs = [Transaction(4, 2, 1, 2, True), Transaction(1, 3, 2, 1, direction=RESPONSE)]
-    tr = Trace(2, 2, txs)
-    assert tr.start.tolist() == [1, 4]
-    assert tr.duration.tolist() == [3, 2]
-    assert tr.initiator.tolist() == [2, 1]
-    assert tr.target.tolist() == [1, 2]
-    assert tr.critical.tolist() == [False, True]
-    assert tr.response.tolist() == [True, False]
-    same = Trace.from_columns(2, 2, [4, 1], [2, 3], [1, 2], [2, 1], [True, False],
-                              [False, True])
-    assert same == tr and same.transactions == txs[::-1]
+    for direction in (REQUEST, RESPONSE):
+        txs = [Transaction(4, 2, 1, 2, True, direction), Transaction(1, 3, 2, 1, False, direction)]
+        tr = Trace(2, 2, txs)
+        assert tr.start.tolist() == [1, 4]
+        assert tr.duration.tolist() == [3, 2]
+        assert tr.initiator.tolist() == [2, 1]
+        assert tr.target.tolist() == [1, 2]
+        assert tr.critical.tolist() == [False, True]
+        assert tr.direction == direction
+        same = Trace.from_columns(2, 2, [4, 1], [2, 3], [1, 2], [2, 1], [True, False],
+                                  direction)
+        assert same == tr and same.transactions == txs[::-1]
+    assert Trace(2, 2, txs[:1]) != Trace(2, 2, [replace(txs[0], direction=REQUEST)])
 
 
 def test_stats_empty_trace():
