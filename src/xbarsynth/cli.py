@@ -11,9 +11,9 @@ All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible instance, 3 solver
-limit hit (incumbent, if any, still written and flagged; a cut tie-break
-leaves a proven maxov on a non-canonical binding).  One solver budget
-bounds the whole solve of a ``design`` run.
+limit hit (the cut's incumbent, the best binding known, if any, is still
+written; see :class:`~xbarsynth.solver.SolverLimitReached`).  One solver
+budget bounds the whole solve of a ``design`` run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from .solver import (
     SolveReport,
     SolverLimitReached,
     SolverLimits,
-    binding_maxov,
     build_instance,
     min_config,
     optimal_binding,
@@ -85,7 +83,6 @@ class DesignOutcome:
     status: int
     message: str
     trace: Trace
-    conflict: np.ndarray
     instance: ProblemInstance
     report: SolveReport | None
     rows: list[CompareRow]
@@ -132,13 +129,14 @@ def _write_manifest(path: Path, items: list[tuple[str, object]]) -> None:
 
 
 def _manifest_params(run: RunConfig) -> list[tuple[str, object]]:
+    time_limit = run.limits.time_limit_s
     return [
         ("trace", run.source_label),
         ("direction", run.direction),
         ("window_size", run.params.window_size),
         ("overlap_threshold", run.params.overlap_threshold),
         ("max_targets_per_bus", run.params.max_targets_per_bus or "auto"),
-        ("time_limit_s", run.limits.time_limit_s or "none"),
+        ("time_limit_s", "none" if time_limit is None else time_limit),
         ("seed", run.seed),
     ]
 
@@ -199,38 +197,17 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
     report: SolveReport | None = None
     rows: list[CompareRow] = []
     probes: list[tuple[int, bool]] = []
-    witness: CrossbarConfig | None = None
     budget = SearchBudget(run.limits)  # one budget bounds the whole solve
     try:
         if run.buses_override is not None:
             report = optimal_binding(inst, run.buses_override, budget)
         else:
             buses, probes, witness = min_config(inst, budget)
-            binding_nodes, binding_t0 = budget.nodes, time.monotonic()
-            report = optimal_binding(inst, buses, budget)
-        if not report.optimal:
-            status = EXIT_LIMIT
-            message = "solver limit hit; incumbent binding returned, optimality unproven"
-        elif not report.tie_break_complete:
-            status = EXIT_LIMIT
-            message = ("solver limit hit in the tie-break; maxov is proven optimal "
-                       "but the binding is not the canonical one")
+            report = optimal_binding(inst, buses, budget, witness)
     except InfeasibleError as exc:
         status, message = EXIT_INFEASIBLE, str(exc)
     except SolverLimitReached as exc:
-        status, message = EXIT_LIMIT, str(exc)
-        report = exc.incumbent
-        if report is None and witness is not None:
-            # the binding search was cut before its first incumbent; the
-            # bus-count search proved the same bus count with this binding
-            report = SolveReport(
-                config=witness,
-                maxov=binding_maxov(inst.om, witness),
-                nodes_explored=budget.nodes - binding_nodes,
-                wall_time_s=time.monotonic() - binding_t0,
-                optimal=False,
-            )
-            message += "; the bus-count search's witness is returned"
+        status, message, report = EXIT_LIMIT, str(exc), exc.incumbent
 
     if report is not None:
         report.feasibility_probes = probes + report.feasibility_probes
@@ -273,7 +250,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
     manifest = out / "manifest.txt"
     _write_manifest(manifest, manifest_items)
     artifacts["manifest"] = manifest
-    return DesignOutcome(status, message, trace, conflict, inst, report, rows, artifacts)
+    return DesignOutcome(status, message, trace, inst, report, rows, artifacts)
 
 
 def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
@@ -319,7 +296,7 @@ def _window_cells(outcome: DesignOutcome, status: str) -> list:
 
 def _threshold_cells(outcome: DesignOutcome, status: str) -> list:
     bus_count = outcome.report.config.num_buses if outcome.report else ""
-    return [bus_count, int(np.triu(outcome.conflict, k=1).sum()), status]
+    return [bus_count, int(np.triu(outcome.instance.conflict, k=1).sum()), status]
 
 
 def sweep_window(run: RunConfig, ws_list: list[int]) -> Path:
@@ -376,7 +353,7 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
         raise InfeasibleError(f"design failed: {outcome.message}")
     inst, trace = outcome.instance, outcome.trace
     best = outcome.report.config
-    opt_avg = simulate(trace, best).avg_latency
+    opt_avg = next(r for r in outcome.rows if r.name == "designed").avg_latency
     rng = np.random.Generator(np.random.PCG64(run.seed))
     rows = [["optimal", _fmt(opt_avg), _fmt(1.0)]]
     ratios = []
@@ -576,7 +553,7 @@ def _cmd_export_lp(args) -> int:
     if args.buses:
         buses = args.buses
     else:
-        buses, _, _ = min_config(inst, run.limits)
+        buses, _, _ = min_config(inst, SearchBudget(run.limits))
     text = export_milp(inst, buses)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "model.lp"

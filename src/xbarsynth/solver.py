@@ -10,9 +10,9 @@ The binding that minimizes the worst per-bus sum of pairwise overlaps is
 then found by branch-and-bound at the chosen bus count.
 
 Both searches are exact: an "infeasible" answer is a proof of
-nonexistence, and the reported optimum is the true optimum unless a
-node/time limit was hit (reported via ``optimal=False`` or
-:class:`SolverLimitReached`).
+nonexistence, and a returned :class:`SolveReport` is proven optimal and
+canonical.  Every node/time limit cut raises :class:`SolverLimitReached`
+instead, carrying the best binding known at the cut as its incumbent.
 
 Buses are interchangeable, so the search only enumerates canonical label
 assignments (a target may open at most one fresh bus beyond those already
@@ -76,9 +76,12 @@ class BandwidthInfeasibleError(InfeasibleError):
 class SolverLimitReached(RuntimeError):
     """Node/time budget exhausted before a proof was complete.
 
-    Carries whatever partial knowledge exists: proven bus-count bounds
-    from the binary search, the probes made, and an incumbent report if
-    a binding had been found before the cutoff.
+    The one signal of a cut solve.  Carries whatever partial knowledge
+    exists: proven bus-count bounds and probes from the binary search, and
+    as ``incumbent`` the best binding known at the cut (None when there was
+    none).  The incumbent has ``optimal=False`` unless only the final
+    tie-break was cut: its ``maxov`` is then proven, but its binding is not
+    the canonical one.
     """
 
     def __init__(self, message: str, lower_bound: int | None = None,
@@ -97,6 +100,12 @@ class SolverLimits:
 
     time_limit_s: float | None = None
     node_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("time_limit_s", "node_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -245,7 +254,11 @@ def validate_binding(inst: ProblemInstance, config: CrossbarConfig) -> list[str]
 
 @dataclass
 class SolveReport:
-    """Result of the two-phase solve, including search bookkeeping."""
+    """Result of the two-phase solve, including search bookkeeping.
+
+    Returned only for a finished solve; a cut solve's best binding is the
+    ``incumbent`` of its :class:`SolverLimitReached`.
+    """
 
     config: CrossbarConfig
     maxov: int
@@ -253,10 +266,6 @@ class SolveReport:
     nodes_explored: int = 0
     wall_time_s: float = 0.0
     optimal: bool = True
-    # False when the budget ran out in the lex-min tie-break: maxov is still
-    # proven, but the binding is not the canonical one and depends on timing.
-    # Not serialized, so reports of complete runs keep their bytes.
-    tie_break_complete: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -273,9 +282,9 @@ class SolveReport:
 class SearchBudget:
     """Node/time accounting shared by every search of one run.
 
-    The deadline starts when the budget is created.  Functions taking
-    ``limits`` accept either a :class:`SolverLimits` (a fresh budget for
-    that call) or a budget to share with other calls.
+    The deadline starts when the budget is created.  The solver functions
+    take an optional budget: pass one budget to several calls to bound them
+    together; None gives the call an unlimited budget of its own.
     """
 
     def __init__(self, limits: SolverLimits | None = None):
@@ -306,10 +315,6 @@ class SearchBudget:
             if time.monotonic() > self.deadline:
                 raise SolverLimitReached("time limit exhausted")
         return self.next_check(nodes)
-
-
-def _as_budget(limits: SolverLimits | SearchBudget | None) -> SearchBudget:
-    return limits if isinstance(limits, SearchBudget) else SearchBudget(limits)
 
 
 def _busy_order(inst: ProblemInstance) -> list[int]:
@@ -430,7 +435,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
 def check_feasible(
     inst: ProblemInstance,
     num_buses: int,
-    limits: SolverLimits | SearchBudget | None = None,
+    budget: SearchBudget | None = None,
 ) -> tuple[bool, CrossbarConfig | None]:
     """Exactly decide whether any binding onto ``num_buses`` buses exists.
 
@@ -441,7 +446,7 @@ def check_feasible(
             f"bus count {num_buses} outside 1..{inst.num_targets}"
         )
     binding, _, cut = _search(inst, num_buses, _busy_order(inst), math.inf, True,
-                              _as_budget(limits))
+                              budget or SearchBudget())
     if cut is not None:
         raise cut
     if binding is None:
@@ -484,7 +489,7 @@ def lower_bound(inst: ProblemInstance) -> int:
 
 def min_config(
     inst: ProblemInstance,
-    limits: SolverLimits | SearchBudget | None = None,
+    budget: SearchBudget | None = None,
 ) -> tuple[int, list[tuple[int, bool]], CrossbarConfig | None]:
     """Binary-search the minimum feasible bus count.
 
@@ -500,7 +505,7 @@ def min_config(
     """
     t0 = time.monotonic()
     _check_single_target_fit(inst)
-    budget = _as_budget(limits)
+    budget = budget or SearchBudget()
     lo = lower_bound(inst)
     hi = inst.num_targets
     assert lo <= hi, "lower bound cannot exceed target count once comm <= WS"
@@ -535,49 +540,65 @@ def min_config(
 def optimal_binding(
     inst: ProblemInstance,
     num_buses: int,
-    limits: SolverLimits | SearchBudget | None = None,
+    budget: SearchBudget | None = None,
+    witness: CrossbarConfig | None = None,
 ) -> SolveReport:
     """Find the binding minimizing the worst per-bus overlap sum.
 
-    Exact branch-and-bound seeded with a feasibility witness; ties between
+    Exact branch-and-bound seeded with a feasibility search; ties between
     optimal bindings resolve to the lexicographically smallest canonical
-    binding.  If the budget runs out the incumbent is returned with
-    ``optimal=False``; if it runs out in the tie-break, with
-    ``tie_break_complete=False``.  ``nodes_explored`` counts this call's
-    nodes only, also when the budget is shared.
+    binding.  ``nodes_explored`` counts this call's nodes only, also when
+    the budget is shared.  A cut raises :class:`SolverLimitReached` whose
+    incumbent is, by phase: ``witness`` (a known binding onto ``num_buses``
+    buses, such as :func:`min_config`'s) or None in the seed search; the
+    best binding so far, ``optimal=False``, in the branch-and-bound; the
+    proven optimum, ``optimal=True`` but not canonical, in the tie-break.
     """
     t0 = time.monotonic()
     if not 1 <= num_buses <= inst.num_targets:
         raise InstanceError(f"bus count {num_buses} outside 1..{inst.num_targets}")
-    budget = _as_budget(limits)
+    budget = budget or SearchBudget()
     start_nodes = budget.nodes
+
+    def report(binding: list[int] | tuple[int, ...], maxov: int, optimal: bool) -> SolveReport:
+        return SolveReport(
+            config=CrossbarConfig(num_buses, canonical_binding(binding)),
+            maxov=maxov,
+            nodes_explored=budget.nodes - start_nodes,
+            wall_time_s=time.monotonic() - t0,
+            optimal=optimal,
+        )
+
     order = _busy_order(inst)
     seed, _, cut = _search(inst, num_buses, order, math.inf, True, budget)
     if cut is not None:
+        message = (f"binding search on {num_buses} buses stopped before any "
+                   f"incumbent was found: {cut}")
+        if witness is None:
+            raise SolverLimitReached(message)
         raise SolverLimitReached(
-            f"binding search on {num_buses} buses stopped before any "
-            f"incumbent was found: {cut}"
-        ) from None
+            message + "; the bus-count search's witness is returned",
+            incumbent=report(witness.binding, binding_maxov(inst.om, witness), False),
+        )
     if seed is None:
         raise InfeasibleError(f"no feasible binding exists on {num_buses} buses")
     seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
     improved, best_cost, cut = _search(inst, num_buses, order, seed_cost, False, budget)
-    best_binding = improved or seed
-    optimal = cut is None
-    tie_break_complete = False
-    if optimal:
-        # the first binding in target-id order within the proven optimum is
-        # the lexicographically smallest canonical one
-        lex_min, _, cut = _search(inst, num_buses, list(range(inst.num_targets)),
-                                  best_cost + 1, True, budget)
-        if cut is None:
-            assert lex_min is not None, "a binding achieving the proven optimum must exist"
-            best_binding, tie_break_complete = lex_min, True
-    return SolveReport(
-        config=CrossbarConfig(num_buses, canonical_binding(best_binding)),
-        maxov=best_cost,
-        nodes_explored=budget.nodes - start_nodes,
-        wall_time_s=time.monotonic() - t0,
-        optimal=optimal,
-        tie_break_complete=tie_break_complete,
-    )
+    best = improved or seed
+    if cut is not None:
+        raise SolverLimitReached(
+            "solver limit hit; incumbent binding returned, optimality unproven",
+            incumbent=report(best, best_cost, False),
+        )
+    # the first binding in target-id order within the proven optimum is
+    # the lexicographically smallest canonical one
+    lex_min, _, cut = _search(inst, num_buses, list(range(inst.num_targets)),
+                              best_cost + 1, True, budget)
+    if cut is not None:
+        raise SolverLimitReached(
+            "solver limit hit in the tie-break; maxov is proven optimal "
+            "but the binding is not the canonical one",
+            incumbent=report(best, best_cost, True),
+        )
+    assert lex_min is not None, "a binding achieving the proven optimum must exist"
+    return report(lex_min, best_cost, True)

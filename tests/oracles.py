@@ -267,9 +267,10 @@ def nodes_before_tie_break(inst: ProblemInstance, num_buses: int) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            proven = optimal_binding(inst, num_buses, SolverLimits(node_limit=mid)).optimal
-        except SolverLimitReached:  # cut before the first incumbent
-            proven = False
+            proven = optimal_binding(inst, num_buses,
+                                     SearchBudget(SolverLimits(node_limit=mid))).optimal
+        except SolverLimitReached as exc:  # proven only if the tie-break was cut
+            proven = exc.incumbent is not None and exc.incumbent.optimal
         if proven:
             hi = mid
         else:

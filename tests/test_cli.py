@@ -20,6 +20,7 @@ from xbarsynth.solver import (
     full_crossbar_config,
     min_config,
     shared_bus_config,
+    validate_binding,
 )
 from xbarsynth.trace import Trace, Transaction, load_trace, save_trace
 
@@ -146,6 +147,25 @@ def test_solver_time_limit_exits_three(tmp_path):
     assert code == 3
 
 
+def test_zero_time_limit_is_written_to_the_manifest(tmp_path):
+    # a passed deadline trips at the 256th node, deep inside the first probe
+    code = main(["design", "--preset", "uniform", "--out-dir", str(tmp_path / "o"),
+                 "--window-size", "250", "--overlap-threshold", "0.1",
+                 "--time-limit", "0"])
+    assert code == 3
+    manifest = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "time_limit_s = 0.000000\n" in manifest
+    assert "status = limit\n" in manifest
+
+
+def test_negative_time_limit_is_a_usage_error(tmp_path, capsys):
+    code = main(["design", "--preset", "hotspot", "--out-dir", str(tmp_path / "o"),
+                 "--time-limit", "-1"])
+    assert code == 1
+    assert "time_limit_s must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def design_mat2like(out_dir, node_limit=None):
     # default analysis knobs: probes 7/5/4/3 all feasible, then a short
     # binding search, so every solve phase has nodes to cut
@@ -210,6 +230,22 @@ def test_seed_search_cut_writes_last_probe_witness(tmp_path):
     assert "optimal = False" in (out / "manifest.txt").read_text()
 
 
+def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
+    # with --buses there is no bus-count witness to fall back on
+    full = design_mat2like(tmp_path / "full")
+    run = RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
+                    limits=SolverLimits(node_limit=1), out_dir=tmp_path / "cut",
+                    buses_override=full.report.config.num_buses)
+    cut = design(run)
+    assert cut.status == 3 and cut.report is None and cut.rows == []
+    out = tmp_path / "cut"
+    assert sorted(p.name for p in out.iterdir()) == ["conflict.csv", "manifest.txt"]
+    manifest = (out / "manifest.txt").read_text()
+    assert "status = limit\n" in manifest
+    assert "stopped before any incumbent was found: node limit 1 exhausted\n" in manifest
+    assert "num_buses" not in manifest
+
+
 def test_cut_tie_break_exits_three(tmp_path):
     full = design_mat2like(tmp_path / "full")
     inst, buses = full.instance, full.report.config.num_buses
@@ -217,7 +253,9 @@ def test_cut_tie_break_exits_three(tmp_path):
     out = tmp_path / "cut"
     cut = design_mat2like(out, node_limit=limit)
     assert cut.status == 3
-    assert cut.report.optimal and not cut.report.tie_break_complete
+    assert cut.message == ("solver limit hit in the tie-break; maxov is proven optimal "
+                           "but the binding is not the canonical one")
+    assert cut.report.optimal
     assert cut.report.maxov == full.report.maxov
     manifest = (out / "manifest.txt").read_text()
     assert "status = limit" in manifest
@@ -233,6 +271,31 @@ def test_design_on_csv_builds_no_transaction_objects(tmp_path, count_transaction
                  "--window-size", "50"]) == 0
     assert (tmp_path / "o" / "comparison.csv").exists()
     assert count_transactions == []
+
+
+def test_design_on_header_only_trace(tmp_path):
+    path = tmp_path / "t.csv"
+    save_trace(Trace(2, 3, []), path)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert (report["num_buses"], report["maxov"], report["binding"]) == (1, 0, [1, 1, 1])
+    rows = read_csv(out / "comparison.csv")
+    assert [r[0] for r in rows[1:]] == ["shared", "designed", "full"]
+    assert all(r[2] == "0.000000" and r[3] == "0" for r in rows[1:])
+
+
+def test_design_at_window_size_one(tmp_path):
+    path = tmp_path / "t.csv"
+    save_trace(loose_pair_trace(), path)
+    run = RunConfig(path, None, AnalysisParams(1, 0.3), out_dir=tmp_path / "o")
+    outcome = design(run)
+    assert outcome.status == 0
+    assert outcome.instance.comm.shape == (4, outcome.trace.horizon)
+    assert validate_binding(outcome.instance, outcome.report.config) == []
+    # targets 1 and 2 are busy in the same cycles, so they need two buses
+    assert outcome.report.config.binding[0] != outcome.report.config.binding[1]
+    assert outcome.report.optimal
 
 
 def test_saturated_target_still_fits_one_window(tmp_path):

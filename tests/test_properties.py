@@ -249,20 +249,24 @@ def test_search_kernel_matches_reference(inst, data):
 
 def solve_outcome(inst, limits, buses):
     """Observable result of ``min_config`` then ``optimal_binding`` on one
-    budget (or ``optimal_binding`` alone at ``buses``), wall times aside."""
+    budget (or ``optimal_binding`` alone at ``buses``), wall times aside.
+    As in ``design``, ``min_config``'s witness is the binding search's
+    fallback incumbent."""
     budget = SearchBudget(limits)
     out = []
+    witness = None
     try:
         if buses is None:
             buses, probes, witness = min_config(inst, budget)
             out.append((buses, probes, witness))
-        rep = optimal_binding(inst, buses, budget)
+        rep = optimal_binding(inst, buses, budget, witness)
         out.append((rep.config, rep.maxov, rep.nodes_explored, rep.optimal,
-                    rep.tie_break_complete, rep.feasibility_probes))
+                    rep.feasibility_probes))
     except SolverLimitReached as exc:
         inc = exc.incumbent
         out.append((type(exc), str(exc), exc.lower_bound, exc.upper_bound, exc.probes,
-                    inc and (inc.config, inc.maxov, inc.feasibility_probes, inc.optimal)))
+                    inc and (inc.config, inc.maxov, inc.nodes_explored,
+                             inc.feasibility_probes, inc.optimal)))
     except InfeasibleError as exc:
         out.append((type(exc), str(exc)))
     return out, budget.nodes

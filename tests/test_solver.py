@@ -254,36 +254,80 @@ def test_node_limit_interrupts_search():
     # lower bound 1, upper 6: the first probe must search and hit the cap
     inst = inst_of(10, np.ones((6, 1)))
     with pytest.raises(SolverLimitReached) as err:
-        min_config(inst, SolverLimits(node_limit=1))
+        min_config(inst, SearchBudget(SolverLimits(node_limit=1)))
     assert err.value.lower_bound is not None
     assert err.value.upper_bound == inst.num_targets
 
 
-def test_budget_cut_returns_incumbent_flagged():
-    # enough nodes to seed a feasible binding, not enough to prove optimality
+def node_limited(node_limit):
+    return SearchBudget(SolverLimits(node_limit=node_limit))
+
+
+def ranked_om_instance():
     om = np.arange(64).reshape(8, 8)
     om = np.triu(om, 1) + np.triu(om, 1).T
-    inst = inst_of(100, np.ones((8, 2)), om=om)
-    rep = optimal_binding(inst, 4, SolverLimits(node_limit=60))
+    return inst_of(100, np.ones((8, 2)), om=om)
+
+
+BNB_CUT = "solver limit hit; incumbent binding returned, optimality unproven"
+TIE_BREAK_CUT = ("solver limit hit in the tie-break; maxov is proven optimal "
+                 "but the binding is not the canonical one")
+
+
+def test_budget_cut_raises_flagged_incumbent():
+    # enough nodes to seed a feasible binding, not enough to prove optimality
+    inst = ranked_om_instance()
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, 4, node_limited(60))
+    assert str(err.value) == BNB_CUT
+    rep = err.value.incumbent
     assert not rep.optimal
+    assert rep.nodes_explored == 61
     assert validate_binding(inst, rep.config) == []
     assert rep.maxov == binding_maxov(inst.om, rep.config)
 
 
 def test_tie_break_cut_keeps_proven_optimum():
-    om = np.arange(64).reshape(8, 8)
-    om = np.triu(om, 1) + np.triu(om, 1).T
-    inst = inst_of(100, np.ones((8, 2)), om=om)
-    full = optimal_binding(inst, 4)
-    assert full.tie_break_complete
+    inst = ranked_om_instance()
+    full = optimal_binding(inst, 4)  # returned: the tie-break finished
     proven = nodes_before_tie_break(inst, 4)
     assert proven < full.nodes_explored
-    rep = optimal_binding(inst, 4, SolverLimits(node_limit=proven))
-    assert rep.optimal and not rep.tie_break_complete
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, 4, node_limited(proven))
+    assert str(err.value) == TIE_BREAK_CUT
+    rep = err.value.incumbent
+    assert rep.optimal and rep.to_dict()["optimal"] is True
     assert rep.maxov == full.maxov == binding_maxov(inst.om, rep.config)
     assert validate_binding(inst, rep.config) == []
-    assert "tie_break_complete" not in rep.to_dict()
-    assert not optimal_binding(inst, 4, SolverLimits(node_limit=proven - 1)).optimal
+    with pytest.raises(SolverLimitReached, match="optimality unproven") as err:
+        optimal_binding(inst, 4, node_limited(proven - 1))
+    assert not err.value.incumbent.optimal
+
+
+def test_seed_search_cut_falls_back_to_the_witness():
+    inst = ranked_om_instance()
+    _, witness = check_feasible(inst, 4)
+    message = "binding search on 4 buses stopped before any incumbent was found: "
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, 4, node_limited(0))
+    assert str(err.value) == message + "node limit 0 exhausted"
+    assert err.value.incumbent is None
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, 4, node_limited(0), witness)
+    assert str(err.value) == (message + "node limit 0 exhausted; "
+                              "the bus-count search's witness is returned")
+    rep = err.value.incumbent
+    assert rep.config == witness and not rep.optimal
+    assert (rep.maxov, rep.nodes_explored) == (binding_maxov(inst.om, witness), 1)
+
+
+def test_solver_limits_reject_negative_values():
+    with pytest.raises(ValueError, match="time_limit_s must be >= 0"):
+        SolverLimits(time_limit_s=-0.5)
+    with pytest.raises(ValueError, match="node_limit must be >= 0"):
+        SolverLimits(node_limit=-1)
+    zero = SolverLimits(time_limit_s=0.0, node_limit=0)  # zero is a valid budget
+    assert (zero.time_limit_s, zero.node_limit) == (0.0, 0)
 
 
 def test_shared_budget_counts_binding_phase_nodes_only():
@@ -415,7 +459,8 @@ def limited_solve(inst, node_limit):
         rep = optimal_binding(inst, buses, budget)
     except SolverLimitReached:
         return True, budget.nodes
-    return not (rep.optimal and rep.tie_break_complete), budget.nodes
+    assert rep.optimal
+    return False, budget.nodes
 
 
 def test_every_node_limit_cuts_at_its_node():
@@ -567,7 +612,7 @@ def test_thirty_two_targets_pair_up_complementary_halves():
     buses, _, _ = min_config(inst)
     assert buses == 16
     rep = optimal_binding(inst, buses)
-    assert rep.maxov == 0 and rep.optimal and rep.tie_break_complete
+    assert rep.maxov == 0 and rep.optimal
     assert rep.config.binding == tuple(k for k in range(1, 17) for _ in range(2))
 
 
@@ -580,4 +625,4 @@ def test_one_target_per_bus_gives_the_full_crossbar():
         assert min_config(inst) == (t, [], None)
         rep = optimal_binding(inst, t)
         assert rep.config == full_crossbar_config(t)
-        assert rep.maxov == 0 and rep.tie_break_complete
+        assert rep.maxov == 0 and rep.optimal
