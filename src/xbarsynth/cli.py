@@ -13,7 +13,10 @@ fixed RunConfig (seed included) every artifact is byte-reproducible.
 Exit codes: 0 success, 1 usage error, 2 infeasible instance, 3 solver
 limit hit (the cut's incumbent, the best binding known, if any, is still
 written; see :class:`~xbarsynth.solver.SolverLimitReached`).  One solver
-budget bounds the whole solve of a ``design`` run.
+budget bounds the whole solve of a ``design`` run.  A failure travels as
+its exception from the solver to :func:`main`, the one map from
+exception to exit code; ``design`` keeps the exception it caught in
+:attr:`DesignOutcome.error` so that its artifacts are written first.
 """
 
 from __future__ import annotations
@@ -80,13 +83,11 @@ class RunConfig:
 
 @dataclass
 class DesignOutcome:
-    status: int
-    message: str
+    error: InfeasibleError | SolverLimitReached | None  # None: solved
     trace: Trace
     instance: ProblemInstance
     report: SolveReport | None
     rows: list[CompareRow]
-    artifacts: dict[str, Path]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -193,7 +194,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
     artifacts = {"conflict": out / "conflict.csv"}
     _write_matrix_csv(artifacts["conflict"], conflict.astype(int), "t_")
 
-    status, message = EXIT_OK, "ok"
+    error: InfeasibleError | SolverLimitReached | None = None
     report: SolveReport | None = None
     rows: list[CompareRow] = []
     probes: list[tuple[int, bool]] = []
@@ -205,9 +206,11 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
             buses, probes, witness = min_config(inst, budget)
             report = optimal_binding(inst, buses, budget, witness)
     except InfeasibleError as exc:
-        status, message = EXIT_INFEASIBLE, str(exc)
+        # kept without its traceback, which would tie this frame, the
+        # profile included, into a reference cycle
+        error = exc.with_traceback(None)
     except SolverLimitReached as exc:
-        status, message, report = EXIT_LIMIT, str(exc), exc.incumbent
+        error, report = exc.with_traceback(None), exc.incumbent
 
     if report is not None:
         report.feasibility_probes = probes + report.feasibility_probes
@@ -235,10 +238,8 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
         )
 
     manifest_items = [("tool", "xbarsynth design")] + _manifest_params(run)
-    manifest_items += [
-        ("status", {EXIT_OK: "ok", EXIT_INFEASIBLE: "infeasible", EXIT_LIMIT: "limit"}[status]),
-        ("message", message),
-    ]
+    status = "infeasible" if isinstance(error, InfeasibleError) else "limit" if error else "ok"
+    manifest_items += [("status", status), ("message", str(error or "ok"))]
     if report is not None:
         manifest_items += [
             ("num_buses", report.config.num_buses),
@@ -247,10 +248,8 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
             ("optimal", report.optimal),
         ]
     manifest_items += [("artifact_" + k, p.name) for k, p in sorted(artifacts.items())]
-    manifest = out / "manifest.txt"
-    _write_manifest(manifest, manifest_items)
-    artifacts["manifest"] = manifest
-    return DesignOutcome(status, message, trace, inst, report, rows, artifacts)
+    _write_manifest(out / "manifest.txt", manifest_items)
+    return DesignOutcome(error, trace, inst, report, rows)
 
 
 def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
@@ -279,7 +278,7 @@ def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
         except (TraceError, GenError, ValueError) as exc:
             rows.append([label] + [""] * (len(header) - 2) + [f"error: {exc}"])
             continue
-        status = "ok" if outcome.status == EXIT_OK else outcome.message
+        status = str(outcome.error or "ok")
         rows.append([label] + cells(outcome, status))
     path = out / name
     _write_csv(path, header, rows)
@@ -349,8 +348,8 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
     if num_random < 1:
         raise ValueError("num_random must be >= 1")
     outcome = design(run)
-    if outcome.report is None:
-        raise InfeasibleError(f"design failed: {outcome.message}")
+    if outcome.error is not None:
+        raise outcome.error
     inst, trace = outcome.instance, outcome.trace
     best = outcome.report.config
     opt_avg = next(r for r in outcome.rows if r.name == "designed").avg_latency
@@ -360,8 +359,8 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
     random_avgs = []
     for k in range(num_random):
         config = random_feasible_binding(inst, best.num_buses, rng)
-        if config is None:
-            raise InfeasibleError(
+        if config is None:  # the draw budget ran out, not a proof
+            raise SolverLimitReached(
                 f"no feasible random binding found in {MAX_REJECTIONS_PER_SAMPLE} "
                 f"draws (sample {k + 1}/{num_random}); instance is very tight"
             )
@@ -453,8 +452,7 @@ def _run_from_args(args) -> RunConfig:
 def _cmd_gen(args) -> int:
     run = _run_from_args(args)
     if run.genspec is None:
-        print("gen requires --preset or --config", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("gen requires --preset or --config")
     trace = generate(run.genspec)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out if args.out else run.out_dir / "trace.csv"
@@ -485,9 +483,9 @@ def _cmd_design(args) -> int:
                 f"  {r.name:>8}: buses={r.num_buses} avg={r.avg_latency:.2f} "
                 f"max={r.max_latency} size_ratio={r.num_buses:.1f}"
             )
-    if outcome.status != EXIT_OK:
-        print(outcome.message, file=sys.stderr)
-    return outcome.status
+    if outcome.error is not None:
+        raise outcome.error
+    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:

@@ -25,12 +25,8 @@ def sharing_solutions(x_i: int, x_j: int) -> set[int]:
     }
 
 
-def export_milp(inst: ProblemInstance, num_buses: int, with_objective: bool = True) -> str:
-    """Render the full binding model in CPLEX LP text syntax.
-
-    ``with_objective=False`` keeps only the constraint system (bus-count
-    feasibility probe); the objective line degenerates to a constant.
-    """
+def export_milp(inst: ProblemInstance, num_buses: int) -> str:
+    """Render the full binding model in CPLEX LP text syntax."""
     t = inst.num_targets
     if not 1 <= num_buses <= t:
         raise ValueError(f"bus count {num_buses} outside 1..{t}")
@@ -44,7 +40,7 @@ def export_milp(inst: ProblemInstance, num_buses: int, with_objective: bool = Tr
         "\\ x_i_k = 1 iff target i is connected to bus k",
         "\\ sb_i_j_k = 1 iff targets i and j (i<j) share bus k; s_i_j = sum_k sb_i_j_k",
         "Minimize",
-        " obj: maxov" if with_objective else " obj: 0 x_1_1",
+        " obj: maxov",
         "Subject To",
     ]
 
@@ -78,21 +74,19 @@ def export_milp(inst: ProblemInstance, num_buses: int, with_objective: bool = Tr
         terms = " + ".join(f"x_{i}_{k}" for i in targets)
         lines.append(f" card_{k}: {terms} <= {inst.maxtb}")
 
-    if with_objective:
-        for k in buses:
-            terms = [
-                f"{int(inst.om[i - 1, j - 1])} sb_{i}_{j}_{k}"
-                for i, j in pairs if inst.om[i - 1, j - 1] > 0
-            ]
-            terms.append("- maxov")
-            lines.append(f" busov_{k}: " + " ".join(
-                term if idx == 0 or term.startswith("-") else f"+ {term}"
-                for idx, term in enumerate(terms)
-            ) + " <= 0")
+    for k in buses:
+        terms = [
+            f"{int(inst.om[i - 1, j - 1])} sb_{i}_{j}_{k}"
+            for i, j in pairs if inst.om[i - 1, j - 1] > 0
+        ]
+        terms.append("- maxov")
+        lines.append(f" busov_{k}: " + " ".join(
+            term if idx == 0 or term.startswith("-") else f"+ {term}"
+            for idx, term in enumerate(terms)
+        ) + " <= 0")
 
-    if with_objective:
-        lines.append("Bounds")
-        lines.append(" maxov >= 0")
+    lines.append("Bounds")
+    lines.append(" maxov >= 0")
     lines.append("Binaries")
     names = [f"x_{i}_{k}" for i in targets for k in buses]
     names += [f"sb_{i}_{j}_{k}" for i, j in pairs for k in buses]

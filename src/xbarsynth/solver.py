@@ -76,21 +76,17 @@ class BandwidthInfeasibleError(InfeasibleError):
 class SolverLimitReached(RuntimeError):
     """Node/time budget exhausted before a proof was complete.
 
-    The one signal of a cut solve.  Carries whatever partial knowledge
-    exists: proven bus-count bounds and probes from the binary search, and
-    as ``incumbent`` the best binding known at the cut (None when there was
-    none).  The incumbent has ``optimal=False`` unless only the final
-    tie-break was cut: its ``maxov`` is then proven, but its binding is not
-    the canonical one.
+    The one signal of a cut solve.  The message says how far the solve
+    got (the bus-count search's proven bounds, or the binding phase that
+    was cut); ``incumbent`` is the best binding known at the cut, with the
+    feasibility probes behind it (None when there was none).  The
+    incumbent has ``optimal=False`` unless only the final tie-break was
+    cut: its ``maxov`` is then proven, but its binding is not the
+    canonical one.
     """
 
-    def __init__(self, message: str, lower_bound: int | None = None,
-                 upper_bound: int | None = None, probes: list | None = None,
-                 incumbent: "SolveReport | None" = None):
+    def __init__(self, message: str, incumbent: "SolveReport | None" = None):
         super().__init__(message)
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
-        self.probes = probes or []
         self.incumbent = incumbent
 
 
@@ -298,21 +294,22 @@ class SearchBudget:
 
     def next_check(self, nodes: int) -> int:
         """First tick count after ``nodes`` at which a limit can trip: one
-        past the node limit, or the next multiple of 256 with a deadline."""
+        past the node limit, or with a deadline the next of ticks 1, 257,
+        513, ... (one more than a multiple of 256)."""
         nxt = self.node_limit + 1 if self.node_limit is not None else _UNLIMITED
         if self.deadline is not None:
-            nxt = min(nxt, (nodes | 0xFF) + 1)
+            nxt = min(nxt, ((nodes - 1) | 0xFF) + 2)
         return nxt
 
     def check(self, nodes: int) -> int:
         """Record ``nodes`` ticks and raise :class:`SolverLimitReached` at
-        the first tick past the node limit, or on a multiple of 256 ticks
-        past the deadline; otherwise return :meth:`next_check`."""
+        the first tick past the node limit, or on tick 1, 257, 513, ...
+        once the deadline is reached; otherwise return :meth:`next_check`."""
         self.nodes = nodes
         if self.node_limit is not None and nodes > self.node_limit:
             raise SolverLimitReached(f"node limit {self.node_limit} exhausted")
-        if self.deadline is not None and not nodes & 0xFF:
-            if time.monotonic() > self.deadline:
+        if self.deadline is not None and nodes & 0xFF == 1:
+            if time.monotonic() >= self.deadline:
                 raise SolverLimitReached("time limit exhausted")
         return self.next_check(nodes)
 
@@ -357,11 +354,12 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
 
     Each ``(target, bus)`` attempt ticks one node before it is tested; the
     count is compared with the budget's next check count, so a node limit
-    cuts at the same node on every run and the deadline is read on every
-    256th node.  The count is written back to ``budget.nodes`` on every
-    exit.  The state is bit-packed (see the module docstring) and kept in
-    local lists: a bus's conflict mask holds its members' conflict bits, or
-    every bit once it carries ``maxtb`` targets, so one test rejects both.
+    cuts at the same node on every run and the deadline is read on node 1
+    and every 256th node after it.  The count is written back to
+    ``budget.nodes`` on every exit.  The state is bit-packed (see the
+    module docstring) and kept in local lists: a bus's conflict mask holds
+    its members' conflict bits, or every bit once it carries ``maxtb``
+    targets, so one test rejects both.
     """
     comm = inst.comm
     width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
@@ -499,9 +497,10 @@ def min_config(
     target count).  Valid because feasibility is monotone in the bus
     count.  Raises :class:`BandwidthInfeasibleError` when some target
     alone overflows a window (infeasible even with one bus per target).
-    When the budget runs out after a feasible probe, the
-    :class:`SolverLimitReached` carries the smallest witness found as an
-    ``optimal=False`` incumbent.
+    A budget cut raises :class:`SolverLimitReached` whose message states
+    the proven bounds; after a feasible probe it carries the smallest
+    witness found, with the probes so far, as an ``optimal=False``
+    incumbent.
     """
     t0 = time.monotonic()
     _check_single_target_fit(inst)
@@ -526,13 +525,13 @@ def min_config(
             incumbent = SolveReport(
                 config=witness,
                 maxov=binding_maxov(inst.om, witness),
-                feasibility_probes=list(probes),
+                feasibility_probes=probes,
                 wall_time_s=time.monotonic() - t0,
                 optimal=False,
             )
         raise SolverLimitReached(
             f"bus-count search stopped with proven bounds [{lo}, {hi}]: {exc}",
-            lower_bound=lo, upper_bound=hi, probes=probes, incumbent=incumbent,
+            incumbent=incumbent,
         ) from None
     return lo, probes, witness
 

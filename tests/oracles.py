@@ -281,13 +281,13 @@ def nodes_before_tie_break(inst: ProblemInstance, num_buses: int) -> int:
 # -------------------------------------------------------- reference search
 
 def tick(budget: SearchBudget) -> None:
-    """Count one search node; raise past the node limit, or past the
-    deadline on every 256th node."""
+    """Count one search node; raise past the node limit, or once the
+    deadline is reached, on node 1 and every 256th node after it."""
     budget.nodes += 1
     if budget.node_limit is not None and budget.nodes > budget.node_limit:
         raise SolverLimitReached(f"node limit {budget.node_limit} exhausted")
-    if budget.deadline is not None and (budget.nodes & 0xFF) == 0:
-        if time.monotonic() > budget.deadline:
+    if budget.deadline is not None and (budget.nodes & 0xFF) == 1:
+        if time.monotonic() >= budget.deadline:
             raise SolverLimitReached("time limit exhausted")
 
 

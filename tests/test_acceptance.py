@@ -109,7 +109,7 @@ def test_criterion_5_correlated_preset_design_trend(tmp_path):
         seed=spec.seed,
     )
     outcome = design(run)
-    assert outcome.status == 0
+    assert outcome.error is None
     rows = {r.name: r for r in outcome.rows}
     shared, designed, full = rows["shared"], rows["designed"], rows["full"]
     assert shared.avg_latency >= 3.0 * full.avg_latency

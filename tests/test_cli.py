@@ -9,12 +9,14 @@ import pytest
 
 from xbarsynth import cli
 from xbarsynth.analysis import AnalysisParams
-from xbarsynth.cli import RunConfig, design, main
+from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
 from xbarsynth.sim import simulate
 from xbarsynth.solver import (
     CrossbarConfig,
+    InfeasibleError,
     SearchBudget,
+    SolverLimitReached,
     SolverLimits,
     check_feasible,
     full_crossbar_config,
@@ -70,11 +72,12 @@ def test_gen_explicit_out_and_seed_override(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_gen_requires_a_generator_source(tmp_path):
+def test_gen_requires_a_generator_source(tmp_path, capsys):
     tr = Trace(1, 1, [Transaction(0, 5, 1, 1)])
     path = tmp_path / "t.csv"
     save_trace(tr, path)
     assert main(["gen", "--trace", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: gen requires --preset or --config\n"
 
 
 def test_analyze_writes_matrices(tmp_path, config_file):
@@ -148,7 +151,7 @@ def test_solver_time_limit_exits_three(tmp_path):
 
 
 def test_zero_time_limit_is_written_to_the_manifest(tmp_path):
-    # a passed deadline trips at the 256th node, deep inside the first probe
+    # a passed deadline trips at the first node, inside the first probe
     code = main(["design", "--preset", "uniform", "--out-dir", str(tmp_path / "o"),
                  "--window-size", "250", "--overlap-threshold", "0.1",
                  "--time-limit", "0"])
@@ -156,6 +159,32 @@ def test_zero_time_limit_is_written_to_the_manifest(tmp_path):
     manifest = (tmp_path / "o" / "manifest.txt").read_text()
     assert "time_limit_s = 0.000000\n" in manifest
     assert "status = limit\n" in manifest
+
+
+def test_zero_time_limit_cuts_short_solves(tmp_path):
+    # hotspot's whole solve ends before the 257th node, the second clock read
+    run = RunConfig(None, benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
+                    out_dir=tmp_path / "full")
+    full = design(run)
+    assert probe_nodes(full.instance) + full.report.nodes_explored < 257
+    out = tmp_path / "o"
+    code = main(["design", "--preset", "hotspot", "--out-dir", str(out),
+                 "--time-limit", "0"])
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["conflict.csv", "manifest.txt"]
+    assert "status = limit\n" in (out / "manifest.txt").read_text()
+
+
+def test_design_failures_print_the_exit_prefix(tmp_path, config_file, capsys):
+    code = main(["design", "--config", str(config_file), "--out-dir", str(tmp_path / "i"),
+                 "--window-size", "50", "--buses", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "infeasible: no feasible binding exists on 1 buses\n"
+    code = main(["design", "--preset", "hotspot", "--out-dir", str(tmp_path / "l"),
+                 "--time-limit", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == ("solver limit: bus-count search stopped with "
+                                       "proven bounds [2, 4]: time limit exhausted\n")
 
 
 def test_negative_time_limit_is_a_usage_error(tmp_path, capsys):
@@ -166,12 +195,15 @@ def test_negative_time_limit_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def design_mat2like(out_dir, node_limit=None):
+def mat2like_run(out_dir, node_limit=None):
     # default analysis knobs: probes 7/5/4/3 all feasible, then a short
     # binding search, so every solve phase has nodes to cut
-    run = RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
-                    limits=SolverLimits(node_limit=node_limit), out_dir=out_dir)
-    return design(run)
+    return RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
+                     limits=SolverLimits(node_limit=node_limit), out_dir=out_dir)
+
+
+def design_mat2like(out_dir, node_limit=None):
+    return design(mat2like_run(out_dir, node_limit))
 
 
 def probe_nodes(inst):
@@ -182,12 +214,12 @@ def probe_nodes(inst):
 
 def test_node_limit_bounds_the_whole_solve(tmp_path):
     full = design_mat2like(tmp_path / "full")
-    assert full.status == 0
+    assert full.error is None
     probes, binding = probe_nodes(full.instance), full.report.nodes_explored
     limit = max(probes, binding) + 1
     assert limit < probes + binding  # each phase fits alone, not both
     cut = design_mat2like(tmp_path / "cut", node_limit=limit)
-    assert cut.status == 3
+    assert isinstance(cut.error, SolverLimitReached)
     assert "status = limit" in (tmp_path / "cut" / "manifest.txt").read_text()
 
 
@@ -200,7 +232,7 @@ def test_limit_after_feasible_probe_writes_witness(tmp_path):
     _, witness = check_feasible(full.instance, b2, budget)
     out = tmp_path / "cut"
     cut = design_mat2like(out, node_limit=budget.nodes)
-    assert cut.status == 3
+    assert isinstance(cut.error, SolverLimitReached)
     assert cut.report.config == witness
     report = json.loads((out / "solve_report.json").read_text())
     assert report["optimal"] is False
@@ -219,7 +251,7 @@ def test_seed_search_cut_writes_last_probe_witness(tmp_path):
     _, witness = check_feasible(inst, buses)
     out = tmp_path / "cut"
     cut = design_mat2like(out, node_limit=probe_nodes(inst) + 1)
-    assert cut.status == 3
+    assert isinstance(cut.error, SolverLimitReached)
     assert cut.report.config == witness
     assert not cut.report.optimal
     report = json.loads((out / "solve_report.json").read_text())
@@ -237,7 +269,8 @@ def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
                     limits=SolverLimits(node_limit=1), out_dir=tmp_path / "cut",
                     buses_override=full.report.config.num_buses)
     cut = design(run)
-    assert cut.status == 3 and cut.report is None and cut.rows == []
+    assert isinstance(cut.error, SolverLimitReached)
+    assert cut.report is None and cut.rows == []
     out = tmp_path / "cut"
     assert sorted(p.name for p in out.iterdir()) == ["conflict.csv", "manifest.txt"]
     manifest = (out / "manifest.txt").read_text()
@@ -252,9 +285,9 @@ def test_cut_tie_break_exits_three(tmp_path):
     limit = probe_nodes(inst) + nodes_before_tie_break(inst, buses)
     out = tmp_path / "cut"
     cut = design_mat2like(out, node_limit=limit)
-    assert cut.status == 3
-    assert cut.message == ("solver limit hit in the tie-break; maxov is proven optimal "
-                           "but the binding is not the canonical one")
+    assert isinstance(cut.error, SolverLimitReached)
+    assert str(cut.error) == ("solver limit hit in the tie-break; maxov is proven optimal "
+                              "but the binding is not the canonical one")
     assert cut.report.optimal
     assert cut.report.maxov == full.report.maxov
     manifest = (out / "manifest.txt").read_text()
@@ -290,7 +323,7 @@ def test_design_at_window_size_one(tmp_path):
     save_trace(loose_pair_trace(), path)
     run = RunConfig(path, None, AnalysisParams(1, 0.3), out_dir=tmp_path / "o")
     outcome = design(run)
-    assert outcome.status == 0
+    assert outcome.error is None
     assert outcome.instance.comm.shape == (4, outcome.trace.horizon)
     assert validate_binding(outcome.instance, outcome.report.config) == []
     # targets 1 and 2 are busy in the same cycles, so they need two buses
@@ -488,8 +521,36 @@ def test_compare_bindings_reports_tight_instances(tmp_path, capsys):
     code = main(["compare-bindings", "--trace", str(path),
                  "--out-dir", str(tmp_path / "o"), "--window-size", "50",
                  "--num-random", "2"])
-    assert code == 2
+    assert code == 3  # the draw budget ran out; the instance is feasible
     assert "no feasible random binding" in capsys.readouterr().err
+
+
+def test_compare_bindings_rejects_a_cut_design(tmp_path):
+    # the cut leaves an unproven incumbent: no row may call it optimal
+    out = tmp_path / "o"
+    with pytest.raises(SolverLimitReached) as err:
+        compare_bindings(mat2like_run(out, 100), 2)
+    assert err.value.incumbent is not None and not err.value.incumbent.optimal
+    assert "optimal = False\n" in (out / "manifest.txt").read_text()
+    assert not (out / "binding_compare.csv").exists()
+
+
+def test_compare_bindings_cut_before_any_incumbent_is_a_limit(tmp_path):
+    with pytest.raises(SolverLimitReached) as err:
+        compare_bindings(mat2like_run(tmp_path / "o", 1), 2)
+    assert not isinstance(err.value, InfeasibleError)
+    assert err.value.incumbent is None
+    assert str(err.value) == ("bus-count search stopped with proven bounds [3, 12]: "
+                              "node limit 1 exhausted")
+
+
+def test_compare_bindings_zero_time_limit_exits_three(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["compare-bindings", "--preset", "mat2like", "--out-dir", str(out),
+                 "--time-limit", "0"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("solver limit: ")
+    assert not (out / "binding_compare.csv").exists()
 
 
 def test_export_lp_model(tmp_path, config_file):

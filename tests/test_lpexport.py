@@ -50,15 +50,6 @@ def test_constraint_row_counts():
     assert " conflict_1_2: s_1_2 = 0" in text
 
 
-def test_feasibility_model_has_constant_objective():
-    inst = small_instance()
-    text = export_milp(inst, 2, with_objective=False)
-    assert " obj: 0 x_1_1" in text
-    assert "maxov" not in text
-    assert "Bounds" not in text
-    assert text.endswith("End\n")
-
-
 def test_bus_count_validated():
     inst = small_instance()
     with pytest.raises(ValueError, match="outside"):
@@ -93,5 +84,5 @@ def test_external_solver_agrees_on_infeasibility():
     from oracles import solve_lp_with_highs
 
     inst = small_instance()  # targets 1,2 conflict: one bus is impossible
-    status, _ = solve_lp_with_highs(export_milp(inst, 1, with_objective=False))
+    status, _ = solve_lp_with_highs(export_milp(inst, 1))
     assert status == 2

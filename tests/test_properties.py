@@ -213,7 +213,7 @@ def solver_instances(draw):
 
 def budget_limits(draw, full_nodes: int) -> SolverLimits:
     """No limit, a node limit below the full count, or a deadline that has
-    passed (trips at the first multiple of 256 nodes)."""
+    passed (trips at the first check: node 1, 257, 513, ...)."""
     kind = draw(st.sampled_from(["none", "nodes", "nodes", "deadline"]))
     if kind == "nodes":
         return SolverLimits(node_limit=draw(st.integers(0, max(full_nodes - 1, 0))))
@@ -264,7 +264,7 @@ def solve_outcome(inst, limits, buses):
                     rep.feasibility_probes))
     except SolverLimitReached as exc:
         inc = exc.incumbent
-        out.append((type(exc), str(exc), exc.lower_bound, exc.upper_bound, exc.probes,
+        out.append((type(exc), str(exc),
                     inc and (inc.config, inc.maxov, inc.nodes_explored,
                              inc.feasibility_probes, inc.optimal)))
     except InfeasibleError as exc:

@@ -255,8 +255,9 @@ def test_node_limit_interrupts_search():
     inst = inst_of(10, np.ones((6, 1)))
     with pytest.raises(SolverLimitReached) as err:
         min_config(inst, SearchBudget(SolverLimits(node_limit=1)))
-    assert err.value.lower_bound is not None
-    assert err.value.upper_bound == inst.num_targets
+    assert str(err.value) == ("bus-count search stopped with proven bounds [1, 6]: "
+                              "node limit 1 exhausted")
+    assert err.value.incumbent is None
 
 
 def node_limited(node_limit):
