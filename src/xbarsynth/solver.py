@@ -37,6 +37,15 @@ multiple of 64 beyond) with ``window_size + max(comm) < 2**(f-1)``: a placed
 load never exceeds the window size, so adding any one target's packed
 ``comm`` row keeps every field below ``2**f`` and no carry crosses fields.
 One add and one mask test then check every window at once.
+
+The overlap cost is packed the same way: each bus keeps one int with one
+field per target, field ``u`` in bits ``[u*g, (u+1)*g)`` holding the sum of
+``om[u, m]`` over the bus's members ``m``, so the overlap that placing
+target ``t`` adds is one shift and one mask.  Placing ``t`` adds its packed
+``om`` row (diagonal zeroed) and unplacing restores the saved int.  ``g``
+follows the same rule with the largest off-diagonal ``om`` row sum as the
+peak, computed with Python ints: no field can exceed it, so no carry
+crosses fields whichever targets share the bus.
 """
 
 from __future__ import annotations
@@ -135,6 +144,8 @@ class ProblemInstance:
             raise InstanceError("conflict matrix diagonal must be zero")
         if (self.comm < 0).any():
             raise InstanceError("busy cycles (comm) must be non-negative")
+        if (self.om < 0).any():
+            raise InstanceError("overlaps (om) must be non-negative")
         if self.maxtb < 1:
             raise InstanceError("maxtb must be >= 1")
         if self.window_size < 1:
@@ -350,7 +361,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     its cost.  Returns ``(binding, bound, cut)``: the last complete binding
     found (1-based labels by target, None when there was none), the final
     bound, and the :class:`SolverLimitReached` that cut the search short
-    (None when it finished).
+    (None when it finished), without its traceback.
 
     Each ``(target, bus)`` attempt ticks one node before it is tested; the
     count is compared with the budget's next check count, so a node limit
@@ -359,20 +370,29 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     ``budget.nodes`` on every exit.  The state is bit-packed (see the
     module docstring) and kept in local lists: a bus's conflict mask holds
     its members' conflict bits, or every bit once it carries ``maxtb``
-    targets, so one test rejects both.
+    targets, so one test rejects both.  What a depth needs of its target
+    is one precomputed tuple: its id, its bit in the conflict masks, its
+    packed ``comm`` row, its overlap field's shift, its packed ``om`` row and
+    its own conflict mask.
     """
     comm = inst.comm
     width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
     ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
     guard = (1 << (width - 1)) * ones
     rows = _pack_rows(comm, width)
-    om_rows: list[list[int]] = inst.om.tolist()
+    om = inst.om.copy()
+    np.fill_diagonal(om, 0)
+    ov_width = _field_width(max(sum(row) for row in om.tolist()))
+    ov_mask = (1 << ov_width) - 1
+    om_rows = _pack_rows(om, ov_width)
     conflicts = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inst.conflict]
+    steps = [(t, 1 << t, rows[t], t * ov_width, om_rows[t], conflicts[t]) for t in order]
     maxtb = inst.maxtb
     loads = [((1 << (width - 1)) - 1 - inst.window_size) * ones] * num_buses
     masks = [0] * num_buses
     overlap = [0] * num_buses
-    members: list[list[int]] = [[] for _ in range(num_buses)]
+    acc = [0] * num_buses
+    counts = [0] * num_buses
     binding = [0] * inst.num_targets
     best = None
     nodes = budget.nodes
@@ -381,10 +401,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
 
     def descend(depth: int, cost: int, used: int) -> bool:
         nonlocal nodes, next_check, bound, best
-        t = order[depth]
-        bit = 1 << t
-        row = rows[t]
-        om_t = om_rows[t]
+        t, bit, row, shift, om_row, conflict = steps[depth]
         for k in range(used + 1 if used < num_buses else num_buses):
             nodes += 1
             if nodes >= next_check:
@@ -392,12 +409,13 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
             mask = masks[k]
             if mask & bit:
                 continue
-            load = loads[k] + row
+            old_load = loads[k]
+            load = old_load + row
             if load & guard:
                 continue
-            mem = members[k]
             ov = overlap[k]
-            new = ov + sum(map(om_t.__getitem__, mem))
+            old_acc = acc[k]
+            new = ov + ((old_acc >> shift) & ov_mask)
             c = new if new > cost else cost
             if c >= bound:
                 continue
@@ -408,16 +426,19 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
                     return True
                 bound = c
                 continue
+            count = counts[k] + 1
             loads[k] = load
-            masks[k] = mask | conflicts[t] if len(mem) + 1 < maxtb else -1
+            masks[k] = mask | conflict if count < maxtb else -1
             overlap[k] = new
-            mem.append(t)
+            acc[k] = old_acc + om_row
+            counts[k] = count
             if descend(depth + 1, c, used + (k == used)):
                 return True
-            loads[k] -= row
+            loads[k] = old_load
             masks[k] = mask
             overlap[k] = ov
-            mem.pop()
+            acc[k] = old_acc
+            counts[k] = count - 1
         return False
 
     cut = None
@@ -426,7 +447,9 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
             descend(0, 0, 0)
         budget.nodes = nodes
     except SolverLimitReached as exc:
-        cut = exc
+        cut = exc.with_traceback(None)
+    finally:
+        del descend  # the closure holds itself through its cell
     return best, bound, cut
 
 
@@ -446,7 +469,10 @@ def check_feasible(
     binding, _, cut = _search(inst, num_buses, _busy_order(inst), math.inf, True,
                               budget or SearchBudget())
     if cut is not None:
-        raise cut
+        try:
+            raise cut
+        finally:
+            del cut  # its traceback holds this frame
     if binding is None:
         return False, None
     return True, CrossbarConfig(num_buses, canonical_binding(binding))

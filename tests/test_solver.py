@@ -1,6 +1,8 @@
 """Exact solver against exhaustive partition enumeration and hand examples."""
 
+import gc
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,6 +357,8 @@ def test_instance_validation():
         ProblemInstance(10, good, np.zeros((2, 2)), np.zeros((2, 2), bool), 0)
     with pytest.raises(InstanceError, match="non-negative"):
         ProblemInstance(10, np.array([[1], [-1]]), np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
+    with pytest.raises(InstanceError, match="overlaps"):
+        ProblemInstance(10, good, np.array([[0, -1], [-1, 0]]), np.zeros((2, 2), bool), 2)
     with pytest.raises(InstanceError, match="32"):
         t = 33
         ProblemInstance(10, np.zeros((t, 1)), np.zeros((t, t)), np.zeros((t, t), bool), t)
@@ -431,6 +435,18 @@ UNIFORM_PINS = {
 }
 
 
+# The same pins on the held-out corpus (the uniform preset generated with
+# seed 7), recorded before the overlap word replaced the member lists.
+HELD_OUT_UNIFORM_PINS = {
+    1000: (7, [(13, True), (9, True), (7, True), (6, False)], 428, 0,
+           (1, 2, 1, 2, 1, 2, 1, 3, 4, 1, 5, 3, 1, 6, 5, 5, 4, 6, 7, 7), 35932),
+    2000: (6, [(12, True), (8, True), (6, True), (5, False)], 203950, 11,
+           (1, 2, 2, 3, 1, 4, 1, 2, 1, 5, 6, 2, 1, 5, 6, 6, 4, 5, 3, 3), 243141),
+    4000: (5, [(12, True), (8, True), (6, True), (5, True)], 547778, 412,
+           (1, 2, 3, 4, 1, 2, 1, 3, 1, 4, 2, 3, 1, 5, 5, 4, 3, 2, 5, 4), 551218),
+}
+
+
 def analysed_instance(trace, ws, theta):
     params = AnalysisParams(ws, theta)
     prof = profile(trace, ws)
@@ -450,6 +466,21 @@ def test_uniform_search_tree_pinned(ws, uniform_trace):
     rep = optimal_binding(inst, buses, budget)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
             budget.nodes) == UNIFORM_PINS[ws]
+
+
+@pytest.fixture(scope="module")
+def held_out_uniform_trace():
+    return generate(replace(benchmark_preset("uniform"), seed=7))
+
+
+@pytest.mark.parametrize("ws", sorted(HELD_OUT_UNIFORM_PINS))
+def test_held_out_uniform_search_tree_pinned(ws, held_out_uniform_trace):
+    inst = analysed_instance(held_out_uniform_trace, ws, 0.1)
+    budget = SearchBudget()
+    buses, probes, _ = min_config(inst, budget)
+    rep = optimal_binding(inst, buses, budget)
+    assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
+            budget.nodes) == HELD_OUT_UNIFORM_PINS[ws]
 
 
 def limited_solve(inst, node_limit):
@@ -475,6 +506,43 @@ def test_every_node_limit_cuts_at_its_node():
     assert limited_solve(inst, total) == (False, total)
 
 
+def test_solves_leave_no_cyclic_garbage():
+    """With the cyclic collector off, an uncut solve and a cut in each
+    search free every object they made: the kernel's recursive closure and
+    a cut's traceback hold no reference cycle."""
+    inst = analysed_instance(generate(benchmark_preset("mat2like")), 1000, 0.3)
+    budget = SearchBudget()
+    buses, _, _ = min_config(inst, budget)
+    probe_nodes = budget.nodes
+    optimal_binding(inst, buses, budget)
+    phases = {
+        5: "bus-count search stopped",
+        probe_nodes + 1: "binding search on",
+        (probe_nodes + budget.nodes) // 2: BNB_CUT,
+        budget.nodes - 1: TIE_BREAK_CUT,
+    }
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert limited_solve(inst, None) == (False, budget.nodes)
+        gc.collect()
+        assert [type(o).__name__ for o in gc.garbage] == []
+        for limit, message in phases.items():
+            cut_budget = node_limited(limit)
+            with pytest.raises(SolverLimitReached) as err:
+                min_config(inst, cut_budget)
+                optimal_binding(inst, buses, cut_budget)
+            assert str(err.value).startswith(message)
+            del err
+            gc.collect()
+            assert [type(o).__name__ for o in gc.garbage] == [], limit
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
 def test_field_width_boundaries():
     assert _field_width(0) == 16
     assert _field_width(2**15 - 1) == 16
@@ -495,16 +563,19 @@ FIELD_WIDTH_CASES = pytest.mark.parametrize("ws, windows, oversize", [
 ])
 
 
-def field_width_instances(rng, ws, windows, oversize, values):
-    """20 random instances with ``comm`` drawn from ``values``; with
-    ``oversize`` one target (yielded as ``big``) alone exceeds a window."""
+def field_width_instances(rng, ws, windows, oversize, values, targets=(2, 8),
+                          overlaps=(0, 50)):
+    """20 random instances with ``comm`` drawn from ``values``, target
+    counts from ``range(*targets)`` and pairwise overlaps from
+    ``range(*overlaps)``; with ``oversize`` one target (yielded as ``big``)
+    alone exceeds a window."""
     for _ in range(20):
-        t = int(rng.integers(2, 8))
+        t = int(rng.integers(*targets))
         comm = rng.choice(np.array(values, dtype=np.int64), size=(t, windows))
         big = int(rng.integers(t))
         if oversize:
             comm[big, int(rng.integers(windows))] = ws + 1 + int(rng.integers(ws))
-        om = np.triu(rng.integers(0, 50, size=(t, t)), 1)
+        om = np.triu(rng.integers(*overlaps, size=(t, t)), 1)
         conflict = np.triu(rng.random((t, t)) < 0.2, 1)
         inst = ProblemInstance(ws, comm, om + om.T, conflict | conflict.T,
                                int(rng.integers(1, t + 1)))
@@ -578,24 +649,50 @@ def search_modes(inst, num_buses):
     return modes
 
 
+def assert_kernel_matches_reference(rng, inst, num_buses):
+    """The fused kernel against the three reference searches: same binding,
+    bound, cut and node count, in full and under node limits and deadlines
+    below the full count."""
+    for order, bound, first_only in search_modes(inst, num_buses):
+        args = (inst, num_buses, order, bound, first_only)
+        full = search_outcome(reference_search, *args)
+        assert search_outcome(_search, *args) == full
+        limits = [SolverLimits(node_limit=int(n)) for n in rng.integers(0, full[-1] + 1, 3)]
+        limits.append(SolverLimits(time_limit_s=0.0))
+        for lim in limits:
+            start = int(rng.integers(0, 300))
+            assert (search_outcome(_search, *args, lim, start)
+                    == search_outcome(reference_search, *args, lim, start))
+
+
 @FIELD_WIDTH_CASES
 def test_search_kernel_matches_reference_on_field_widths(ws, windows, oversize):
-    """The fused kernel against the three reference searches on the packed
-    field-width edge cases: same binding, bound, cut and node count, in full
-    and under node limits and deadlines below the full count."""
+    """The kernel against the reference on the packed load-field edge cases."""
     rng = np.random.Generator(np.random.PCG64(ws % 997 + windows + 11 * oversize))
     values = [v for v in (0, 1, ws // 2, ws - ws // 2, ws) if v < 2**63]
     for inst, num_buses, _ in field_width_instances(rng, ws, windows, oversize, values):
-        for order, bound, first_only in search_modes(inst, num_buses):
-            args = (inst, num_buses, order, bound, first_only)
-            full = search_outcome(reference_search, *args)
-            assert search_outcome(_search, *args) == full
-            limits = [SolverLimits(node_limit=int(n)) for n in rng.integers(0, full[-1] + 1, 3)]
-            limits.append(SolverLimits(time_limit_s=0.0))
-            for lim in limits:
-                start = int(rng.integers(0, 300))
-                assert (search_outcome(_search, *args, lim, start)
-                        == search_outcome(reference_search, *args, lim, start))
+        assert_kernel_matches_reference(rng, inst, num_buses)
+
+
+@pytest.mark.parametrize("targets, overlaps", [
+    ((2, 8), (2**62 - 50, 2**62)),  # row sums pass int64
+    ((2, 8), (0, 1)),               # all-zero om: every binding costs 0
+    ((32, 33), (0, 50)),            # T = 32: the top field and conflict bit
+])
+def test_search_kernel_matches_reference_on_overlap_widths(targets, overlaps):
+    """The kernel against the reference on the packed overlap-field edge
+    cases: each field sums one target's overlaps with a bus's members and is
+    as wide as the largest off-diagonal ``om`` row sum needs."""
+    rng = np.random.Generator(np.random.PCG64(targets[0] + overlaps[1] % 1000))
+    cases = [(inst, num_buses) for inst, num_buses, _ in field_width_instances(
+        rng, 37, 4, False, [0, 1, 18, 19, 37], targets, overlaps)]
+    if overlaps[0]:
+        # 12 idle targets that may all share a bus: fields pass 2**64
+        om = np.triu(rng.integers(*overlaps, size=(12, 12)), 1)
+        cases.append((inst_of(37, np.zeros((12, 4)), om=om + om.T), 2))
+        assert max(sum(row) for row in cases[-1][0].om.tolist()) >= 2**64
+    for inst, num_buses in cases:
+        assert_kernel_matches_reference(rng, inst, num_buses)
 
 
 def test_thirty_two_targets_pair_up_complementary_halves():
