@@ -22,7 +22,12 @@ first-use order by target id, making output independent of search order.
 One depth-first kernel, :func:`_search`, runs every search: the feasibility
 probes (first complete binding, no cost bound), the branch-and-bound (every
 complete binding tightens the bound) and the lexicographic tie-break
-(target-id order, first binding within the proven optimum).
+(target-id order, first binding within the proven optimum).  The probes
+branch on the target with the largest off-diagonal ``om`` row sum first
+(fail-first: the target that overlaps the others most is the hardest to
+fit); :func:`optimal_binding`'s seed search and branch-and-bound branch in
+decreasing busy-cycle order.  The order moves a probe's node count and
+witness, never its answer.
 
 One :class:`SearchBudget` bounds every search of a run: pass the same
 budget to :func:`min_config` and :func:`optimal_binding` and the node and
@@ -46,6 +51,14 @@ target ``t`` adds is one shift and one mask.  Placing ``t`` adds its packed
 follows the same rule with the largest off-diagonal ``om`` row sum as the
 peak, computed with Python ints: no field can exceed it, so no carry
 crosses fields whichever targets share the bus.
+
+The conflict and ``maxtb`` tests are one int for all buses and targets,
+``blocked``, with one ``B``-bit field per target for ``B`` buses: bit
+``k`` of field ``u`` is set when target ``u`` may not join bus ``k``.  It
+is passed down the recursion, so backtracking restores nothing, and a
+depth reads its target's field once and visits only the buses left free.
+The attempts it skips are still counted as nodes, in bulk, so node counts
+and the node at which a limit cuts are those of testing every bus in turn.
 """
 
 from __future__ import annotations
@@ -305,9 +318,10 @@ class SearchBudget:
 
     def next_check(self, nodes: int) -> int:
         """First tick count after ``nodes`` at which a limit can trip: one
-        past the node limit, or with a deadline the next of ticks 1, 257,
-        513, ... (one more than a multiple of 256)."""
-        nxt = self.node_limit + 1 if self.node_limit is not None else _UNLIMITED
+        past the node limit (or the next tick, once past it), or with a
+        deadline the next of ticks 1, 257, 513, ... (one more than a
+        multiple of 256)."""
+        nxt = max(self.node_limit, nodes) + 1 if self.node_limit is not None else _UNLIMITED
         if self.deadline is not None:
             nxt = min(nxt, ((nodes - 1) | 0xFF) + 2)
         return nxt
@@ -329,6 +343,20 @@ def _busy_order(inst: ProblemInstance) -> list[int]:
     """Targets by decreasing total busy cycles (first-fail heuristic)."""
     totals = inst.comm.sum(axis=1)
     return sorted(range(inst.num_targets), key=lambda i: (-int(totals[i]), i))
+
+
+def _overlap_sums(inst: ProblemInstance) -> list[int]:
+    """Each target's off-diagonal ``om`` row sum, in Python ints: a numpy
+    row sum can overflow int64."""
+    return [sum(row) - row[i] for i, row in enumerate(inst.om.tolist())]
+
+
+def _overlap_order(inst: ProblemInstance) -> list[int]:
+    """Targets by decreasing off-diagonal ``om`` row sum, ties by id: the
+    target that overlaps the others most, and so is hardest to fit onto a
+    shared bus, is branched on first (fail-first)."""
+    sums = _overlap_sums(inst)
+    return sorted(range(inst.num_targets), key=lambda i: (-sums[i], i))
 
 
 def _field_width(peak: int) -> int:
@@ -361,19 +389,27 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     its cost.  Returns ``(binding, bound, cut)``: the last complete binding
     found (1-based labels by target, None when there was none), the final
     bound, and the :class:`SolverLimitReached` that cut the search short
-    (None when it finished), without its traceback.
+    (None when it finished), without its traceback.  The callers pass the
+    order: :func:`check_feasible` the overlap order, :func:`optimal_binding`
+    the busy-cycle order for its seed search and branch-and-bound and the
+    target-id order for its tie-break.
 
-    Each ``(target, bus)`` attempt ticks one node before it is tested; the
-    count is compared with the budget's next check count, so a node limit
-    cuts at the same node on every run and the deadline is read on node 1
-    and every 256th node after it.  The count is written back to
-    ``budget.nodes`` on every exit.  The state is bit-packed (see the
-    module docstring) and kept in local lists: a bus's conflict mask holds
-    its members' conflict bits, or every bit once it carries ``maxtb``
-    targets, so one test rejects both.  What a depth needs of its target
-    is one precomputed tuple: its id, its bit in the conflict masks, its
-    packed ``comm`` row, its overlap field's shift, its packed ``om`` row and
-    its own conflict mask.
+    Each ``(target, bus)`` attempt ticks one node before it is tested.  A
+    depth reads from ``blocked`` (see the module docstring) the buses its
+    target may not join, visits only the others, and adds the attempts it
+    skipped, before each visit and after the last, to the count in bulk.
+    Once a jump reaches the budget's next check count, the budget is
+    checked at that count, not at the one jumped to, and then at each
+    further check count the jump passed.  So a node limit cuts at the node
+    past it, as when every attempt ticks alone, and the deadline is read
+    on node 1 and every 256th node after it.  The count is written back to
+    ``budget.nodes`` on every exit.  The loads and overlaps are bit-packed
+    (see the module docstring) and kept in local lists.  What a depth needs
+    of its target is one precomputed tuple: its id, its field's shift in
+    ``blocked``, its packed ``comm`` row, its overlap field's shift, its
+    packed ``om`` row, and bit ``u*B`` for each conflict neighbour ``u``
+    (``B = num_buses``), which joining bus ``k`` ORs into ``blocked``
+    shifted by ``k`` (every target's bit instead once the bus is full).
     """
     comm = inst.comm
     width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
@@ -382,14 +418,18 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     rows = _pack_rows(comm, width)
     om = inst.om.copy()
     np.fill_diagonal(om, 0)
-    ov_width = _field_width(max(sum(row) for row in om.tolist()))
+    ov_width = _field_width(max(_overlap_sums(inst)))
     ov_mask = (1 << ov_width) - 1
     om_rows = _pack_rows(om, ov_width)
-    conflicts = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inst.conflict]
-    steps = [(t, 1 << t, rows[t], t * ov_width, om_rows[t], conflicts[t]) for t in order]
+    spread = [sum(1 << (u * num_buses) for u, c in enumerate(row) if c)
+              for row in inst.conflict.tolist()]
+    full = sum(1 << (u * num_buses) for u in range(inst.num_targets))
+    steps = [(t, t * num_buses, rows[t], t * ov_width, om_rows[t], spread[t])
+             for t in order]
+    # the buses a target may try with ``used`` buses in use, as a bit mask
+    reach = [(1 << min(used + 1, num_buses)) - 1 for used in range(num_buses + 1)]
     maxtb = inst.maxtb
     loads = [((1 << (width - 1)) - 1 - inst.window_size) * ones] * num_buses
-    masks = [0] * num_buses
     overlap = [0] * num_buses
     acc = [0] * num_buses
     counts = [0] * num_buses
@@ -399,16 +439,20 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     next_check = budget.next_check(nodes)
     last = len(order) - 1
 
-    def descend(depth: int, cost: int, used: int) -> bool:
+    def descend(depth: int, cost: int, used: int, blocked: int) -> bool:
         nonlocal nodes, next_check, bound, best
-        t, bit, row, shift, om_row, conflict = steps[depth]
-        for k in range(used + 1 if used < num_buses else num_buses):
-            nodes += 1
-            if nodes >= next_check:
-                next_check = budget.check(nodes)
-            mask = masks[k]
-            if mask & bit:
-                continue
+        t, field, row, shift, om_row, neighbours = steps[depth]
+        lim = reach[used]
+        free = lim & ~(blocked >> field)
+        prev = -1
+        while free:
+            low = free & -free
+            free ^= low
+            k = low.bit_length() - 1
+            nodes += k - prev
+            prev = k
+            while nodes >= next_check:
+                next_check = budget.check(next_check)
             old_load = loads[k]
             load = old_load + row
             if load & guard:
@@ -428,23 +472,25 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
                 continue
             count = counts[k] + 1
             loads[k] = load
-            masks[k] = mask | conflict if count < maxtb else -1
             overlap[k] = new
             acc[k] = old_acc + om_row
             counts[k] = count
-            if descend(depth + 1, c, used + (k == used)):
+            if descend(depth + 1, c, used + (k == used),
+                       blocked | (neighbours if count < maxtb else full) << k):
                 return True
             loads[k] = old_load
-            masks[k] = mask
             overlap[k] = ov
             acc[k] = old_acc
             counts[k] = count - 1
+        nodes += lim.bit_length() - 1 - prev
+        while nodes >= next_check:
+            next_check = budget.check(next_check)
         return False
 
     cut = None
     try:
         if bound > 0:
-            descend(0, 0, 0)
+            descend(0, 0, 0, 0)
         budget.nodes = nodes
     except SolverLimitReached as exc:
         cut = exc.with_traceback(None)
@@ -466,7 +512,7 @@ def check_feasible(
         raise InstanceError(
             f"bus count {num_buses} outside 1..{inst.num_targets}"
         )
-    binding, _, cut = _search(inst, num_buses, _busy_order(inst), math.inf, True,
+    binding, _, cut = _search(inst, num_buses, _overlap_order(inst), math.inf, True,
                               budget or SearchBudget())
     if cut is not None:
         try:

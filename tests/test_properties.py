@@ -24,10 +24,13 @@ from xbarsynth.solver import (
     SearchBudget,
     SolverLimitReached,
     SolverLimits,
+    BandwidthInfeasibleError,
     _busy_order,
+    _overlap_order,
     _search,
     min_config,
     optimal_binding,
+    validate_binding,
 )
 from xbarsynth.trace import (
     REQUEST,
@@ -226,11 +229,15 @@ def budget_limits(draw, full_nodes: int) -> SolverLimits:
 @given(solver_instances(), st.data())
 def test_search_kernel_matches_reference(inst, data):
     """One call of the fused kernel against the reference search: same
-    binding, bound, cut type and message, and final budget node count."""
+    binding, bound, cut type and message, and final budget node count.
+    The feasibility and improvement searches branch in busy-cycle order,
+    overlap order or a random permutation; the tie-break in id order."""
     t = inst.num_targets
     num_buses = data.draw(st.integers(1, t))
     mode = data.draw(st.sampled_from(["feasible", "improve", "tie-break"]))
-    order, first_only = _busy_order(inst), mode != "improve"
+    order = data.draw(st.one_of(st.just(_busy_order(inst)), st.just(_overlap_order(inst)),
+                                st.permutations(range(t))))
+    first_only = mode != "improve"
     top = int(inst.om.sum()) // 2 + 1  # above any binding's cost
     if mode == "feasible":
         bound = float("inf")
@@ -245,6 +252,32 @@ def test_search_kernel_matches_reference(inst, data):
     start = data.draw(st.integers(0, 600))
     assert (search_outcome(_search, *args, limits, start)
             == search_outcome(reference_search, *args, limits, start))
+
+
+def bus_count_outcome(inst):
+    """``min_config``'s bus count and probes, or its error; its witness
+    must be a valid binding onto that many buses."""
+    try:
+        buses, probes, witness = min_config(inst)
+    except BandwidthInfeasibleError as exc:
+        return type(exc), str(exc)
+    if witness is not None:
+        assert witness.num_buses == buses
+        assert validate_binding(inst, witness) == []
+    return buses, probes
+
+
+@SETTINGS
+@given(solver_instances())
+def test_min_config_probes_match_busy_order_reference(inst):
+    """``min_config``, whose probes branch in overlap order, against the
+    same bus-count search with every probe run by ``reference_feasible``
+    in busy-cycle order: the branching order moves the probes' trees and
+    witnesses, never the bus count or a probe's answer."""
+    with mock.patch.object(solver, "_search", reference_search), \
+            mock.patch.object(solver, "_overlap_order", _busy_order):
+        expected = bus_count_outcome(inst)
+    assert bus_count_outcome(inst) == expected
 
 
 def solve_outcome(inst, limits, buses):
