@@ -239,33 +239,3 @@ def preprocess(prof: WindowProfile, params: AnalysisParams) -> np.ndarray:
     conflict = (prof.peak > threshold_cycles) | prof.crit
     np.fill_diagonal(conflict, False)
     return conflict
-
-
-def validate_profile(prof: WindowProfile) -> None:
-    """Check the structural invariants of a profile; raise on violation."""
-    ws = prof.window_size
-    if (prof.comm < 0).any() or (prof.comm > ws).any():
-        raise ValueError("comm entries must lie in [0, WS]")
-    if (prof.peak < 0).any() or (prof.peak > ws).any():
-        raise ValueError("peak entries must lie in [0, WS]")
-    for name in ("om", "peak", "crit"):
-        mat = getattr(prof, name)
-        if not np.array_equal(mat, mat.T):
-            raise ValueError(f"{name} must be symmetric in the target pair")
-    if not np.array_equal(prof.om.diagonal(), prof.comm.sum(axis=1)):
-        raise ValueError("om diagonal must equal the comm row sums")
-    row_max = prof.comm.max(axis=1, initial=0)
-    if not np.array_equal(prof.peak.diagonal(), row_max):
-        raise ValueError("peak diagonal must equal the comm row maxima")
-    # A pair is busy at once only while each of its two targets is busy.
-    for name in ("om", "peak"):
-        mat = getattr(prof, name)
-        diag = mat.diagonal()
-        if (mat > np.minimum.outer(diag, diag)).any():
-            raise ValueError(
-                f"{name} off-diagonal entries must not exceed the smaller diagonal entry"
-            )
-    if (prof.peak > prof.om).any():
-        raise ValueError("peak must not exceed om")
-    if (prof.crit & (prof.om == 0)).any():
-        raise ValueError("crit only where om > 0")

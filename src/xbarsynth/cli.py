@@ -10,10 +10,11 @@ binding) reuse the same pipeline per point.
 All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible instance, 3 solver
-limit hit (the cut's incumbent, the best binding known, if any, is still
-written; see :class:`~xbarsynth.solver.SolverLimitReached`).  One solver
-budget bounds the whole solve of a ``design`` run.  A failure travels as
+Exit codes: 0 success, 1 usage error (command-line parse errors
+included), 2 infeasible instance, 3 solver limit hit (the cut's
+incumbent, the best binding known, if any, is still written; see
+:class:`~xbarsynth.solver.SolverLimitReached`).  One solver budget bounds
+the whole solve of a ``design`` run.  A failure travels as
 its exception from the solver to :func:`main`, the one map from
 exception to exit code; ``design`` keeps the exception it caught in
 :attr:`DesignOutcome.error` so that its artifacts are written first.
@@ -97,7 +98,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _write_latency_csv(path: Path, latencies: list[tuple[str, list[int]]]) -> None:
+def _write_latency_csv(path: Path, latencies: list[tuple[str, np.ndarray]]) -> None:
     """One ``config,txn,latency`` row per transaction of each named config.
 
     Config names and integers need no CSV quoting, so the rows are
@@ -107,7 +108,7 @@ def _write_latency_csv(path: Path, latencies: list[tuple[str, list[int]]]) -> No
     with open(path, "w", newline="") as fh:
         fh.write("config,txn,latency\n")
         for name, column in latencies:
-            fh.write("".join([f"{name},{i},{lat}\n" for i, lat in enumerate(column)]))
+            fh.write("".join([f"{name},{i},{lat}\n" for i, lat in enumerate(column.tolist())]))
 
 
 def _fmt(x) -> str:
@@ -399,7 +400,7 @@ def _add_common(p: argparse.ArgumentParser, needs_analysis: bool = True) -> None
         "--direction",
         choices=("req", "resp"),
         default="req",
-        help="which flow of a trace file to design for (default req)",
+        help="which flow of a --trace file to design for (default req)",
     )
     src.add_argument("--seed", type=int, default=None, help="override generator seed")
     p.add_argument("--out-dir", type=Path, default=Path("xbarsynth_out"))
@@ -417,6 +418,9 @@ def _run_from_args(args) -> RunConfig:
     picked = [x for x in (args.trace, args.preset, args.config) if x is not None]
     if len(picked) != 1:
         raise ValueError("exactly one of --trace, --preset, --config is required")
+    if args.trace is None and args.direction != REQUEST:
+        raise ValueError(f"--direction {args.direction} needs --trace: "
+                         "generated traces hold request flows only")
     genspec = None
     label = ""
     if args.preset:
@@ -457,7 +461,7 @@ def _cmd_gen(args) -> int:
     run.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out if args.out else run.out_dir / "trace.csv"
     save_trace(trace, out)
-    print(f"wrote {len(trace.transactions)} transactions to {out}")
+    print(f"wrote {len(trace.start)} transactions to {out}")
     return EXIT_OK
 
 
@@ -494,13 +498,13 @@ def _cmd_simulate(args) -> int:
     configs = baseline_configs(trace.num_targets)
     if args.binding:
         binding = _parse_binding(args.binding, trace.num_targets)
-        num_buses = args.buses if args.buses else max(binding)
+        num_buses = args.buses if args.buses is not None else max(binding)
         configs.append(("bound", CrossbarConfig(num_buses, binding)))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     latencies = []
     for name, config in configs:
         rep = simulate(trace, config)
-        latencies.append((name, rep.per_transaction_latency))
+        latencies.append((name, rep.latency))
         print(
             f"{name:>8}: buses={config.num_buses} avg={rep.avg_latency:.2f} "
             f"max={rep.max_latency} queuing={rep.avg_queuing:.2f}"
@@ -548,7 +552,7 @@ def _cmd_export_lp(args) -> int:
     run = _run_from_args(args)
     prof, om, conflict = _analysis(run)
     inst = build_instance(prof, om, conflict, run.params)
-    if args.buses:
+    if args.buses is not None:
         buses = args.buses
     else:
         buses, _, _ = min_config(inst, SearchBudget(run.limits))
@@ -609,8 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse's usage errors exit 2, which means infeasible here
+            return EXIT_USAGE
+        raise  # --help
     try:
         return args.func(args)
     except InfeasibleError as exc:

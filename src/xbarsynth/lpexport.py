@@ -17,14 +17,6 @@ from __future__ import annotations
 from .solver import ProblemInstance
 
 
-def sharing_solutions(x_i: int, x_j: int) -> set[int]:
-    """Binary sb values admitted by the linearization for given x values."""
-    return {
-        sb for sb in (0, 1)
-        if x_i + x_j - 1 <= sb and 0.5 * x_i + 0.5 * x_j >= sb
-    }
-
-
 def export_milp(inst: ProblemInstance, num_buses: int) -> str:
     """Render the full binding model in CPLEX LP text syntax."""
     t = inst.num_targets

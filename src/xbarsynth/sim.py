@@ -1,12 +1,14 @@
 """Cycle-level bus contention replay of a trace against a crossbar config.
 
 Every transaction requests its target's bus at its start cycle.  A bus
-serves one transaction at a time, non-preemptively, granting queued
-requests in (arrival cycle, target_id, initiator_id) order; initiators are
-connected to every bus and never contend among themselves.  Latency is
-completion minus request start, so an uncontended transaction's latency
-equals its duration; queuing delay (latency minus duration) is reported
-separately as well.
+serves one transaction at a time, non-preemptively and for exactly its
+duration, granting queued requests in (arrival cycle, target_id,
+initiator_id) order; initiators are connected to every bus and never
+contend among themselves.  Latency is completion minus request start, so
+an uncontended transaction's latency equals its duration.  A report holds
+the per-transaction latencies and the three statistics the design flow
+reads: average and maximum latency, and average queuing delay (latency
+minus duration).
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ class SimulationError(ValueError):
 
 @dataclass(eq=False)
 class SimReport:
-    """Per-transaction latencies plus aggregate statistics."""
+    """Per-transaction latencies plus the statistics the flow reads."""
 
     latency: np.ndarray  # int64 per transaction in trace order, read-only
     avg_latency: float
     max_latency: int
-    avg_queuing: float
-    per_target_avg: list[float]
-    per_bus_utilization: list[float]
+    avg_queuing: float  # mean of latency minus duration
 
     @property
     def per_transaction_latency(self) -> list[int]:
@@ -40,53 +40,39 @@ class SimReport:
         return self.latency.tolist()
 
 
-def simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0) -> SimReport:
+def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     """Replay ``trace`` on ``config`` and measure per-transaction latency.
 
-    ``grant_overhead`` adds a fixed bus-occupancy cost to every grant
-    (defaults to zero: pure transfer time).
-
-    Each bus is a FIFO single server fed in grant order, so completions
-    follow Lindley's recursion c[k] = max(s[k], c[k-1]) + h[k] with hold
-    h = duration + grant_overhead.  Unrolled with H = cumsum(h), that is
-    the max-plus scan c = H + cummax(s - (H - h)), computed exactly in
-    int64 per bus.
+    Each bus is a FIFO single server fed in grant order that holds the bus
+    for a transaction's duration, so completions follow Lindley's
+    recursion c[k] = max(s[k], c[k-1]) + d[k].  Unrolled with
+    D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
+    computed exactly in int64 per bus.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
         raise SimulationError(
             f"binding missing a referenced target: t_{missing} has no bus"
         )
-    start = trace.start
-    hold = trace.duration + grant_overhead
+    start, duration = trace.start, trace.duration
     bus = np.asarray(config.binding, dtype=np.int64)[trace.target - 1] - 1
     order, bounds = group_rows(bus, config.num_buses)  # grant order within a bus
     completion = np.empty_like(start)
-    bus_busy = []
     for k in range(config.num_buses):
         rows = order[bounds[k]:bounds[k + 1]]
-        s, h = start[rows], hold[rows]
-        done = np.cumsum(h)
-        completion[rows] = done + np.maximum.accumulate(s - (done - h))
-        bus_busy.append(int(done[-1]) if len(done) else 0)
+        s, d = start[rows], duration[rows]
+        done = np.cumsum(d)
+        completion[rows] = done + np.maximum.accumulate(s - (done - d))
     latency = completion - start
     latency.flags.writeable = False
 
     n = len(latency)
     total = int(latency.sum())
-    tgt_sum = np.zeros(trace.num_targets, dtype=np.int64)
-    np.add.at(tgt_sum, trace.target - 1, latency)
-    tgt_cnt = np.bincount(trace.target - 1, minlength=trace.num_targets)
-    makespan = max(trace.horizon, int(completion.max()) if n else 0)
-    avg_queuing = (total - int(trace.duration.sum()) - n * grant_overhead) / n if n else 0.0
     return SimReport(
         latency=latency,
         avg_latency=total / n if n else 0.0,
         max_latency=int(latency.max()) if n else 0,
-        avg_queuing=avg_queuing,
-        per_target_avg=[s / c if c else 0.0
-                        for s, c in zip(tgt_sum.tolist(), tgt_cnt.tolist())],
-        per_bus_utilization=[b / makespan if makespan else 0.0 for b in bus_busy],
+        avg_queuing=(total - int(duration.sum())) / n if n else 0.0,
     )
 
 

@@ -532,16 +532,23 @@ def _check_single_target_fit(inst: ProblemInstance) -> None:
 
 
 def _greedy_clique_size(conflict: np.ndarray) -> int:
-    """Size of a greedily grown clique; a lower bound on the bus count."""
-    n = conflict.shape[0]
-    degrees = conflict.sum(axis=1)
+    """Size of a greedily grown clique; a lower bound on the bus count.
+
+    Each seed, taken in decreasing conflict degree with ties by id, grows a
+    clique by visiting the targets in that same order: ``v`` joins when it
+    conflicts with every member.  Bit ``u`` of ``adj[v]`` marks a conflict
+    between ``v`` and ``u``; the zero diagonal keeps a member from joining
+    again.
+    """
+    adj = [sum(1 << u for u, c in enumerate(row) if c) for row in conflict.tolist()]
+    order = sorted(range(len(adj)), key=lambda i: (-adj[i].bit_count(), i))
     best = 1
-    for seed in sorted(range(n), key=lambda i: (-int(degrees[i]), i)):
-        clique = [seed]
-        for v in sorted(range(n), key=lambda i: (-int(degrees[i]), i)):
-            if v != seed and all(conflict[v, u] for u in clique):
-                clique.append(v)
-        best = max(best, len(clique))
+    for seed in order:
+        clique = 1 << seed
+        for v in order:
+            if clique & adj[v] == clique:
+                clique |= 1 << v
+        best = max(best, clique.bit_count())
     return best
 
 

@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from xbarsynth.analysis import WindowProfile
 from xbarsynth.solver import (
     CrossbarConfig,
     ProblemInstance,
@@ -66,6 +67,36 @@ def whole_trace_overlap(trace: Trace) -> np.ndarray:
 def target_occupancy(trace: Trace) -> np.ndarray:
     """Per-target busy cycle counts (concurrent transfers counted once)."""
     return np.diagonal(whole_trace_overlap(trace)).copy()
+
+
+def validate_profile(prof: WindowProfile) -> None:
+    """Check the structural invariants of a profile; raise on violation."""
+    ws = prof.window_size
+    if (prof.comm < 0).any() or (prof.comm > ws).any():
+        raise ValueError("comm entries must lie in [0, WS]")
+    if (prof.peak < 0).any() or (prof.peak > ws).any():
+        raise ValueError("peak entries must lie in [0, WS]")
+    for name in ("om", "peak", "crit"):
+        mat = getattr(prof, name)
+        if not np.array_equal(mat, mat.T):
+            raise ValueError(f"{name} must be symmetric in the target pair")
+    if not np.array_equal(prof.om.diagonal(), prof.comm.sum(axis=1)):
+        raise ValueError("om diagonal must equal the comm row sums")
+    row_max = prof.comm.max(axis=1, initial=0)
+    if not np.array_equal(prof.peak.diagonal(), row_max):
+        raise ValueError("peak diagonal must equal the comm row maxima")
+    # A pair is busy at once only while each of its two targets is busy.
+    for name in ("om", "peak"):
+        mat = getattr(prof, name)
+        diag = mat.diagonal()
+        if (mat > np.minimum.outer(diag, diag)).any():
+            raise ValueError(
+                f"{name} off-diagonal entries must not exceed the smaller diagonal entry"
+            )
+    if (prof.peak > prof.om).any():
+        raise ValueError("peak must not exceed om")
+    if (prof.crit & (prof.om == 0)).any():
+        raise ValueError("crit only where om > 0")
 
 
 @dataclass(frozen=True)
@@ -256,6 +287,24 @@ def make_random_config(rng: np.random.Generator, num_targets: int) -> CrossbarCo
     num_buses = int(rng.integers(1, num_targets + 1))
     binding = tuple(int(b) for b in rng.integers(1, num_buses + 1, num_targets))
     return CrossbarConfig(num_buses, binding)
+
+
+# ------------------------------------------------------------ lower bound
+
+def greedy_clique_size(conflict: np.ndarray) -> int:
+    """The greedy clique bound as a plain loop over the boolean matrix:
+    each seed, by decreasing degree with ties by id, grows a clique in
+    that same order."""
+    n = conflict.shape[0]
+    degrees = conflict.sum(axis=1)
+    best = 1
+    for seed in sorted(range(n), key=lambda i: (-int(degrees[i]), i)):
+        clique = [seed]
+        for v in sorted(range(n), key=lambda i: (-int(degrees[i]), i)):
+            if v != seed and all(conflict[v, u] for u in clique):
+                clique.append(v)
+        best = max(best, len(clique))
+    return best
 
 
 # ---------------------------------------------------------------- budgets
@@ -471,6 +520,15 @@ def search_outcome(search, inst: ProblemInstance, num_buses: int, order: list[in
 
 
 # ------------------------------------------------------------ LP parsing
+
+def sharing_solutions(x_i: int, x_j: int) -> set[int]:
+    """Binary sb values admitted by the exporter's linearization of
+    sb = x_i * x_j for given x values."""
+    return {
+        sb for sb in (0, 1)
+        if x_i + x_j - 1 <= sb and 0.5 * x_i + 0.5 * x_j >= sb
+    }
+
 
 def parse_lp(text: str):
     """Parse the exporter's LP dialect into matrix form.

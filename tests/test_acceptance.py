@@ -14,7 +14,7 @@ import pytest
 from xbarsynth.analysis import AnalysisParams, profile
 from xbarsynth.cli import RunConfig, compare_bindings, design, sweep_window
 from xbarsynth.gen import benchmark_preset
-from xbarsynth.lpexport import export_milp, sharing_solutions
+from xbarsynth.lpexport import export_milp
 from xbarsynth.sim import simulate
 from xbarsynth.solver import CrossbarConfig, min_config, optimal_binding
 from xbarsynth.trace import Trace, Transaction
@@ -27,6 +27,7 @@ from oracles import (
     make_random_instance,
     make_random_trace,
     replay_simulate,
+    sharing_solutions,
     solve_lp_with_highs,
 )
 

@@ -11,11 +11,16 @@ from xbarsynth.analysis import (
     aggregate_overlap,
     preprocess,
     profile,
-    validate_profile,
 )
 from xbarsynth.trace import Trace, Transaction
 
-from oracles import cycle_profile, make_random_trace, target_occupancy, whole_trace_overlap
+from oracles import (
+    cycle_profile,
+    make_random_trace,
+    target_occupancy,
+    validate_profile,
+    whole_trace_overlap,
+)
 
 
 def test_two_target_example():

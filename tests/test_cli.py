@@ -134,6 +134,48 @@ def test_exactly_one_input_source_enforced(tmp_path, config_file, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "--bogus"],
+    ["design", "--preset", "hotspot", "--window-size", "abc"],
+    [],
+], ids=["unknown-option", "bad-int", "no-subcommand"])
+def test_parse_errors_exit_one(argv, capsys):
+    # exit 2 means infeasible, so argparse's own exit 2 must not leak out
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("design", ["--window-size", "50"], "bus count 0 outside 1..3"),
+    ("simulate", ["--binding", "1,1,1"], "need at least one bus"),
+    ("export-lp", ["--window-size", "50"], "bus count 0 outside 1..3"),
+], ids=["design", "simulate", "export-lp"])
+def test_zero_buses_is_a_usage_error(tmp_path, config_file, capsys, command, extra, message):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config_file), "--out-dir", str(out),
+                 "--buses", "0"] + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "latency.csv").exists() and not (out / "model.lp").exists()
+
+
+@pytest.mark.parametrize("command", ["design", "gen"])
+def test_direction_resp_needs_a_trace_file(tmp_path, capsys, command):
+    # the generator writes request flows only
+    out = tmp_path / "o"
+    assert main([command, "--preset", "hotspot", "--direction", "resp",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: --direction resp needs --trace: "
+                                       "generated traces hold request flows only\n")
+    assert not out.exists()
+
+
 def test_infeasible_bus_override_exits_two(tmp_path, config_file):
     code = main(["design", "--config", str(config_file), "--out-dir", str(tmp_path / "o"),
                  "--window-size", "50", "--buses", "1"])

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from xbarsynth.lpexport import export_milp, sharing_solutions
+from xbarsynth.lpexport import export_milp
 from xbarsynth.solver import ProblemInstance, min_config, optimal_binding
 
-from oracles import make_random_instance
+from oracles import make_random_instance, sharing_solutions
 
 
 def small_instance():

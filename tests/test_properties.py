@@ -1,5 +1,5 @@
 """Property tests: columnar trace, profile, pre-processing, simulator,
-search kernel and whole solve against the oracles.
+clique bound, search kernel and whole solve against the oracles.
 
 Hypothesis shrinks any counterexample to a minimal trace.  Traces are kept
 small (a few targets, horizons of a few hundred cycles) so the per-cycle
@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarsynth import solver
@@ -46,6 +46,7 @@ from oracles import (
     brute_min_buses,
     brute_optimal_bindings,
     cycle_profile,
+    greedy_clique_size,
     make_random_instance,
     reference_search,
     replay_simulate,
@@ -87,21 +88,17 @@ def trace_and_config(draw):
 
 
 @SETTINGS
-@given(trace_and_config(), st.integers(0, 4))
-def test_simulate_matches_replay(case, grant_overhead):
+@given(trace_and_config())
+def test_simulate_matches_replay(case):
     trace, config = case
-    rep = simulate(trace, config, grant_overhead)
-    latencies, bus_busy = replay_simulate(trace, config, grant_overhead)
+    rep = simulate(trace, config)
+    latencies, _ = replay_simulate(trace, config)
     assert rep.per_transaction_latency == latencies
     n = len(latencies)
     assert rep.avg_latency == (sum(latencies) / n if n else 0.0)
     assert rep.max_latency == max(latencies, default=0)
     durations = sum(tx.duration for tx in trace.transactions)
-    assert rep.avg_queuing == ((sum(latencies) - durations - n * grant_overhead) / n
-                               if n else 0.0)
-    ends = [tx.start_cycle + lat for tx, lat in zip(trace.transactions, latencies)]
-    makespan = max([trace.horizon] + ends)
-    assert rep.per_bus_utilization == [b / makespan if makespan else 0.0 for b in bus_busy]
+    assert rep.avg_queuing == ((sum(latencies) - durations) / n if n else 0.0)
 
 
 @SETTINGS
@@ -182,8 +179,8 @@ def test_corrupted_row_reported_at_its_line(tmp_path_factory, trace, kind, data)
 
 
 @SETTINGS
-@given(st.integers(1, 6), st.integers(0, 500), st.integers(1, 200), st.integers(0, 3))
-def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size, grant_overhead):
+@given(st.integers(1, 6), st.integers(0, 500), st.integers(1, 200))
+def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size):
     trace = Trace(1, num_targets, horizon=horizon)
     prof = profile(trace, window_size)
     num_windows = -(-horizon // window_size)
@@ -194,11 +191,35 @@ def test_empty_trace_profile_and_simulate(num_targets, horizon, window_size, gra
     assert prof.om.shape == prof.peak.shape == prof.crit.shape == (num_targets, num_targets)
     assert not prof.om.any() and not prof.peak.any() and not prof.crit.any()
     config = CrossbarConfig(num_targets, tuple(range(1, num_targets + 1)))
-    rep = simulate(trace, config, grant_overhead)
+    rep = simulate(trace, config)
     assert rep.per_transaction_latency == []
     assert (rep.avg_latency, rep.max_latency, rep.avg_queuing) == (0.0, 0, 0.0)
-    assert rep.per_target_avg == [0.0] * num_targets
-    assert rep.per_bus_utilization == [0.0] * num_targets
+
+
+@st.composite
+def conflict_matrices(draw):
+    """A symmetric zero-diagonal boolean matrix, T from 1 to 32, at a drawn
+    edge density."""
+    t = draw(st.integers(1, 32))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    upper = np.triu(rng.random((t, t)) < density, k=1)
+    return upper | upper.T
+
+
+def _adjacency(neighbours: list[list[int]]) -> np.ndarray:
+    conflict = np.zeros((len(neighbours), len(neighbours)), dtype=bool)
+    for i, row in enumerate(neighbours):
+        conflict[i, row] = True
+    return conflict
+
+
+@SETTINGS
+@given(conflict_matrices())
+# six targets tie at degree 3: the bound is 3 with ties taken by id, 2 the other way
+@example(_adjacency([[3, 6], [2, 4, 6], [1, 4, 5], [0, 4, 5], [1, 2, 3], [2, 3, 6], [0, 1, 5]]))
+def test_greedy_clique_matches_reference_loop(conflict):
+    assert solver._greedy_clique_size(conflict) == greedy_clique_size(conflict)
 
 
 @st.composite
