@@ -43,7 +43,9 @@ from .solver import (
     SolveReport,
     SolverLimitReached,
     SolverLimits,
+    binding_fits,
     build_instance,
+    check_bus_count,
     min_config,
     optimal_binding,
     validate_binding,
@@ -189,6 +191,8 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
     prof, om, conflict = _analysis(run, prof)
     trace = prof.trace
     inst = build_instance(prof, om, conflict, run.params)
+    if run.buses_override is not None:  # a usage error, raised before any artifact
+        check_bus_count(run.buses_override, inst.num_targets)
 
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -327,12 +331,15 @@ def sweep_threshold(run: RunConfig, theta_list: list[float]) -> Path:
 def random_feasible_binding(
     inst: ProblemInstance, num_buses: int, rng: np.random.Generator
 ) -> CrossbarConfig | None:
-    """Uniform rejection sampling over all bindings into num_buses buses."""
+    """Uniform rejection sampling over all bindings into num_buses buses.
+
+    Each draw is tested by :func:`~xbarsynth.solver.binding_fits`; only the
+    accepted one becomes a :class:`CrossbarConfig`.
+    """
     for _ in range(MAX_REJECTIONS_PER_SAMPLE):
-        binding = tuple(int(b) for b in rng.integers(1, num_buses + 1, inst.num_targets))
-        config = CrossbarConfig(num_buses, binding)
-        if not validate_binding(inst, config):
-            return config
+        binding = tuple(rng.integers(1, num_buses + 1, inst.num_targets).tolist())
+        if binding_fits(inst, binding):
+            return CrossbarConfig(num_buses, binding)
     return None
 
 
@@ -493,6 +500,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.buses is not None and not args.binding:
+        raise ValueError("--buses needs --binding: it sets the bound binding's bus count")
     run = _run_from_args(args)
     trace = run.resolve_trace()
     configs = baseline_configs(trace.num_targets)

@@ -110,25 +110,37 @@ class GenSpec:
         return [t for t in range(1, self.num_targets + 1) if t not in shared]
 
 
-def _emit_run(rows: list[tuple[int, int, int, int, bool]], start: int, length: int,
-              init: int, tgt: int, critical: bool, packet_len: int) -> None:
-    """Append one busy run as back-to-back packet rows (start, duration,
-    initiator, target, critical)."""
-    if packet_len <= 0 or packet_len >= length:
-        rows.append((start, length, init, tgt, critical))
-        return
-    off = 0
-    while off < length:
-        piece = min(packet_len, length - off)
-        rows.append((start + off, piece, init, tgt, critical))
-        off += piece
+def _cut_packets(rows: np.ndarray, packet_len: int) -> np.ndarray:
+    """Cut rows (start, duration, initiator, target, critical, split) into
+    back-to-back packet rows (start, duration, initiator, target, critical).
+
+    A row with ``split`` set becomes ``ceil(duration / packet_len)`` packets
+    of ``packet_len`` cycles, the last one shorter; any other row, and every
+    row when ``packet_len`` is 0 or at least its duration, stays one packet.
+    Packets keep their row's order.
+    """
+    duration = rows[:, 1]
+    counts = np.ones(len(rows), dtype=np.int64)
+    if packet_len > 0:
+        split = rows[:, 5].astype(bool)
+        counts[split] = np.maximum(1, -(-duration[split] // packet_len))
+    idx = np.repeat(np.arange(len(rows)), counts)
+    # packet index within its row, times packet_len
+    offset = (np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)) * packet_len
+    cap = np.where(counts > 1, packet_len, duration)[idx]
+    packets = rows[idx, :5]
+    packets[:, 0] += offset
+    packets[:, 1] = np.minimum(cap, duration[idx] - offset)
+    return packets
 
 
 def generate(spec: GenSpec) -> Trace:
     """Produce a deterministic trace for ``spec``.
 
-    Raises GenError when the horizon is too small for at least one full
-    burst per initiator.
+    Each busy run and each shared access is recorded as one row, in
+    emission order; one :func:`_cut_packets` pass then cuts the runs into
+    packets.  Raises GenError when the horizon is too small for at least
+    one full burst per initiator.
     """
     period = spec.slot_period
     privates = spec.private_targets()
@@ -143,7 +155,7 @@ def generate(spec: GenSpec) -> Trace:
         )
 
     seq = np.random.SeedSequence(spec.seed).spawn(spec.num_initiators + 1)
-    rows: list[tuple[int, int, int, int, bool]] = []
+    rows: list[tuple[int, int, int, int, bool, bool]] = []  # ..., critical, split
     spread = 1.0 - spec.phase_correlation
     pc = spec.phase_correlation
     for idx in range(spec.num_initiators):
@@ -154,6 +166,7 @@ def generate(spec: GenSpec) -> Trace:
         # identical at 1.0 and independent at 0.0.
         common = np.random.Generator(np.random.PCG64(seq[-1]))
         tgt = privates[idx % len(privates)]
+        crit = (init, tgt) in critical_set
         span_start = int(spread * rng.random() * period)
         # Persistent run placement inside the span, drawn once so the
         # initiator keeps its sub-burst rhythm from burst to burst.
@@ -179,8 +192,7 @@ def generate(spec: GenSpec) -> Trace:
             offset = 0
             for q, run_len in enumerate(lengths):
                 run_start = span_start + int(frac[q] * slack) + offset
-                crit = (init, tgt) in critical_set
-                _emit_run(rows, run_start, run_len, init, tgt, crit, spec.packet_len)
+                rows.append((run_start, run_len, init, tgt, crit, True))
                 offset += run_len
             emitted += 1
             if shared:
@@ -188,8 +200,8 @@ def generate(spec: GenSpec) -> Trace:
                 rank = idx // len(shared)
                 sstart = span_start + span + rank * (shared_len + 1)
                 if sstart + shared_len <= spec.horizon:
-                    crit = (init, stgt) in critical_set
-                    rows.append((sstart, shared_len, init, stgt, crit))
+                    rows.append((sstart, shared_len, init, stgt,
+                                 (init, stgt) in critical_set, False))
             gap = round(
                 spec.inter_burst_gap_mean * (1.0 + spec.burst_len_jitter * eps)
             )
@@ -199,9 +211,9 @@ def generate(spec: GenSpec) -> Trace:
                 f"horizon {spec.horizon} too small: initiator i_{init} "
                 f"cannot fit one burst of ~{spec.burst_len_mean} cycles"
             )
-    start, duration, initiator, target, critical = (
-        np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    )
+    start, duration, initiator, target, critical = _cut_packets(
+        np.array(rows, dtype=np.int64).reshape(-1, 6), spec.packet_len
+    ).T
     return Trace.from_columns(spec.num_initiators, spec.num_targets, start, duration,
                               initiator, target, critical, horizon=spec.horizon)
 

@@ -59,13 +59,25 @@ is passed down the recursion, so backtracking restores nothing, and a
 depth reads its target's field once and visits only the buses left free.
 The attempts it skips are still counted as nodes, in bulk, so node counts
 and the node at which a limit cuts are those of testing every bus in turn.
+
+Everything above that does not depend on the bus count is the instance's
+packed form (:class:`_Packed`): the load field width's guard bits and
+bias, the packed ``comm`` and ``om`` rows, the overlap field width, one
+conflict-adjacency int per target and the busy and overlap orders.  It is
+built once, on the instance's first search, and cached on the instance,
+which is immutable so that the cache never goes stale; every probe and
+binding search of a solve, and :func:`binding_fits`, which a random-binding
+sampler calls once per draw, read the same one.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,9 +138,23 @@ class SolverLimits:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype``; an array passed in keeps
+    its own flags, so the caller can still write to it."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
-    """All solver inputs: per-window demands, overlaps, conflicts, caps."""
+    """All solver inputs: per-window demands, overlaps, conflicts, caps.
+
+    Immutable, so that the packed form the search builds on first use
+    (``_packed``, see the module docstring) never goes stale: the fields
+    cannot be reassigned and the arrays are read-only views.  Build a
+    changed instance with :func:`dataclasses.replace`.
+    """
 
     window_size: int
     comm: np.ndarray      # (T, W) busy cycles per target per window
@@ -137,9 +163,8 @@ class ProblemInstance:
     maxtb: int
 
     def __post_init__(self) -> None:
-        self.comm = np.asarray(self.comm, dtype=np.int64)
-        self.om = np.asarray(self.om, dtype=np.int64)
-        self.conflict = np.asarray(self.conflict, dtype=bool)
+        for name, dtype in (("comm", np.int64), ("om", np.int64), ("conflict", bool)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         t = self.comm.shape[0]
         if t < 1:
             raise InstanceError("instance needs at least one target")
@@ -167,6 +192,16 @@ class ProblemInstance:
     @property
     def num_targets(self) -> int:
         return self.comm.shape[0]
+
+    @cached_property
+    def _packed(self) -> _Packed:
+        return _pack(self)
+
+
+def check_bus_count(num_buses: int, num_targets: int) -> None:
+    """Raise :class:`InstanceError` unless ``1 <= num_buses <= num_targets``."""
+    if not 1 <= num_buses <= num_targets:
+        raise InstanceError(f"bus count {num_buses} outside 1..{num_targets}")
 
 
 def build_instance(prof: WindowProfile, om: np.ndarray, conflict: np.ndarray,
@@ -339,24 +374,16 @@ class SearchBudget:
         return self.next_check(nodes)
 
 
-def _busy_order(inst: ProblemInstance) -> list[int]:
+def _busy_order(inst: ProblemInstance) -> tuple[int, ...]:
     """Targets by decreasing total busy cycles (first-fail heuristic)."""
-    totals = inst.comm.sum(axis=1)
-    return sorted(range(inst.num_targets), key=lambda i: (-int(totals[i]), i))
+    return inst._packed.busy_order
 
 
-def _overlap_sums(inst: ProblemInstance) -> list[int]:
-    """Each target's off-diagonal ``om`` row sum, in Python ints: a numpy
-    row sum can overflow int64."""
-    return [sum(row) - row[i] for i, row in enumerate(inst.om.tolist())]
-
-
-def _overlap_order(inst: ProblemInstance) -> list[int]:
+def _overlap_order(inst: ProblemInstance) -> tuple[int, ...]:
     """Targets by decreasing off-diagonal ``om`` row sum, ties by id: the
     target that overlaps the others most, and so is hardest to fit onto a
     shared bus, is branched on first (fail-first)."""
-    sums = _overlap_sums(inst)
-    return sorted(range(inst.num_targets), key=lambda i: (-sums[i], i))
+    return inst._packed.overlap_order
 
 
 def _field_width(peak: int) -> int:
@@ -376,7 +403,79 @@ def _pack_rows(rows: np.ndarray, width: int) -> list[int]:
     return [sum(int(v) << (width * m) for m, v in enumerate(row)) for row in rows]
 
 
-def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: float,
+def _spread(bits: int, stride: int) -> int:
+    """``bits`` with each set bit ``u`` moved to bit ``u * stride``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << ((low.bit_length() - 1) * stride)
+        bits ^= low
+    return out
+
+
+class _Packed(NamedTuple):
+    """The bus-count-independent part of the search state of one instance
+    (see the module docstring), built once by :func:`_pack`."""
+
+    guard: int                    # the top bit of every load field
+    bias: int                     # an empty bus's loads: the bias in every field
+    rows: tuple[int, ...]         # packed ``comm`` row per target
+    ov_width: int                 # bits per overlap field
+    om_rows: tuple[int, ...]      # packed ``om`` row per target, diagonal zeroed
+    adjacency: tuple[int, ...]    # bit ``u`` of entry ``t``: t and u conflict
+    busy_order: tuple[int, ...]
+    overlap_order: tuple[int, ...]
+
+
+def _pack(inst: ProblemInstance) -> _Packed:
+    """Build the packed form of ``inst``; only ``inst._packed`` calls this."""
+    comm, t = inst.comm, inst.num_targets
+    width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
+    ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
+    om = inst.om.copy()
+    np.fill_diagonal(om, 0)
+    sums = [sum(row) for row in om.tolist()]  # Python ints: a numpy sum can overflow
+    ov_width = _field_width(max(sums))
+    totals = comm.sum(axis=1).tolist()
+    return _Packed(
+        guard=(1 << (width - 1)) * ones,
+        bias=((1 << (width - 1)) - 1 - inst.window_size) * ones,
+        rows=tuple(_pack_rows(comm, width)),
+        ov_width=ov_width,
+        om_rows=tuple(_pack_rows(om, ov_width)),
+        adjacency=tuple(sum(1 << u for u, c in enumerate(row) if c)
+                        for row in inst.conflict.tolist()),
+        busy_order=tuple(sorted(range(t), key=lambda i: (-totals[i], i))),
+        overlap_order=tuple(sorted(range(t), key=lambda i: (-sums[i], i))),
+    )
+
+
+def binding_fits(inst: ProblemInstance, binding: tuple[int, ...]) -> bool:
+    """Whether ``binding`` (one 1-based bus label per target) meets every
+    design constraint: the packed-form answer of
+    ``validate_binding(inst, config) == []``, for a sampler's many draws.
+
+    Targets join their buses in id order.  Each join tests the target's
+    conflict adjacency against the bus's member mask (conflicts are
+    symmetric, so every pair is seen once), the member count against
+    ``maxtb``, and the guard bits after adding the packed loads (loads only
+    grow, so the first overflow shows, before any field can carry).
+    """
+    p = inst._packed
+    guard, bias, maxtb = p.guard, p.bias, inst.maxtb
+    loads: dict[int, int] = {}
+    members: dict[int, int] = {}
+    for t, (k, row, adj) in enumerate(zip(binding, p.rows, p.adjacency)):
+        mask = members.get(k, 0)
+        load = loads.get(k, bias) + row
+        if adj & mask or load & guard or mask.bit_count() >= maxtb:
+            return False
+        members[k] = mask | 1 << t
+        loads[k] = load
+    return True
+
+
+def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: float,
             first_only: bool, budget: SearchBudget,
             ) -> tuple[list[int] | None, float, SolverLimitReached | None]:
     """Depth-first branch-and-bound over canonical bindings onto ``num_buses``.
@@ -405,31 +504,25 @@ def _search(inst: ProblemInstance, num_buses: int, order: list[int], bound: floa
     on node 1 and every 256th node after it.  The count is written back to
     ``budget.nodes`` on every exit.  The loads and overlaps are bit-packed
     (see the module docstring) and kept in local lists.  What a depth needs
-    of its target is one precomputed tuple: its id, its field's shift in
-    ``blocked``, its packed ``comm`` row, its overlap field's shift, its
-    packed ``om`` row, and bit ``u*B`` for each conflict neighbour ``u``
-    (``B = num_buses``), which joining bus ``k`` ORs into ``blocked``
-    shifted by ``k`` (every target's bit instead once the bus is full).
+    of its target is one tuple: its id, its field's shift in ``blocked``,
+    its packed ``comm`` row, its overlap field's shift, its packed ``om``
+    row, and bit ``u*B`` for each conflict neighbour ``u`` (``B =
+    num_buses``), which joining bus ``k`` ORs into ``blocked`` shifted by
+    ``k`` (every target's bit instead once the bus is full).  The packed
+    rows come from the instance's packed form, built on its first search;
+    a call builds only what depends on ``B``: the neighbour bits and the
+    every-target bits, spread to ``B``-bit fields.
     """
-    comm = inst.comm
-    width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
-    ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
-    guard = (1 << (width - 1)) * ones
-    rows = _pack_rows(comm, width)
-    om = inst.om.copy()
-    np.fill_diagonal(om, 0)
-    ov_width = _field_width(max(_overlap_sums(inst)))
+    p = inst._packed
+    guard, ov_width, rows, om_rows = p.guard, p.ov_width, p.rows, p.om_rows
     ov_mask = (1 << ov_width) - 1
-    om_rows = _pack_rows(om, ov_width)
-    spread = [sum(1 << (u * num_buses) for u, c in enumerate(row) if c)
-              for row in inst.conflict.tolist()]
-    full = sum(1 << (u * num_buses) for u in range(inst.num_targets))
-    steps = [(t, t * num_buses, rows[t], t * ov_width, om_rows[t], spread[t])
-             for t in order]
+    full = _spread((1 << inst.num_targets) - 1, num_buses)
+    steps = [(t, t * num_buses, rows[t], t * ov_width, om_rows[t],
+              _spread(p.adjacency[t], num_buses)) for t in order]
     # the buses a target may try with ``used`` buses in use, as a bit mask
     reach = [(1 << min(used + 1, num_buses)) - 1 for used in range(num_buses + 1)]
     maxtb = inst.maxtb
-    loads = [((1 << (width - 1)) - 1 - inst.window_size) * ones] * num_buses
+    loads = [p.bias] * num_buses
     overlap = [0] * num_buses
     acc = [0] * num_buses
     counts = [0] * num_buses
@@ -508,10 +601,7 @@ def check_feasible(
 
     Returns the decision and, when feasible, a canonicalized witness.
     """
-    if not 1 <= num_buses <= inst.num_targets:
-        raise InstanceError(
-            f"bus count {num_buses} outside 1..{inst.num_targets}"
-        )
+    check_bus_count(num_buses, inst.num_targets)
     binding, _, cut = _search(inst, num_buses, _overlap_order(inst), math.inf, True,
                               budget or SearchBudget())
     if cut is not None:
@@ -633,8 +723,7 @@ def optimal_binding(
     proven optimum, ``optimal=True`` but not canonical, in the tie-break.
     """
     t0 = time.monotonic()
-    if not 1 <= num_buses <= inst.num_targets:
-        raise InstanceError(f"bus count {num_buses} outside 1..{inst.num_targets}")
+    check_bus_count(num_buses, inst.num_targets)
     budget = budget or SearchBudget()
     start_nodes = budget.nodes
 

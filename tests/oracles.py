@@ -242,6 +242,23 @@ def replay_simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 
     return latencies, bus_busy
 
 
+# -------------------------------------------------------------- generator
+
+def emit_run(rows: list[tuple[int, int, int, int, bool]], start: int, length: int,
+             init: int, tgt: int, critical: bool, packet_len: int) -> None:
+    """Append one busy run as back-to-back packet rows (start, duration,
+    initiator, target, critical), one packet at a time: the reference for
+    the generator's bulk cutter, ``gen._cut_packets``."""
+    if packet_len <= 0 or packet_len >= length:
+        rows.append((start, length, init, tgt, critical))
+        return
+    off = 0
+    while off < length:
+        piece = min(packet_len, length - off)
+        rows.append((start + off, piece, init, tgt, critical))
+        off += piece
+
+
 # ------------------------------------------------------- random fixtures
 
 def make_random_trace(rng: np.random.Generator, num_targets: int | None = None,

@@ -165,6 +165,24 @@ def test_zero_buses_is_a_usage_error(tmp_path, config_file, capsys, command, ext
     assert not (out / "latency.csv").exists() and not (out / "model.lp").exists()
 
 
+def test_design_bus_count_above_the_targets_writes_nothing(tmp_path, capsys):
+    """Checked against the trace's target count before any artifact."""
+    out = tmp_path / "o"
+    assert main(["design", "--preset", "hotspot", "--buses", "9", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bus count 9 outside 1..4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("buses", ["0", "2"])
+def test_simulate_buses_needs_a_binding(tmp_path, capsys, buses):
+    out = tmp_path / "o"
+    assert main(["simulate", "--preset", "hotspot", "--buses", buses,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --buses needs --binding: it sets the bound binding's bus count\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["design", "gen"])
 def test_direction_resp_needs_a_trace_file(tmp_path, capsys, command):
     # the generator writes request flows only

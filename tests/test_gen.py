@@ -1,6 +1,7 @@
 """Synthetic generator: examples, invariants, presets, config round trip."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from xbarsynth.gen import (
     GenError,
     GenSpec,
     PRESET_NAMES,
+    _cut_packets,
     benchmark_preset,
     generate,
     spec_from_text,
     spec_to_text,
 )
+from xbarsynth.trace import save_trace
 
-from oracles import target_occupancy, trace_stats
+from oracles import emit_run, target_occupancy, trace_stats
 
 
 def plain_spec(**kw):
@@ -110,6 +113,47 @@ def test_packets_tile_runs_back_to_back():
     assert [tx.duration for tx in tr.transactions] == [30, 30, 30, 10]
     for a, b in zip(tr.transactions, tr.transactions[1:]):
         assert b.start_cycle == a.end_cycle
+
+
+@pytest.mark.parametrize("packet_len", [0, 1, 25, 60, 61, 500])
+def test_cut_packets_matches_per_packet_reference(packet_len):
+    """The bulk cutter against the per-packet loop: random runs of 0 to 60
+    cycles plus runs of exactly 1x, 1x + 1 and 2x ``packet_len``, mixed with
+    shared rows, which stay whole at any packet length, in row order."""
+    rng = np.random.Generator(np.random.PCG64(packet_len))
+    lengths = [int(v) for v in rng.integers(0, 61, 150)] + [packet_len, packet_len + 1,
+                                                            2 * packet_len]
+    rows = [(int(rng.integers(0, 10_000)), length, int(rng.integers(1, 5)),
+             int(rng.integers(1, 5)), bool(rng.random() < 0.3), bool(rng.random() < 0.7))
+            for length in lengths]
+    expected: list[tuple] = []
+    for start, length, init, tgt, crit, split in rows:
+        if split:
+            emit_run(expected, start, length, init, tgt, crit, packet_len)
+        else:
+            expected.append((start, length, init, tgt, crit))
+    got = _cut_packets(np.array(rows, dtype=np.int64), packet_len)
+    assert got.tolist() == [[s, d, i, t, int(c)] for s, d, i, t, c in expected]
+    if packet_len in (1, 25):
+        assert len(got) > len(rows)  # some runs were cut
+
+
+# sha256 of save_trace output, recorded with the per-packet generator loop
+TRACE_SHA256 = {
+    ("mat2like", 2024): "e4046f8c281d33361435a4e57a0930685e22d1096cfca7a227c5b0ad5048bdb0",
+    ("mat2like", 7): "54171c4cbc734342c6b37103fb2c68f6376ad82f84ff09360a38fc5c81350b34",
+    ("uniform", 2024): "eff372784b470feef03b7947f960dfe656a24ffc32ac5dc691ce409cdf1a32f2",
+    ("uniform", 7): "73b947340b99b08ec6b20d76d4078f02cdaeaf7db651633a1e133ebb7f6efb54",
+    ("hotspot", 2024): "f0089d5fa39d6ec6a24fdceab3ff5d5289f265a26620101af172eec61d9a5bc6",
+    ("hotspot", 7): "5fbf1c33b2d69e54dd1dc559018418576c4dfe7f598998b428200a833f098879",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TRACE_SHA256))
+def test_preset_trace_bytes_pinned(tmp_path, name, seed):
+    path = tmp_path / "trace.csv"
+    save_trace(generate(dataclasses.replace(benchmark_preset(name), seed=seed)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name, seed]
 
 
 def test_critical_pairs_flag_transactions():

@@ -8,6 +8,7 @@ range often enough to produce same-cycle arrivals.  Solver instances come
 from ``make_random_instance`` with a drawn seed.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from xbarsynth.solver import (
     _busy_order,
     _overlap_order,
     _search,
+    binding_fits,
     min_config,
     optimal_binding,
     validate_binding,
@@ -231,8 +233,26 @@ def solver_instances(draw):
     if draw(st.integers(0, 3)) == 0:  # one instance in four
         i = draw(st.integers(0, inst.num_targets - 1))
         m = draw(st.integers(0, inst.comm.shape[1] - 1))
-        inst.comm[i, m] = inst.window_size + 1
+        comm = inst.comm.copy()
+        comm[i, m] = inst.window_size + 1
+        inst = replace(inst, comm=comm)
     return inst
+
+
+@SETTINGS
+@given(solver_instances(), st.data())
+def test_binding_fits_matches_validate_binding(inst, data):
+    """The sampler's packed check against the independent checker, with a
+    drawn ``maxtb``, bus count and binding, on instances that sometimes
+    overflow a window.  Dividing ``comm`` lets several targets share a bus
+    often enough that the ``maxtb`` cap alone decides."""
+    t = inst.num_targets
+    inst = replace(inst, maxtb=data.draw(st.integers(1, t)),
+                   comm=inst.comm // data.draw(st.sampled_from([1, 4, 100])))
+    num_buses = data.draw(st.integers(1, t))
+    binding = tuple(data.draw(st.lists(st.integers(1, num_buses), min_size=t, max_size=t)))
+    assert binding_fits(inst, binding) == (
+        validate_binding(inst, CrossbarConfig(num_buses, binding)) == [])
 
 
 def budget_limits(draw, full_nodes: int) -> SolverLimits:

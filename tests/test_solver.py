@@ -2,11 +2,12 @@
 
 import gc
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from xbarsynth import solver
 from xbarsynth.analysis import AnalysisParams, aggregate_overlap, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.solver import (
@@ -487,6 +488,42 @@ def test_held_out_uniform_search_tree_pinned(ws, held_out_uniform_trace):
             budget.nodes) == HELD_OUT_UNIFORM_PINS[ws]
 
 
+def test_a_solve_packs_its_instance_once(uniform_trace, monkeypatch):
+    """min_config's probes and optimal_binding's three searches on uniform
+    at ws=2000 all read one packed form, built on first use."""
+    calls = []
+
+    def counting_pack(inst):
+        calls.append(inst)
+        return pack(inst)
+
+    pack = solver._pack
+    monkeypatch.setattr(solver, "_pack", counting_pack)
+    inst = analysed_instance(uniform_trace, 2000, 0.1)
+    budget = SearchBudget()
+    buses, probes, _ = min_config(inst, budget)
+    optimal_binding(inst, buses, budget)
+    assert len(probes) > 1 and calls == [inst]
+
+
+def test_instances_are_immutable_and_leave_the_callers_arrays_writable(uniform_trace):
+    params = AnalysisParams(2000, 0.1)
+    prof = profile(uniform_trace, 2000)
+    om, conflict = aggregate_overlap(prof), preprocess(prof, params)
+    inst = build_instance(prof, om, conflict, params)
+    for name in ("window_size", "comm", "om", "conflict", "maxtb"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(inst, name, getattr(inst, name))
+    for arr in (inst.comm, inst.om, inst.conflict):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = arr[0, 1]
+    capped = replace(inst, maxtb=1)
+    assert capped.maxtb == 1 and inst.maxtb == prof.num_targets
+    prof.comm[0, 0] += 1  # the caller's own arrays stay writable
+    om[0, 1] += 1
+    conflict[0, 1] = not conflict[0, 1]
+
+
 def limited_solve(inst, node_limit):
     """min_config then optimal_binding on one budget; (cut?, budget nodes)."""
     budget = SearchBudget(SolverLimits(node_limit=node_limit))
@@ -748,7 +785,7 @@ def test_one_target_per_bus_gives_the_full_crossbar():
     rng = np.random.Generator(np.random.PCG64(71))
     # the first instance would fit on one bus at no cost but for the cap
     for inst in [inst_of(10, [[1]] * 4)] + [make_random_instance(rng, 8) for _ in range(20)]:
-        inst.maxtb = 1
+        inst = replace(inst, maxtb=1)
         t = inst.num_targets
         assert min_config(inst) == (t, [], None)
         rep = optimal_binding(inst, t)
