@@ -216,6 +216,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
         error = exc.with_traceback(None)
     except SolverLimitReached as exc:
         error, report = exc.with_traceback(None), exc.incumbent
+    inst.release_packed()  # nothing below searches: free it before the simulations
 
     if report is not None:
         report.feasibility_probes = probes + report.feasibility_probes

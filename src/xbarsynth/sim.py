@@ -87,12 +87,18 @@ class CompareRow:
 
 
 def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]) -> list[CompareRow]:
-    """Simulate each named config.  A config's size relative to the one-bus
-    shared baseline is its bus count (bus-count granularity only: arbiters
-    and adapters of a real interconnect are not modeled)."""
+    """Simulate each named config; equal configs share one simulation.
+
+    A config's size relative to the one-bus shared baseline is its bus
+    count (bus-count granularity only: arbiters and adapters of a real
+    interconnect are not modeled).
+    """
+    reports: dict[CrossbarConfig, SimReport] = {}
     rows = []
     for name, config in configs:
-        report = simulate(trace, config)
+        if config not in reports:
+            reports[config] = simulate(trace, config)
+        report = reports[config]
         rows.append(
             CompareRow(
                 name=name,

@@ -197,6 +197,10 @@ class ProblemInstance:
     def _packed(self) -> _Packed:
         return _pack(self)
 
+    def release_packed(self) -> None:
+        """Free the cached packed form; the next search that needs it rebuilds it."""
+        self.__dict__.pop("_packed", None)
+
 
 def check_bus_count(num_buses: int, num_targets: int) -> None:
     """Raise :class:`InstanceError` unless ``1 <= num_buses <= num_targets``."""

@@ -20,11 +20,22 @@ In memory a :class:`Trace` is a set of numpy columns, one entry per
 transaction, plus the one direction all its rows move in;
 :class:`Transaction` objects are built only when a caller reads rows
 through :attr:`Trace.transactions`.
+
+:func:`load_trace` reads a body in the layout :func:`save_trace` writes
+in bulk (:func:`_parse_plain`): blocks of lines pass exact structure
+guards (five commas a line, the direction and critical tokens in place,
+numeric fields of 1 to 18 digits and no other byte) and only then go to
+numpy's separator reader, ``np.fromstring(..., sep=",")``, which thus
+never meets a sign, a space, an empty field or a number beyond int64, the
+inputs on which it reads leniently or differently across numpy versions.
+Any other body (comments, blank lines, spaces, signs, ``\r\n``, longer
+fields) and every malformed one go through the line parser
+(:func:`_parse_lines`), the reference, which also names the first bad
+line.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -39,6 +50,8 @@ DIRECTIONS = (REQUEST, RESPONSE)
 _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _BLOCK_LINES = 1 << 16  # lines the bulk parser hands numpy's reader at once
+_MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
+_TAIL = np.arange(-7, 1)  # offsets of a line's last 8 bytes from its newline
 
 
 class TraceError(ValueError):
@@ -257,65 +270,99 @@ class TransactionView(Sequence):
         return f"<{len(self)} transactions>"
 
 
+def _ends_with(tail: np.ndarray, text: str) -> np.ndarray:
+    """Which lines end in ``text``, given their last 8 bytes as ``tail``."""
+    width = 8 * len(text)
+    return tail >> np.uint64(64 - width) == int.from_bytes(text.encode(), "little")
+
+
+def _parse_block(block: bytearray, eol: np.ndarray) -> np.ndarray | None:
+    """Rows of the canonical lines in ``block`` ending at ``eol``, or None.
+
+    ``block`` is a private copy, rewritten in place; ``eol`` holds the
+    offset of every newline in it, the last being its final byte.
+    """
+    m = len(eol)
+    if eol[0] < 7:  # shorter than any valid line (and keeps _TAIL in range)
+        return None
+    c = np.frombuffer(block, dtype=np.uint8)
+    tail = c[eol[:, None] + _TAIL].view("<u8")[:, 0]
+    is_req = _ends_with(tail, ",req,0\n") | _ends_with(tail, ",req,1\n")
+    is_resp = _ends_with(tail, ",resp,0\n") | _ends_with(tail, ",resp,1\n")
+    if not (is_req | is_resp).all():
+        return None
+    req, resp = eol[is_req], eol[is_resp]
+    for k in range(3):
+        c[req - 5 + k] = ord("0")
+    for k in range(4):
+        c[resp - 6 + k] = ord("1" if k == 3 else "0")
+
+    commas = np.flatnonzero(c == ord(","))
+    if len(commas) != 5 * m:
+        return None
+    commas = commas.reshape(m, 5)
+    if not (commas[:, 4] == eol - 2).all():  # so line i holds exactly commas[i]
+        return None
+    # digits in each numeric field: the gaps between the separators before them
+    digits = np.diff(np.column_stack((np.r_[-1, eol[:-1]], commas[:, :4])), axis=1) - 1
+    if digits.min() < 1 or digits.max() > _MAX_DIGITS:
+        return None
+    # 5 commas and 1 newline a line: every other byte must be a digit
+    if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - 6 * m:
+        return None
+
+    c[eol] = ord(",")
+    part = np.fromstring(bytes(block), dtype=np.int64, sep=",", count=6 * m)
+    if part.size != 6 * m:  # unreachable past the guards; kept as a check
+        return None
+    return part.reshape(m, 6)
+
+
 def _parse_plain(data: bytes, offset: int) -> np.ndarray | None:
     """Bulk-parse the body ``data[offset:]`` in the canonical layout, or return None.
 
     The canonical layout is what :func:`save_trace` writes: every line is
     ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
-    comments or blank lines.  The direction and critical fields are checked
-    at fixed offsets from each line end.  Then, a block of lines at a time,
-    the direction is overwritten in a copy of the block by a digit of the
-    same width (req -> 000, resp -> 0001), and numpy's integer reader
-    parses the block.  It is handed only digits, minus signs, commas and
-    newlines: numpy 1.23-1.26 read a float such as ``1.5`` or ``1e3`` into
-    an integer column, with only a warning.  Returns an (n, 6) int64 array
-    with the direction as 0/1, or None when any line deviates; callers then
-    parse line by line, which also locates errors.
+    comments or blank lines.  The body is read in blocks of
+    ``_BLOCK_LINES`` lines, each copied and rewritten in place:
+
+    1. The direction and critical fields are checked at fixed offsets
+       from each line end, and the direction is overwritten by digits of
+       the same width (req -> 000, resp -> 0001).
+    2. The structure is checked over the comma positions: each line holds
+       exactly five commas, the fifth just before the critical digit;
+       each of the four numeric fields has 1 to 18 digits; and the block
+       holds no byte but digits, commas and newlines.
+    3. Newlines become commas, and one ``np.fromstring`` call with
+       ``sep=","`` and an exact ``count`` reads the block.
+
+    The guards hand numpy's separator reader only ``[0-9]{1,18}(,[0-9]{1,18})*``
+    with exactly ``count`` numbers, so none of its quirks is reachable and
+    its result does not depend on the numpy version: it reads a lone ``-``
+    as 0 (no sign passes), saturates a number beyond int64 to its maximum
+    (18 digits always fit), skips whitespace around separators (no space
+    passes), and on data that ends early or holds anything else it may
+    return fewer numbers than ``count``, pad to ``count`` with
+    uninitialised values (numpy 2.4 on a short read), or stop with only a
+    DeprecationWarning (numpy 1.x) where numpy 2.x raises (every block
+    holds exactly ``count`` numbers, all digits).  Returns an (n, 6)
+    int64 array with the direction as 0/1, or None when any line deviates,
+    such as a field of 19 or more digits; callers then parse line by
+    line, which also locates errors.
     """
     body = memoryview(data)[offset:]
     if not body:
         return np.zeros((0, 6), dtype=np.int64)
     if body[-1] != ord("\n"):
         body = memoryview(bytes(body) + b"\n")
-    b = np.frombuffer(body, dtype=np.uint8)
-    nl = np.flatnonzero(b == ord("\n"))
-    if nl[0] < 7:  # shorter than any valid line (and keeps offsets in range)
-        return None
-
-    # The last 8 bytes of each line, newline included, as one integer.
-    tail = np.zeros(len(nl), dtype=np.uint64)
-    for k in range(8):
-        tail |= b[nl - k].astype(np.uint64) << np.uint64(56 - 8 * k)
-
-    def ends_with(text: str) -> np.ndarray:
-        width = 8 * len(text)
-        return tail >> np.uint64(64 - width) == int.from_bytes(text.encode(), "little")
-
-    is_req = ends_with(",req,0\n") | ends_with(",req,1\n")
-    is_resp = ends_with(",resp,0\n") | ends_with(",resp,1\n")
-    if not (is_req | is_resp).all():
-        return None
+    nl = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
     rows = np.empty((len(nl), 6), dtype=np.int64)
     # Blocks keep the copies and the reader's buffers small next to ``rows``.
     for first in range(0, len(nl), _BLOCK_LINES):
         last = min(first + _BLOCK_LINES, len(nl))
         lo = nl[first - 1] + 1 if first else 0
-        block = bytearray(body[lo:nl[last - 1] + 1])
-        c = np.frombuffer(block, dtype=np.uint8)
-        eol = nl[first:last] - lo
-        req, resp = eol[is_req[first:last]], eol[is_resp[first:last]]
-        for k in range(3):
-            c[req - 5 + k] = ord("0")
-        for k in range(4):
-            c[resp - 6 + k] = ord("1" if k == 3 else "0")
-        if block.translate(None, b"0123456789-,\n"):  # any byte but these
-            return None
-        try:
-            part = np.loadtxt(io.BytesIO(block), delimiter=",", dtype=np.int64,
-                              comments=None, ndmin=2, encoding="ascii")
-        except (ValueError, OverflowError):
-            return None
-        if part.shape != (last - first, 6):  # ragged rows or skipped lines
+        part = _parse_block(bytearray(body[lo:nl[last - 1] + 1]), nl[first:last] - lo)
+        if part is None:
             return None
         rows[first:last] = part
     return rows

@@ -18,6 +18,7 @@ from xbarsynth.solver import (
     SearchBudget,
     SolverLimitReached,
     SolverLimits,
+    binding_fits,
     check_feasible,
     full_crossbar_config,
     min_config,
@@ -106,6 +107,14 @@ def test_design_full_pipeline(tmp_path, config_file):
     manifest = (out / "manifest.txt").read_text()
     assert "status = ok" in manifest
     assert "binding = " in manifest
+
+
+def test_design_frees_the_packed_instance(tmp_path):
+    outcome = design(RunConfig(None, benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
+                               out_dir=tmp_path / "o"))
+    assert outcome.error is None
+    assert "_packed" not in vars(outcome.instance)  # built by the solve, then freed
+    assert binding_fits(outcome.instance, outcome.report.config.binding)  # rebuilt on use
 
 
 def test_design_single_target_degenerates_to_one_bus(tmp_path):

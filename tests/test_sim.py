@@ -148,6 +148,30 @@ def test_compare_table_and_size_ratio():
     assert rows[0].avg_latency >= rows[1].avg_latency
 
 
+def test_compare_simulates_each_distinct_config_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    tr = make_random_trace(rng, num_targets=4, max_txs=60)
+    shared, full = baseline_configs(4)
+    other = ("other", make_random_config(rng, 4))
+    # the designed config equals the full crossbar, as on a trace whose
+    # every target pair conflicts
+    configs = [shared, ("designed", full_crossbar_config(4)), full, other]
+    calls = []
+
+    def counted(trace, config):
+        calls.append(config)
+        return simulate(trace, config)
+
+    monkeypatch.setattr(sim, "simulate", counted)
+    rows = compare(tr, configs)
+    assert sorted(calls, key=repr) == sorted({c for _, c in configs}, key=repr)
+    assert [r.name for r in rows] == [name for name, _ in configs]
+    for row, (_, config) in zip(rows, configs):
+        report = simulate(tr, config)
+        assert (row.num_buses, row.avg_latency, row.max_latency) == (
+            config.num_buses, report.avg_latency, report.max_latency)
+
+
 def test_compare_builds_no_per_transaction_list(monkeypatch):
     """``compare`` keeps latencies in numpy: right after each ``simulate``
     returns, the Python objects allocated since tracing began (tracemalloc

@@ -1,9 +1,14 @@
 """Trace model: parsing, validation, role swapping, stats."""
 
+import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsynth import trace as trace_module
 from xbarsynth.trace import (
@@ -110,34 +115,60 @@ def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
     assert str(err.value) == ctor_msg
 
 
-@pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0"])
+def lenient_fromstring(seen):
+    """numpy 1.x's separator reader, as far as the parser could meet it.
+
+    It reads each field's leading integer like ``strtoll`` and, at the
+    first field with anything after it, returns what it read so far with
+    only a DeprecationWarning.  Every block it is handed is recorded in
+    ``seen``.
+    """
+    def reader(string, dtype=float, count=-1, sep=""):
+        seen.append(string)
+        values = []
+        fields = string.split(sep.encode())
+        for field in fields[:count] if count >= 0 else fields:
+            digits = re.match(rb"\s*[-+]?[0-9]+", field)
+            if digits:
+                values.append(max(-(1 << 63), min(int(digits.group()), (1 << 63) - 1)))
+            if not digits or digits.end() != len(field):
+                warnings.warn("string or file could not be read to its end",
+                              DeprecationWarning)
+                break
+        return np.array(values, dtype=dtype)
+
+    return reader
+
+
+@pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0", "-", "9" * 19])
 def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start):
-    # numpy 1.23-1.26 read "1.5" into an int64 column as 1, with only a
-    # DeprecationWarning.  Emulate that reader, so the check holds on any
-    # installed numpy.
-    strict = np.loadtxt
-
-    def lenient(fname, *args, dtype=float, **kwargs):
-        return strict(fname, *args, dtype=np.float64, **kwargs).astype(dtype)
-
-    monkeypatch.setattr(np, "loadtxt", lenient)
+    # numpy 1.x reads "1.5" into an int64 array as 1 and stops there with
+    # only a DeprecationWarning; numpy reads "-" as 0 and saturates 19
+    # nines to the int64 maximum.  Emulate the lenient reader, so the check
+    # holds on any installed numpy: the bad line must reach the line
+    # parser, and the reader must see only the good file's block.
+    seen = []
+    monkeypatch.setattr(np, "fromstring", lenient_fromstring(seen))
     path = write(tmp_path, HEADER + "0,5,1,2,req,0\n" + start + ",5,1,2,req,0\n")
-    with pytest.raises(TraceError, match=f"t.csv:3: invalid literal .*'{start}'"):
+    error = ("value outside the 64-bit integer range" if start.isdigit()
+             else f"invalid literal .*'{re.escape(start)}'")
+    with pytest.raises(TraceError, match=f"t.csv:3: {error}"):
         load_trace(path)
     good = write(tmp_path, HEADER + "0,5,1,2,req,0\n7,5,1,2,resp,1\n", "good.csv")
     assert load_trace(good, RESPONSE).transactions == [Transaction(7, 5, 2, 1, True, RESPONSE)]
+    assert seen == [b"0,5,1,2,000,0,7,5,1,2,0001,1,"]
 
 
 def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(trace_module, "_BLOCK_LINES", 3)
     blocks = []
-    strict = np.loadtxt
+    strict = np.fromstring
 
     def counted(*args, **kwargs):
         blocks.append(1)
         return strict(*args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(np, "fromstring", counted)
     rows = [f"{s},{s % 4 + 1},{s % 9 + 1},{s % 12 + 1},{'resp' if s % 3 else 'req'},{s % 2}"
             for s in range(8)]
     body = HEADER + "\n".join(rows)  # no final newline
@@ -292,3 +323,72 @@ def test_stats_count_concurrent_same_target_twice():
     # additive demand, unlike occupancy in window analysis
     tr = Trace(2, 1, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 1)])
     assert trace_stats(tr).per_target_busy == [10]
+
+
+def digit_field(max_digits):
+    return st.integers(1, max_digits).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
+def canonical_lines(max_digits):
+    field = digit_field(max_digits)
+    return st.lists(st.tuples(field, field, field, field, st.sampled_from(["req", "resp"]),
+                              st.sampled_from(["0", "1"])).map(list), max_size=12)
+
+
+def mutate(draw, row):
+    """One deviation from the canonical layout in ``row``."""
+    k = draw(st.integers(0, len(row) - 1))
+    if k >= len(row) - 2:  # the direction or the critical token: digits or another word
+        row[k] = draw(digit_field(4) | st.sampled_from(["", "REQ", "res", "true"]))
+        return
+    at = draw(st.integers(0, len(row[k])))
+    kind = draw(st.sampled_from(["empty", "drop", "extra", "insert", "replace"]))
+    if kind == "empty":
+        row[k] = ""
+    elif kind == "drop":  # 5 fields
+        del row[k]
+    elif kind == "extra":  # 7 fields
+        row.insert(k, draw(digit_field(3)))
+    elif kind == "insert":  # a sign, a space or a letter inside a number
+        row[k] = row[k][:at] + draw(st.sampled_from(["-", "+", " ", "a", "x"])) + row[k][at:]
+    else:
+        row[k] = draw(st.sampled_from(["-", "+", "1.5", "1e3", "0x1"]))
+
+
+@st.composite
+def trace_bodies(draw):
+    """``(body, must_bulk)``: a body in the layout ``save_trace`` writes,
+    with fields of 1 to 18 or 1 to 20 digits, or one with a deviation;
+    ``must_bulk`` marks a canonical one whose fields all fit 18 digits."""
+    canonical = draw(st.booleans())
+    lines = draw(canonical_lines(draw(st.sampled_from([18, 20]))))
+    eol = "\n"
+    if not canonical:
+        if lines and draw(st.booleans()):
+            for i in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+                mutate(draw, lines[i])
+        else:
+            eol = "\r\n"
+    text = eol.join(",".join(row) for row in lines)
+    if lines and draw(st.booleans()):
+        text += eol
+    fits = all(len(f) <= 18 for row in lines for f in row)
+    return text, canonical and fits
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_bodies())
+@example(("1,2,3,req,0\n1,2,3,4,5,req,0\n", False))  # 4 + 6 commas: ten, as two lines have
+@example(("1,2,3,4,0001,0\n", False))  # a number in the direction slot
+@example(("1,,3,4,req,0\n", False))  # an empty field
+def test_bulk_parse_matches_line_parser(case):
+    text, must_bulk = case
+    rows = trace_module._parse_plain((HEADER + text).encode(), len(HEADER))
+    assert rows is not None or not must_bulk
+    if rows is not None:
+        try:
+            ref, _ = trace_module._parse_lines(text.splitlines(), Path("t.csv"), 1, 1)
+        except TraceError as exc:
+            pytest.fail(f"bulk parse accepted a body the line parser rejects: {exc}")
+        assert np.array_equal(rows, ref)
