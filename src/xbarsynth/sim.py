@@ -40,6 +40,19 @@ class SimReport:
         return self.latency.tolist()
 
 
+def _complete(start: np.ndarray, duration: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """Completion cycles of one bus's grant-ordered rows, written to ``out``.
+
+    ``out`` and ``scratch`` may be ``duration`` and ``start`` themselves.
+    """
+    np.cumsum(duration, out=out)  # D
+    scratch[0] = start[0]
+    np.subtract(start[1:], out[:-1], out=scratch[1:])  # s - (D - d)
+    np.maximum.accumulate(scratch, out=scratch)
+    np.add(out, scratch, out=out)
+
+
 def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     """Replay ``trace`` on ``config`` and measure per-transaction latency.
 
@@ -47,7 +60,10 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     for a transaction's duration, so completions follow Lindley's
     recursion c[k] = max(s[k], c[k-1]) + d[k].  Unrolled with
     D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
-    computed exactly in int64 per bus.
+    computed exactly in int64 per bus.  The scan runs in place in two
+    full-length arrays, one of which becomes the latencies.  When every
+    target sits on one bus, trace order is grant order and the rows are
+    scanned where they are; otherwise they are grouped by bus first.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
@@ -55,18 +71,22 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
             f"binding missing a referenced target: t_{missing} has no bus"
         )
     start, duration = trace.start, trace.duration
-    bus = np.asarray(config.binding, dtype=np.int64)[trace.target - 1] - 1
-    order, bounds = group_rows(bus, config.num_buses)  # grant order within a bus
-    completion = np.empty_like(start)
-    for k in range(config.num_buses):
-        rows = order[bounds[k]:bounds[k + 1]]
-        s, d = start[rows], duration[rows]
-        done = np.cumsum(d)
-        completion[rows] = done + np.maximum.accumulate(s - (done - d))
-    latency = completion - start
+    n = len(start)
+    latency = np.empty_like(start)
+    if n and len(set(config.binding[:trace.num_targets])) == 1:
+        _complete(start, duration, latency, np.empty_like(start))
+    elif n:
+        bus = (np.array((0, *config.binding)) - 1)[trace.target]  # ids are 1-based
+        order, bounds = group_rows(bus, config.num_buses)  # grant order within a bus
+        del bus
+        s, d = start[order], duration[order]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                _complete(s[lo:hi], d[lo:hi], d[lo:hi], s[lo:hi])
+        latency[order] = d  # completions
+    np.subtract(latency, start, out=latency)
     latency.flags.writeable = False
 
-    n = len(latency)
     total = int(latency.sum())
     return SimReport(
         latency=latency,

@@ -24,14 +24,14 @@ through :attr:`Trace.transactions`.
 :func:`load_trace` reads a body in the layout :func:`save_trace` writes
 in bulk (:func:`_parse_plain`): blocks of lines pass exact structure
 guards (five commas a line, the direction and critical tokens in place,
-numeric fields of 1 to 18 digits and no other byte) and only then go to
-numpy's separator reader, ``np.fromstring(..., sep=",")``, which thus
-never meets a sign, a space, an empty field or a number beyond int64, the
-inputs on which it reads leniently or differently across numpy versions.
-Any other body (comments, blank lines, spaces, signs, ``\r\n``, longer
+numeric fields of 1 to 18 digits and no other byte), and then a digit
+kernel computes every numeric field from the 8-byte words that end it,
+eight digits a word folded by three multiply-shift steps (SWAR).  Any
+other body (comments, blank lines, spaces, signs, ``\r\n``, longer
 fields) and every malformed one go through the line parser
 (:func:`_parse_lines`), the reference, which also names the first bad
-line.
+line.  The rows are range-checked once, and the trace adopts the parsed
+columns as they are.
 """
 
 from __future__ import annotations
@@ -49,9 +49,13 @@ DIRECTIONS = (REQUEST, RESPONSE)
 
 _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_BLOCK_LINES = 1 << 16  # lines the bulk parser hands numpy's reader at once
+_BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
-_TAIL = np.arange(-7, 1)  # offsets of a line's last 8 bytes from its newline
+_PAD = 8  # zero bytes before a block, so the words ending in its first field lie inside
+# gap from the comma before a numeric field to the comma after it, less its digits
+_FIELD_GAP = np.array([3, 1, 1, 1])
+# _DIGITS[k] keeps the digit values of a word's top k bytes: the last k digits before its end
+_DIGITS = np.array([(-1 << 64 - 8 * k) & 0x0F0F0F0F0F0F0F0F for k in range(9)], dtype=np.uint64)
 
 
 class TraceError(ValueError):
@@ -135,7 +139,9 @@ class Trace:
              for tx in txs],
             dtype=np.int64,
         ).reshape(-1, 5)
-        self._set_columns(num_initiators, num_targets, *rows.T, directions.pop(), horizon)
+        direction = directions.pop()
+        self._adopt(num_initiators, num_targets, direction,
+                    _validated(num_initiators, num_targets, direction, *rows.T), horizon)
 
     @classmethod
     def from_columns(cls, num_initiators: int, num_targets: int, start, duration,
@@ -143,44 +149,30 @@ class Trace:
                      horizon: int | None = None) -> Trace:
         """Build a trace from per-transaction columns (any order).
 
+        The columns are copied, so the caller's arrays stay as they are.
         ``critical`` defaults to all False.
         """
         trace = cls.__new__(cls)
-        trace._set_columns(
-            num_initiators, num_targets, start, duration, initiator, target,
+        trace._adopt(num_initiators, num_targets, direction, _validated(
+            num_initiators, num_targets, direction, start, duration, initiator, target,
             np.zeros(len(start), dtype=bool) if critical is None else critical,
-            direction, horizon,
-        )
+        ), horizon)
         return trace
 
-    def _set_columns(self, num_initiators, num_targets, start, duration, initiator,
-                     target, critical, direction, horizon) -> None:
-        if num_initiators < 1 or num_targets < 1:
-            raise TraceError("core counts must be positive")
-        if direction not in DIRECTIONS:
-            raise TraceError(f"unknown direction {direction!r}")
-        start, duration, initiator, target = (
-            np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)
-        )
-        critical = np.array(critical, dtype=bool)
-        if not _is_sorted(start, target, initiator):
-            order = np.lexsort((initiator, target, start))  # stable
-            start, duration, initiator, target, critical = (
-                c[order] for c in (start, duration, initiator, target, critical)
-            )
-        bad = _first_invalid_row(start, duration, initiator, target,
-                                 num_initiators, num_targets)
-        if bad is not None:
-            raise TraceError(_range_message(*bad[1:]))
-        for col in (start, duration, initiator, target, critical):
+    def _adopt(self, num_initiators: int, num_targets: int, direction: str,
+               columns: tuple[np.ndarray, ...], horizon: int | None = None) -> None:
+        """Take sorted, validated columns as they are and make them read-only.
+
+        ``columns`` are ``start``, ``duration``, ``initiator``, ``target``
+        (int64) and ``critical`` (bool), each owned by this trace from now on.
+        """
+        for col in columns:
             col.flags.writeable = False
         self.num_initiators = num_initiators
         self.num_targets = num_targets
         self.direction = direction
-        self.start, self.duration = start, duration
-        self.initiator, self.target = initiator, target
-        self.critical = critical
-        derived = int((start + duration).max()) if len(start) else 0
+        self.start, self.duration, self.initiator, self.target, self.critical = columns
+        derived = int((self.start + self.duration).max()) if len(self.start) else 0
         if horizon is None:
             horizon = derived
         elif horizon < derived:
@@ -218,6 +210,33 @@ def _is_sorted(start: np.ndarray, target: np.ndarray, initiator: np.ndarray) -> 
     """Whether rows are already in (start, target, initiator) order."""
     ds, dt, di = np.diff(start), np.diff(target), np.diff(initiator)
     return bool(((ds > 0) | ((ds == 0) & ((dt > 0) | ((dt == 0) & (di >= 0))))).all())
+
+
+def _sorted(start, duration, initiator, target, critical) -> tuple[np.ndarray, ...]:
+    """The columns in (start, target, initiator) order, ties in input order."""
+    if _is_sorted(start, target, initiator):
+        return start, duration, initiator, target, critical
+    order = np.lexsort((initiator, target, start))  # stable
+    return tuple(c[order] for c in (start, duration, initiator, target, critical))
+
+
+def _check_counts(num_initiators: int, num_targets: int, direction: str) -> None:
+    if num_initiators < 1 or num_targets < 1:
+        raise TraceError("core counts must be positive")
+    if direction not in DIRECTIONS:
+        raise TraceError(f"unknown direction {direction!r}")
+
+
+def _validated(num_initiators, num_targets, direction, start, duration, initiator, target,
+               critical) -> tuple[np.ndarray, ...]:
+    """Sorted copies of the columns, after checking them against the core counts."""
+    _check_counts(num_initiators, num_targets, direction)
+    columns = _sorted(*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
+                      np.array(critical, dtype=bool))
+    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
+    if bad is not None:
+        raise TraceError(_range_message(*bad[1:]))
+    return columns
 
 
 def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,106 +292,141 @@ class TransactionView(Sequence):
 def _ends_with(tail: np.ndarray, text: str) -> np.ndarray:
     """Which lines end in ``text``, given their last 8 bytes as ``tail``."""
     width = 8 * len(text)
-    return tail >> np.uint64(64 - width) == int.from_bytes(text.encode(), "little")
+    return tail >> np.uint64(64 - width) == np.uint64(int.from_bytes(text.encode(), "little"))
 
 
-def _parse_block(block: bytearray, eol: np.ndarray) -> np.ndarray | None:
-    """Rows of the canonical lines in ``block`` ending at ``eol``, or None.
+def _words(block: bytes) -> np.ndarray:
+    """The unaligned little-endian word starting at every byte of ``block``."""
+    return np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
 
-    ``block`` is a private copy, rewritten in place; ``eol`` holds the
-    offset of every newline in it, the last being its final byte.
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """Values of 8-digit words, in place: one digit 0-9 a byte, first digit lowest.
+
+    Three multiply-shift steps join neighbouring digits into 2-, 4- and
+    8-digit numbers; no step carries across its lanes.
+    """
+    for scale, shift, lanes in ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF),
+                                (10000, 32, None)):
+        words *= np.uint64(scale << shift | 1)
+        words >>= np.uint64(shift)
+        if lanes is not None:
+            words &= np.uint64(lanes)
+    return words
+
+
+def _field_values(words: np.ndarray, ends: np.ndarray, digits: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write the numbers of ``digits`` ASCII digits ending before ``ends`` to ``out``.
+
+    ``words`` is :func:`_words` of the block holding the fields.  A field's
+    last 8 digits are the word that ends at the field's end, masked to the
+    field's length; a field of 9 to 16 digits adds the word before, times
+    10**8, and one of 17 or 18 the word before that, times 10**16.
+    """
+    value = out.view(np.uint64)
+    np.bitwise_and(words[ends - 8], _DIGITS[np.minimum(digits, 8)], out=value)
+    _fold(value)
+    for j in range(1, (int(digits.max()) + 7) // 8):
+        longer = np.nonzero(digits > 8 * j)
+        high = _fold(words[ends[longer] - 8 * (j + 1)]
+                     & _DIGITS[np.minimum(digits[longer] - 8 * j, 8)])
+        high *= np.uint64(10 ** (8 * j))
+        value[longer] += high
+
+
+def _parse_block(block: bytes, eol: np.ndarray, values: np.ndarray, resp: np.ndarray,
+                 critical: np.ndarray) -> bool:
+    """Parse the canonical lines of ``block`` into the given columns; False if any deviates.
+
+    ``block`` is ``_PAD`` zero bytes followed by whole lines; ``eol`` holds
+    the offset of every newline in it, the last being its final byte.
+    ``values`` (int64, 4 x lines) receives ``start``, ``duration``,
+    ``initiator`` and ``target``; ``resp`` and ``critical`` (bool) receive
+    whether each line is a response and whether it is critical.
     """
     m = len(eol)
-    if eol[0] < 7:  # shorter than any valid line (and keeps _TAIL in range)
-        return None
     c = np.frombuffer(block, dtype=np.uint8)
-    tail = c[eol[:, None] + _TAIL].view("<u8")[:, 0]
+    words = _words(block)
+    tail = words[eol - 7]
     is_req = _ends_with(tail, ",req,0\n") | _ends_with(tail, ",req,1\n")
     is_resp = _ends_with(tail, ",resp,0\n") | _ends_with(tail, ",resp,1\n")
     if not (is_req | is_resp).all():
-        return None
-    req, resp = eol[is_req], eol[is_resp]
-    for k in range(3):
-        c[req - 5 + k] = ord("0")
-    for k in range(4):
-        c[resp - 6 + k] = ord("1" if k == 3 else "0")
+        return False
 
     commas = np.flatnonzero(c == ord(","))
-    if len(commas) != 5 * m:
-        return None
-    commas = commas.reshape(m, 5)
-    if not (commas[:, 4] == eol - 2).all():  # so line i holds exactly commas[i]
-        return None
-    # digits in each numeric field: the gaps between the separators before them
-    digits = np.diff(np.column_stack((np.r_[-1, eol[:-1]], commas[:, :4])), axis=1) - 1
+    if len(commas) != 5 * m or not (commas[4::5] == eol - 2).all():
+        return False  # else line i holds exactly commas[5i:5i + 5]
+    # a numeric field's digits: the gap to the comma before it, less that
+    # comma, or for the first field, less the previous line's last 3 bytes
+    digits = np.diff(commas, prepend=_PAD - 3).reshape(m, 5)[:, :4] - _FIELD_GAP
     if digits.min() < 1 or digits.max() > _MAX_DIGITS:
-        return None
-    # 5 commas and 1 newline a line: every other byte must be a digit
-    if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - 6 * m:
-        return None
+        return False
+    # besides the pad, 5 commas, 1 newline and the direction's 3 or 4
+    # letters a line, every byte must be a digit
+    letters = 3 * m + np.count_nonzero(is_resp)
+    if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - _PAD - 6 * m - letters:
+        return False
 
-    c[eol] = ord(",")
-    part = np.fromstring(bytes(block), dtype=np.int64, sep=",", count=6 * m)
-    if part.size != 6 * m:  # unreachable past the guards; kept as a check
-        return None
-    return part.reshape(m, 6)
+    _field_values(words, commas.reshape(m, 5)[:, :4], digits, values.T)
+    resp[:] = is_resp
+    np.equal(c[eol - 1], ord("1"), out=critical)
+    return True
 
 
-def _parse_plain(data: bytes, offset: int) -> np.ndarray | None:
+def _parse_plain(data: bytes, offset: int) -> tuple[np.ndarray, ...] | None:
     """Bulk-parse the body ``data[offset:]`` in the canonical layout, or return None.
 
     The canonical layout is what :func:`save_trace` writes: every line is
     ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
     comments or blank lines.  The body is read in blocks of
-    ``_BLOCK_LINES`` lines, each copied and rewritten in place:
+    ``_BLOCK_LINES`` lines, each copied behind ``_PAD`` zero bytes:
 
     1. The direction and critical fields are checked at fixed offsets
-       from each line end, and the direction is overwritten by digits of
-       the same width (req -> 000, resp -> 0001).
+       from each line end, reading the line's last 8 bytes as one word.
     2. The structure is checked over the comma positions: each line holds
        exactly five commas, the fifth just before the critical digit;
        each of the four numeric fields has 1 to 18 digits; and the block
-       holds no byte but digits, commas and newlines.
-    3. Newlines become commas, and one ``np.fromstring`` call with
-       ``sep=","`` and an exact ``count`` reads the block.
+       holds no byte but digits, commas, newlines and the direction's
+       letters.
+    3. Each numeric field is computed from the 8-byte little-endian words
+       that end it (one for up to 8 digits, two for 9 to 16, three for 17
+       or 18), each masked to the field's digits and folded into its value
+       by three multiply-shift steps in uint64 (SWAR, as in Langdale and
+       Lemire, "Parsing Gigabytes of JSON per Second", 2019).  The pad
+       keeps every word a field needs inside the block, and 18 digits
+       always fit int64, so the values are exact.
 
-    The guards hand numpy's separator reader only ``[0-9]{1,18}(,[0-9]{1,18})*``
-    with exactly ``count`` numbers, so none of its quirks is reachable and
-    its result does not depend on the numpy version: it reads a lone ``-``
-    as 0 (no sign passes), saturates a number beyond int64 to its maximum
-    (18 digits always fit), skips whitespace around separators (no space
-    passes), and on data that ends early or holds anything else it may
-    return fewer numbers than ``count``, pad to ``count`` with
-    uninitialised values (numpy 2.4 on a short read), or stop with only a
-    DeprecationWarning (numpy 1.x) where numpy 2.x raises (every block
-    holds exactly ``count`` numbers, all digits).  Returns an (n, 6)
-    int64 array with the direction as 0/1, or None when any line deviates,
-    such as a field of 19 or more digits; callers then parse line by
-    line, which also locates errors.
+    Returns six columns of one entry per line, written in place block by
+    block: ``start``, ``duration``, ``initiator`` and ``target`` (int64
+    rows of one array), then whether the line is a response and whether it
+    is critical (bool).  Returns None when any line deviates, such as a
+    field of 19 or more digits; callers then parse line by line, which
+    also locates errors.
     """
     body = memoryview(data)[offset:]
-    if not body:
-        return np.zeros((0, 6), dtype=np.int64)
-    if body[-1] != ord("\n"):
+    if body and body[-1] != ord("\n"):
         body = memoryview(bytes(body) + b"\n")
     nl = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    rows = np.empty((len(nl), 6), dtype=np.int64)
-    # Blocks keep the copies and the reader's buffers small next to ``rows``.
-    for first in range(0, len(nl), _BLOCK_LINES):
-        last = min(first + _BLOCK_LINES, len(nl))
+    n = len(nl)
+    values = np.empty((4, n), dtype=np.int64)
+    resp, critical = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for first in range(0, n, _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, n)
         lo = nl[first - 1] + 1 if first else 0
-        part = _parse_block(bytearray(body[lo:nl[last - 1] + 1]), nl[first:last] - lo)
-        if part is None:
+        block = bytes(_PAD) + body[lo:nl[last - 1] + 1]
+        if not _parse_block(block, nl[first:last] - lo + _PAD, values[:, first:last],
+                            resp[first:last], critical[first:last]):
             return None
-        rows[first:last] = part
-    return rows
+    return (*values, resp, critical)
 
 
 def _parse_lines(lines: list[str], path: Path, num_initiators: int,
-                 num_targets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse body lines one by one; returns (n, 6) rows and their line numbers.
+                 num_targets: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Parse body lines one by one; returns the rows' columns and line numbers.
 
-    ``lines`` starts at line 2 of the file.  A malformed line raises
+    The columns are those :func:`_parse_plain` returns, and ``lines``
+    starts at line 2 of the file.  A malformed line raises
     :class:`TraceError` naming it, unless an earlier line breaks a range
     rule, which is then reported instead.
     """
@@ -399,12 +453,17 @@ def _parse_lines(lines: list[str], path: Path, num_initiators: int,
                 elif parts[5] not in ("0", "1"):
                     error = f"critical must be 0 or 1, got {parts[5]!r}"
         if error is not None:
-            _check_rows(np.array(rows, dtype=np.int64).reshape(-1, 6), linenos,
-                        num_initiators, num_targets, path)
+            _check_rows(_row_columns(rows), linenos, num_initiators, num_targets, path)
             raise TraceError(f"{path}:{lineno}: {error}")
         rows.append((*values, parts[4] == RESPONSE, parts[5] == "1"))
         linenos.append(lineno)
-    return np.array(rows, dtype=np.int64).reshape(-1, 6), np.array(linenos, dtype=np.int64)
+    return _row_columns(rows), np.array(linenos, dtype=np.int64)
+
+
+def _row_columns(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of parsed ``(start, duration, initiator, target, resp, critical)`` rows."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    return (*np.ascontiguousarray(table[:4]), table[4] == 1, table[5] == 1)
 
 
 def _header_counts(header: str, path: Path) -> tuple[int, int]:
@@ -416,11 +475,10 @@ def _header_counts(header: str, path: Path) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _check_rows(rows: np.ndarray, linenos, num_initiators: int, num_targets: int,
-                path: Path) -> None:
+def _check_rows(columns: Sequence[np.ndarray], linenos, num_initiators: int,
+                num_targets: int, path: Path) -> None:
     """Raise for the first row breaking a range rule, naming its line."""
-    bad = _first_invalid_row(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
-                             num_initiators, num_targets)
+    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
     if bad is not None:
         lineno = int(linenos[bad[0]])
         raise TraceError(f"{path}:{lineno}: {_range_message(*bad[1:], lineno)}")
@@ -432,8 +490,9 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     For ``direction="resp"`` the initiator/target roles (and the declared
     core counts) are swapped in the returned trace, so downstream analysis
     always binds the *receivers* of the selected flow to buses.  Every row
-    is validated, whatever its direction; errors name the first offending
-    line.
+    is validated once, whatever its direction; errors name the first
+    offending line.  The returned trace adopts the parsed columns (or their
+    selected rows) without copying or checking them again.
     """
     if direction not in DIRECTIONS:
         raise TraceError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -446,26 +505,30 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     # A non-ASCII header never matches; the line parser then decodes the
     # whole file as UTF-8 and reports any error in it.
     header = data[:eol].decode("ascii", errors="replace")
-    rows = _parse_plain(data, eol + 1) if _HEADER_RE.match(header) else None
-    if rows is not None:
+    columns = _parse_plain(data, eol + 1) if _HEADER_RE.match(header) else None
+    if columns is not None:
         num_initiators, num_targets = _header_counts(header, path)
-        linenos = range(2, len(rows) + 2)
+        linenos = range(2, len(columns[0]) + 2)
     else:
         lines = data.decode("utf-8").splitlines()
         num_initiators, num_targets = _header_counts(lines[0], path)
-        rows, linenos = _parse_lines(lines[1:], path, num_initiators, num_targets)
+        columns, linenos = _parse_lines(lines[1:], path, num_initiators, num_targets)
     del data
-    _check_rows(rows, linenos, num_initiators, num_targets, path)
+    _check_rows(columns, linenos, num_initiators, num_targets, path)
 
-    keep = rows[:, 4] == (direction == RESPONSE)
+    start, duration, initiator, target, resp, critical = columns
+    keep = resp if direction == RESPONSE else ~resp
     if not keep.all():
-        rows = rows[keep]
-    start, duration, initiator, target, _, critical = rows.T
+        start, duration, initiator, target, critical = (
+            c[keep] for c in (start, duration, initiator, target, critical))
     if direction == RESPONSE:
         initiator, target = target, initiator
         num_initiators, num_targets = num_targets, num_initiators
-    return Trace.from_columns(num_initiators, num_targets, start, duration,
-                              initiator, target, critical, direction)
+    _check_counts(num_initiators, num_targets, direction)
+    trace = Trace.__new__(Trace)
+    trace._adopt(num_initiators, num_targets, direction,
+                 _sorted(start, duration, initiator, target, critical))
+    return trace
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

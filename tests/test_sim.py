@@ -110,6 +110,25 @@ def test_matches_queue_replay_oracle():
         assert rep.per_transaction_latency == oracle_lat
 
 
+def test_one_bus_binding_of_many_matches_queue_replay_oracle():
+    # a multi-bus config that binds every target to one bus replays in
+    # trace order, like the shared bus; a config with a second bus in use
+    # groups rows by bus
+    rng = np.random.Generator(np.random.PCG64(97))
+    for _ in range(20):
+        tr = make_random_trace(rng, num_targets=int(rng.integers(2, 6)))
+        t = tr.num_targets
+        bus = int(rng.integers(1, 4))
+        one_bus = CrossbarConfig(3, (bus,) * t)
+        two_buses = CrossbarConfig(3, (bus,) * (t - 1) + (bus % 3 + 1,))
+        for cfg in (one_bus, two_buses, shared_bus_config(t)):
+            rep = simulate(tr, cfg)
+            assert rep.per_transaction_latency == replay_simulate(tr, cfg)[0]
+            assert rep.latency.dtype == np.int64 and not rep.latency.flags.writeable
+        assert np.array_equal(simulate(tr, one_bus).latency,
+                              simulate(tr, shared_bus_config(t)).latency)
+
+
 def test_full_crossbar_without_same_target_concurrency_is_pure_service():
     tr = Trace(3, 3, [Transaction(s, 4, 1, t) for s, t in [(0, 1), (1, 2), (2, 3)]])
     rep = simulate(tr, full_crossbar_config(3))

@@ -1,7 +1,6 @@
 """Trace model: parsing, validation, role swapping, stats."""
 
 import re
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,60 +114,40 @@ def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
     assert str(err.value) == ctor_msg
 
 
-def lenient_fromstring(seen):
-    """numpy 1.x's separator reader, as far as the parser could meet it.
-
-    It reads each field's leading integer like ``strtoll`` and, at the
-    first field with anything after it, returns what it read so far with
-    only a DeprecationWarning.  Every block it is handed is recorded in
-    ``seen``.
-    """
-    def reader(string, dtype=float, count=-1, sep=""):
-        seen.append(string)
-        values = []
-        fields = string.split(sep.encode())
-        for field in fields[:count] if count >= 0 else fields:
-            digits = re.match(rb"\s*[-+]?[0-9]+", field)
-            if digits:
-                values.append(max(-(1 << 63), min(int(digits.group()), (1 << 63) - 1)))
-            if not digits or digits.end() != len(field):
-                warnings.warn("string or file could not be read to its end",
-                              DeprecationWarning)
-                break
-        return np.array(values, dtype=dtype)
-
-    return reader
-
-
 @pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0", "-", "9" * 19])
 def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start):
-    # numpy 1.x reads "1.5" into an int64 array as 1 and stops there with
-    # only a DeprecationWarning; numpy reads "-" as 0 and saturates 19
-    # nines to the int64 maximum.  Emulate the lenient reader, so the check
-    # holds on any installed numpy: the bad line must reach the line
-    # parser, and the reader must see only the good file's block.
-    seen = []
-    monkeypatch.setattr(np, "fromstring", lenient_fromstring(seen))
+    # A lenient number reader takes "1.5" as 1, "-" as 0 and 19 nines as
+    # the int64 maximum.  The bulk guards must send the bad file to the line
+    # parser, which names its line 3, while the good file loads in bulk.
+    fallbacks = []
+    line_parser = trace_module._parse_lines
+
+    def counted(*args):
+        fallbacks.append(1)
+        return line_parser(*args)
+
+    monkeypatch.setattr(trace_module, "_parse_lines", counted)
     path = write(tmp_path, HEADER + "0,5,1,2,req,0\n" + start + ",5,1,2,req,0\n")
     error = ("value outside the 64-bit integer range" if start.isdigit()
              else f"invalid literal .*'{re.escape(start)}'")
     with pytest.raises(TraceError, match=f"t.csv:3: {error}"):
         load_trace(path)
+    assert fallbacks == [1]
     good = write(tmp_path, HEADER + "0,5,1,2,req,0\n7,5,1,2,resp,1\n", "good.csv")
     assert load_trace(good, RESPONSE).transactions == [Transaction(7, 5, 2, 1, True, RESPONSE)]
-    assert seen == [b"0,5,1,2,000,0,7,5,1,2,0001,1,"]
+    assert fallbacks == [1]  # the good file never reached the line parser
 
 
 def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(trace_module, "_BLOCK_LINES", 3)
     blocks = []
-    strict = np.fromstring
+    parse_block = trace_module._parse_block
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         blocks.append(1)
-        return strict(*args, **kwargs)
+        return parse_block(*args)
 
-    monkeypatch.setattr(np, "fromstring", counted)
+    monkeypatch.setattr(trace_module, "_parse_block", counted)
     rows = [f"{s},{s % 4 + 1},{s % 9 + 1},{s % 12 + 1},{'resp' if s % 3 else 'req'},{s % 2}"
             for s in range(8)]
     body = HEADER + "\n".join(rows)  # no final newline
@@ -184,6 +163,39 @@ def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
     rows[6] = "1e3" + rows[6][1:]  # third block
     with pytest.raises(TraceError, match="t.csv:8: invalid literal"):
         load_trace(write(tmp_path, HEADER + "\n".join(rows) + "\n"))
+
+
+def test_canonical_load_checks_ranges_once(tmp_path, monkeypatch):
+    checks = []
+    first_invalid_row = trace_module._first_invalid_row
+
+    def counted(*args):
+        checks.append(len(args[0]))
+        return first_invalid_row(*args)
+
+    monkeypatch.setattr(trace_module, "_first_invalid_row", counted)
+    path = write(tmp_path, HEADER + "9,1,1,1,req,0\n0,4,2,2,resp,1\n0,1,1,1,req,0\n")
+    tr = load_trace(path)
+    assert checks == [3]  # every row, whatever its direction, once
+    assert [tx.sort_key() for tx in tr.transactions] == [(0, 1, 1), (9, 1, 1)]
+    for col in tr._columns():
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0
+
+
+def test_from_columns_copies_the_callers_arrays():
+    for order in ([0, 1], [1, 0]):  # already sorted, and to be sorted
+        columns = [np.array([1, 4])[order], np.array([3, 2])[order], np.array([2, 1])[order],
+                   np.array([1, 2])[order], np.array([False, True])[order]]
+        before = [c.copy() for c in columns]
+        tr = Trace.from_columns(2, 2, *columns)
+        assert tr.start.tolist() == [1, 4]
+        for col, old in zip(columns, before):
+            assert col.flags.writeable and np.array_equal(col, old)
+        assert all(not col.flags.writeable for col in tr._columns())
+        columns[0][:] = 99
+        assert tr.start.tolist() == [1, 4]
 
 
 def test_bad_header_and_empty_file(tmp_path):
@@ -377,6 +389,34 @@ def trace_bodies(draw):
     return text, canonical and fits
 
 
+def digit_kernel(fields: list[str]) -> list[int]:
+    """The bulk parser's values of ``fields``, laid out one after another
+    behind the block pad, each ended by a comma."""
+    block = bytes(trace_module._PAD) + "".join(f + "," for f in fields).encode()
+    digits = np.array([len(f) for f in fields])
+    ends = trace_module._PAD + np.cumsum(digits + 1) - 1
+    out = np.empty(len(fields), dtype=np.int64)
+    trace_module._field_values(trace_module._words(block), ends, digits, out)
+    return out.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(digit_field(18), min_size=1, max_size=6))
+@example(["12345678"])  # one full word, at the block's first byte
+@example(["123456789", "9"])  # two words, the first one partial
+@example(["9" * 16, "1" * 17])  # two full words; three words
+@example(["9" * 18, "0" * 18, "000000000000000001"])  # the widest field and leading zeros
+def test_digit_kernel_matches_int(fields):
+    assert digit_kernel(fields) == [int(f) for f in fields]
+
+
+def test_bulk_parse_widest_field_at_first_byte():
+    text = "9" * 18 + ",10000000000000000,123456789,12345678,resp,1\n"
+    columns = trace_module._parse_plain(text.encode(), 0)
+    assert [c.tolist() for c in columns] == [
+        [10 ** 18 - 1], [10 ** 16], [123456789], [12345678], [True], [True]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(trace_bodies())
 @example(("1,2,3,req,0\n1,2,3,4,5,req,0\n", False))  # 4 + 6 commas: ten, as two lines have
@@ -384,11 +424,13 @@ def trace_bodies(draw):
 @example(("1,,3,4,req,0\n", False))  # an empty field
 def test_bulk_parse_matches_line_parser(case):
     text, must_bulk = case
-    rows = trace_module._parse_plain((HEADER + text).encode(), len(HEADER))
-    assert rows is not None or not must_bulk
-    if rows is not None:
+    columns = trace_module._parse_plain((HEADER + text).encode(), len(HEADER))
+    assert columns is not None or not must_bulk
+    if columns is not None:
         try:
             ref, _ = trace_module._parse_lines(text.splitlines(), Path("t.csv"), 1, 1)
         except TraceError as exc:
             pytest.fail(f"bulk parse accepted a body the line parser rejects: {exc}")
-        assert np.array_equal(rows, ref)
+        assert len(columns) == len(ref) == 6
+        for got, want in zip(columns, ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
