@@ -70,7 +70,6 @@ class WindowProfile:
     """
 
     window_size: int
-    num_windows: int
     comm: np.ndarray
     om: np.ndarray
     peak: np.ndarray
@@ -80,6 +79,10 @@ class WindowProfile:
     @property
     def num_targets(self) -> int:
         return self.comm.shape[0]
+
+    @property
+    def num_windows(self) -> int:
+        return self.comm.shape[1]
 
     @property
     def wo(self) -> np.ndarray:
@@ -197,12 +200,11 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     if window_size < 1:
         raise ValueError("window size must be >= 1 cycle")
     n = trace.num_targets
-    num_windows = math.ceil(trace.horizon / window_size)
-    comm = np.zeros((n, num_windows), dtype=np.int64)
+    comm = np.zeros((n, math.ceil(trace.horizon / window_size)), dtype=np.int64)
     om = np.zeros((n, n), dtype=np.int64)
     peak = np.zeros((n, n), dtype=np.int64)
     crit = np.zeros((n, n), dtype=bool)
-    prof = WindowProfile(window_size, num_windows, comm, om, peak, crit, trace)
+    prof = WindowProfile(window_size, comm, om, peak, crit, trace)
 
     start, end, target = trace.start, trace.start + trace.duration, trace.target
     busy, cuts = _busy_segments(start, end, target, n, prof._boundaries())

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AnalysisParams, WindowProfile, aggregate_overlap, preprocess, profile
-from .gen import GenError, GenSpec, PRESET_NAMES, benchmark_preset, generate, spec_from_text
+from .gen import GenSpec, PRESET_NAMES, benchmark_preset, generate, spec_from_text
 from .lpexport import export_milp
 from .sim import CompareRow, baseline_configs, compare, simulate
 from .solver import (
@@ -50,12 +50,16 @@ from .solver import (
     optimal_binding,
     validate_binding,
 )
-from .trace import REQUEST, Trace, TraceError, load_trace, save_trace
+from .trace import REQUEST, Trace, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
+
+# Bad input: a usage error, a malformed or missing trace or config file
+# (TraceError and GenError are ValueErrors), or an unwritable output.
+INPUT_ERRORS = (ValueError, OSError)
 
 # compare-bindings gives up after this many rejected samples per accepted
 # one; hitting it means the feasible set is a sliver of the sample space.
@@ -262,9 +266,10 @@ def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
            cells) -> Path:
     """One design() per ``(label, params)`` of ``points``, in ``<subdir>_<label>``.
 
-    The trace is loaded once, at the first point (a failed load is retried
-    at the next), and profiled once per window size.  A point whose load or
-    design fails gets an error row, any other its label and
+    The trace is loaded once, at the first point (a failed load, of a
+    missing or a malformed file, is retried at the next), and profiled once
+    per window size.  A point whose load or design fails with one of
+    :data:`INPUT_ERRORS` gets an error row, any other its label and
     ``cells(outcome)``.  ``points`` is read lazily, outside the error
     handling: invalid params abort the sweep after the earlier points ran.
     """
@@ -281,7 +286,7 @@ def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
                 prof = None  # free the last window size's profile before the next
                 prof = profile(trace, params.window_size)
             outcome = design(point, prof)
-        except (TraceError, GenError, ValueError) as exc:
+        except INPUT_ERRORS as exc:
             rows.append([label] + [""] * (len(header) - 2) + [f"error: {exc}"])
             continue
         status = str(outcome.error or "ok")
@@ -637,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverLimitReached as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (TraceError, GenError, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,12 +4,13 @@ Each initiator alternates burst and gap periods: burst k+1 starts
 ``burst_len_mean + jittered gap`` cycles after burst k started, so gap
 jitter accumulates into a slow phase drift and pairs of initiators sweep
 through different relative alignments over the horizon.  A burst occupies
-a jittered span; within the span, ``runs_per_burst`` contiguous busy runs
-cover an ``intra_duty`` fraction of the span and are emitted as
-back-to-back packets.  With the default duty of 1.0 and a single run the
-burst is one solid busy block, which keeps per-initiator busy mass at
-``horizon * burst / (burst + gap)`` up to jitter; a duty below 1.0 scales
-that mass by the same factor.
+a jittered span; within the span, one contiguous busy run covers an
+``intra_duty`` fraction of the span (at least one cycle) and is emitted as
+back-to-back packets.  The run sits at a per-initiator home offset into
+the span's slack, blended with a fresh draw per burst by ``run_jitter``.
+With the default duty of 1.0 the burst is one solid busy block, which
+keeps per-initiator busy mass at ``horizon * burst / (burst + gap)`` up
+to jitter; a duty below 1.0 scales that mass by the same factor.
 
 ``phase_correlation`` interpolates between lockstep (1.0: identical
 start phases and a gap-jitter sequence shared by all initiators, so
@@ -26,6 +27,7 @@ is dropped, biasing totals slightly low.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -64,10 +66,11 @@ class GenSpec:
     critical_stream_pairs: tuple[tuple[int, int], ...]
     horizon: int
     seed: int
-    # Texture knobs beyond the basic burst/gap alternation.  Defaults
-    # reproduce the plain model: one solid busy run per burst.
+    # Texture knobs beyond the basic burst/gap alternation: the busy
+    # fraction of each burst's span, the packet length its one run is cut
+    # into, and how far the run moves inside the span from burst to burst.
+    # Defaults reproduce the plain model: one solid busy block per burst.
     intra_duty: float = 1.0
-    runs_per_burst: int = 1
     packet_len: int = 0  # 0 = one transaction per run
     run_jitter: float = 0.0
 
@@ -86,8 +89,6 @@ class GenSpec:
             raise GenError("horizon must be positive")
         if not 0.0 < self.intra_duty <= 1.0:
             raise GenError("intra_duty must lie in (0, 1]")
-        if self.runs_per_burst < 1:
-            raise GenError("runs_per_burst must be positive")
         if self.packet_len < 0:
             raise GenError("packet_len must be non-negative")
         if not 0.0 <= self.run_jitter <= 1.0:
@@ -137,10 +138,10 @@ def _cut_packets(rows: np.ndarray, packet_len: int) -> np.ndarray:
 def generate(spec: GenSpec) -> Trace:
     """Produce a deterministic trace for ``spec``.
 
-    Each busy run and each shared access is recorded as one row, in
-    emission order; one :func:`_cut_packets` pass then cuts the runs into
-    packets.  Raises GenError when the horizon is too small for at least
-    one full burst per initiator.
+    Each burst's busy run and each shared access is recorded as one row,
+    in emission order; one :func:`_cut_packets` pass then cuts the runs
+    into packets.  Raises GenError when the horizon is too small for at
+    least one full burst per initiator.
     """
     period = spec.slot_period
     privates = spec.private_targets()
@@ -169,32 +170,26 @@ def generate(spec: GenSpec) -> Trace:
         crit = (init, tgt) in critical_set
         span_start = int(spread * rng.random() * period)
         # Persistent run placement inside the span, drawn once so the
-        # initiator keeps its sub-burst rhythm from burst to burst.
-        home_frac = np.sort(rng.random(spec.runs_per_burst))
-        emitted = 0
+        # initiator keeps its rhythm from burst to burst.
+        home_frac = rng.random()
         for slot in range(spec.horizon // period + 1):
             u = rng.random()
             eps = pc * (2 * common.random() - 1) + spread * (2 * rng.random() - 1)
             span = max(
-                spec.runs_per_burst,
-                round(spec.burst_len_mean * (1.0 + spec.burst_len_jitter * (2 * u - 1))),
+                1, round(spec.burst_len_mean * (1.0 + spec.burst_len_jitter * (2 * u - 1)))
             )
             if span_start + span > spec.horizon:
+                if slot == 0:
+                    raise GenError(
+                        f"horizon {spec.horizon} too small: initiator i_{init} "
+                        f"cannot fit one burst of ~{spec.burst_len_mean} cycles"
+                    )
                 break
-            busy = max(spec.runs_per_burst, round(span * spec.intra_duty))
-            base, extra = divmod(busy, spec.runs_per_burst)
-            lengths = [base + (1 if q < extra else 0) for q in range(spec.runs_per_burst)]
-            slack = span - busy
+            busy = max(1, round(span * spec.intra_duty))
             frac = home_frac
             if spec.run_jitter > 0.0:
-                fresh = np.sort(rng.random(spec.runs_per_burst))
-                frac = (1.0 - spec.run_jitter) * home_frac + spec.run_jitter * fresh
-            offset = 0
-            for q, run_len in enumerate(lengths):
-                run_start = span_start + int(frac[q] * slack) + offset
-                rows.append((run_start, run_len, init, tgt, crit, True))
-                offset += run_len
-            emitted += 1
+                frac = (1.0 - spec.run_jitter) * home_frac + spec.run_jitter * rng.random()
+            rows.append((span_start + int(frac * (span - busy)), busy, init, tgt, crit, True))
             if shared:
                 stgt = shared[(idx + slot) % len(shared)]
                 rank = idx // len(shared)
@@ -206,11 +201,6 @@ def generate(spec: GenSpec) -> Trace:
                 spec.inter_burst_gap_mean * (1.0 + spec.burst_len_jitter * eps)
             )
             span_start += spec.burst_len_mean + max(1, gap)
-        if emitted == 0:
-            raise GenError(
-                f"horizon {spec.horizon} too small: initiator i_{init} "
-                f"cannot fit one burst of ~{spec.burst_len_mean} cycles"
-            )
     start, duration, initiator, target, critical = _cut_packets(
         np.array(rows, dtype=np.int64).reshape(-1, 6), spec.packet_len
     ).T
@@ -236,7 +226,6 @@ def benchmark_preset(name: str) -> GenSpec:
             horizon=240_000,
             seed=2024,
             intra_duty=0.4,
-            runs_per_burst=1,
             packet_len=10,
             run_jitter=0.3,
         )
@@ -253,7 +242,6 @@ def benchmark_preset(name: str) -> GenSpec:
             horizon=120_000,
             seed=2024,
             intra_duty=0.8,
-            runs_per_burst=1,
             packet_len=25,
             run_jitter=0.3,
         )
@@ -274,9 +262,6 @@ def benchmark_preset(name: str) -> GenSpec:
     raise GenError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
-_FLOAT_FIELDS = {"burst_len_jitter", "phase_correlation", "intra_duty", "run_jitter"}
-
-
 def spec_to_text(spec: GenSpec) -> str:
     """Render a GenSpec as a key=value config file."""
     lines = []
@@ -294,9 +279,10 @@ def spec_from_text(text: str) -> GenSpec:
     """Parse the key=value config format written by spec_to_text.
 
     Unknown keys and malformed lines raise GenError; omitted keys take
-    the GenSpec defaults (required fields must appear).
+    the GenSpec defaults (required fields must appear).  Scalar values
+    are read as their field's annotated type.
     """
-    by_name = {f.name: f for f in fields(GenSpec)}
+    types = get_type_hints(GenSpec)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -306,7 +292,7 @@ def spec_from_text(text: str) -> GenSpec:
             raise GenError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in by_name:
+        if key not in types:
             raise GenError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "shared_target_ids":
@@ -322,10 +308,8 @@ def spec_from_text(text: str) -> GenSpec:
                     a, _, b = chunk.partition(":")
                     pairs.append((int(a), int(b)))
                 values[key] = tuple(pairs)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
             else:
-                values[key] = int(val)
+                values[key] = types[key](val)
         except ValueError as exc:
             raise GenError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     required = [

@@ -14,14 +14,13 @@ unordered i < j convention; conflicts become the linear rows s_i_j = 0.
 
 from __future__ import annotations
 
-from .solver import ProblemInstance
+from .solver import ProblemInstance, check_bus_count
 
 
 def export_milp(inst: ProblemInstance, num_buses: int) -> str:
     """Render the full binding model in CPLEX LP text syntax."""
     t = inst.num_targets
-    if not 1 <= num_buses <= t:
-        raise ValueError(f"bus count {num_buses} outside 1..{t}")
+    check_bus_count(num_buses, t)
     buses = range(1, num_buses + 1)
     targets = range(1, t + 1)
     pairs = [(i, j) for i in targets for j in targets if i < j]

@@ -554,6 +554,20 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
     assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration at line 2"] * 2
 
 
+@pytest.mark.parametrize("command, points, name", [
+    ("sweep-window", ["--ws-list", "500,1000"], "sweep_window.csv"),
+    ("sweep-threshold", ["--theta-list", "0.1,0.2"], "sweep_threshold.csv"),
+])
+def test_sweep_on_a_missing_trace_writes_error_rows(tmp_path, command, points, name):
+    """A missing file fails each point's load like a malformed one does."""
+    out = tmp_path / "o"
+    missing = tmp_path / "nope.csv"
+    assert main([command, "--trace", str(missing), "--out-dir", str(out)] + points) == 0
+    rows = read_csv(out / name)
+    assert [r[-1] for r in rows[1:]] == [
+        f"error: [Errno 2] No such file or directory: '{missing}'"] * 2
+
+
 def loose_pair_trace():
     """Targets 1,2 conflict heavily; 3,4 are light and placeable anywhere."""
     txs = []

@@ -88,23 +88,18 @@ def test_mass_sanity_invariant():
 
 
 def test_intra_duty_scales_mass():
-    spec = plain_spec(intra_duty=0.5)
-    tr = generate(spec)
-    assert trace_stats(tr).total_busy == 250
+    for seed in range(1, 6):
+        for run_jitter in (0.0, 1.0):
+            tr = generate(plain_spec(intra_duty=0.5, run_jitter=run_jitter, seed=seed))
+            assert trace_stats(tr).total_busy == 250
+            # one run of 50 per burst, inside its span [200k, 200k + 100)
+            assert [tx.duration for tx in tr.transactions] == [50] * 5
+            assert all(tx.start_cycle % 200 + tx.duration <= 100 for tx in tr.transactions)
 
 
 def test_horizon_too_small():
     with pytest.raises(GenError, match="too small"):
         generate(plain_spec(horizon=50))
-
-
-def test_runs_split_within_span():
-    spec = plain_spec(intra_duty=0.5, runs_per_burst=2, horizon=200)
-    tr = generate(spec)
-    # one burst, two runs of 25 inside span [0, 100)
-    assert len(tr.transactions) == 2
-    assert sum(tx.duration for tx in tr.transactions) == 50
-    assert all(tx.end_cycle <= 100 for tx in tr.transactions)
 
 
 def test_packets_tile_runs_back_to_back():
@@ -156,6 +151,47 @@ def test_preset_trace_bytes_pinned(tmp_path, name, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name, seed]
 
 
+# plain_spec variants for the paths the presets miss: both ends of
+# phase_correlation, run_jitter 0, 0.3 and 1, busy and span clamped to one
+# cycle, shared targets with critical streams, and packet cutting
+SPEC_SHA256 = {
+    "independent": (dict(num_initiators=3, num_targets=3, burst_len_jitter=0.2,
+                         phase_correlation=0.0, intra_duty=0.6, horizon=5000),
+                    "999305543825a4f40c790724011a476f269c6c111a81ad0c875261ec3a4cc2cb"),
+    "lockstep": (dict(num_initiators=3, num_targets=3, burst_len_jitter=0.2,
+                      phase_correlation=1.0, intra_duty=0.5, run_jitter=0.3, horizon=5000),
+                 "93383d85230e4cbeccbf0edf30d30e6ca44dfc373d3176611a6ed73b2b5cc14b"),
+    "fresh-placement": (dict(num_initiators=2, num_targets=2, burst_len_jitter=0.1,
+                             phase_correlation=0.5, intra_duty=0.3, run_jitter=1.0,
+                             horizon=4000),
+                        "ee55802a69f7cc282ab9f6cbf9204dd15152b24c61adcc3fcd49c17ecb2dc969"),
+    "busy-clamped": (dict(burst_len_mean=50, intra_duty=0.01, run_jitter=0.5, horizon=2000),
+                     "9a6b9676f79e933499c74c4171ecf71d0857eba5cf752deb90e286554d704102"),
+    # a shared access starts where its burst's span ends
+    "span-clamped": (dict(num_initiators=2, num_targets=3, shared_target_ids=(3,),
+                          burst_len_mean=2, burst_len_jitter=0.99, inter_burst_gap_mean=5,
+                          phase_correlation=0.3, intra_duty=0.5, horizon=500),
+                     "9893b52d8788b72be657e6994d44bac5c2494a5349a23e4c11b8f67ae3716d91"),
+    "shared-critical": (dict(num_initiators=4, num_targets=5, shared_target_ids=(4, 5),
+                             critical_stream_pairs=((1, 1), (2, 4), (3, 5)),
+                             burst_len_jitter=0.2, phase_correlation=0.4, intra_duty=0.7,
+                             run_jitter=0.3, horizon=6000),
+                        "adedec37aafbd1fce6959ffad35fab2dc120fb7efcc8460787a6f6c2ce981246"),
+    "packets": (dict(num_initiators=2, num_targets=2, burst_len_jitter=0.2,
+                     phase_correlation=0.0, intra_duty=0.8, run_jitter=0.3, packet_len=7,
+                     horizon=3000),
+                "1bca412a7c42f232ef2cd5fb5db39e01ad4b2ed87163bd26c223ef7ec6e0de7e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SHA256))
+def test_spec_trace_bytes_pinned(tmp_path, name):
+    kw, digest = SPEC_SHA256[name]
+    path = tmp_path / "trace.csv"
+    save_trace(generate(plain_spec(**kw)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_critical_pairs_flag_transactions():
     spec = plain_spec(num_initiators=2, num_targets=2,
                       critical_stream_pairs=((1, 1),), horizon=2000)
@@ -175,7 +211,7 @@ def test_generated_trace_fits_horizon():
     dict(num_initiators=0), dict(burst_len_mean=0), dict(burst_len_jitter=1.0),
     dict(burst_len_jitter=-0.1), dict(inter_burst_gap_mean=0),
     dict(phase_correlation=1.5), dict(horizon=0), dict(intra_duty=0.0),
-    dict(intra_duty=1.2), dict(runs_per_burst=0), dict(packet_len=-1),
+    dict(intra_duty=1.2), dict(run_jitter=-0.1), dict(packet_len=-1),
     dict(run_jitter=2.0), dict(shared_target_ids=(9,)),
     dict(critical_stream_pairs=((3, 1),)),
 ])
