@@ -9,10 +9,12 @@ binding) reuse the same pipeline per point.
 
 All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
+Each subcommand takes only the options it acts on (:data:`_COMMANDS`).
 
-Exit codes: 0 success, 1 usage error (command-line parse errors
-included), 2 infeasible instance, 3 solver limit hit (the cut's
-incumbent, the best binding known, if any, is still written; see
+Exit codes: 0 success, 1 usage error (command-line parse errors, an
+option the subcommand does not take among them, included), 2 infeasible
+instance, 3 solver limit hit (the cut's incumbent, the best binding
+known, if any, is still written; see
 :class:`~xbarsynth.solver.SolverLimitReached`).  One solver budget bounds
 the whole solve of a ``design`` run.  A failure travels as
 its exception from the solver to :func:`main`, the one map from
@@ -404,38 +406,50 @@ def _parse_binding(text: str, num_targets: int) -> tuple[int, ...]:
     return binding
 
 
-def _add_common(p: argparse.ArgumentParser, needs_analysis: bool = True) -> None:
-    src = p.add_argument_group("input")
-    src.add_argument("--trace", type=Path, help="trace CSV path")
-    src.add_argument("--preset", choices=PRESET_NAMES, help="synthetic benchmark preset")
-    src.add_argument("--config", type=Path, help="GenSpec key=value file")
-    src.add_argument(
-        "--direction",
-        choices=("req", "resp"),
-        default="req",
-        help="which flow of a --trace file to design for (default req)",
-    )
-    src.add_argument("--seed", type=int, default=None, help="override generator seed")
-    p.add_argument("--out-dir", type=Path, default=Path("xbarsynth_out"))
-    if needs_analysis:
-        grp = p.add_argument_group("analysis")
-        grp.add_argument("--window-size", type=int, default=1000)
-        grp.add_argument("--overlap-threshold", type=float, default=0.3)
-        grp.add_argument("--max-targets-per-bus", type=int, default=None)
-        grp.add_argument("--time-limit", type=float, default=None,
-                         help="seconds for the whole solve (all probes and phases)")
-        grp.add_argument("--buses", type=int, default=None, help="fix the bus count")
+# Every option's --help section (None: the subcommand's own list) and spec,
+# written once; a subcommand takes the options _COMMANDS names, and no others.
+# (A section's options skip argparse's costly per-option help-formatter check.)
+_OPTIONS: dict[str, tuple[str | None, dict]] = {
+    "--trace": ("input", dict(type=Path, help="trace CSV path")),
+    "--preset": ("input", dict(choices=PRESET_NAMES, help="synthetic benchmark preset")),
+    "--config": ("input", dict(type=Path, help="GenSpec key=value file")),
+    "--direction": ("input", dict(choices=("req", "resp"), default="req", help=(
+        "which flow of a --trace file to design for (default req)"))),
+    "--seed": ("input", dict(type=int, default=None, help="override generator seed")),
+    "--out-dir": (None, dict(type=Path, default=Path("xbarsynth_out"))),
+    "--out": (None, dict(type=Path, help="trace output path")),
+    "--window-size": ("analysis", dict(type=int, default=1000)),
+    "--overlap-threshold": ("analysis", dict(type=float, default=0.3)),
+    "--max-targets-per-bus": ("analysis", dict(type=int, default=None)),
+    "--time-limit": ("analysis", dict(
+        type=float, default=None, help="seconds for the whole solve (all probes and phases)")),
+    "--buses": ("analysis", dict(type=int, default=None, help="fix the bus count")),
+    "--binding": (None, dict(help="comma-separated bus id per target")),
+    "--ws-list": (None, dict(help="comma-separated window sizes (cycles)")),
+    "--theta-list": (None, dict(help="comma-separated thresholds in (0, 0.5]")),
+    "--num-random": (None, dict(type=int, default=10)),
+}
+_SOURCES = ("--trace", "--preset", "--config")  # exactly one per run
+_INPUT = _SOURCES + ("--direction", "--seed", "--out-dir")
+_SOLVE = ("--window-size", "--overlap-threshold", "--max-targets-per-bus",
+          "--time-limit", "--buses")
 
 
 def _run_from_args(args) -> RunConfig:
-    picked = [x for x in (args.trace, args.preset, args.config) if x is not None]
+    """The run an ``args`` namespace asks for; the options its subcommand
+    does not take are read through ``getattr`` defaults."""
+    sources = [opt for opt in _SOURCES if hasattr(args, opt[2:])]
+    picked = [opt for opt in sources if getattr(args, opt[2:]) is not None]
     if len(picked) != 1:
-        raise ValueError("exactly one of --trace, --preset, --config is required")
-    if args.trace is None and args.direction != REQUEST:
-        raise ValueError(f"--direction {args.direction} needs --trace: "
+        raise ValueError(f"exactly one of {', '.join(sources)} is required")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    trace_path = getattr(args, "trace", None)
+    direction = getattr(args, "direction", REQUEST)
+    if trace_path is None and direction != REQUEST:
+        raise ValueError(f"--direction {direction} needs --trace: "
                          "generated traces hold request flows only")
     genspec = None
-    label = ""
     if args.preset:
         genspec = benchmark_preset(args.preset)
         label = f"preset:{args.preset}"
@@ -443,7 +457,7 @@ def _run_from_args(args) -> RunConfig:
         genspec = spec_from_text(Path(args.config).read_text())
         label = f"config:{args.config}"
     else:
-        label = str(args.trace)
+        label = str(trace_path)
     if genspec is not None and args.seed is not None:
         genspec = replace(genspec, seed=args.seed)
     params = AnalysisParams(
@@ -454,10 +468,10 @@ def _run_from_args(args) -> RunConfig:
     limits = SolverLimits(time_limit_s=getattr(args, "time_limit", None))
     seed = args.seed if args.seed is not None else (genspec.seed if genspec else 0)
     return RunConfig(
-        trace_path=args.trace,
+        trace_path=trace_path,
         genspec=genspec,
         params=params,
-        direction=args.direction,
+        direction=direction,
         limits=limits,
         out_dir=args.out_dir,
         seed=seed,
@@ -468,8 +482,6 @@ def _run_from_args(args) -> RunConfig:
 
 def _cmd_gen(args) -> int:
     run = _run_from_args(args)
-    if run.genspec is None:
-        raise ValueError("gen requires --preset or --config")
     trace = generate(run.genspec)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out if args.out else run.out_dir / "trace.csv"
@@ -506,15 +518,12 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.buses is not None and not args.binding:
-        raise ValueError("--buses needs --binding: it sets the bound binding's bus count")
     run = _run_from_args(args)
     trace = run.resolve_trace()
     configs = baseline_configs(trace.num_targets)
     if args.binding:
         binding = _parse_binding(args.binding, trace.num_targets)
-        num_buses = args.buses if args.buses is not None else max(binding)
-        configs.append(("bound", CrossbarConfig(num_buses, binding)))
+        configs.append(("bound", CrossbarConfig(max(binding), binding)))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     latencies = []
     for name, config in configs:
@@ -579,51 +588,40 @@ def _cmd_export_lp(args) -> int:
     return EXIT_OK
 
 
+# subcommand: (help, handler, the options it takes)
+_COMMANDS = {
+    "gen": ("write a synthetic trace CSV", _cmd_gen,
+            ("--preset", "--config", "--seed", "--out-dir", "--out")),
+    "analyze": ("write comm/overlap/conflict matrices", _cmd_analyze,
+                _INPUT + ("--window-size", "--overlap-threshold")),
+    "design": ("run the full synthesis pipeline", _cmd_design, _INPUT + _SOLVE),
+    "simulate": ("replay a trace on baseline or given bindings", _cmd_simulate,
+                 _INPUT + ("--binding",)),
+    "sweep-window": ("design at several window sizes", _cmd_sweep_window,
+                     _INPUT + _SOLVE + ("--ws-list",)),
+    "sweep-threshold": ("design at several overlap thresholds", _cmd_sweep_threshold,
+                        _INPUT + ("--window-size", "--max-targets-per-bus", "--time-limit",
+                                  "--buses", "--theta-list")),
+    "compare-bindings": ("optimal vs random feasible bindings", _cmd_compare_bindings,
+                         _INPUT + _SOLVE + ("--num-random",)),
+    "export-lp": ("write the MILP in LP text format", _cmd_export_lp, _INPUT + _SOLVE),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="xbarsynth",
         description="partial crossbar synthesis from communication traces",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="write a synthetic trace CSV")
-    _add_common(g, needs_analysis=False)
-    g.add_argument("--out", type=Path, help="trace output path")
-    g.set_defaults(func=_cmd_gen)
-
-    a = sub.add_parser("analyze", help="write comm/overlap/conflict matrices")
-    _add_common(a)
-    a.set_defaults(func=_cmd_analyze)
-
-    d = sub.add_parser("design", help="run the full synthesis pipeline")
-    _add_common(d)
-    d.set_defaults(func=_cmd_design)
-
-    s = sub.add_parser("simulate", help="replay a trace on baseline or given bindings")
-    _add_common(s, needs_analysis=False)
-    s.add_argument("--binding", help="comma-separated bus id per target")
-    s.add_argument("--buses", type=int, default=None)
-    s.set_defaults(func=_cmd_simulate)
-
-    sw = sub.add_parser("sweep-window", help="design at several window sizes")
-    _add_common(sw)
-    sw.add_argument("--ws-list", help="comma-separated window sizes (cycles)")
-    sw.set_defaults(func=_cmd_sweep_window)
-
-    st = sub.add_parser("sweep-threshold", help="design at several overlap thresholds")
-    _add_common(st)
-    st.add_argument("--theta-list", help="comma-separated thresholds in (0, 0.5]")
-    st.set_defaults(func=_cmd_sweep_threshold)
-
-    cb = sub.add_parser("compare-bindings", help="optimal vs random feasible bindings")
-    _add_common(cb)
-    cb.add_argument("--num-random", type=int, default=10)
-    cb.set_defaults(func=_cmd_compare_bindings)
-
-    lp = sub.add_parser("export-lp", help="write the MILP in LP text format")
-    _add_common(lp)
-    lp.set_defaults(func=_cmd_export_lp)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        sections = {None: cmd, "input": cmd.add_argument_group("input"),
+                    "analysis": cmd.add_argument_group("analysis")}  # empty ones stay hidden
+        for opt in options:
+            section, spec = _OPTIONS[opt]
+            sections[section].add_argument(opt, **spec)
+        cmd.set_defaults(func=func)
     return p
 
 

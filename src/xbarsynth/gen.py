@@ -87,6 +87,8 @@ class GenSpec:
             raise GenError("phase_correlation must lie in [0, 1]")
         if self.horizon < 1:
             raise GenError("horizon must be positive")
+        if self.seed < 0:
+            raise GenError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.intra_duty <= 1.0:
             raise GenError("intra_duty must lie in (0, 1]")
         if self.packet_len < 0:

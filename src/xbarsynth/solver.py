@@ -134,7 +134,7 @@ class SolverLimits:
     def __post_init__(self) -> None:
         for name in ("time_limit_s", "node_limit"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # NaN would never trip
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 

@@ -54,6 +54,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_unrecognized(err, *args):
+    """argparse's usage block, then one line naming the rejected ``args``."""
+    assert err.startswith("usage: xbarsynth ")
+    assert err.endswith(f"xbarsynth: error: unrecognized arguments: {' '.join(args)}\n")
+
+
 def test_gen_writes_loadable_trace(tmp_path, config_file):
     out = tmp_path / "o"
     assert main(["gen", "--config", str(config_file), "--out-dir", str(out)]) == 0
@@ -74,11 +80,15 @@ def test_gen_explicit_out_and_seed_override(tmp_path):
 
 
 def test_gen_requires_a_generator_source(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["gen", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: exactly one of --preset, --config is required\n"
     tr = Trace(1, 1, [Transaction(0, 5, 1, 1)])
     path = tmp_path / "t.csv"
     save_trace(tr, path)
-    assert main(["gen", "--trace", str(path), "--out-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: gen requires --preset or --config\n"
+    assert main(["gen", "--trace", str(path), "--out-dir", str(out)]) == 1
+    assert_unrecognized(capsys.readouterr().err, "--trace", str(path))
+    assert not out.exists()
 
 
 def test_analyze_writes_matrices(tmp_path, config_file):
@@ -162,14 +172,13 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("command, extra, message", [
-    ("design", ["--window-size", "50"], "bus count 0 outside 1..3"),
-    ("simulate", ["--binding", "1,1,1"], "need at least one bus"),
-    ("export-lp", ["--window-size", "50"], "bus count 0 outside 1..3"),
+    ("design", ["--window-size", "50", "--buses", "0"], "bus count 0 outside 1..3"),
+    ("simulate", ["--binding", "0,0,0"], "need at least one bus"),  # max(binding) buses
+    ("export-lp", ["--window-size", "50", "--buses", "0"], "bus count 0 outside 1..3"),
 ], ids=["design", "simulate", "export-lp"])
 def test_zero_buses_is_a_usage_error(tmp_path, config_file, capsys, command, extra, message):
     out = tmp_path / "o"
-    assert main([command, "--config", str(config_file), "--out-dir", str(out),
-                 "--buses", "0"] + extra) == 1
+    assert main([command, "--config", str(config_file), "--out-dir", str(out)] + extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "latency.csv").exists() and not (out / "model.lp").exists()
 
@@ -184,22 +193,44 @@ def test_design_bus_count_above_the_targets_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("buses", ["0", "2"])
 def test_simulate_buses_needs_a_binding(tmp_path, capsys, buses):
+    # a bound binding has max(binding) buses: simulate takes no --buses at all
     out = tmp_path / "o"
-    assert main(["simulate", "--preset", "hotspot", "--buses", buses,
-                 "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: --buses needs --binding: it sets the bound binding's bus count\n")
-    assert not out.exists()
+    for binding in ([], ["--binding", "1,2,1,2"]):
+        assert main(["simulate", "--preset", "hotspot", "--buses", buses,
+                     "--out-dir", str(out)] + binding) == 1
+        assert_unrecognized(capsys.readouterr().err, "--buses", buses)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["design", "gen"])
 def test_direction_resp_needs_a_trace_file(tmp_path, capsys, command):
-    # the generator writes request flows only
+    # the generator writes request flows only, and gen takes no --direction
     out = tmp_path / "o"
     assert main([command, "--preset", "hotspot", "--direction", "resp",
                  "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: --direction resp needs --trace: "
-                                       "generated traces hold request flows only\n")
+    err = capsys.readouterr().err
+    if command == "gen":
+        assert_unrecognized(err, "--direction", "resp")
+    else:
+        assert err == ("error: --direction resp needs --trace: "
+                       "generated traces hold request flows only\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("gen", ["--trace", "t.csv"]),
+    ("gen", ["--preset", "hotspot", "--direction", "req"]),
+    ("analyze", ["--preset", "hotspot", "--buses", "3"]),
+    ("analyze", ["--preset", "hotspot", "--time-limit", "5"]),
+    ("analyze", ["--preset", "hotspot", "--max-targets-per-bus", "2"]),
+    ("simulate", ["--preset", "hotspot", "--binding", "1,2,1,2", "--buses", "4"]),
+    ("sweep-threshold", ["--preset", "hotspot", "--theta-list", "0.3",
+                         "--overlap-threshold", "0.5"]),
+], ids=lambda v: v if isinstance(v, str) else v[-2].lstrip("-"))
+def test_options_a_subcommand_does_not_act_on_are_rejected(tmp_path, capsys, command, extra):
+    out = tmp_path / "o"
+    assert main([command, "--out-dir", str(out)] + extra) == 1
+    assert_unrecognized(capsys.readouterr().err, *extra[-2:])
     assert not out.exists()
 
 
@@ -262,6 +293,44 @@ def test_negative_time_limit_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert "time_limit_s must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_nan_time_limit_is_a_usage_error(tmp_path, capsys):
+    # no deadline is ever reached by NaN, so the budget would be silently off
+    code = main(["design", "--preset", "hotspot", "--out-dir", str(tmp_path / "o"),
+                 "--time-limit", "nan"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: time_limit_s must be >= 0, got nan\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "design", "simulate", "compare-bindings"])
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--preset", "hotspot", "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_negative_seed_on_a_trace_writes_nothing(tmp_path, capsys):
+    # the seed drives only compare-bindings' sampler here, which runs after
+    # the design; the check must come before the design writes anything
+    path = tmp_path / "t.csv"
+    save_trace(loose_pair_trace(), path)
+    out = tmp_path / "o"
+    assert main(["compare-bindings", "--trace", str(path), "--out-dir", str(out),
+                 "--window-size", "50", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_config_file_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(spec_to_text(tiny_spec()).replace("seed = 3", "seed = -5"))
+    out = tmp_path / "o"
+    assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
+    assert not out.exists()
 
 
 def mat2like_run(out_dir, node_limit=None):
@@ -415,10 +484,11 @@ def test_saturated_target_still_fits_one_window(tmp_path):
 def test_simulate_baselines_and_binding(tmp_path, config_file, capsys):
     out = tmp_path / "o"
     code = main(["simulate", "--config", str(config_file), "--out-dir", str(out),
-                 "--binding", "1,2,1", "--buses", "2"])
+                 "--binding", "1,2,1"])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "shared" in printed and "full" in printed and "bound" in printed
+    assert "shared" in printed and "full" in printed
+    assert "   bound: buses=2 " in printed  # max(binding) buses
     rows = read_csv(out / "latency.csv")
     assert rows[0] == ["config", "txn", "latency"]
     assert {r[0] for r in rows[1:]} == {"shared", "full", "bound"}
@@ -427,7 +497,7 @@ def test_simulate_baselines_and_binding(tmp_path, config_file, capsys):
 def test_latency_csv_bytes_match_csv_writer(tmp_path, config_file):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
-                 "--binding", "1,2,1", "--buses", "2"]) == 0
+                 "--binding", "1,2,1"]) == 0
     trace = generate(tiny_spec())
     configs = [("shared", shared_bus_config(3)), ("full", full_crossbar_config(3)),
                ("bound", CrossbarConfig(2, (1, 2, 1)))]

@@ -220,6 +220,14 @@ def test_spec_validation(kw):
         plain_spec(**kw)
 
 
+def test_negative_seed_rejected():
+    # named here, not left to numpy's SeedSequence, which names no field
+    with pytest.raises(GenError, match="^seed must be non-negative, got -5$"):
+        plain_spec(seed=-5)
+    with pytest.raises(GenError, match="^seed must be non-negative, got -1$"):
+        spec_from_text(spec_to_text(plain_spec()).replace("seed = 7", "seed = -1"))
+
+
 def test_all_targets_shared_rejected():
     with pytest.raises(GenError, match="private"):
         plain_spec(num_targets=2, shared_target_ids=(1, 2))

@@ -334,6 +334,13 @@ def test_solver_limits_reject_negative_values():
     assert (zero.time_limit_s, zero.node_limit) == (0.0, 0)
 
 
+@pytest.mark.parametrize("field", ["time_limit_s", "node_limit"])
+def test_solver_limits_reject_nan(field):
+    # no deadline or node count ever reaches NaN, so it would never trip
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got nan$"):
+        SolverLimits(**{field: float("nan")})
+
+
 def test_shared_budget_counts_binding_phase_nodes_only():
     rng = np.random.Generator(np.random.PCG64(71))
     inst = make_random_instance(rng, max_targets=7)
