@@ -36,7 +36,7 @@ import numpy as np
 from .analysis import AnalysisParams, WindowProfile, aggregate_overlap, preprocess, profile
 from .gen import GenSpec, PRESET_NAMES, benchmark_preset, generate, spec_from_text
 from .lpexport import export_milp
-from .sim import CompareRow, baseline_configs, compare, simulate
+from .sim import SimReport, baseline_configs, compare, simulate
 from .solver import (
     CrossbarConfig,
     InfeasibleError,
@@ -96,7 +96,7 @@ class DesignOutcome:
     trace: Trace
     instance: ProblemInstance
     report: SolveReport | None
-    rows: list[CompareRow]
+    replays: dict[str, SimReport]  # shared, designed, full; empty without a report
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -106,8 +106,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _write_latency_csv(path: Path, latencies: list[tuple[str, np.ndarray]]) -> None:
-    """One ``config,txn,latency`` row per transaction of each named config.
+def _write_latency_csv(path: Path, replays: dict[str, SimReport]) -> None:
+    """One ``config,txn,latency`` row per transaction of each named replay.
 
     Config names and integers need no CSV quoting, so the rows are
     formatted directly: the bytes ``csv.writer`` would write, several
@@ -115,8 +115,8 @@ def _write_latency_csv(path: Path, latencies: list[tuple[str, np.ndarray]]) -> N
     """
     with open(path, "w", newline="") as fh:
         fh.write("config,txn,latency\n")
-        for name, column in latencies:
-            fh.write("".join([f"{name},{i},{lat}\n" for i, lat in enumerate(column.tolist())]))
+        for name, r in replays.items():
+            fh.write("".join([f"{name},{i},{lat}\n" for i, lat in enumerate(r.latency.tolist())]))
 
 
 def _fmt(x) -> str:
@@ -207,7 +207,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
 
     error: InfeasibleError | SolverLimitReached | None = None
     report: SolveReport | None = None
-    rows: list[CompareRow] = []
+    replays: dict[str, SimReport] = {}
     probes: list[tuple[int, bool]] = []
     budget = SearchBudget(run.limits)  # one budget bounds the whole solve
     try:
@@ -236,16 +236,16 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         shared, full = baseline_configs(trace.num_targets)
-        rows = compare(trace, [shared, ("designed", report.config), full])
+        replays = compare(trace, [shared, ("designed", report.config), full])
         artifacts["comparison"] = out / "comparison.csv"
         # size_ratio: bus count over the shared baseline's one bus
         _write_csv(
             artifacts["comparison"],
             ["name", "num_buses", "avg_latency", "max_latency", "size_ratio"],
             [
-                [r.name, r.num_buses, _fmt(r.avg_latency), r.max_latency,
-                 _fmt(float(r.num_buses))]
-                for r in rows
+                [name, r.config.num_buses, _fmt(r.avg_latency), r.max_latency,
+                 _fmt(float(r.config.num_buses))]
+                for name, r in replays.items()
             ],
         )
 
@@ -261,61 +261,59 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
         ]
     manifest_items += [("artifact_" + k, p.name) for k, p in sorted(artifacts.items())]
     _write_manifest(out / "manifest.txt", manifest_items)
-    return DesignOutcome(error, trace, inst, report, rows)
+    return DesignOutcome(error, trace, inst, report, replays)
 
 
-def _sweep(run: RunConfig, points, subdir: str, name: str, header: list[str],
-           cells) -> Path:
+def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: str,
+           name: str, header: list[str], cells) -> Path:
     """One design() per ``(label, params)`` of ``points``, in ``<subdir>_<label>``.
 
-    The trace is loaded once, at the first point (a failed load, of a
-    missing or a malformed file, is retried at the next), and profiled once
-    per window size.  A point whose load or design fails with one of
-    :data:`INPUT_ERRORS` gets an error row, any other its label and
-    ``cells(outcome)``.  ``points`` is read lazily, outside the error
-    handling: invalid params abort the sweep after the earlier points ran.
+    The trace is loaded once and profiled once per window size.  A load
+    that fails with one of :data:`INPUT_ERRORS` (a missing or malformed
+    file) gives every point that error row; otherwise a point's row is its
+    label and ``cells(outcome)``, and an error ``design`` raises ends the
+    sweep as it ends a design run.  No point's outcome outlives its row.
+    The sweep's own out dir is made only to write the CSV.
     """
-    out = run.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    trace = prof = None
-    for label, params in points:
-        point = replace(run, params=params, out_dir=out / f"{subdir}_{label}")
-        try:
-            if trace is None:
-                trace = run.resolve_trace()
+    try:
+        trace = run.resolve_trace()
+    except INPUT_ERRORS as exc:
+        rows = [[label] + [""] * (len(header) - 2) + [f"error: {exc}"] for label, _ in points]
+    else:
+        rows, prof = [], None
+        for label, params in points:
             if prof is None or prof.window_size != params.window_size:
                 prof = None  # free the last window size's profile before the next
                 prof = profile(trace, params.window_size)
-            outcome = design(point, prof)
-        except INPUT_ERRORS as exc:
-            rows.append([label] + [""] * (len(header) - 2) + [f"error: {exc}"])
-            continue
-        status = str(outcome.error or "ok")
-        rows.append([label] + cells(outcome, status))
-    path = out / name
+            point = replace(run, params=params, out_dir=run.out_dir / f"{subdir}_{label}")
+            rows.append([label] + cells(design(point, prof)))
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    path = run.out_dir / name
     _write_csv(path, header, rows)
     return path
 
 
-def _window_cells(outcome: DesignOutcome, status: str) -> list:
+def _window_cells(outcome: DesignOutcome) -> list:
+    status = str(outcome.error or "ok")
     if outcome.report is None:
         return ["", "", "", status]
-    designed = next(r for r in outcome.rows if r.name == "designed")
+    designed = outcome.replays["designed"]
     return [outcome.report.config.num_buses, _fmt(designed.avg_latency),
             designed.max_latency, status]
 
 
-def _threshold_cells(outcome: DesignOutcome, status: str) -> list:
+def _threshold_cells(outcome: DesignOutcome) -> list:
     bus_count = outcome.report.config.num_buses if outcome.report else ""
-    return [bus_count, int(np.triu(outcome.instance.conflict, k=1).sum()), status]
+    pairs = int(np.triu(outcome.instance.conflict, k=1).sum())
+    return [bus_count, pairs, str(outcome.error or "ok")]
 
 
 def sweep_window(run: RunConfig, ws_list: list[int]) -> Path:
-    """One design() per window size on one trace; failures become in-row status text."""
+    """One design() per window size on one trace; a cut or infeasible
+    point's status is in its row."""
     if not ws_list:
         raise ValueError("ws_list must be nonempty")
-    points = ((ws, replace(run.params, window_size=int(ws))) for ws in ws_list)
+    points = [(ws, replace(run.params, window_size=int(ws))) for ws in ws_list]
     return _sweep(run, points, "ws", "sweep_window.csv",
                   ["window_size", "bus_count", "avg_latency", "max_latency", "status"],
                   _window_cells)
@@ -329,8 +327,8 @@ def sweep_threshold(run: RunConfig, theta_list: list[float]) -> Path:
     """
     if not theta_list:
         raise ValueError("theta_list must be nonempty")
-    points = ((_fmt(float(theta)), replace(run.params, overlap_threshold=float(theta)))
-              for theta in theta_list)
+    points = [(_fmt(float(theta)), replace(run.params, overlap_threshold=float(theta)))
+              for theta in theta_list]
     return _sweep(run, points, "theta", "sweep_threshold.csv",
                   ["overlap_threshold", "bus_count", "conflict_pairs", "status"],
                   _threshold_cells)
@@ -368,7 +366,7 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
         raise outcome.error
     inst, trace = outcome.instance, outcome.trace
     best = outcome.report.config
-    opt_avg = next(r for r in outcome.rows if r.name == "designed").avg_latency
+    opt_avg = outcome.replays["designed"].avg_latency
     rng = np.random.Generator(np.random.PCG64(run.seed))
     rows = [["optimal", _fmt(opt_avg), _fmt(1.0)]]
     ratios = []
@@ -483,8 +481,10 @@ def _run_from_args(args) -> RunConfig:
 def _cmd_gen(args) -> int:
     run = _run_from_args(args)
     trace = generate(run.genspec)
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    out = args.out if args.out else run.out_dir / "trace.csv"
+    out = args.out
+    if out is None:  # --out-dir is made only to hold the trace
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        out = run.out_dir / "trace.csv"
     save_trace(trace, out)
     print(f"wrote {len(trace.start)} transactions to {out}")
     return EXIT_OK
@@ -507,10 +507,11 @@ def _cmd_design(args) -> int:
             f"buses: {cfg.num_buses}  maxov: {outcome.report.maxov}  "
             f"binding: {','.join(str(b) for b in cfg.binding)}"
         )
-        for r in outcome.rows:
+        for name, r in outcome.replays.items():
+            buses = r.config.num_buses
             print(
-                f"  {r.name:>8}: buses={r.num_buses} avg={r.avg_latency:.2f} "
-                f"max={r.max_latency} size_ratio={r.num_buses:.1f}"
+                f"  {name:>8}: buses={buses} avg={r.avg_latency:.2f} "
+                f"max={r.max_latency} size_ratio={buses:.1f}"
             )
     if outcome.error is not None:
         raise outcome.error
@@ -524,16 +525,14 @@ def _cmd_simulate(args) -> int:
     if args.binding:
         binding = _parse_binding(args.binding, trace.num_targets)
         configs.append(("bound", CrossbarConfig(max(binding), binding)))
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    latencies = []
-    for name, config in configs:
-        rep = simulate(trace, config)
-        latencies.append((name, rep.latency))
+    replays = compare(trace, configs)
+    for name, rep in replays.items():
         print(
-            f"{name:>8}: buses={config.num_buses} avg={rep.avg_latency:.2f} "
+            f"{name:>8}: buses={rep.config.num_buses} avg={rep.avg_latency:.2f} "
             f"max={rep.max_latency} queuing={rep.avg_queuing:.2f}"
         )
-    _write_latency_csv(run.out_dir / "latency.csv", latencies)
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_latency_csv(run.out_dir / "latency.csv", replays)
     return EXIT_OK
 
 

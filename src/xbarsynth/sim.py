@@ -6,9 +6,10 @@ duration, granting queued requests in (arrival cycle, target_id,
 initiator_id) order; initiators are connected to every bus and never
 contend among themselves.  Latency is completion minus request start, so
 an uncontended transaction's latency equals its duration.  A report holds
-the per-transaction latencies and the three statistics the design flow
-reads: average and maximum latency, and average queuing delay (latency
-minus duration).
+its config, the per-transaction latencies and the three statistics the
+design flow reads: average and maximum latency, and average queuing delay
+(latency minus duration).  :func:`compare` is the one replay loop over
+named configs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ class SimulationError(ValueError):
 
 @dataclass(eq=False)
 class SimReport:
-    """Per-transaction latencies plus the statistics the flow reads."""
+    """One config's per-transaction latencies plus the statistics the flow reads."""
 
+    config: CrossbarConfig
     latency: np.ndarray  # int64 per transaction in trace order, read-only
     avg_latency: float
     max_latency: int
@@ -89,6 +91,7 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
 
     total = int(latency.sum())
     return SimReport(
+        config=config,
         latency=latency,
         avg_latency=total / n if n else 0.0,
         max_latency=int(latency.max()) if n else 0,
@@ -96,38 +99,20 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     )
 
 
-@dataclass
-class CompareRow:
-    """One line of the design-vs-baselines comparison table."""
-
-    name: str
-    num_buses: int
-    avg_latency: float
-    max_latency: int
-
-
-def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]) -> list[CompareRow]:
-    """Simulate each named config; equal configs share one simulation.
+def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]
+            ) -> dict[str, SimReport]:
+    """Each named config's report, in ``configs`` order; equal configs
+    share one simulation.
 
     A config's size relative to the one-bus shared baseline is its bus
     count (bus-count granularity only: arbiters and adapters of a real
     interconnect are not modeled).
     """
     reports: dict[CrossbarConfig, SimReport] = {}
-    rows = []
-    for name, config in configs:
+    for _, config in configs:
         if config not in reports:
             reports[config] = simulate(trace, config)
-        report = reports[config]
-        rows.append(
-            CompareRow(
-                name=name,
-                num_buses=config.num_buses,
-                avg_latency=report.avg_latency,
-                max_latency=report.max_latency,
-            )
-        )
-    return rows
+    return {name: reports[config] for name, config in configs}
 
 
 def baseline_configs(num_targets: int) -> list[tuple[str, CrossbarConfig]]:

@@ -111,7 +111,7 @@ def test_criterion_5_correlated_preset_design_trend(tmp_path):
     )
     outcome = design(run)
     assert outcome.error is None
-    rows = {r.name: r for r in outcome.rows}
+    rows = outcome.replays
     shared, designed, full = rows["shared"], rows["designed"], rows["full"]
     assert shared.avg_latency >= 3.0 * full.avg_latency
     assert designed.avg_latency <= 2.0 * full.avg_latency

@@ -1,13 +1,14 @@
 """Command-line flow: artifacts, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from xbarsynth import cli
+from xbarsynth import cli, sim
 from xbarsynth.analysis import AnalysisParams
 from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
@@ -77,6 +78,13 @@ def test_gen_explicit_out_and_seed_override(tmp_path):
     main(["gen", "--config", str(cfg), "--out", str(b), "--out-dir", str(tmp_path),
           "--seed", "99"])
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_gen_to_an_explicit_out_makes_no_out_dir(tmp_path, monkeypatch):
+    # the default --out-dir, xbarsynth_out/, is made only to hold the trace
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--preset", "hotspot", "--out", "a.csv"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
 def test_gen_requires_a_generator_source(tmp_path, capsys):
@@ -408,7 +416,7 @@ def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
                     buses_override=full.report.config.num_buses)
     cut = design(run)
     assert isinstance(cut.error, SolverLimitReached)
-    assert cut.report is None and cut.rows == []
+    assert cut.report is None and cut.replays == {}
     out = tmp_path / "cut"
     assert sorted(p.name for p in out.iterdir()) == ["conflict.csv", "manifest.txt"]
     manifest = (out / "manifest.txt").read_text()
@@ -509,6 +517,24 @@ def test_latency_csv_bytes_match_csv_writer(tmp_path, config_file):
                          enumerate(simulate(trace, config).per_transaction_latency))
     assert len(trace.transactions) > 10
     assert (out / "latency.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_simulate_replays_a_binding_equal_to_a_baseline_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(trace, config):
+        calls.append(config)
+        return simulate(trace, config)
+
+    for module in (cli, sim):
+        monkeypatch.setattr(module, "simulate", counted)
+    out = tmp_path / "o"
+    assert main(["simulate", "--preset", "hotspot", "--binding", "1,1,1,1",
+                 "--out-dir", str(out)]) == 0
+    assert calls == [shared_bus_config(4), full_crossbar_config(4)]
+    # the bytes written when each of the three configs had its own replay
+    digest = hashlib.sha256((out / "latency.csv").read_bytes()).hexdigest()
+    assert digest == "e84c0062ee667ac8d140f17a2353d3bc33c4516857c3e58620bad745c24e9216"
 
 
 def test_simulate_bad_binding_length(tmp_path, config_file):
@@ -622,6 +648,25 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
                  "--theta-list", "0.1,0.2"]) == 0
     rows = read_csv(out / "sweep_threshold.csv")
     assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration at line 2"] * 2
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("sweep-window", ["--ws-list", "500,0"], "window size must be >= 1 cycle"),
+    ("sweep-threshold", ["--theta-list", "0.2,0.9"], (
+        "overlap threshold must be in (0, 0.5], got 0.9 "
+        "(pairs overlapping more than 50% of a window cannot share a bus)")),
+    ("sweep-window", ["--ws-list", "500,1000", "--buses", "0"], "bus count 0 outside 1..4"),
+    ("sweep-window", ["--ws-list", "500,1000", "--buses", "9"], "bus count 9 outside 1..4"),
+    ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "0"], "bus count 0 outside 1..4"),
+    ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "9"], "bus count 9 outside 1..4"),
+])
+def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command, extra,
+                                                       message):
+    """A bad list entry or --buses fails as design does: exit 1, nothing written."""
+    out = tmp_path / "o"
+    assert main([command, "--preset", "hotspot", "--out-dir", str(out)] + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, points, name", [

@@ -161,10 +161,11 @@ def test_missing_target_binding_rejected():
 def test_compare_table_and_size_ratio():
     tr = Trace(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     rows = compare(tr, baseline_configs(2))
-    assert [r.name for r in rows] == ["shared", "full"]
+    assert list(rows) == ["shared", "full"]
+    assert [r.config for r in rows.values()] == [c for _, c in baseline_configs(2)]
     # the size ratio to the one-bus baseline is the bus count
-    assert [r.num_buses for r in rows] == [1, 2]
-    assert rows[0].avg_latency >= rows[1].avg_latency
+    assert [r.config.num_buses for r in rows.values()] == [1, 2]
+    assert rows["shared"].avg_latency >= rows["full"].avg_latency
 
 
 def test_compare_simulates_each_distinct_config_once(monkeypatch):
@@ -184,11 +185,11 @@ def test_compare_simulates_each_distinct_config_once(monkeypatch):
     monkeypatch.setattr(sim, "simulate", counted)
     rows = compare(tr, configs)
     assert sorted(calls, key=repr) == sorted({c for _, c in configs}, key=repr)
-    assert [r.name for r in rows] == [name for name, _ in configs]
-    for row, (_, config) in zip(rows, configs):
+    assert list(rows) == [name for name, _ in configs]
+    for row, (_, config) in zip(rows.values(), configs):
         report = simulate(tr, config)
-        assert (row.num_buses, row.avg_latency, row.max_latency) == (
-            config.num_buses, report.avg_latency, report.max_latency)
+        assert (row.config, row.avg_latency, row.max_latency) == (
+            config, report.avg_latency, report.max_latency)
 
 
 def test_compare_builds_no_per_transaction_list(monkeypatch):
