@@ -273,8 +273,15 @@ def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: 
     file) gives every point that error row; otherwise a point's row is its
     label and ``cells(outcome)``, and an error ``design`` raises ends the
     sweep as it ends a design run.  No point's outcome outlives its row.
-    The sweep's own out dir is made only to write the CSV.
+    The sweep's own out dir is made only to write the CSV.  Two points with
+    one label would share a point dir, so a repeated label is a
+    ``ValueError`` before anything is loaded or written.
     """
+    seen = set()
+    for label, _ in points:
+        if label in seen:
+            raise ValueError(f"sweep point {label} is listed twice")
+        seen.add(label)
     try:
         trace = run.resolve_trace()
     except INPUT_ERRORS as exc:

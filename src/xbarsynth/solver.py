@@ -55,10 +55,22 @@ crosses fields whichever targets share the bus.
 The conflict and ``maxtb`` tests are one int for all buses and targets,
 ``blocked``, with one ``B``-bit field per target for ``B`` buses: bit
 ``k`` of field ``u`` is set when target ``u`` may not join bus ``k``.  It
-is passed down the recursion, so backtracking restores nothing, and a
-depth reads its target's field once and visits only the buses left free.
-The attempts it skips are still counted as nodes, in bulk, so node counts
+is passed down the recursion, so backtracking restores nothing.  The
+parent of a depth, which has just built that depth's ``blocked`` word and
+knows how many buses are in use, reads the depth's field once and passes
+down the mask of buses left free, and the depth visits only those.  When
+the mask is empty the parent does not enter the depth at all: it counts
+the depth's attempts, every one blocked, in one step.  The attempts
+skipped either way are still counted as nodes, in bulk, so node counts
 and the node at which a limit cuts are those of testing every bus in turn.
+
+Each bus's search state is one tuple: its packed loads, its pairwise
+overlap sum, its packed overlap fields and its member count.  A visit
+reads one tuple, a placement stores one and backtracking restores the
+saved one.  A visit tests the overlap cost before the loads: in the
+branch-and-bound on ``uniform`` at ws=2000 and ws=4000 every rejection is a
+cost rejection, and testing cost first skips the load add, which is as
+wide as all the windows together.
 
 Everything above that does not depend on the bus count is the instance's
 packed form (:class:`_Packed`): the load field width's guard bits and
@@ -498,49 +510,57 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     target-id order for its tie-break.
 
     Each ``(target, bus)`` attempt ticks one node before it is tested.  A
-    depth reads from ``blocked`` (see the module docstring) the buses its
-    target may not join, visits only the others, and adds the attempts it
-    skipped, before each visit and after the last, to the count in bulk.
-    Once a jump reaches the budget's next check count, the budget is
-    checked at that count, not at the one jumped to, and then at each
-    further check count the jump passed.  So a node limit cuts at the node
-    past it, as when every attempt ticks alone, and the deadline is read
-    on node 1 and every 256th node after it.  The count is written back to
-    ``budget.nodes`` on every exit.  The loads and overlaps are bit-packed
-    (see the module docstring) and kept in local lists.  What a depth needs
-    of its target is one tuple: its id, its field's shift in ``blocked``,
-    its packed ``comm`` row, its overlap field's shift, its packed ``om``
-    row, and bit ``u*B`` for each conflict neighbour ``u`` (``B =
-    num_buses``), which joining bus ``k`` ORs into ``blocked`` shifted by
-    ``k`` (every target's bit instead once the bus is full).  The packed
-    rows come from the instance's packed form, built on its first search;
-    a call builds only what depends on ``B``: the neighbour bits and the
-    every-target bits, spread to ``B``-bit fields.
+    depth is handed the mask of buses its target may join (see the module
+    docstring), visits only those, and adds the attempts it skipped, before
+    each visit and after the last, to the count in bulk.  A child with no
+    free bus is not entered: the parent adds all of its attempts to the
+    count at once, and they are checked with the parent's next attempt or
+    closing count, before anything else happens.  Once a jump reaches the
+    budget's next check count, the budget is checked at that count, not at
+    the one jumped to, and then at each further check count the jump
+    passed.  So a node limit cuts at the node past it, as when every
+    attempt ticks alone, and the deadline is read on node 1 and every 256th
+    node after it.  The count is written back to ``budget.nodes`` on every
+    exit.
+
+    Each bus's state is one tuple ``(load, overlap, acc, count)`` in the
+    list ``buses``: its packed loads, its pairwise overlap sum, its packed
+    overlap fields and its member count.  An attempt reads the tuple, tests
+    the overlap cost first and the load second, and a placement stores a
+    new tuple that backtracking replaces with the saved one.  What a depth
+    needs of its target is one tuple: its id, its packed ``comm`` row, its
+    overlap field's shift, its packed ``om`` row, bit ``u*B`` for each
+    conflict neighbour ``u`` (``B = num_buses``), which joining bus ``k``
+    ORs into ``blocked`` shifted by ``k`` (every target's bit instead once
+    the bus is full), and the shift of the next depth's field in
+    ``blocked``, from which the free mask passed down is read.  How many
+    buses a target may try with ``used`` buses in use, and their mask, are
+    tables indexed by ``used``.  The packed rows come from the instance's
+    packed form, built on its first search; a call builds only what depends
+    on ``B``: the neighbour bits and the every-target bits, spread to
+    ``B``-bit fields, the field shifts and the two tables.
     """
     p = inst._packed
     guard, ov_width, rows, om_rows = p.guard, p.ov_width, p.rows, p.om_rows
     ov_mask = (1 << ov_width) - 1
     full = _spread((1 << inst.num_targets) - 1, num_buses)
-    steps = [(t, t * num_buses, rows[t], t * ov_width, om_rows[t],
-              _spread(p.adjacency[t], num_buses)) for t in order]
-    # the buses a target may try with ``used`` buses in use, as a bit mask
-    reach = [(1 << min(used + 1, num_buses)) - 1 for used in range(num_buses + 1)]
+    next_fields = [t * num_buses for t in order[1:]] + [0]
+    steps = [(t, rows[t], t * ov_width, om_rows[t], _spread(p.adjacency[t], num_buses), nf)
+             for t, nf in zip(order, next_fields)]
+    # how many buses a target may try with ``used`` buses in use, and their mask
+    tries = [min(used + 1, num_buses) for used in range(num_buses + 1)]
+    reach = [(1 << n) - 1 for n in tries]
     maxtb = inst.maxtb
-    loads = [p.bias] * num_buses
-    overlap = [0] * num_buses
-    acc = [0] * num_buses
-    counts = [0] * num_buses
+    buses = [(p.bias, 0, 0, 0)] * num_buses  # (load, overlap, acc, count) per bus
     binding = [0] * inst.num_targets
     best = None
     nodes = budget.nodes
     next_check = budget.next_check(nodes)
     last = len(order) - 1
 
-    def descend(depth: int, cost: int, used: int, blocked: int) -> bool:
+    def descend(depth: int, cost: int, used: int, blocked: int, free: int) -> bool:
         nonlocal nodes, next_check, bound, best
-        t, field, row, shift, om_row, neighbours = steps[depth]
-        lim = reach[used]
-        free = lim & ~(blocked >> field)
+        t, row, shift, om_row, neighbours, next_field = steps[depth]
         prev = -1
         while free:
             low = free & -free
@@ -550,36 +570,36 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
             prev = k
             while nodes >= next_check:
                 next_check = budget.check(next_check)
-            old_load = loads[k]
-            load = old_load + row
-            if load & guard:
-                continue
-            ov = overlap[k]
-            old_acc = acc[k]
-            new = ov + ((old_acc >> shift) & ov_mask)
+            state = buses[k]
+            load, ov, acc, count = state
+            new = ov + ((acc >> shift) & ov_mask)
             c = new if new > cost else cost
             if c >= bound:
                 continue
-            binding[t] = k + 1
+            load += row
+            if load & guard:
+                continue
             if depth == last:
+                binding[t] = k + 1
                 best = binding.copy()
                 if first_only:
                     return True
                 bound = c
                 continue
-            count = counts[k] + 1
-            loads[k] = load
-            overlap[k] = new
-            acc[k] = old_acc + om_row
-            counts[k] = count
-            if descend(depth + 1, c, used + (k == used),
-                       blocked | (neighbours if count < maxtb else full) << k):
+            count += 1
+            child_used = used + (k == used)
+            child_blocked = blocked | (neighbours if count < maxtb else full) << k
+            child_free = reach[child_used] & ~(child_blocked >> next_field)
+            if not child_free:
+                # every attempt of the child is blocked: count them unentered
+                nodes += tries[child_used]
+                continue
+            binding[t] = k + 1
+            buses[k] = (load, new, acc + om_row, count)
+            if descend(depth + 1, c, child_used, child_blocked, child_free):
                 return True
-            loads[k] = old_load
-            overlap[k] = ov
-            acc[k] = old_acc
-            counts[k] = count - 1
-        nodes += lim.bit_length() - 1 - prev
+            buses[k] = state
+        nodes += tries[used] - 1 - prev
         while nodes >= next_check:
             next_check = budget.check(next_check)
         return False
@@ -587,7 +607,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     cut = None
     try:
         if bound > 0:
-            descend(0, 0, 0, 0)
+            descend(0, 0, 0, 0, reach[0])
         budget.nodes = nodes
     except SolverLimitReached as exc:
         cut = exc.with_traceback(None)

@@ -659,10 +659,14 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
     ("sweep-window", ["--ws-list", "500,1000", "--buses", "9"], "bus count 9 outside 1..4"),
     ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "0"], "bus count 0 outside 1..4"),
     ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "9"], "bus count 9 outside 1..4"),
+    ("sweep-window", ["--ws-list", "1000,500,500.7"], "sweep point 500 is listed twice"),
+    ("sweep-threshold", ["--theta-list", "0.3,0.1,0.1000001"],
+     "sweep point 0.100000 is listed twice"),
 ])
 def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command, extra,
                                                        message):
-    """A bad list entry or --buses fails as design does: exit 1, nothing written."""
+    """A bad list entry or --buses fails as design does: exit 1, nothing written.
+    So do two entries with one label, which would share one point dir."""
     out = tmp_path / "o"
     assert main([command, "--preset", "hotspot", "--out-dir", str(out)] + extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -447,15 +447,22 @@ UNIFORM_PINS = {
 
 
 # The same pins on the held-out corpus (the uniform preset generated with
-# seed 7); the first five fields were recorded before the overlap word
-# replaced the member lists.
+# seed 7).  The first five fields at ws 1000-4000 were recorded before the
+# overlap word replaced the member lists, and ws 250, 500 and 8000 before
+# the kernel kept one state tuple per bus.
 HELD_OUT_UNIFORM_PINS = {
+    250: (7, [(13, True), (9, True), (7, True), (6, False)], 428, 0,
+          (1, 2, 1, 2, 1, 2, 1, 3, 4, 1, 5, 3, 1, 6, 5, 5, 4, 6, 7, 7), 833),
+    500: (7, [(13, True), (9, True), (7, True), (6, False)], 428, 0,
+          (1, 2, 1, 2, 1, 2, 1, 3, 4, 1, 5, 3, 1, 6, 5, 5, 4, 6, 7, 7), 833),
     1000: (7, [(13, True), (9, True), (7, True), (6, False)], 428, 0,
            (1, 2, 1, 2, 1, 2, 1, 3, 4, 1, 5, 3, 1, 6, 5, 5, 4, 6, 7, 7), 836),
     2000: (6, [(12, True), (8, True), (6, True), (5, False)], 203950, 11,
            (1, 2, 2, 3, 1, 4, 1, 2, 1, 5, 6, 2, 1, 5, 6, 6, 4, 5, 3, 3), 204474),
     4000: (5, [(12, True), (8, True), (6, True), (5, True)], 547778, 412,
            (1, 2, 3, 4, 1, 2, 1, 3, 1, 4, 2, 3, 1, 5, 5, 4, 3, 2, 5, 4), 548008),
+    8000: (2, [(11, True), (6, True), (4, True), (3, True), (2, True)], 24401, 10997,
+           (1, 2, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 1, 1), 24536),
 }
 
 
@@ -555,29 +562,41 @@ def test_every_node_limit_cuts_at_its_node():
 
 
 def test_bulk_counted_rejections_cut_at_their_node(uniform_trace):
-    """uniform at ws=2000, where 73-83 % of the attempts are rejected by a
-    conflict or a full bus and the kernel counts them in bulk: in each of
+    """The kernel counts in bulk the attempts it skips: those of a bus its
+    target may not join, and all of a child's when no bus is free to it.
+    On uniform at ws=2000, 73-83 % of the attempts are rejected by a
+    conflict and 30 % of the branch-and-bound's children have no free bus
+    (22 % at ws=4000); at ws=1000 with ``maxtb = 3`` children also have no
+    free bus because their parent's bus filled up.  On each, in each of
     optimal_binding's feasibility search, branch-and-bound and tie-break,
-    17 node limits below 20 k cut at the tick past the limit, as the
-    reference search does, from a zero and a nonzero start count."""
-    inst = analysed_instance(uniform_trace, 2000, 0.1)
-    buses, _, _, maxov = UNIFORM_PINS[2000][:4]
-    order = _busy_order(inst)
-    seed = _search(inst, buses, order, float("inf"), True, SearchBudget())[0]
-    seed_cost = binding_maxov(inst.om, CrossbarConfig(buses, tuple(seed)))
-    modes = [(order, float("inf"), True), (order, seed_cost, False),
-             (list(range(inst.num_targets)), maxov + 1, True)]
-    rng = np.random.Generator(np.random.PCG64(2000))
-    for order, bound, first_only in modes:
-        args = (inst, buses, order, bound, first_only)
-        for limit in sorted(int(n) for n in rng.integers(0, 20_000, 17)):
-            for start in (0, int(rng.integers(1, 300))):
-                lim = SolverLimits(node_limit=start + limit)
-                outcome = search_outcome(_search, *args, lim, start)
-                assert outcome == search_outcome(reference_search, *args, lim, start)
-                assert outcome[2:] == (SolverLimitReached,
-                                       f"node limit {start + limit} exhausted",
-                                       start + limit + 1)
+    17 node limits below 20 k and below the search's own node count cut at
+    the tick past the limit, as the reference search does, from a zero and
+    a nonzero start count."""
+    for ws, maxtb, seed in ((2000, None, 2000), (4000, None, 4000), (1000, 3, 1003)):
+        inst = analysed_instance(uniform_trace, ws, 0.1)
+        if maxtb is None:
+            buses, _, _, maxov = UNIFORM_PINS[ws][:4]
+        else:
+            inst = replace(inst, maxtb=maxtb)
+            buses, _, _ = min_config(inst)
+            maxov = optimal_binding(inst, buses).maxov
+        order = _busy_order(inst)
+        seed_binding = _search(inst, buses, order, float("inf"), True, SearchBudget())[0]
+        seed_cost = binding_maxov(inst.om, CrossbarConfig(buses, tuple(seed_binding)))
+        modes = [(order, float("inf"), True), (order, seed_cost, False),
+                 (list(range(inst.num_targets)), maxov + 1, True)]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for order, bound, first_only in modes:
+            args = (inst, buses, order, bound, first_only)
+            span = search_outcome(_search, *args, SolverLimits(node_limit=20_000))[-1]
+            for limit in sorted(int(n) for n in rng.integers(0, min(span, 20_000), 17)):
+                for start in (0, int(rng.integers(1, 300))):
+                    lim = SolverLimits(node_limit=start + limit)
+                    outcome = search_outcome(_search, *args, lim, start)
+                    assert outcome == search_outcome(reference_search, *args, lim, start)
+                    assert outcome[2:] == (SolverLimitReached,
+                                           f"node limit {start + limit} exhausted",
+                                           start + limit + 1)
 
 
 def test_solves_leave_no_cyclic_garbage():
