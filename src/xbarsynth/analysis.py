@@ -119,8 +119,19 @@ def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if not len(start):
         return start, end
     reach = np.maximum.accumulate(end)
-    first = np.flatnonzero(np.r_[True, start[1:] > reach[:-1]])
-    return start[first], reach[np.r_[first[1:] - 1, len(start) - 1]]
+    # gap[k]: a gap between intervals k-1 and k, the two ends counting as gaps
+    gap = np.empty(len(start) + 1, dtype=bool)
+    gap[0] = gap[-1] = True
+    np.greater(start[1:], reach[:-1], out=gap[1:-1])
+    return start[gap[:-1]], reach[gap[1:]]
+
+
+def _changes(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``a`` that differ from the one before; the first is set."""
+    flag = np.empty(len(a), dtype=bool)
+    flag[:1] = True
+    np.not_equal(a[1:], a[:-1], out=flag[1:])
+    return flag
 
 
 def _busy_segments(start: np.ndarray, end: np.ndarray, target: np.ndarray,
@@ -148,7 +159,7 @@ def _busy_segments(start: np.ndarray, end: np.ndarray, target: np.ndarray,
     # The points are a few sorted runs, which a stable sort merges fast.
     by_value = np.argsort(points, kind="stable")
     ranked = points[by_value]
-    first = np.r_[True, ranked[1:] != ranked[:-1]]
+    first = _changes(ranked)
     cuts = ranked[first]
     at = np.empty(len(points), dtype=np.int64)  # index in cuts of each point
     at[by_value] = np.cumsum(first) - 1
@@ -180,7 +191,7 @@ def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):
         if not len(seg):
             continue
         w = window[seg]
-        run = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+        run = np.flatnonzero(_changes(w))
         per_window = np.empty((num_targets - i, len(run)), dtype=np.int64)
         # As many targets at a time as keep the int64 scratch within per_window.
         step = max(1, per_window.size // len(seg))

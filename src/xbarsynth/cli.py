@@ -9,7 +9,8 @@ binding) reuse the same pipeline per point.
 
 All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
-Each subcommand takes only the options it acts on (:data:`_COMMANDS`).
+Each subcommand takes only the options it acts on (:data:`_COMMANDS`),
+and :func:`main` builds the options of the invoked subcommand only.
 
 Exit codes: 0 success, 1 usage error (command-line parse errors, an
 option the subcommand does not take among them, included), 2 infeasible
@@ -188,11 +189,14 @@ def analyze(run: RunConfig) -> dict[str, Path]:
     return artifacts
 
 
-def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
+def design(run: RunConfig, prof: WindowProfile | None = None,
+           replayed: dict[CrossbarConfig, SimReport] | None = None) -> DesignOutcome:
     """Full pipeline; always writes whatever artifacts exist at failure.
 
     ``prof``, when given, is the profile of the run's trace at its window
-    size; sweeps pass it to skip reloading and reprofiling.
+    size, and ``replayed`` the reports of that trace by config that
+    :func:`~xbarsynth.sim.compare` reads and adds to; sweeps pass them to
+    skip reloading, reprofiling and replaying.
     """
     prof, om, conflict = _analysis(run, prof)
     trace = prof.trace
@@ -236,7 +240,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None) -> DesignOutcome:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         shared, full = baseline_configs(trace.num_targets)
-        replays = compare(trace, [shared, ("designed", report.config), full])
+        replays = compare(trace, [shared, ("designed", report.config), full], replayed)
         artifacts["comparison"] = out / "comparison.csv"
         # size_ratio: bus count over the shared baseline's one bus
         _write_csv(
@@ -268,11 +272,14 @@ def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: 
            name: str, header: list[str], cells) -> Path:
     """One design() per ``(label, params)`` of ``points``, in ``<subdir>_<label>``.
 
-    The trace is loaded once and profiled once per window size.  A load
+    The trace is loaded once and profiled once per window size, and each
+    config is replayed once: the shared and full baselines at the first
+    point that needs them, and a designed config at its first point.  A load
     that fails with one of :data:`INPUT_ERRORS` (a missing or malformed
     file) gives every point that error row; otherwise a point's row is its
     label and ``cells(outcome)``, and an error ``design`` raises ends the
-    sweep as it ends a design run.  No point's outcome outlives its row.
+    sweep as it ends a design run.  No point's outcome outlives its row;
+    only its replays stay, for the points after it.
     The sweep's own out dir is made only to write the CSV.  Two points with
     one label would share a point dir, so a repeated label is a
     ``ValueError`` before anything is loaded or written.
@@ -287,13 +294,13 @@ def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: 
     except INPUT_ERRORS as exc:
         rows = [[label] + [""] * (len(header) - 2) + [f"error: {exc}"] for label, _ in points]
     else:
-        rows, prof = [], None
+        rows, prof, replayed = [], None, {}
         for label, params in points:
             if prof is None or prof.window_size != params.window_size:
                 prof = None  # free the last window size's profile before the next
                 prof = profile(trace, params.window_size)
             point = replace(run, params=params, out_dir=run.out_dir / f"{subdir}_{label}")
-            rows.append([label] + cells(design(point, prof)))
+            rows.append([label] + cells(design(point, prof, replayed)))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / name
     _write_csv(path, header, rows)
@@ -552,8 +559,8 @@ def _cmd_sweep_window(args) -> int:
     if args.ws_list:
         ws_list = [int(float(v)) for v in _parse_float_list(args.ws_list)]
     else:
-        base = args.window_size
-        ws_list = [max(1, int(base * f)) for f in (0.25, 0.5, 1, 2, 4, 8)]
+        base = args.window_size  # below 4, sizes floored at 1 cycle repeat
+        ws_list = list(dict.fromkeys(max(1, int(base * f)) for f in (0.25, 0.5, 1, 2, 4, 8)))
     path = sweep_window(run, ws_list)
     print(f"wrote {path}")
     return EXIT_OK
@@ -614,7 +621,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of ``command`` only.
+
+    Every subcommand is registered with its help and handler, so the
+    top-level help, usage line and parse errors do not depend on
+    ``command``; only the subcommand named ``command`` (all of them when
+    it is None) gets its options.
+    """
     p = argparse.ArgumentParser(
         prog="xbarsynth",
         description="partial crossbar synthesis from communication traces",
@@ -622,18 +636,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         sections = {None: cmd, "input": cmd.add_argument_group("input"),
                     "analysis": cmd.add_argument_group("analysis")}  # empty ones stay hidden
         for opt in options:
             section, spec = _OPTIONS[opt]
             sections[section].add_argument(opt, **spec)
-        cmd.set_defaults(func=func)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # The subcommand is the first argument that is not an option; when that
+    # is argv[0], no other subcommand's options are needed to parse argv.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         if exc.code:  # argparse's usage errors exit 2, which means infeasible here
             return EXIT_USAGE

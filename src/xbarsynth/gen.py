@@ -26,6 +26,7 @@ is dropped, biasing totals slightly low.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
@@ -277,6 +278,12 @@ def spec_to_text(spec: GenSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _field_types() -> dict[str, type]:
+    """GenSpec's resolved field annotations, resolved on first use."""
+    return get_type_hints(GenSpec)
+
+
 def spec_from_text(text: str) -> GenSpec:
     """Parse the key=value config format written by spec_to_text.
 
@@ -284,7 +291,7 @@ def spec_from_text(text: str) -> GenSpec:
     the GenSpec defaults (required fields must appear).  Scalar values
     are read as their field's annotated type.
     """
-    types = get_type_hints(GenSpec)
+    types = _field_types()
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

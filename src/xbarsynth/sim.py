@@ -99,16 +99,21 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     )
 
 
-def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]]
+def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]],
+            replays: dict[CrossbarConfig, SimReport] | None = None
             ) -> dict[str, SimReport]:
     """Each named config's report, in ``configs`` order; equal configs
     share one simulation.
+
+    ``replays``, when given, holds earlier reports of this same trace by
+    config: a config found there is not simulated again, and each new
+    report is added to it.
 
     A config's size relative to the one-bus shared baseline is its bus
     count (bus-count granularity only: arbiters and adapters of a real
     interconnect are not modeled).
     """
-    reports: dict[CrossbarConfig, SimReport] = {}
+    reports = {} if replays is None else replays
     for _, config in configs:
         if config not in reports:
             reports[config] = simulate(trace, config)

@@ -247,7 +247,9 @@ def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray
     """
     keys = ids.astype(np.min_scalar_type(num_groups))  # 8/16-bit keys radix-sort
     order = np.argsort(keys, kind="stable")
-    return order, np.r_[0, np.cumsum(np.bincount(ids, minlength=num_groups))]
+    bounds = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=num_groups), out=bounds[1:])
+    return order, bounds
 
 
 class TransactionView(Sequence):

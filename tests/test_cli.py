@@ -161,15 +161,32 @@ def test_exactly_one_input_source_enforced(tmp_path, config_file, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["design", "--bogus"],
-    ["design", "--preset", "hotspot", "--window-size", "abc"],
-    [],
+TOP_USAGE = """usage: xbarsynth [-h]
+                 {gen,analyze,design,simulate,sweep-window,sweep-threshold,compare-bindings,export-lp}
+                 ...
+"""
+DESIGN_USAGE = """usage: xbarsynth design [-h] [--trace TRACE]
+                        [--preset {mat2like,uniform,hotspot}]
+                        [--config CONFIG] [--direction {req,resp}]
+                        [--seed SEED] [--out-dir OUT_DIR]
+                        [--window-size WINDOW_SIZE]
+                        [--overlap-threshold OVERLAP_THRESHOLD]
+                        [--max-targets-per-bus MAX_TARGETS_PER_BUS]
+                        [--time-limit TIME_LIMIT] [--buses BUSES]
+"""
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["design", "--bogus"], TOP_USAGE + "xbarsynth: error: unrecognized arguments: --bogus\n"),
+    (["design", "--preset", "hotspot", "--window-size", "abc"],
+     DESIGN_USAGE + "xbarsynth design: error: argument --window-size: invalid int value: 'abc'\n"),
+    ([], TOP_USAGE + "xbarsynth: error: the following arguments are required: command\n"),
 ], ids=["unknown-option", "bad-int", "no-subcommand"])
-def test_parse_errors_exit_one(argv, capsys):
+def test_parse_errors_exit_one(argv, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     # exit 2 means infeasible, so argparse's own exit 2 must not leak out
     assert main(argv) == 1
-    assert "error: " in capsys.readouterr().err
+    assert capsys.readouterr().err == err
 
 
 def test_help_exits_zero(capsys):
@@ -177,6 +194,56 @@ def test_help_exits_zero(capsys):
         main(["design", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ")
+
+
+def parsed(parser, argv, capsys):
+    """``(namespace or exit code, stdout, stderr)`` of one ``parse_args``."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+REPRESENTATIVE_ARGV = {
+    "gen": ["--preset", "hotspot", "--seed", "3", "--out", "t.csv"],
+    "analyze": ["--config", "c.cfg", "--window-size", "50", "--overlap-threshold", "0.2"],
+    "design": ["--trace", "t.csv", "--direction", "resp", "--buses", "2", "--time-limit", "1.5"],
+    "simulate": ["--preset", "hotspot", "--binding", "1,2,1,2", "--out-dir", "d"],
+    "sweep-window": ["--preset", "mat2like", "--ws-list", "250,500",
+                     "--max-targets-per-bus", "3"],
+    "sweep-threshold": ["--preset", "mat2like", "--theta-list", "0.1,0.2",
+                        "--window-size", "500"],
+    "compare-bindings": ["--preset", "mat2like", "--num-random", "4", "--seed", "1"],
+    "export-lp": ["--preset", "hotspot", "--buses", "2", "--out-dir", "d"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_subcommand_parser_parses_as_the_full_one(name, capsys, monkeypatch):
+    """``main`` builds only the invoked subcommand's options; that parser's
+    help, namespaces and top-level help are the full parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert set(REPRESENTATIVE_ARGV) == set(cli._COMMANDS)
+    for argv in ([name, "--help"], [name] + REPRESENTATIVE_ARGV[name], ["--help"]):
+        alone = parsed(cli.build_parser(name), argv, capsys)
+        assert alone == parsed(cli.build_parser(), argv, capsys), argv
+        assert alone[0] != 2, argv  # a namespace, or --help's exit 0
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["design", "--bogus"], ["analyze", "--buses", "3"], ["--help"],
+], ids=["no-subcommand", "unknown-subcommand", "unknown-option", "foreign-option", "help"])
+def test_main_parse_output_is_the_full_parsers(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _, out, err = parsed(cli.build_parser(), argv, capsys)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # --help
+        rc = exc.code
+    assert tuple(capsys.readouterr()) == (out, err)
+    assert rc == (0 if argv == ["--help"] else 1)
 
 
 @pytest.mark.parametrize("command, extra, message", [
@@ -638,6 +705,56 @@ def test_sweeps_load_and_profile_once(tmp_path, config_file, monkeypatch):
         a, b = (json.loads((d / "solve_report.json").read_text()) for d in (out / sub, alone))
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
+
+
+@pytest.mark.parametrize("window_size, points", [
+    ("1", ["1", "2", "4", "8"]),
+    ("3", ["1", "3", "6", "12", "24"]),
+    ("4", ["1", "2", "4", "8", "16", "32"]),
+])
+def test_sweep_window_default_list_drops_repeated_sizes(tmp_path, window_size, points):
+    """ws x 0.25, 0.5, 1, 2, 4, 8 floored at 1 repeats sizes below ws 4."""
+    out = tmp_path / "o"
+    assert main(["sweep-window", "--preset", "hotspot", "--window-size", window_size,
+                 "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "sweep_window.csv")
+    assert [r[0] for r in rows[1:]] == points
+    assert all(r[4] == "ok" for r in rows[1:])
+
+
+@pytest.mark.parametrize("argv, subdir, flags", [
+    (["sweep-threshold", "--theta-list", "0.1,0.3,0.5"], "theta_{}",
+     lambda label: ["--overlap-threshold", label]),
+    (["sweep-window", "--ws-list", "250,500,1000"], "ws_{}",
+     lambda label: ["--window-size", label]),
+], ids=["threshold", "window"])
+def test_sweep_replays_each_config_once(tmp_path, monkeypatch, argv, subdir, flags):
+    """The baselines are replayed once per sweep, and a designed config once
+    however many points design it; every point's comparison is a design's."""
+    calls = []
+
+    def counted(trace, config):
+        calls.append(config)
+        return simulate(trace, config)
+
+    monkeypatch.setattr(sim, "simulate", counted)
+    out = tmp_path / "o"
+    assert main(argv + ["--preset", "mat2like", "--out-dir", str(out)]) == 0
+    labels = [r[0] for r in read_csv(out / f"{argv[0].replace('-', '_')}.csv")[1:]]
+    designed = set()
+    for label in labels:
+        report = json.loads((out / subdir.format(label) / "solve_report.json").read_text())
+        designed.add(CrossbarConfig(report["num_buses"], tuple(report["binding"])))
+    baselines = {shared_bus_config(12), full_crossbar_config(12)}
+    assert len(designed) < len(labels)  # some config repeats across points
+    assert len(calls) == 2 + len(designed - baselines)
+    assert len(set(calls)) == len(calls)
+    for label in labels:
+        alone = tmp_path / "alone" / label
+        assert main(["design", "--preset", "mat2like", "--out-dir", str(alone)]
+                    + flags(label)) == 0
+        assert ((out / subdir.format(label) / "comparison.csv").read_bytes()
+                == (alone / "comparison.csv").read_bytes())
 
 
 def test_sweep_point_failures_repeat_per_point(tmp_path):
