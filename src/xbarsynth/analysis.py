@@ -115,9 +115,8 @@ def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Union of half-open intervals sorted by start, as disjoint intervals.
 
     Touching intervals merge too, so the results are separated by gaps.
+    The input is not empty.
     """
-    if not len(start):
-        return start, end
     reach = np.maximum.accumulate(end)
     # gap[k]: a gap between intervals k-1 and k, the two ends counting as gaps
     gap = np.empty(len(start) + 1, dtype=bool)

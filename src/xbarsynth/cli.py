@@ -9,8 +9,9 @@ binding) reuse the same pipeline per point.
 
 All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
-Each subcommand takes only the options it acts on (:data:`_COMMANDS`),
-and :func:`main` builds the options of the invoked subcommand only.
+Each subcommand takes only the options it acts on (:data:`_COMMANDS`);
+:func:`main` builds the options of the invoked subcommand only, and
+builds its :class:`RunConfig` once, for the subcommand's handler.
 
 Exit codes: 0 success, 1 usage error (command-line parse errors, an
 option the subcommand does not take among them, included), 2 infeasible
@@ -73,8 +74,7 @@ MAX_REJECTIONS_PER_SAMPLE = 1000
 class RunConfig:
     """Everything a pipeline run depends on."""
 
-    trace_path: Path | None
-    genspec: GenSpec | None
+    source: Path | GenSpec  # a trace file, or the spec of a generated trace
     params: AnalysisParams
     direction: str = REQUEST
     limits: SolverLimits = SolverLimits()
@@ -84,11 +84,9 @@ class RunConfig:
     source_label: str = ""
 
     def resolve_trace(self) -> Trace:
-        if self.trace_path is not None:
-            return load_trace(self.trace_path, direction=self.direction)
-        if self.genspec is not None:
-            return generate(self.genspec)
-        raise ValueError("RunConfig needs a trace path or a GenSpec")
+        if isinstance(self.source, GenSpec):
+            return generate(self.source)
+        return load_trace(self.source, direction=self.direction)
 
 
 @dataclass
@@ -382,8 +380,6 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
     best = outcome.report.config
     opt_avg = outcome.replays["designed"].avg_latency
     rng = np.random.Generator(np.random.PCG64(run.seed))
-    rows = [["optimal", _fmt(opt_avg), _fmt(1.0)]]
-    ratios = []
     random_avgs = []
     for k in range(num_random):
         config = random_feasible_binding(inst, best.num_buses, rng)
@@ -392,12 +388,13 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
                 f"no feasible random binding found in {MAX_REJECTIONS_PER_SAMPLE} "
                 f"draws (sample {k + 1}/{num_random}); instance is very tight"
             )
-        avg = simulate(trace, config).avg_latency
-        random_avgs.append(avg)
-        ratio = avg / opt_avg if opt_avg > 0 else float("inf")
-        ratios.append(ratio)
-        rows.append([f"random_{k + 1}", _fmt(avg), _fmt(ratio)])
+        random_avgs.append(simulate(trace, config).avg_latency)
+    # only an empty trace averages 0, and there every binding ties the optimum
+    ratios = [avg / opt_avg if opt_avg > 0 else 1.0 for avg in random_avgs]
     mean_ratio = float(np.mean(ratios))
+    rows = [["optimal", _fmt(opt_avg), _fmt(1.0)]]
+    rows += [[f"random_{k + 1}", _fmt(avg), _fmt(ratio)]
+             for k, (avg, ratio) in enumerate(zip(random_avgs, ratios))]
     rows.append(["random_mean", _fmt(float(np.mean(random_avgs))), _fmt(mean_ratio)])
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -447,54 +444,57 @@ _SOLVE = ("--window-size", "--overlap-threshold", "--max-targets-per-bus",
           "--time-limit", "--buses")
 
 
+# Each option's value when its subcommand does not take it, by argparse dest.
+_DEFAULTS = {opt[2:].replace("-", "_"): spec.get("default")
+             for opt, (_, spec) in _OPTIONS.items()}
+
+
 def _run_from_args(args) -> RunConfig:
     """The run an ``args`` namespace asks for; the options its subcommand
-    does not take are read through ``getattr`` defaults."""
-    sources = [opt for opt in _SOURCES if hasattr(args, opt[2:])]
-    picked = [opt for opt in sources if getattr(args, opt[2:]) is not None]
+    does not take read their ``_OPTIONS`` defaults."""
+    opts = _DEFAULTS | vars(args)
+    sources = [opt for opt in _COMMANDS[args.command][2] if opt in _SOURCES]
+    picked = [opt for opt in sources if opts[opt[2:]] is not None]
     if len(picked) != 1:
         raise ValueError(f"exactly one of {', '.join(sources)} is required")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    trace_path = getattr(args, "trace", None)
-    direction = getattr(args, "direction", REQUEST)
-    if trace_path is None and direction != REQUEST:
+    seed, direction = opts["seed"], opts["direction"]
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    if opts["trace"] is None and direction != REQUEST:
         raise ValueError(f"--direction {direction} needs --trace: "
                          "generated traces hold request flows only")
-    genspec = None
-    if args.preset:
-        genspec = benchmark_preset(args.preset)
-        label = f"preset:{args.preset}"
-    elif args.config:
-        genspec = spec_from_text(Path(args.config).read_text())
-        label = f"config:{args.config}"
+    if opts["preset"]:
+        source = benchmark_preset(opts["preset"])
+        label = f"preset:{opts['preset']}"
+    elif opts["config"]:
+        source = spec_from_text(Path(opts["config"]).read_text())
+        label = f"config:{opts['config']}"
     else:
-        label = str(trace_path)
-    if genspec is not None and args.seed is not None:
-        genspec = replace(genspec, seed=args.seed)
+        source = opts["trace"]
+        label = str(source)
+    if isinstance(source, GenSpec):
+        source = source if seed is None else replace(source, seed=seed)
+        seed = source.seed
     params = AnalysisParams(
-        window_size=getattr(args, "window_size", 1),
-        overlap_threshold=getattr(args, "overlap_threshold", 0.3),
-        max_targets_per_bus=getattr(args, "max_targets_per_bus", None),
+        window_size=opts["window_size"],
+        overlap_threshold=opts["overlap_threshold"],
+        max_targets_per_bus=opts["max_targets_per_bus"],
     )
-    limits = SolverLimits(time_limit_s=getattr(args, "time_limit", None))
-    seed = args.seed if args.seed is not None else (genspec.seed if genspec else 0)
+    limits = SolverLimits(time_limit_s=opts["time_limit"])
     return RunConfig(
-        trace_path=trace_path,
-        genspec=genspec,
+        source=source,
         params=params,
         direction=direction,
         limits=limits,
-        out_dir=args.out_dir,
-        seed=seed,
-        buses_override=getattr(args, "buses", None),
+        out_dir=opts["out_dir"],
+        seed=0 if seed is None else seed,
+        buses_override=opts["buses"],
         source_label=label,
     )
 
 
-def _cmd_gen(args) -> int:
-    run = _run_from_args(args)
-    trace = generate(run.genspec)
+def _cmd_gen(run: RunConfig, args) -> int:
+    trace = generate(run.source)
     out = args.out
     if out is None:  # --out-dir is made only to hold the trace
         run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -504,16 +504,14 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    run = _run_from_args(args)
+def _cmd_analyze(run: RunConfig, args) -> int:
     artifacts = analyze(run)
     for name, path in sorted(artifacts.items()):
         print(f"{name}: {path}")
     return EXIT_OK
 
 
-def _cmd_design(args) -> int:
-    run = _run_from_args(args)
+def _cmd_design(run: RunConfig, args) -> int:
     outcome = design(run)
     if outcome.report is not None:
         cfg = outcome.report.config
@@ -532,8 +530,7 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    run = _run_from_args(args)
+def _cmd_simulate(run: RunConfig, args) -> int:
     trace = run.resolve_trace()
     configs = baseline_configs(trace.num_targets)
     if args.binding:
@@ -554,28 +551,25 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _cmd_sweep_window(args) -> int:
-    run = _run_from_args(args)
+def _cmd_sweep_window(run: RunConfig, args) -> int:
     if args.ws_list:
         ws_list = [int(float(v)) for v in _parse_float_list(args.ws_list)]
     else:
-        base = args.window_size  # below 4, sizes floored at 1 cycle repeat
+        base = run.params.window_size  # below 4, sizes floored at 1 cycle repeat
         ws_list = list(dict.fromkeys(max(1, int(base * f)) for f in (0.25, 0.5, 1, 2, 4, 8)))
     path = sweep_window(run, ws_list)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_sweep_threshold(args) -> int:
-    run = _run_from_args(args)
+def _cmd_sweep_threshold(run: RunConfig, args) -> int:
     thetas = _parse_float_list(args.theta_list) if args.theta_list else [0.1, 0.2, 0.3, 0.4, 0.5]
     path = sweep_threshold(run, thetas)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_compare_bindings(args) -> int:
-    run = _run_from_args(args)
+def _cmd_compare_bindings(run: RunConfig, args) -> int:
     result = compare_bindings(run, args.num_random)
     print(
         f"optimal avg {result.optimal_avg:.2f}; mean random/optimal ratio "
@@ -585,12 +579,11 @@ def _cmd_compare_bindings(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_lp(args) -> int:
-    run = _run_from_args(args)
+def _cmd_export_lp(run: RunConfig, args) -> int:
     prof, om, conflict = _analysis(run)
     inst = build_instance(prof, om, conflict, run.params)
-    if args.buses is not None:
-        buses = args.buses
+    if run.buses_override is not None:
+        buses = run.buses_override
     else:
         buses, _, _ = min_config(inst, SearchBudget(run.limits))
     text = export_milp(inst, buses)
@@ -660,7 +653,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         raise  # --help
     try:
-        return args.func(args)
+        return args.func(_run_from_args(args), args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

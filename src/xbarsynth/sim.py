@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import CrossbarConfig, full_crossbar_config, shared_bus_config
-from .trace import Trace, group_rows
+from .trace import Trace, exact_sum, group_rows
 
 
 class SimulationError(ValueError):
@@ -62,10 +62,12 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     for a transaction's duration, so completions follow Lindley's
     recursion c[k] = max(s[k], c[k-1]) + d[k].  Unrolled with
     D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
-    computed exactly in int64 per bus.  The scan runs in place in two
-    full-length arrays, one of which becomes the latencies.  When every
-    target sits on one bus, trace order is grant order and the rows are
-    scanned where they are; otherwise they are grouped by bus first.
+    computed exactly in int64 per bus: a trace's last start plus its total
+    duration, which bounds every completion, is below 2**63.  The scan
+    runs in place in two full-length arrays, one of which becomes the
+    latencies.  When every target sits on one bus, trace order is grant
+    order and the rows are scanned where they are; otherwise they are
+    grouped by bus first.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
@@ -89,7 +91,7 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     np.subtract(latency, start, out=latency)
     latency.flags.writeable = False
 
-    total = int(latency.sum())
+    total = exact_sum(latency)  # an int64 sum could wrap where no latency does
     return SimReport(
         config=config,
         latency=latency,

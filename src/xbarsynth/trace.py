@@ -8,13 +8,13 @@ master).  Loading with ``direction="resp"`` swaps the roles so that the
 receiving masters become the analyzed "targets"; the rest of the toolkit
 then designs the reverse crossbar with the exact same machinery.
 
-File format (UTF-8 CSV)::
-
-    #xbar-trace v1,initiators=<n>,targets=<n>
-    start_cycle,duration,initiator_id,target_id,direction,critical
-
-Ids are 1-based.  Lines starting with ``#`` are comments.  Busy intervals
-are half-open: a transaction occupies [start, start + duration).
+File format (UTF-8 CSV): a header line
+``#xbar-trace v1,initiators=<n>,targets=<n>``, then one line per
+transaction holding, in order, its start cycle, duration, initiator id,
+target id, direction (``req`` or ``resp``) and critical flag (0 or 1);
+there is no line of column names.  Ids are 1-based.  Lines starting
+with ``#`` are comments.  Busy intervals are half-open: a transaction
+occupies [start, start + duration).
 
 In memory a :class:`Trace` is a set of numpy columns, one entry per
 transaction, plus the one direction all its rows move in;
@@ -51,6 +51,7 @@ _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
+_SUM_BLOCK = 1 << 14  # entries exact_sum reads at once
 _PAD = 8  # zero bytes before a block, so the words ending in its first field lie inside
 # gap from the comma before a numeric field to the comma after it, less its digits
 _FIELD_GAP = np.array([3, 1, 1, 1])
@@ -165,7 +166,14 @@ class Trace:
 
         ``columns`` are ``start``, ``duration``, ``initiator``, ``target``
         (int64) and ``critical`` (bool), each owned by this trace from now on.
+        The last start plus the total duration must stay below 2**63: that
+        bounds every end and every replay's completion cycle, so int64
+        cycle arithmetic cannot wrap.
         """
+        reach = int(columns[0][-1]) + exact_sum(columns[1]) if len(columns[0]) else 0
+        if reach > _INT64_MAX:
+            raise TraceError(f"last start cycle plus total duration is {reach}, "
+                             "not below 2**63")
         for col in columns:
             col.flags.writeable = False
         self.num_initiators = num_initiators
@@ -204,6 +212,17 @@ class Trace:
     def __repr__(self) -> str:
         return (f"Trace(num_initiators={self.num_initiators}, num_targets={self.num_targets}, "
                 f"{len(self.start)} transactions, horizon={self.horizon})")
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """Sum of a non-negative int64 column as a Python int, exact.
+
+    The high and low 32-bit halves of each block of :data:`_SUM_BLOCK`
+    entries are summed apart, so no int64 sum can wrap, and the scratch
+    stays two blocks long.
+    """
+    blocks = (values[i:i + _SUM_BLOCK] for i in range(0, len(values), _SUM_BLOCK))
+    return sum((int((b >> 32).sum()) << 32) + int((b & 0xFFFFFFFF).sum()) for b in blocks)
 
 
 def _is_sorted(start: np.ndarray, target: np.ndarray, initiator: np.ndarray) -> bool:

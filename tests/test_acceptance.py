@@ -103,8 +103,7 @@ def test_criterion_5_correlated_preset_design_trend(tmp_path):
     t0 = time.monotonic()
     spec = benchmark_preset("mat2like")
     run = RunConfig(
-        trace_path=None,
-        genspec=spec,
+        source=spec,
         params=AnalysisParams(window_size=1000, overlap_threshold=0.3),
         out_dir=tmp_path / "c5",
         seed=spec.seed,
@@ -131,8 +130,7 @@ def test_criterion_6_window_size_sweep_trend(tmp_path):
     t0 = time.monotonic()
     spec = benchmark_preset("uniform")
     run = RunConfig(
-        trace_path=None,
-        genspec=spec,
+        source=spec,
         params=AnalysisParams(window_size=1000, overlap_threshold=0.1),
         out_dir=tmp_path / "c6",
         seed=spec.seed,
@@ -163,8 +161,7 @@ def test_criterion_7_random_bindings_pay_on_correlated_preset(tmp_path):
     t0 = time.monotonic()
     spec = benchmark_preset("mat2like")
     run = RunConfig(
-        trace_path=None,
-        genspec=spec,
+        source=spec,
         params=AnalysisParams(window_size=1000, overlap_threshold=0.3),
         out_dir=tmp_path / "c7",
         seed=spec.seed,

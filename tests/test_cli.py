@@ -128,7 +128,7 @@ def test_design_full_pipeline(tmp_path, config_file):
 
 
 def test_design_frees_the_packed_instance(tmp_path):
-    outcome = design(RunConfig(None, benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
+    outcome = design(RunConfig(benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
                                out_dir=tmp_path / "o"))
     assert outcome.error is None
     assert "_packed" not in vars(outcome.instance)  # built by the solve, then freed
@@ -250,7 +250,9 @@ def test_main_parse_output_is_the_full_parsers(argv, capsys, monkeypatch):
     ("design", ["--window-size", "50", "--buses", "0"], "bus count 0 outside 1..3"),
     ("simulate", ["--binding", "0,0,0"], "need at least one bus"),  # max(binding) buses
     ("export-lp", ["--window-size", "50", "--buses", "0"], "bus count 0 outside 1..3"),
-], ids=["design", "simulate", "export-lp"])
+    ("simulate", ["--binding", "1,x,1"],
+     "bad --binding '1,x,1': expected comma-separated bus ids"),
+], ids=["design", "simulate", "export-lp", "simulate-bad-id"])
 def test_zero_buses_is_a_usage_error(tmp_path, config_file, capsys, command, extra, message):
     out = tmp_path / "o"
     assert main([command, "--config", str(config_file), "--out-dir", str(out)] + extra) == 1
@@ -338,7 +340,7 @@ def test_zero_time_limit_is_written_to_the_manifest(tmp_path):
 
 def test_zero_time_limit_cuts_short_solves(tmp_path):
     # hotspot's whole solve ends before the 257th node, the second clock read
-    run = RunConfig(None, benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
+    run = RunConfig(benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
                     out_dir=tmp_path / "full")
     full = design(run)
     assert probe_nodes(full.instance) + full.report.nodes_explored < 257
@@ -408,10 +410,47 @@ def test_negative_seed_in_a_config_file_names_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("num_initiators 3\n", "line 1: expected key = value, got 'num_initiators 3'"),
+    ("num_initiators = x\n", "line 1: bad value for num_initiators: 'x'"),
+], ids=["no-equals", "bad-value"])
+def test_malformed_config_line_exits_one(tmp_path, capsys, text, message):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_zero_random_bindings_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["compare-bindings", "--preset", "hotspot", "--num-random", "0",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: num_random must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("design", ["9223372036854775800,100,1,1,req,0"]),
+    ("simulate", ["0,4611686018427387905,1,1,req,0", "0,4611686018427387905,2,1,req,0"]),
+], ids=["end", "total-duration"])
+def test_cycles_reaching_2_63_exit_one(tmp_path, capsys, command, rows):
+    # an end past int64 once broke profiling; a wrapped completion, the latencies
+    path = tmp_path / "t.csv"
+    path.write_text("#xbar-trace v1,initiators=2,targets=1\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--trace", str(path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: last start cycle plus total duration is ")
+    assert err.endswith(", not below 2**63\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def mat2like_run(out_dir, node_limit=None):
     # default analysis knobs: probes 7/5/4/3 all feasible, then a short
     # binding search, so every solve phase has nodes to cut
-    return RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
+    return RunConfig(benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
                      limits=SolverLimits(node_limit=node_limit), out_dir=out_dir)
 
 
@@ -478,7 +517,7 @@ def test_seed_search_cut_writes_last_probe_witness(tmp_path):
 def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
     # with --buses there is no bus-count witness to fall back on
     full = design_mat2like(tmp_path / "full")
-    run = RunConfig(None, benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
+    run = RunConfig(benchmark_preset("mat2like"), AnalysisParams(1000, 0.3),
                     limits=SolverLimits(node_limit=1), out_dir=tmp_path / "cut",
                     buses_override=full.report.config.num_buses)
     cut = design(run)
@@ -531,10 +570,24 @@ def test_design_on_header_only_trace(tmp_path):
     assert all(r[2] == "0.000000" and r[3] == "0" for r in rows[1:])
 
 
+def test_compare_bindings_on_header_only_trace(tmp_path, capsys):
+    # every average is 0, so each random binding ties the optimum
+    path = tmp_path / "t.csv"
+    save_trace(Trace(2, 3, []), path)
+    out = tmp_path / "o"
+    assert main(["compare-bindings", "--trace", str(path), "--num-random", "2",
+                 "--out-dir", str(out)]) == 0
+    assert read_csv(out / "binding_compare.csv")[1:] == [
+        [scheme, "0.000000", "1.000000"]
+        for scheme in ("optimal", "random_1", "random_2", "random_mean")]
+    assert capsys.readouterr().out.startswith(
+        "optimal avg 0.00; mean random/optimal ratio 1.000 over 2 samples\n")
+
+
 def test_design_at_window_size_one(tmp_path):
     path = tmp_path / "t.csv"
     save_trace(loose_pair_trace(), path)
-    run = RunConfig(path, None, AnalysisParams(1, 0.3), out_dir=tmp_path / "o")
+    run = RunConfig(path, AnalysisParams(1, 0.3), out_dir=tmp_path / "o")
     outcome = design(run)
     assert outcome.error is None
     assert outcome.instance.comm.shape == (4, outcome.trace.horizon)
@@ -779,6 +832,8 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
     ("sweep-window", ["--ws-list", "1000,500,500.7"], "sweep point 500 is listed twice"),
     ("sweep-threshold", ["--theta-list", "0.3,0.1,0.1000001"],
      "sweep point 0.100000 is listed twice"),
+    ("sweep-window", ["--ws-list", ","], "ws_list must be nonempty"),
+    ("sweep-threshold", ["--theta-list", ","], "theta_list must be nonempty"),
 ])
 def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command, extra,
                                                        message):

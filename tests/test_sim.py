@@ -152,6 +152,15 @@ def test_empty_trace():
     assert rep.avg_queuing == 0.0
 
 
+def test_latency_total_is_exact_past_int64():
+    # three 2**61-cycle rows queue on one bus; their latencies sum to 3 * 2**62
+    tr = Trace.from_columns(3, 1, [0, 0, 0], [2**61] * 3, [1, 2, 3], [1, 1, 1])
+    rep = simulate(tr, shared_bus_config(1))
+    assert rep.per_transaction_latency == [2**61, 2**62, 3 * 2**61]
+    assert rep.avg_latency == 2**62
+    assert rep.avg_queuing == 2**61
+
+
 def test_missing_target_binding_rejected():
     tr = Trace(1, 3, [Transaction(0, 5, 1, 3)])
     with pytest.raises(SimulationError, match="t_3"):

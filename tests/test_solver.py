@@ -224,6 +224,8 @@ def test_validate_binding_reports_each_violation():
     assert "conflicting targets" in msgs
     assert "cap is 2" in msgs
     assert validate_binding(inst, CrossbarConfig(3, (1, 2, 3))) == []
+    assert validate_binding(inst, CrossbarConfig(2, (1, 2))) == [
+        "binding covers 2 targets, instance has 3"]
 
 
 def test_bandwidth_infeasible_target_reported():
@@ -370,6 +372,12 @@ def test_instance_validation():
     with pytest.raises(InstanceError, match="32"):
         t = 33
         ProblemInstance(10, np.zeros((t, 1)), np.zeros((t, t)), np.zeros((t, t), bool), t)
+    with pytest.raises(InstanceError, match="at least one target"):
+        ProblemInstance(10, np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, 0), bool), 1)
+    with pytest.raises(InstanceError, match="conflict matrix must be symmetric"):
+        ProblemInstance(10, good, np.zeros((2, 2)), np.array([[0, 1], [0, 0]], bool), 2)
+    with pytest.raises(InstanceError, match="window size"):
+        ProblemInstance(0, good, np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
 
 
 def test_config_validation_and_views():
@@ -377,6 +385,8 @@ def test_config_validation_and_views():
         CrossbarConfig(2, (1, 3))
     with pytest.raises(InstanceError):
         CrossbarConfig(0, (1,))
+    with pytest.raises(InstanceError, match="at least one target"):
+        CrossbarConfig(1, ())
     cfg = CrossbarConfig(3, (1, 1, 2))
     assert cfg.bus_members() == {1: [0, 1], 2: [2]}
     assert shared_bus_config(4).binding == (1, 1, 1, 1)
@@ -485,6 +495,16 @@ def test_uniform_search_tree_pinned(ws, uniform_trace):
     rep = optimal_binding(inst, buses, budget)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
             budget.nodes) == UNIFORM_PINS[ws]
+
+
+def test_unexpired_deadline_solves_as_unlimited(uniform_trace):
+    # 67 k nodes: the deadline is read, and passes, at every 256th tick
+    inst = analysed_instance(uniform_trace, 8000, 0.1)
+    budget = SearchBudget(SolverLimits(time_limit_s=3600))
+    buses, probes, _ = min_config(inst, budget)
+    rep = optimal_binding(inst, buses, budget)
+    assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
+            budget.nodes) == UNIFORM_PINS[8000]
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,35 @@ def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
     assert str(err.value) == ctor_msg
 
 
+@pytest.mark.parametrize("rows", [
+    ["9223372036854775800,100,1,1,req,0"],
+    ["0,4611686018427387905,1,1,req,0", "0,4611686018427387905,2,1,req,0"],
+], ids=["end", "total-duration"])
+def test_cycles_reaching_2_63_rejected(tmp_path, rows):
+    # past 2**63 an end or a replay's completion would wrap int64
+    path = write(tmp_path, HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(TraceError, match=r"^last start cycle plus total duration is \d+, "
+                                         r"not below 2\*\*63$"):
+        load_trace(path)
+    columns = np.array([[int(f) for f in row.split(",")[:4]] for row in rows]).T
+    with pytest.raises(TraceError, match=r"not below 2\*\*63$"):
+        Trace.from_columns(9, 12, *columns)
+
+
+def test_cycle_bound_is_the_last_below_2_63():
+    tr = Trace.from_columns(1, 1, [2**62], [2**62 - 1], [1], [1])
+    assert tr.horizon == 2**63 - 1
+    with pytest.raises(TraceError, match="is 9223372036854775808, not below"):
+        Trace.from_columns(1, 1, [2**62], [2**62], [1], [1])
+
+
+def test_exact_sum_past_int64_over_several_blocks():
+    n = 3 * trace_module._SUM_BLOCK + 5
+    values = np.full(n, 2**62 + 2**31 + 7, dtype=np.int64)
+    assert trace_module.exact_sum(values) == n * (2**62 + 2**31 + 7)
+    assert trace_module.exact_sum(values[:0]) == 0
+
+
 @pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0", "-", "9" * 19])
 def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start):
     # A lenient number reader takes "1.5" as 1, "-" as 0 and 19 nines as
