@@ -144,7 +144,9 @@ def generate(spec: GenSpec) -> Trace:
     Each burst's busy run and each shared access is recorded as one row,
     in emission order; one :func:`_cut_packets` pass then cuts the runs
     into packets.  Raises GenError when the horizon is too small for at
-    least one full burst per initiator.
+    least one full burst per initiator.  No burst straddles
+    ``spec.horizon``, so the trace's own horizon, its last busy cycle, is
+    at most ``spec.horizon``.
     """
     period = spec.slot_period
     privates = spec.private_targets()
@@ -207,8 +209,8 @@ def generate(spec: GenSpec) -> Trace:
     start, duration, initiator, target, critical = _cut_packets(
         np.array(rows, dtype=np.int64).reshape(-1, 6), spec.packet_len
     ).T
-    return Trace.from_columns(spec.num_initiators, spec.num_targets, start, duration,
-                              initiator, target, critical, horizon=spec.horizon)
+    return Trace(spec.num_initiators, spec.num_targets, start, duration, initiator, target,
+                 critical)
 
 
 def benchmark_preset(name: str) -> GenSpec:

@@ -37,7 +37,7 @@ columns as they are.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,13 +73,6 @@ class Transaction:
     target_id: int
     critical: bool = False
     direction: str = REQUEST
-
-    @property
-    def end_cycle(self) -> int:
-        return self.start_cycle + self.duration
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.start_cycle, self.target_id, self.initiator_id)
 
 
 def _first_invalid_row(start: np.ndarray, duration: np.ndarray, initiator: np.ndarray,
@@ -122,53 +115,32 @@ class Trace:
     Columns (read-only numpy arrays, one entry per transaction):
     ``start``, ``duration``, ``initiator`` and ``target`` (int64, ids
     1-based) and ``critical`` (bool).  Rows with equal sort keys keep their
-    input order.  Every row moves in ``direction`` (``req`` or ``resp``);
-    a trace built from rows takes theirs, and an empty one is ``req``.
-
-    ``horizon`` defaults to the last busy cycle (max start+duration) but can
-    be overridden, e.g. by a generator that knows the intended run length.
+    input order.  Every row moves in ``direction`` (``req`` or ``resp``).
+    ``horizon`` is the last busy cycle, max(start + duration), or 0 for an
+    empty trace: windows past it hold no traffic.
     """
 
-    def __init__(self, num_initiators: int, num_targets: int,
-                 transactions: Iterable[Transaction] = (), horizon: int | None = None):
-        txs = list(transactions)
-        directions = {tx.direction for tx in txs} or {REQUEST}
-        if len(directions) > 1:
-            raise TraceError(f"a trace cannot be built mixing directions {sorted(directions)}")
-        rows = np.array(
-            [(tx.start_cycle, tx.duration, tx.initiator_id, tx.target_id, tx.critical)
-             for tx in txs],
-            dtype=np.int64,
-        ).reshape(-1, 5)
-        direction = directions.pop()
-        self._adopt(num_initiators, num_targets, direction,
-                    _validated(num_initiators, num_targets, direction, *rows.T), horizon)
-
-    @classmethod
-    def from_columns(cls, num_initiators: int, num_targets: int, start, duration,
-                     initiator, target, critical=None, direction: str = REQUEST,
-                     horizon: int | None = None) -> Trace:
+    def __init__(self, num_initiators: int, num_targets: int, start=(), duration=(),
+                 initiator=(), target=(), critical=None, direction: str = REQUEST):
         """Build a trace from per-transaction columns (any order).
 
         The columns are copied, so the caller's arrays stay as they are.
         ``critical`` defaults to all False.
         """
-        trace = cls.__new__(cls)
-        trace._adopt(num_initiators, num_targets, direction, _validated(
+        self._adopt(num_initiators, num_targets, direction, _validated(
             num_initiators, num_targets, direction, start, duration, initiator, target,
-            np.zeros(len(start), dtype=bool) if critical is None else critical,
-        ), horizon)
-        return trace
+            np.zeros(np.shape(start), dtype=bool) if critical is None else critical,
+        ))
 
     def _adopt(self, num_initiators: int, num_targets: int, direction: str,
-               columns: tuple[np.ndarray, ...], horizon: int | None = None) -> None:
+               columns: tuple[np.ndarray, ...]) -> None:
         """Take sorted, validated columns as they are and make them read-only.
 
         ``columns`` are ``start``, ``duration``, ``initiator``, ``target``
         (int64) and ``critical`` (bool), each owned by this trace from now on.
         The last start plus the total duration must stay below 2**63: that
-        bounds every end and every replay's completion cycle, so int64
-        cycle arithmetic cannot wrap.
+        bounds every end, the horizon and every replay's completion cycle,
+        so int64 cycle arithmetic cannot wrap.
         """
         reach = int(columns[0][-1]) + exact_sum(columns[1]) if len(columns[0]) else 0
         if reach > _INT64_MAX:
@@ -180,12 +152,7 @@ class Trace:
         self.num_targets = num_targets
         self.direction = direction
         self.start, self.duration, self.initiator, self.target, self.critical = columns
-        derived = int((self.start + self.duration).max()) if len(self.start) else 0
-        if horizon is None:
-            horizon = derived
-        elif horizon < derived:
-            raise TraceError(f"horizon {horizon} shorter than last transaction end {derived}")
-        self.horizon = horizon
+        self.horizon = int((self.start + self.duration).max()) if len(self.start) else 0
 
     @property
     def transactions(self) -> TransactionView:
@@ -204,8 +171,8 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return (
-            (self.num_initiators, self.num_targets, self.horizon, self.direction)
-            == (other.num_initiators, other.num_targets, other.horizon, other.direction)
+            (self.num_initiators, self.num_targets, self.direction)
+            == (other.num_initiators, other.num_targets, other.direction)
             and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
         )
 
@@ -250,8 +217,12 @@ def _validated(num_initiators, num_targets, direction, start, duration, initiato
                critical) -> tuple[np.ndarray, ...]:
     """Sorted copies of the columns, after checking them against the core counts."""
     _check_counts(num_initiators, num_targets, direction)
-    columns = _sorted(*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
-                      np.array(critical, dtype=bool))
+    columns = (*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
+               np.array(critical, dtype=bool))
+    shapes = [c.shape for c in columns]
+    if len(set(shapes)) > 1 or columns[0].ndim != 1:
+        raise TraceError(f"columns must be 1-D and of one length, got shapes {shapes}")
+    columns = _sorted(*columns)
     bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
     if bad is not None:
         raise TraceError(_range_message(*bad[1:]))
@@ -557,9 +528,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
     A response trace is written back in role frame (master column and
     count first), undoing the swap done at load time, so a save/load round
-    trip with the trace's direction reproduces it, empty or not.  Note the
-    header carries no horizon: an overridden horizon reverts to the derived
-    one on reload.
+    trip with the trace's direction reproduces it, empty or not.
     """
     n_init, n_tgt = trace.num_initiators, trace.num_targets
     init_ids, tgt_ids = trace.initiator, trace.target

@@ -30,7 +30,7 @@ from xbarsynth.solver import (
     _pack_rows,
     optimal_binding,
 )
-from xbarsynth.trace import Trace, Transaction
+from xbarsynth.trace import REQUEST, Trace, Transaction
 
 
 # ---------------------------------------------------------------- profiles
@@ -43,9 +43,9 @@ def cycle_profile(trace: Trace, window_size: int):
     occ = np.zeros((t, nw * window_size), dtype=bool)
     crit = np.zeros_like(occ)
     for tx in trace.transactions:
-        occ[tx.target_id - 1, tx.start_cycle:tx.end_cycle] = True
+        occ[tx.target_id - 1, tx.start_cycle:tx.start_cycle + tx.duration] = True
         if tx.critical:
-            crit[tx.target_id - 1, tx.start_cycle:tx.end_cycle] = True
+            crit[tx.target_id - 1, tx.start_cycle:tx.start_cycle + tx.duration] = True
     occ_w = occ.reshape(t, nw, window_size)
     crit_w = crit.reshape(t, nw, window_size)
     comm = occ_w.sum(axis=2).astype(np.int64)
@@ -60,7 +60,7 @@ def whole_trace_overlap(trace: Trace) -> np.ndarray:
     h = trace.horizon
     occ = np.zeros((t, max(h, 1)), dtype=bool)
     for tx in trace.transactions:
-        occ[tx.target_id - 1, tx.start_cycle:tx.end_cycle] = True
+        occ[tx.target_id - 1, tx.start_cycle:tx.start_cycle + tx.duration] = True
     return np.einsum("ic,jc->ij", occ, occ, dtype=np.int64)
 
 
@@ -216,7 +216,7 @@ def brute_optimal_bindings(inst: ProblemInstance, num_buses: int, maxov: int):
 
 # -------------------------------------------------------------- simulator
 
-def replay_simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 0):
+def replay_simulate(trace: Trace, config: CrossbarConfig):
     """Per-bus queue replay; returns latency per transaction identity.
 
     Each bus drains its own heap ordered by (arrival, target, initiator),
@@ -236,8 +236,8 @@ def replay_simulate(trace: Trace, config: CrossbarConfig, grant_overhead: int = 
         while q:
             arr, _tgt, _ini, n, dur = heapq.heappop(q)
             begin = max(free, arr)
-            free = begin + grant_overhead + dur
-            bus_busy[k] += grant_overhead + dur
+            free = begin + dur
+            bus_busy[k] += dur
             latencies[n] = free - arr
     return latencies, bus_busy
 
@@ -261,6 +261,17 @@ def emit_run(rows: list[tuple[int, int, int, int, bool]], start: int, length: in
 
 # ------------------------------------------------------- random fixtures
 
+def trace_of(num_initiators: int, num_targets: int,
+             transactions: list[Transaction]) -> Trace:
+    """The trace of ``transactions``, rows that all move in one direction."""
+    directions = {tx.direction for tx in transactions} or {REQUEST}
+    assert len(directions) == 1, f"rows mix directions {sorted(directions)}"
+    columns = zip(*((tx.start_cycle, tx.duration, tx.initiator_id, tx.target_id, tx.critical)
+                    for tx in transactions))
+    return Trace(num_initiators, num_targets, *(list(c) for c in columns),
+                 direction=directions.pop())
+
+
 def make_random_trace(rng: np.random.Generator, num_targets: int | None = None,
                       horizon: int = 400, max_txs: int = 40,
                       with_critical: bool = True) -> Trace:
@@ -280,7 +291,7 @@ def make_random_trace(rng: np.random.Generator, num_targets: int | None = None,
                 critical=bool(with_critical and rng.random() < 0.25),
             )
         )
-    return Trace(n_init, t, txs, horizon=horizon)
+    return trace_of(n_init, t, txs)
 
 
 def make_random_instance(rng: np.random.Generator, max_targets: int = 8,

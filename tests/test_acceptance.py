@@ -17,7 +17,7 @@ from xbarsynth.gen import benchmark_preset
 from xbarsynth.lpexport import export_milp
 from xbarsynth.sim import simulate
 from xbarsynth.solver import CrossbarConfig, min_config, optimal_binding
-from xbarsynth.trace import Trace, Transaction
+from xbarsynth.trace import Transaction
 
 from oracles import (
     brute_best_maxov,
@@ -29,6 +29,7 @@ from oracles import (
     replay_simulate,
     sharing_solutions,
     solve_lp_with_highs,
+    trace_of,
 )
 
 
@@ -86,7 +87,7 @@ def test_criterion_4_half_window_overlap_implies_bandwidth_violation():
     premise_pairs = 0
     traces = [make_random_trace(rng, horizon=300, max_txs=50) for _ in range(60)]
     # engineered heavy overlap so the premise is exercised for sure
-    traces.append(Trace(2, 2, [Transaction(0, 10, 1, 1), Transaction(2, 8, 2, 2)]))
+    traces.append(trace_of(2, 2, [Transaction(0, 10, 1, 1), Transaction(2, 8, 2, 2)]))
     for trace in traces:
         ws = int(rng.integers(2, 80))
         prof = profile(trace, ws)
@@ -211,3 +212,55 @@ def test_criterion_9_external_milp_reproduces_optimum():
         assert round(objective) == rep.maxov
     elapsed = time.monotonic() - t0
     print(f"criterion 9: 20/20 external optima match [{elapsed:.1f}s] PASS")
+
+
+def test_criterion_10_window_design_beats_average_design(tmp_path):
+    """uniform (θ 0.1) and mat2like (θ 0.3): the window design (ws 1000) against
+    the average design (one window over the trace) and the full crossbar, < 30 s.
+
+    The paper reports up to 7x lower latency than a traditional rate-based
+    design and up to 3.5x fewer crossbar components than a full crossbar,
+    each the best case over its own designs.  The bounds here sit below the
+    ratios measured at the default seeds; they also hold at generator seeds
+    7 and 11, but at seed 12 uniform's window design takes 9 buses, and the
+    full crossbar only 2.2x that.
+    """
+    t0 = time.monotonic()
+    lines = []
+    for preset, theta in (("uniform", 0.1), ("mat2like", 0.3)):
+        spec = benchmark_preset(preset)
+
+        def run_design(window_size, name):
+            outcome = design(RunConfig(
+                source=spec,
+                params=AnalysisParams(window_size=window_size, overlap_threshold=theta),
+                out_dir=tmp_path / f"{preset}_{name}",
+                seed=spec.seed,
+            ))
+            assert outcome.error is None
+            return outcome
+
+        window = run_design(1000, "window")
+        average = run_design(window.trace.horizon, "average")
+        win, avg = window.replays["designed"], average.replays["designed"]
+        win_buses = window.report.config.num_buses
+        full_buses = window.trace.num_targets  # one bus per target
+        # A window design keeps apart targets whose bursts coincide; a design
+        # from whole-trace rates sees only their mean load and shares buses
+        # between them.  Demand a clear average gain (measured 0.08x on
+        # uniform, 0.66x on mat2like) ...
+        assert win.avg_latency <= 0.8 * avg.avg_latency
+        # ... and at least halve the worst case, which coinciding bursts
+        # queued on one bus set (measured 0.014x and 0.055x).
+        assert win.max_latency <= 0.5 * avg.max_latency
+        # The window design needs far fewer buses than a full crossbar
+        # (measured 20/7 = 2.9x and 12/3 = 4x; the paper reports up to 3.5x).
+        assert full_buses >= 2.5 * win_buses
+        lines.append(
+            f"{preset}: buses {win_buses}/{average.report.config.num_buses}/{full_buses}, "
+            f"avg {win.avg_latency:.2f}/{avg.avg_latency:.2f}, "
+            f"max {win.max_latency}/{avg.max_latency}"
+        )
+    elapsed = time.monotonic() - t0
+    assert elapsed < 30.0
+    print(f"criterion 10: window/average/full {'; '.join(lines)} [{elapsed:.1f}s] PASS")

@@ -18,6 +18,7 @@ from oracles import (
     cycle_profile,
     make_random_trace,
     target_occupancy,
+    trace_of,
     validate_profile,
     whole_trace_overlap,
 )
@@ -25,7 +26,7 @@ from oracles import (
 
 def test_two_target_example():
     # t_1 busy [0,10), t_2 busy [5,15), WS 10
-    tr = Trace(1, 2, [Transaction(0, 10, 1, 1), Transaction(5, 10, 1, 2)])
+    tr = trace_of(1, 2, [Transaction(0, 10, 1, 1), Transaction(5, 10, 1, 2)])
     prof = profile(tr, 10)
     assert prof.num_windows == 2
     assert prof.comm[0].tolist() == [10, 0]
@@ -34,7 +35,7 @@ def test_two_target_example():
 
 
 def test_boundary_spanning_transaction():
-    tr = Trace(1, 1, [Transaction(0, 10, 1, 1)])
+    tr = trace_of(1, 1, [Transaction(0, 10, 1, 1)])
     prof = profile(tr, 4)
     assert prof.comm[0].tolist() == [4, 4, 2]
 
@@ -48,7 +49,7 @@ def test_empty_trace():
 
 def test_same_target_concurrency_counts_once():
     # occupancy, not additive demand
-    tr = Trace(2, 1, [Transaction(0, 6, 1, 1), Transaction(3, 6, 2, 1)])
+    tr = trace_of(2, 1, [Transaction(0, 6, 1, 1), Transaction(3, 6, 2, 1)])
     prof = profile(tr, 10)
     assert prof.comm[0, 0] == 9
 
@@ -90,7 +91,7 @@ def test_aggregate_overlap_equals_windowless_count():
 
 
 def test_preprocess_threshold_example():
-    tr = Trace(1, 2, [Transaction(0, 30, 1, 1), Transaction(0, 30, 1, 2)])
+    tr = trace_of(1, 2, [Transaction(0, 30, 1, 1), Transaction(0, 30, 1, 2)])
     prof = profile(tr, 100)
     assert prof.wo[0, 1, 0] == 30
     assert preprocess(prof, AnalysisParams(100, 0.25))[0, 1]  # 30 > 25
@@ -99,13 +100,13 @@ def test_preprocess_threshold_example():
 
 
 def test_zero_overlap_never_conflicts():
-    tr = Trace(1, 2, [Transaction(0, 10, 1, 1), Transaction(10, 10, 1, 2)])
+    tr = trace_of(1, 2, [Transaction(0, 10, 1, 1), Transaction(10, 10, 1, 2)])
     prof = profile(tr, 20)
     assert not preprocess(prof, AnalysisParams(20, 0.01)).any()
 
 
 def test_critical_overlap_forces_conflict():
-    tr = Trace(2, 4, [
+    tr = trace_of(2, 4, [
         Transaction(0, 2, 1, 3, critical=True),
         Transaction(1, 2, 2, 4, critical=True),
     ])
@@ -116,7 +117,7 @@ def test_critical_overlap_forces_conflict():
 
 
 def test_noncritical_overlap_below_threshold_is_free():
-    tr = Trace(2, 2, [Transaction(0, 2, 1, 1), Transaction(1, 2, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 2, 1, 1), Transaction(1, 2, 2, 2)])
     prof = profile(tr, 100)
     assert not preprocess(prof, AnalysisParams(100, 0.5)).any()
 
@@ -164,7 +165,7 @@ def test_params_validation():
 
 
 def test_preprocess_rejects_mismatched_window_size():
-    prof = profile(Trace(1, 1, [Transaction(0, 5, 1, 1)]), 10)
+    prof = profile(trace_of(1, 1, [Transaction(0, 5, 1, 1)]), 10)
     with pytest.raises(ValueError, match="window size"):
         preprocess(prof, AnalysisParams(20, 0.3))
 
@@ -172,8 +173,8 @@ def test_preprocess_rejects_mismatched_window_size():
 def test_validate_profile_catches_tampering():
     # WS 10: t_1 busy (critically) on [0, 10), t_2 on [5, 15), t_3 idle:
     # om = [[10, 5, 0], [5, 10, 0], [0, 0, 0]], peak = [[10, 5, 0], [5, 5, 0], [0, 0, 0]]
-    prof = profile(Trace(1, 3, [Transaction(0, 10, 1, 1, critical=True),
-                                Transaction(5, 10, 1, 2)]), 10)
+    prof = profile(trace_of(1, 3, [Transaction(0, 10, 1, 1, critical=True),
+                                   Transaction(5, 10, 1, 2)]), 10)
     validate_profile(prof)
     for field, cells, value, fragment in [
         ("comm", [(0, 0)], 11, "comm entries"),
@@ -198,9 +199,9 @@ def _long_sparse_trace():
     rng = np.random.Generator(np.random.PCG64(31))
     num_targets, horizon, rows = 8, 600_000, 3000
     start = np.sort(rng.integers(0, horizon - 200, rows))
-    return Trace.from_columns(2, num_targets, start, rng.integers(1, 200, rows),
-                              rng.integers(1, 3, rows), rng.integers(1, num_targets + 1, rows),
-                              rng.random(rows) < 0.3, horizon=horizon), 3
+    return Trace(2, num_targets, start, rng.integers(1, 200, rows),
+                 rng.integers(1, 3, rows), rng.integers(1, num_targets + 1, rows),
+                 rng.random(rows) < 0.3), 3
 
 
 def _short_dense_trace():
@@ -209,11 +210,11 @@ def _short_dense_trace():
     rng = np.random.Generator(np.random.PCG64(32))
     num_targets, horizon, rows = 64, 200_000, 20_000
     start = np.r_[0, np.sort(rng.integers(0, horizon - 4, rows - 1))]
-    return Trace.from_columns(1, num_targets, start,
-                              np.r_[horizon, rng.integers(1, 4, rows - 1)],
-                              np.ones(rows, dtype=np.int64),
-                              np.r_[1, rng.integers(2, num_targets + 1, rows - 1)],
-                              rng.random(rows) < 0.3, horizon=horizon), 1000
+    return Trace(1, num_targets, start,
+                 np.r_[horizon, rng.integers(1, 4, rows - 1)],
+                 np.ones(rows, dtype=np.int64),
+                 np.r_[1, rng.integers(2, num_targets + 1, rows - 1)],
+                 rng.random(rows) < 0.3), 1000
 
 
 @pytest.mark.parametrize("make_trace", [_long_sparse_trace, _short_dense_trace])

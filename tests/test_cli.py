@@ -28,7 +28,7 @@ from xbarsynth.solver import (
 )
 from xbarsynth.trace import Trace, Transaction, load_trace, save_trace
 
-from oracles import nodes_before_tie_break
+from oracles import nodes_before_tie_break, trace_of
 
 
 def tiny_spec(**kw):
@@ -91,7 +91,7 @@ def test_gen_requires_a_generator_source(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["gen", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "error: exactly one of --preset, --config is required\n"
-    tr = Trace(1, 1, [Transaction(0, 5, 1, 1)])
+    tr = trace_of(1, 1, [Transaction(0, 5, 1, 1)])
     path = tmp_path / "t.csv"
     save_trace(tr, path)
     assert main(["gen", "--trace", str(path), "--out-dir", str(out)]) == 1
@@ -136,7 +136,7 @@ def test_design_frees_the_packed_instance(tmp_path):
 
 
 def test_design_single_target_degenerates_to_one_bus(tmp_path):
-    tr = Trace(2, 1, [Transaction(s, 5, 1 + s % 2, 1) for s in range(0, 50, 10)])
+    tr = trace_of(2, 1, [Transaction(s, 5, 1 + s % 2, 1) for s in range(0, 50, 10)])
     path = tmp_path / "one.csv"
     save_trace(tr, path)
     out = tmp_path / "o"
@@ -560,7 +560,7 @@ def test_design_on_csv_builds_no_transaction_objects(tmp_path, count_transaction
 
 def test_design_on_header_only_trace(tmp_path):
     path = tmp_path / "t.csv"
-    save_trace(Trace(2, 3, []), path)
+    save_trace(Trace(2, 3), path)
     out = tmp_path / "o"
     assert main(["design", "--trace", str(path), "--out-dir", str(out)]) == 0
     report = json.loads((out / "solve_report.json").read_text())
@@ -573,7 +573,7 @@ def test_design_on_header_only_trace(tmp_path):
 def test_compare_bindings_on_header_only_trace(tmp_path, capsys):
     # every average is 0, so each random binding ties the optimum
     path = tmp_path / "t.csv"
-    save_trace(Trace(2, 3, []), path)
+    save_trace(Trace(2, 3), path)
     out = tmp_path / "o"
     assert main(["compare-bindings", "--trace", str(path), "--num-random", "2",
                  "--out-dir", str(out)]) == 0
@@ -599,7 +599,7 @@ def test_design_at_window_size_one(tmp_path):
 
 def test_saturated_target_still_fits_one_window(tmp_path):
     # occupancy equal to the window size sits exactly on the bandwidth cap
-    tr = Trace(1, 1, [Transaction(0, 100, 1, 1)])
+    tr = trace_of(1, 1, [Transaction(0, 100, 1, 1)])
     path = tmp_path / "t.csv"
     save_trace(tr, path)
     out = tmp_path / "o"
@@ -664,7 +664,7 @@ def test_simulate_bad_binding_length(tmp_path, config_file):
 
 def test_direction_resp_swaps_roles(tmp_path):
     # response flow: the two masters become the bound targets
-    tr_resp = Trace(
+    tr_resp = trace_of(
         3, 2,
         [Transaction(0, 5, 1, 1, direction="resp"), Transaction(0, 7, 2, 2, direction="resp")],
     )
@@ -708,7 +708,7 @@ def test_sweep_window_rows_and_subdirs(tmp_path, config_file):
 
 def test_sweep_window_records_per_point_failures(tmp_path):
     # overlapping targets pinned to one bus: conflicts at WS 10, legal at WS 100
-    tr = Trace(2, 2, [Transaction(0, 10, 1, 1), Transaction(5, 10, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 10, 1, 1), Transaction(5, 10, 2, 2)])
     path = tmp_path / "t.csv"
     save_trace(tr, path)
     out = tmp_path / "o"
@@ -867,7 +867,7 @@ def loose_pair_trace():
         txs.append(Transaction(start, 50, 2, 2))
     txs.append(Transaction(60, 5, 3, 3))
     txs.append(Transaction(160, 5, 4, 4))
-    return Trace(4, 4, txs)
+    return trace_of(4, 4, txs)
 
 
 def test_compare_bindings_artifact(tmp_path):
@@ -891,7 +891,7 @@ def test_compare_bindings_reports_tight_instances(tmp_path, capsys):
     # assignments never finds a permutation within the rejection budget
     txs = [Transaction(s, 50, i, i) for s in range(0, 400, 100) for i in range(1, 13)]
     path = tmp_path / "t.csv"
-    save_trace(Trace(12, 12, txs), path)
+    save_trace(trace_of(12, 12, txs), path)
     code = main(["compare-bindings", "--trace", str(path),
                  "--out-dir", str(tmp_path / "o"), "--window-size", "50",
                  "--num-random", "2"])

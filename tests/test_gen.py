@@ -16,7 +16,7 @@ from xbarsynth.gen import (
     spec_from_text,
     spec_to_text,
 )
-from xbarsynth.trace import save_trace
+from xbarsynth.trace import load_trace, save_trace
 
 from oracles import emit_run, target_occupancy, trace_stats
 
@@ -107,7 +107,7 @@ def test_packets_tile_runs_back_to_back():
     tr = generate(spec)
     assert [tx.duration for tx in tr.transactions] == [30, 30, 30, 10]
     for a, b in zip(tr.transactions, tr.transactions[1:]):
-        assert b.start_cycle == a.end_cycle
+        assert b.start_cycle == a.start_cycle + a.duration
 
 
 @pytest.mark.parametrize("packet_len", [0, 1, 25, 60, 61, 500])
@@ -147,8 +147,10 @@ TRACE_SHA256 = {
 @pytest.mark.parametrize("name, seed", sorted(TRACE_SHA256))
 def test_preset_trace_bytes_pinned(tmp_path, name, seed):
     path = tmp_path / "trace.csv"
-    save_trace(generate(dataclasses.replace(benchmark_preset(name), seed=seed)), path)
+    trace = generate(dataclasses.replace(benchmark_preset(name), seed=seed))
+    save_trace(trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name, seed]
+    assert load_trace(path) == trace  # the saved file is the whole trace, horizon too
 
 
 # plain_spec variants for the paths the presets miss: both ends of
@@ -203,8 +205,8 @@ def test_critical_pairs_flag_transactions():
 def test_generated_trace_fits_horizon():
     spec = benchmark_preset("hotspot")
     tr = generate(spec)
-    assert tr.horizon == spec.horizon
-    assert all(tx.end_cycle <= spec.horizon for tx in tr.transactions)
+    assert tr.horizon <= spec.horizon
+    assert all(tx.start_cycle + tx.duration <= spec.horizon for tx in tr.transactions)
 
 
 @pytest.mark.parametrize("kw", [

@@ -12,11 +12,11 @@ from xbarsynth.sim import SimulationError, baseline_configs, compare, simulate
 from xbarsynth.solver import CrossbarConfig, full_crossbar_config, shared_bus_config
 from xbarsynth.trace import Trace, Transaction
 
-from oracles import make_random_config, make_random_trace, replay_simulate
+from oracles import make_random_config, make_random_trace, replay_simulate, trace_of
 
 
 def test_single_transaction_uncontended():
-    tr = Trace(1, 1, [Transaction(0, 5, 1, 1)])
+    tr = trace_of(1, 1, [Transaction(0, 5, 1, 1)])
     rep = simulate(tr, shared_bus_config(1))
     assert rep.per_transaction_latency == [5]
     assert rep.avg_latency == 5
@@ -25,7 +25,7 @@ def test_single_transaction_uncontended():
 
 
 def test_two_targets_serialize_on_shared_bus():
-    tr = Trace(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     rep = simulate(tr, shared_bus_config(2))
     assert sorted(rep.per_transaction_latency) == [5, 10]
     assert rep.avg_latency == 7.5
@@ -33,7 +33,7 @@ def test_two_targets_serialize_on_shared_bus():
 
 
 def test_two_targets_isolated_on_full_crossbar():
-    tr = Trace(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     rep = simulate(tr, full_crossbar_config(2))
     assert rep.per_transaction_latency == [5, 5]
 
@@ -41,7 +41,7 @@ def test_two_targets_isolated_on_full_crossbar():
 def test_grant_order_ties_break_by_target_then_initiator():
     # three same-cycle arrivals on one bus: grant t_1 before t_2, and for
     # equal targets the lower initiator first
-    tr = Trace(2, 2, [
+    tr = trace_of(2, 2, [
         Transaction(0, 2, 2, 2),
         Transaction(0, 3, 1, 1),
         Transaction(0, 4, 2, 1),
@@ -57,7 +57,7 @@ def test_grant_order_ties_break_by_target_then_initiator():
 
 
 def test_fifo_not_shortest_job_first():
-    tr = Trace(1, 2, [Transaction(0, 10, 1, 1), Transaction(1, 1, 1, 2)])
+    tr = trace_of(1, 2, [Transaction(0, 10, 1, 1), Transaction(1, 1, 1, 2)])
     rep = simulate(tr, shared_bus_config(2))
     assert rep.per_transaction_latency == [10, 10]  # short one waits
 
@@ -130,7 +130,7 @@ def test_one_bus_binding_of_many_matches_queue_replay_oracle():
 
 
 def test_full_crossbar_without_same_target_concurrency_is_pure_service():
-    tr = Trace(3, 3, [Transaction(s, 4, 1, t) for s, t in [(0, 1), (1, 2), (2, 3)]])
+    tr = trace_of(3, 3, [Transaction(s, 4, 1, t) for s, t in [(0, 1), (1, 2), (2, 3)]])
     rep = simulate(tr, full_crossbar_config(3))
     assert rep.per_transaction_latency == [4, 4, 4]
     assert rep.avg_queuing == 0
@@ -146,7 +146,7 @@ def test_determinism():
 
 
 def test_empty_trace():
-    rep = simulate(Trace(1, 2, [], horizon=50), shared_bus_config(2))
+    rep = simulate(Trace(1, 2), shared_bus_config(2))
     assert rep.avg_latency == 0.0
     assert rep.max_latency == 0
     assert rep.avg_queuing == 0.0
@@ -154,7 +154,7 @@ def test_empty_trace():
 
 def test_latency_total_is_exact_past_int64():
     # three 2**61-cycle rows queue on one bus; their latencies sum to 3 * 2**62
-    tr = Trace.from_columns(3, 1, [0, 0, 0], [2**61] * 3, [1, 2, 3], [1, 1, 1])
+    tr = Trace(3, 1, [0, 0, 0], [2**61] * 3, [1, 2, 3], [1, 1, 1])
     rep = simulate(tr, shared_bus_config(1))
     assert rep.per_transaction_latency == [2**61, 2**62, 3 * 2**61]
     assert rep.avg_latency == 2**62
@@ -162,13 +162,13 @@ def test_latency_total_is_exact_past_int64():
 
 
 def test_missing_target_binding_rejected():
-    tr = Trace(1, 3, [Transaction(0, 5, 1, 3)])
+    tr = trace_of(1, 3, [Transaction(0, 5, 1, 3)])
     with pytest.raises(SimulationError, match="t_3"):
         simulate(tr, CrossbarConfig(1, (1, 1)))
 
 
 def test_compare_table_and_size_ratio():
-    tr = Trace(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     rows = compare(tr, baseline_configs(2))
     assert list(rows) == ["shared", "full"]
     assert [r.config for r in rows.values()] == [c for _, c in baseline_configs(2)]

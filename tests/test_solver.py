@@ -33,7 +33,7 @@ from xbarsynth.solver import (
     shared_bus_config,
     validate_binding,
 )
-from xbarsynth.trace import Trace, Transaction
+from xbarsynth.trace import Transaction
 
 from oracles import (
     _AssignState,
@@ -44,6 +44,7 @@ from oracles import (
     nodes_before_tie_break,
     reference_search,
     search_outcome,
+    trace_of,
 )
 
 
@@ -402,7 +403,7 @@ def test_bus_count_range_checked():
 
 
 def test_build_instance_defaults_maxtb():
-    tr = Trace(1, 3, [Transaction(0, 5, 1, t) for t in (1, 2, 3)])
+    tr = trace_of(1, 3, [Transaction(0, 5, 1, t) for t in (1, 2, 3)])
     prof = profile(tr, 10)
     om = np.zeros((3, 3), dtype=np.int64)
     inst = build_instance(prof, om, np.zeros((3, 3), bool), AnalysisParams(10, 0.3))
@@ -817,7 +818,7 @@ def test_thirty_two_targets_pair_up_complementary_halves():
     t_1 with t_2, t_3 with t_4 and so on."""
     txs = [Transaction(10 * m + 5 * (t % 2 == 0), 5, 1, t)
            for m in range(4) for t in range(1, 33)]
-    inst = analysed_instance(Trace(1, 32, txs), 10, 0.3)
+    inst = analysed_instance(trace_of(1, 32, txs), 10, 0.3)
     assert inst.num_targets == 32
     assert lower_bound(inst) == 16  # the half-window cliques
     buses, _, _ = min_config(inst)

@@ -20,7 +20,7 @@ from xbarsynth.trace import (
     save_trace,
 )
 
-from oracles import make_random_trace, trace_stats
+from oracles import make_random_trace, trace_of, trace_stats
 
 
 def write(tmp_path, body, name="t.csv"):
@@ -110,7 +110,7 @@ def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
         load_trace(path)
     assert str(err.value) == f"{path}:2: {file_msg}"
     with pytest.raises(TraceError) as err:
-        Trace(9, 12, [tx])
+        trace_of(9, 12, [tx])
     assert str(err.value) == ctor_msg
 
 
@@ -126,14 +126,14 @@ def test_cycles_reaching_2_63_rejected(tmp_path, rows):
         load_trace(path)
     columns = np.array([[int(f) for f in row.split(",")[:4]] for row in rows]).T
     with pytest.raises(TraceError, match=r"not below 2\*\*63$"):
-        Trace.from_columns(9, 12, *columns)
+        Trace(9, 12, *columns)
 
 
 def test_cycle_bound_is_the_last_below_2_63():
-    tr = Trace.from_columns(1, 1, [2**62], [2**62 - 1], [1], [1])
+    tr = Trace(1, 1, [2**62], [2**62 - 1], [1], [1])
     assert tr.horizon == 2**63 - 1
     with pytest.raises(TraceError, match="is 9223372036854775808, not below"):
-        Trace.from_columns(1, 1, [2**62], [2**62], [1], [1])
+        Trace(1, 1, [2**62], [2**62], [1], [1])
 
 
 def test_exact_sum_past_int64_over_several_blocks():
@@ -206,19 +206,20 @@ def test_canonical_load_checks_ranges_once(tmp_path, monkeypatch):
     path = write(tmp_path, HEADER + "9,1,1,1,req,0\n0,4,2,2,resp,1\n0,1,1,1,req,0\n")
     tr = load_trace(path)
     assert checks == [3]  # every row, whatever its direction, once
-    assert [tx.sort_key() for tx in tr.transactions] == [(0, 1, 1), (9, 1, 1)]
+    assert [(tx.start_cycle, tx.target_id, tx.initiator_id)
+            for tx in tr.transactions] == [(0, 1, 1), (9, 1, 1)]
     for col in tr._columns():
         assert not col.flags.writeable
         with pytest.raises(ValueError):
             col[0] = 0
 
 
-def test_from_columns_copies_the_callers_arrays():
+def test_trace_copies_the_callers_arrays():
     for order in ([0, 1], [1, 0]):  # already sorted, and to be sorted
         columns = [np.array([1, 4])[order], np.array([3, 2])[order], np.array([2, 1])[order],
                    np.array([1, 2])[order], np.array([False, True])[order]]
         before = [c.copy() for c in columns]
-        tr = Trace.from_columns(2, 2, *columns)
+        tr = Trace(2, 2, *columns)
         assert tr.start.tolist() == [1, 4]
         for col, old in zip(columns, before):
             assert col.flags.writeable and np.array_equal(col, old)
@@ -247,7 +248,7 @@ def test_unknown_direction_argument():
 def test_ingestion_sorts_transactions(tmp_path):
     path = write(tmp_path, HEADER + "9,1,1,1,req,0\n0,1,2,2,req,0\n0,1,1,1,req,0\n")
     tr = load_trace(path)
-    keys = [tx.sort_key() for tx in tr.transactions]
+    keys = [(tx.start_cycle, tx.target_id, tx.initiator_id) for tx in tr.transactions]
     assert keys == sorted(keys)
     assert keys[0] == (0, 1, 1)
 
@@ -273,17 +274,15 @@ def test_response_round_trip_restores_role_frame(tmp_path):
     assert load_trace(out, RESPONSE) == tr
     assert "initiators=3,targets=2" in out.read_text().splitlines()[0]
     # an empty response trace keeps its direction, so its counts swap back too
-    empty = Trace.from_columns(3, 2, [], [], [], [], direction=RESPONSE)
+    empty = Trace(3, 2, [], [], [], [], direction=RESPONSE)
     save_trace(empty, out)
     assert out.read_text() == "#xbar-trace v1,initiators=2,targets=3\n"
     assert load_trace(out, RESPONSE) == empty
 
 
-def test_trace_rejects_mixed_directions():
-    with pytest.raises(TraceError, match="mixing"):
-        Trace(2, 2, [Transaction(0, 1, 1, 1), Transaction(0, 1, 1, 2, direction=RESPONSE)])
+def test_trace_rejects_unknown_direction():
     with pytest.raises(TraceError, match="unknown direction"):
-        Trace(2, 2, [Transaction(0, 1, 1, 1, direction="both")])
+        Trace(2, 2, [0], [1], [1], [1], direction="both")
     assert Trace(2, 2).direction == REQUEST
 
 
@@ -291,15 +290,17 @@ def test_trace_validation():
     with pytest.raises(TraceError):
         Trace(0, 1)
     with pytest.raises(TraceError, match="duration"):
-        Trace(1, 1, [Transaction(0, 0, 1, 1)])
+        trace_of(1, 1, [Transaction(0, 0, 1, 1)])
     with pytest.raises(TraceError, match="target id"):
-        Trace(1, 1, [Transaction(0, 1, 1, 2)])
-    with pytest.raises(TraceError, match="horizon"):
-        Trace(1, 1, [Transaction(0, 10, 1, 1)], horizon=5)
+        trace_of(1, 1, [Transaction(0, 1, 1, 2)])
+    for columns in (([0, 1], [5], [1, 1], [1, 1]), ([0], [5], [1], [1], [True, False]),
+                    (0, 5, 1, 1), ([[0]], [[5]], [[1]], [[1]])):
+        with pytest.raises(TraceError, match="1-D and of one length"):
+            Trace(1, 1, *columns)
 
 
 def test_horizon_defaults_to_last_busy_cycle():
-    tr = Trace(1, 2, [Transaction(3, 4, 1, 2), Transaction(0, 2, 1, 1)])
+    tr = trace_of(1, 2, [Transaction(3, 4, 1, 2), Transaction(0, 2, 1, 1)])
     assert tr.horizon == 7
     assert Trace(1, 1).horizon == 0
 
@@ -326,17 +327,16 @@ def test_transactions_view_reads_columns(tmp_path, count_transactions):
 def test_columns_match_transactions():
     for direction in (REQUEST, RESPONSE):
         txs = [Transaction(4, 2, 1, 2, True, direction), Transaction(1, 3, 2, 1, False, direction)]
-        tr = Trace(2, 2, txs)
+        tr = trace_of(2, 2, txs)
         assert tr.start.tolist() == [1, 4]
         assert tr.duration.tolist() == [3, 2]
         assert tr.initiator.tolist() == [2, 1]
         assert tr.target.tolist() == [1, 2]
         assert tr.critical.tolist() == [False, True]
         assert tr.direction == direction
-        same = Trace.from_columns(2, 2, [4, 1], [2, 3], [1, 2], [2, 1], [True, False],
-                                  direction)
+        same = Trace(2, 2, [4, 1], [2, 3], [1, 2], [2, 1], [True, False], direction)
         assert same == tr and same.transactions == txs[::-1]
-    assert Trace(2, 2, txs[:1]) != Trace(2, 2, [replace(txs[0], direction=REQUEST)])
+    assert trace_of(2, 2, txs[:1]) != trace_of(2, 2, [replace(txs[0], direction=REQUEST)])
 
 
 def test_stats_empty_trace():
@@ -348,13 +348,13 @@ def test_stats_empty_trace():
 
 
 def test_stats_single_transaction():
-    st = trace_stats(Trace(1, 1, [Transaction(0, 10, 1, 1)]))
+    st = trace_stats(trace_of(1, 1, [Transaction(0, 10, 1, 1)]))
     assert st.per_target_busy == [10]
     assert st.horizon == 10
 
 
 def test_stats_additive_over_overlap():
-    tr = Trace(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
+    tr = trace_of(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     st = trace_stats(tr)
     assert st.per_target_busy == [5, 5]
     assert st.horizon == 5
@@ -362,7 +362,7 @@ def test_stats_additive_over_overlap():
 
 def test_stats_count_concurrent_same_target_twice():
     # additive demand, unlike occupancy in window analysis
-    tr = Trace(2, 1, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 1)])
+    tr = trace_of(2, 1, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 1)])
     assert trace_stats(tr).per_target_busy == [10]
 
 
