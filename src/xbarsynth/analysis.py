@@ -16,12 +16,20 @@ suite's per-cycle oracle is an independent check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .trace import Trace, group_rows
+
+
+def _check_window_size(window_size: int) -> None:
+    """A window size is 1 to 2**63 - 1 cycles: no trace ends later, and
+    the int64 window arithmetic cannot take a larger one."""
+    if window_size < 1:
+        raise ValueError("window size must be >= 1 cycle")
+    if window_size >= 1 << 63:
+        raise ValueError(f"window size must be below 2**63 cycles, got {window_size}")
 
 
 @dataclass
@@ -39,8 +47,7 @@ class AnalysisParams:
     max_targets_per_bus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError("window size must be >= 1 cycle")
+        _check_window_size(self.window_size)
         if not 0.0 < self.overlap_threshold <= 0.5:
             raise ValueError(
                 f"overlap threshold must be in (0, 0.5], got {self.overlap_threshold}"
@@ -107,8 +114,7 @@ class WindowProfile:
         return wo
 
     def _boundaries(self) -> np.ndarray:
-        ws = self.window_size
-        return np.arange(ws, self.num_windows * ws, ws)
+        return np.arange(1, self.num_windows, dtype=np.int64) * self.window_size
 
 
 def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,10 +213,9 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     which target i+1 is busy (``_row_overlaps``), reduced to ``om`` and
     ``peak`` and dropped, so no T x T x windows tensor is ever held.
     """
-    if window_size < 1:
-        raise ValueError("window size must be >= 1 cycle")
+    _check_window_size(window_size)
     n = trace.num_targets
-    comm = np.zeros((n, math.ceil(trace.horizon / window_size)), dtype=np.int64)
+    comm = np.zeros((n, -(-trace.horizon // window_size)), dtype=np.int64)
     om = np.zeros((n, n), dtype=np.int64)
     peak = np.zeros((n, n), dtype=np.int64)
     crit = np.zeros((n, n), dtype=bool)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -553,7 +554,11 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _cmd_sweep_window(run: RunConfig, args) -> int:
     if args.ws_list:
-        ws_list = [int(float(v)) for v in _parse_float_list(args.ws_list)]
+        sizes = _parse_float_list(args.ws_list)
+        for size in sizes:
+            if not math.isfinite(size):
+                raise ValueError(f"window size must be finite, got {size}")
+        ws_list = [int(size) for size in sizes]
     else:
         base = run.params.window_size  # below 4, sizes floored at 1 cycle repeat
         ws_list = list(dict.fromkeys(max(1, int(base * f)) for f in (0.25, 0.5, 1, 2, 4, 8)))

@@ -76,10 +76,10 @@ Everything above that does not depend on the bus count is the instance's
 packed form (:class:`_Packed`): the load field width's guard bits and
 bias, the packed ``comm`` and ``om`` rows, the overlap field width, one
 conflict-adjacency int per target and the busy and overlap orders.  It is
-built once, on the instance's first search, and cached on the instance,
-which is immutable so that the cache never goes stale; every probe and
-binding search of a solve, and :func:`binding_fits`, which a random-binding
-sampler calls once per draw, read the same one.
+built once, on the instance's first use, and cached on the instance,
+which is immutable so that the cache never goes stale; the clique lower
+bound, every probe and binding search of a solve, and :func:`binding_fits`,
+which a random-binding sampler calls once per draw, read the same one.
 """
 
 from __future__ import annotations
@@ -645,16 +645,15 @@ def _check_single_target_fit(inst: ProblemInstance) -> None:
         raise BandwidthInfeasibleError(i + 1, m, int(inst.comm[i, m]), inst.window_size)
 
 
-def _greedy_clique_size(conflict: np.ndarray) -> int:
+def _greedy_clique_size(adj: Sequence[int]) -> int:
     """Size of a greedily grown clique; a lower bound on the bus count.
 
-    Each seed, taken in decreasing conflict degree with ties by id, grows a
+    Bit ``u`` of ``adj[v]`` marks a conflict between ``v`` and ``u``.  Each
+    seed, taken in decreasing conflict degree with ties by id, grows a
     clique by visiting the targets in that same order: ``v`` joins when it
-    conflicts with every member.  Bit ``u`` of ``adj[v]`` marks a conflict
-    between ``v`` and ``u``; the zero diagonal keeps a member from joining
-    again.
+    conflicts with every member.  The zero diagonal keeps a member from
+    joining again.
     """
-    adj = [sum(1 << u for u, c in enumerate(row) if c) for row in conflict.tolist()]
     order = sorted(range(len(adj)), key=lambda i: (-adj[i].bit_count(), i))
     best = 1
     for seed in order:
@@ -673,7 +672,7 @@ def lower_bound(inst: ProblemInstance) -> int:
         bw = -(-col // inst.window_size)  # ceil
     else:
         bw = 0
-    clique = _greedy_clique_size(inst.conflict)
+    clique = _greedy_clique_size(inst._packed.adjacency)
     card = -(-inst.num_targets // inst.maxtb)
     return max(1, bw, clique, card)
 

@@ -77,36 +77,39 @@ class Transaction:
 
 def _first_invalid_row(start: np.ndarray, duration: np.ndarray, initiator: np.ndarray,
                        target: np.ndarray, num_initiators: int,
-                       num_targets: int) -> tuple[int, str, int, int] | None:
-    """First row breaking a range rule, as ``(row, rule, value, declared)``.
+                       num_targets: int) -> tuple[int, str] | None:
+    """First row breaking a range rule, as ``(row, message)``.
 
-    ``rule`` is ``"duration"``, ``"start"``, ``"initiator"`` or ``"target"``;
-    ``declared`` is the core count an id must lie in.  Rules are tried in
-    that order within a row, so a row breaking several reports the first.
+    Rules are tried in table order within a row, so a row breaking
+    several reports the first; the message names the offending value.
     """
     rules = (
-        ("duration", duration, duration < 1, 0),
-        ("start", start, start < 0, 0),
-        ("initiator", initiator, (initiator < 1) | (initiator > num_initiators), num_initiators),
-        ("target", target, (target < 1) | (target > num_targets), num_targets),
+        ("non-positive duration {}", duration, duration < 1),
+        ("negative start cycle {}", start, start < 0),
+        (f"initiator id {{}} outside 1..{num_initiators}", initiator,
+         (initiator < 1) | (initiator > num_initiators)),
+        (f"target id {{}} outside 1..{num_targets}", target, (target < 1) | (target > num_targets)),
     )
     bad = rules[0][2] | rules[1][2] | rules[2][2] | rules[3][2]
     if not bad.any():
         return None
     row = int(np.argmax(bad))
-    rule, values, _, declared = next(r for r in rules if r[2][row])
-    return row, rule, int(values[row]), declared
+    return row, next(text.format(int(values[row])) for text, values, broken in rules
+                     if broken[row])
 
 
-def _range_message(rule: str, value: int, declared: int, lineno: int | None = None) -> str:
-    """Text of a range error; a ``lineno`` selects the wording of file errors."""
-    in_file = lineno is not None
-    if rule == "duration":
-        return (f"non-positive duration at line {lineno}" if in_file
-                else f"non-positive duration {value}")
-    if rule == "start":
-        return "negative start cycle" if in_file else f"negative start cycle {value}"
-    return f"{rule} id {value} outside {'declared ' if in_file else ''}1..{declared}"
+def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets: int,
+                path: Path | None = None, linenos: Sequence[int] = ()) -> None:
+    """Raise for the first row breaking a range rule; in a file, prefixed with its line."""
+    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
+    if bad is not None:
+        row, message = bad
+        raise TraceError(message if path is None else f"{path}:{linenos[row]}: {message}")
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise TraceError(f"direction must be req or resp, got {direction!r}")
 
 
 class Trace:
@@ -206,26 +209,19 @@ def _sorted(start, duration, initiator, target, critical) -> tuple[np.ndarray, .
     return tuple(c[order] for c in (start, duration, initiator, target, critical))
 
 
-def _check_counts(num_initiators: int, num_targets: int, direction: str) -> None:
-    if num_initiators < 1 or num_targets < 1:
-        raise TraceError("core counts must be positive")
-    if direction not in DIRECTIONS:
-        raise TraceError(f"unknown direction {direction!r}")
-
-
 def _validated(num_initiators, num_targets, direction, start, duration, initiator, target,
                critical) -> tuple[np.ndarray, ...]:
     """Sorted copies of the columns, after checking them against the core counts."""
-    _check_counts(num_initiators, num_targets, direction)
+    if num_initiators < 1 or num_targets < 1:
+        raise TraceError("core counts must be positive")
+    _check_direction(direction)
     columns = (*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
                np.array(critical, dtype=bool))
     shapes = [c.shape for c in columns]
     if len(set(shapes)) > 1 or columns[0].ndim != 1:
         raise TraceError(f"columns must be 1-D and of one length, got shapes {shapes}")
     columns = _sorted(*columns)
-    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
-    if bad is not None:
-        raise TraceError(_range_message(*bad[1:]))
+    _check_rows(columns, num_initiators, num_targets)
     return columns
 
 
@@ -429,24 +425,18 @@ def _parse_lines(lines: list[str], path: Path, num_initiators: int,
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        error = None
-        if len(parts) != 6:
-            error = f"expected 6 fields, got {len(parts)}"
-        else:
-            try:
-                values = [int(p) for p in parts[:4]]
-            except ValueError as exc:
-                error = str(exc)
-            else:
-                if not all(_INT64_MIN <= v <= _INT64_MAX for v in values):
-                    error = "value outside the 64-bit integer range"
-                elif parts[4] not in DIRECTIONS:
-                    error = f"direction must be req or resp, got {parts[4]!r}"
-                elif parts[5] not in ("0", "1"):
-                    error = f"critical must be 0 or 1, got {parts[5]!r}"
-        if error is not None:
-            _check_rows(_row_columns(rows), linenos, num_initiators, num_targets, path)
-            raise TraceError(f"{path}:{lineno}: {error}")
+        try:
+            if len(parts) != 6:
+                raise TraceError(f"expected 6 fields, got {len(parts)}")
+            values = [int(p) for p in parts[:4]]
+            if not all(_INT64_MIN <= v <= _INT64_MAX for v in values):
+                raise TraceError("value outside the 64-bit integer range")
+            _check_direction(parts[4])
+            if parts[5] not in ("0", "1"):
+                raise TraceError(f"critical must be 0 or 1, got {parts[5]!r}")
+        except ValueError as exc:  # a TraceError, or int() of a non-integer field
+            _check_rows(_row_columns(rows), num_initiators, num_targets, path, linenos)
+            raise TraceError(f"{path}:{lineno}: {exc}") from None
         rows.append((*values, parts[4] == RESPONSE, parts[5] == "1"))
         linenos.append(lineno)
     return _row_columns(rows), np.array(linenos, dtype=np.int64)
@@ -456,24 +446,6 @@ def _row_columns(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
     """The columns of parsed ``(start, duration, initiator, target, resp, critical)`` rows."""
     table = np.array(rows, dtype=np.int64).reshape(-1, 6).T
     return (*np.ascontiguousarray(table[:4]), table[4] == 1, table[5] == 1)
-
-
-def _header_counts(header: str, path: Path) -> tuple[int, int]:
-    m = _HEADER_RE.match(header)
-    if not m:
-        raise TraceError(
-            f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
-        )
-    return int(m.group(1)), int(m.group(2))
-
-
-def _check_rows(columns: Sequence[np.ndarray], linenos, num_initiators: int,
-                num_targets: int, path: Path) -> None:
-    """Raise for the first row breaking a range rule, naming its line."""
-    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
-    if bad is not None:
-        lineno = int(linenos[bad[0]])
-        raise TraceError(f"{path}:{lineno}: {_range_message(*bad[1:], lineno)}")
 
 
 def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
@@ -486,27 +458,31 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     offending line.  The returned trace adopts the parsed columns (or their
     selected rows) without copying or checking them again.
     """
-    if direction not in DIRECTIONS:
-        raise TraceError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    _check_direction(direction)
     path = Path(path)
     data = path.read_bytes()
     if not data:
         raise TraceError(f"{path}: empty file, missing header")
     eol = data.find(b"\n")
     eol = len(data) if eol < 0 else eol
-    # A non-ASCII header never matches; the line parser then decodes the
-    # whole file as UTF-8 and reports any error in it.
-    header = data[:eol].decode("ascii", errors="replace")
-    columns = _parse_plain(data, eol + 1) if _HEADER_RE.match(header) else None
+    # A header holding any non-ASCII byte does not match, so a matched one
+    # is as many characters long as bytes.
+    header = _HEADER_RE.match(data[:eol].decode("ascii", errors="replace"))
+    if not header:
+        raise TraceError(
+            f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
+        )
+    num_initiators, num_targets = int(header[1]), int(header[2])
+    if not (num_initiators and num_targets):
+        raise TraceError(f"{path}:1: core counts must be positive")
+    columns = _parse_plain(data, eol + 1)
     if columns is not None:
-        num_initiators, num_targets = _header_counts(header, path)
         linenos = range(2, len(columns[0]) + 2)
     else:
-        lines = data.decode("utf-8").splitlines()
-        num_initiators, num_targets = _header_counts(lines[0], path)
-        columns, linenos = _parse_lines(lines[1:], path, num_initiators, num_targets)
+        lines = data.decode("utf-8")[eol + 1:].splitlines()
+        columns, linenos = _parse_lines(lines, path, num_initiators, num_targets)
     del data
-    _check_rows(columns, linenos, num_initiators, num_targets, path)
+    _check_rows(columns, num_initiators, num_targets, path, linenos)
 
     start, duration, initiator, target, resp, critical = columns
     keep = resp if direction == RESPONSE else ~resp
@@ -516,7 +492,6 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     if direction == RESPONSE:
         initiator, target = target, initiator
         num_initiators, num_targets = num_targets, num_initiators
-    _check_counts(num_initiators, num_targets, direction)
     trace = Trace.__new__(Trace)
     trace._adopt(num_initiators, num_targets, direction,
                  _sorted(start, duration, initiator, target, critical))

@@ -164,6 +164,21 @@ def test_params_validation():
         profile(Trace(1, 1), 0)
 
 
+def test_windows_tile_a_horizon_past_2_53_exactly():
+    # a float ceil(horizon / WS) reads 1 window here, whose comm would exceed WS
+    prof = profile(Trace(1, 1, [0], [2**62 + 1], [1], [1]), 2**62)
+    assert prof.comm.tolist() == [[2**62, 1]]
+
+
+@pytest.mark.parametrize("window_size", [2**63, 10**20])
+def test_window_size_of_2_63_or_more_rejected(window_size):
+    # no trace ends past 2**63 - 1, and int64 window arithmetic cannot take it
+    with pytest.raises(ValueError, match=r"^window size must be below 2\*\*63 cycles, got "):
+        AnalysisParams(window_size)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        profile(Trace(1, 1, [0], [5], [1], [1]), window_size)
+
+
 def test_preprocess_rejects_mismatched_window_size():
     prof = profile(trace_of(1, 1, [Transaction(0, 5, 1, 1)]), 10)
     with pytest.raises(ValueError, match="window size"):

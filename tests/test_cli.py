@@ -260,6 +260,33 @@ def test_zero_buses_is_a_usage_error(tmp_path, config_file, capsys, command, ext
     assert not (out / "latency.csv").exists() and not (out / "model.lp").exists()
 
 
+LONG_TRACE = ("#xbar-trace v1,initiators=1,targets=2\n"
+              "0,5,1,1,req,0\n9223372036854775000,100,1,2,req,0\n")
+
+
+def test_design_at_a_window_size_of_2_62(tmp_path):
+    """A trace ending near 2**63 tiles into exact windows of 2**62 cycles."""
+    path = tmp_path / "long.csv"
+    path.write_text(LONG_TRACE)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--window-size", str(2**62),
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert (report["num_buses"], report["binding"]) == (1, [1, 1])
+
+
+@pytest.mark.parametrize("window_size", [str(2**63), "99999999999999999999"])
+def test_window_size_of_2_63_or_more_is_a_usage_error(tmp_path, capsys, window_size):
+    path = tmp_path / "long.csv"
+    path.write_text(LONG_TRACE)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--window-size", window_size,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: window size must be below 2**63 cycles, got {window_size}\n")
+    assert not out.exists()
+
+
 def test_design_bus_count_above_the_targets_writes_nothing(tmp_path, capsys):
     """Checked against the trace's target count before any artifact."""
     out = tmp_path / "o"
@@ -817,7 +844,7 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
     assert main(["sweep-threshold", "--trace", str(bad), "--out-dir", str(out),
                  "--theta-list", "0.1,0.2"]) == 0
     rows = read_csv(out / "sweep_threshold.csv")
-    assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration at line 2"] * 2
+    assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration 0"] * 2
 
 
 @pytest.mark.parametrize("command, extra, message", [
@@ -834,6 +861,9 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
      "sweep point 0.100000 is listed twice"),
     ("sweep-window", ["--ws-list", ","], "ws_list must be nonempty"),
     ("sweep-threshold", ["--theta-list", ","], "theta_list must be nonempty"),
+    ("sweep-window", ["--ws-list", "500,1e400"], "window size must be finite, got inf"),
+    ("sweep-window", ["--ws-list", "500,1e19"],
+     "window size must be below 2**63 cycles, got 10000000000000000000"),
 ])
 def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command, extra,
                                                        message):

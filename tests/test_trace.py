@@ -75,7 +75,7 @@ def test_direction_symmetry(tmp_path):
 
 def test_zero_duration_rejected_with_line_number(tmp_path):
     path = write(tmp_path, HEADER + "0,5,1,2,req,0\n3,0,1,1,req,0\n")
-    with pytest.raises(TraceError, match="non-positive duration at line 3"):
+    with pytest.raises(TraceError, match="t.csv:3: non-positive duration 0$"):
         load_trace(path)
 
 
@@ -94,24 +94,33 @@ def test_malformed_rows_rejected(tmp_path, row, fragment):
         load_trace(path)
 
 
-@pytest.mark.parametrize("row,file_msg,tx,ctor_msg", [
-    ("3,0,1,2,req,0", "non-positive duration at line 2",
-     Transaction(3, 0, 1, 2), "non-positive duration 0"),
-    ("-1,5,1,2,req,0", "negative start cycle",
-     Transaction(-1, 5, 1, 2), "negative start cycle -1"),
-    ("0,5,10,2,req,0", "initiator id 10 outside declared 1..9",
-     Transaction(0, 5, 10, 2), "initiator id 10 outside 1..9"),
-    ("0,5,1,13,req,0", "target id 13 outside declared 1..12",
-     Transaction(0, 5, 1, 13), "target id 13 outside 1..12"),
-])
-def test_range_error_texts(tmp_path, row, file_msg, tx, ctor_msg):
+@pytest.mark.parametrize("row,tx,message", [
+    ("3,0,1,2,req,0", Transaction(3, 0, 1, 2), "non-positive duration 0"),
+    ("-1,5,1,2,req,0", Transaction(-1, 5, 1, 2), "negative start cycle -1"),
+    ("0,5,10,2,req,0", Transaction(0, 5, 10, 2), "initiator id 10 outside 1..9"),
+    ("0,5,1,13,req,0", Transaction(0, 5, 1, 13), "target id 13 outside 1..12"),
+], ids=["duration", "start", "initiator", "target"])
+def test_range_error_texts(tmp_path, row, tx, message):
+    """A file and the constructor word a range error alike; the file's
+    error is prefixed with its path and line once."""
     path = write(tmp_path, HEADER + row + "\n")
     with pytest.raises(TraceError) as err:
         load_trace(path)
-    assert str(err.value) == f"{path}:2: {file_msg}"
+    assert str(err.value) == f"{path}:2: {message}"
     with pytest.raises(TraceError) as err:
         trace_of(9, 12, [tx])
-    assert str(err.value) == ctor_msg
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("body", ["", "0,5,1,1,req,0\n", "0,5,1,1,req,0\n# note\n"],
+                         ids=["no-rows", "rows", "line-parsed-rows"])
+@pytest.mark.parametrize("counts", ["initiators=0,targets=3", "initiators=2,targets=0"])
+def test_zero_core_count_header_rejected_at_line_1(tmp_path, counts, body):
+    path = write(tmp_path, f"#xbar-trace v1,{counts}\n" + body)
+    for direction in (REQUEST, RESPONSE):
+        with pytest.raises(TraceError) as err:
+            load_trace(path, direction)
+        assert str(err.value) == f"{path}:1: core counts must be positive"
 
 
 @pytest.mark.parametrize("rows", [
@@ -235,6 +244,19 @@ def test_bad_header_and_empty_file(tmp_path):
         load_trace(write(tmp_path, ""))
 
 
+def test_header_is_its_first_line_of_ascii(tmp_path):
+    # a form feed is trailing header whitespace, not a line break before the
+    # body: the zero duration is on line 3
+    path = write(tmp_path, "#xbar-trace v1,initiators=2,targets=2\f\n# note\n0,0,1,1,req,0\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}:3: non-positive duration 0"
+    # a count in other than ASCII digits is no count
+    path = write(tmp_path, "#xbar-trace v1,initiators=\u0663,targets=2\n0,5,1,1,req,0\n")
+    with pytest.raises(TraceError, match=":1: bad header"):
+        load_trace(path)
+
+
 def test_comments_and_blank_lines_skipped(tmp_path):
     path = write(tmp_path, HEADER + "# comment\n\n0,5,1,2,req,0\n")
     assert len(load_trace(path).transactions) == 1
@@ -280,9 +302,20 @@ def test_response_round_trip_restores_role_frame(tmp_path):
     assert load_trace(out, RESPONSE) == empty
 
 
-def test_trace_rejects_unknown_direction():
-    with pytest.raises(TraceError, match="unknown direction"):
+def test_trace_rejects_unknown_direction(tmp_path):
+    """The constructor, load_trace's argument and a file row word a bad
+    direction alike."""
+    message = "direction must be req or resp, got 'both'"
+    with pytest.raises(TraceError) as err:
         Trace(2, 2, [0], [1], [1], [1], direction="both")
+    assert str(err.value) == message
+    path = write(tmp_path, HEADER + "0,5,1,2,both,0\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(path, "both")
+    assert str(err.value) == message
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}:2: {message}"
     assert Trace(2, 2).direction == REQUEST
 
 
