@@ -504,10 +504,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     its cost.  Returns ``(binding, bound, cut)``: the last complete binding
     found (1-based labels by target, None when there was none), the final
     bound, and the :class:`SolverLimitReached` that cut the search short
-    (None when it finished), without its traceback.  The callers pass the
-    order: :func:`check_feasible` the overlap order, :func:`optimal_binding`
-    the busy-cycle order for its seed search and branch-and-bound and the
-    target-id order for its tie-break.
+    (None when it finished), without its traceback.
 
     Each ``(target, bus)`` attempt ticks one node before it is tested.  A
     depth is handed the mask of buses its target may join (see the module
@@ -522,29 +519,14 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     attempt ticks alone, and the deadline is read on node 1 and every 256th
     node after it.  The count is written back to ``budget.nodes`` on every
     exit.
-
-    Each bus's state is one tuple ``(load, overlap, acc, count)`` in the
-    list ``buses``: its packed loads, its pairwise overlap sum, its packed
-    overlap fields and its member count.  An attempt reads the tuple, tests
-    the overlap cost first and the load second, and a placement stores a
-    new tuple that backtracking replaces with the saved one.  What a depth
-    needs of its target is one tuple: its id, its packed ``comm`` row, its
-    overlap field's shift, its packed ``om`` row, bit ``u*B`` for each
-    conflict neighbour ``u`` (``B = num_buses``), which joining bus ``k``
-    ORs into ``blocked`` shifted by ``k`` (every target's bit instead once
-    the bus is full), and the shift of the next depth's field in
-    ``blocked``, from which the free mask passed down is read.  How many
-    buses a target may try with ``used`` buses in use, and their mask, are
-    tables indexed by ``used``.  The packed rows come from the instance's
-    packed form, built on its first search; a call builds only what depends
-    on ``B``: the neighbour bits and the every-target bits, spread to
-    ``B``-bit fields, the field shifts and the two tables.
     """
     p = inst._packed
     guard, ov_width, rows, om_rows = p.guard, p.ov_width, p.rows, p.om_rows
     ov_mask = (1 << ov_width) - 1
     full = _spread((1 << inst.num_targets) - 1, num_buses)
     next_fields = [t * num_buses for t in order[1:]] + [0]
+    # per depth: its target, packed comm row, overlap field shift, packed om row,
+    # conflict neighbour bits spread to B-bit fields and the next depth's field shift
     steps = [(t, rows[t], t * ov_width, om_rows[t], _spread(p.adjacency[t], num_buses), nf)
              for t, nf in zip(order, next_fields)]
     # how many buses a target may try with ``used`` buses in use, and their mask

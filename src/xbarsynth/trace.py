@@ -1,4 +1,4 @@
-"""Transaction trace data model, CSV ingestion and validation.
+r"""Transaction trace data model, CSV ingestion and validation.
 
 A trace records timed transfers between initiators (masters) and targets
 (slaves).  On disk a row always names the two cores by *role*:
@@ -12,9 +12,10 @@ File format (UTF-8 CSV): a header line
 ``#xbar-trace v1,initiators=<n>,targets=<n>``, then one line per
 transaction holding, in order, its start cycle, duration, initiator id,
 target id, direction (``req`` or ``resp``) and critical flag (0 or 1);
-there is no line of column names.  Ids are 1-based.  Lines starting
-with ``#`` are comments.  Busy intervals are half-open: a transaction
-occupies [start, start + duration).
+there is no line of column names.  A line ends at ``\n``, a ``\r``
+before it is stripped, and each line is UTF-8 on its own.  Ids are
+1-based.  Lines starting with ``#`` are comments.  Busy intervals are
+half-open: a transaction occupies [start, start + duration).
 
 In memory a :class:`Trace` is a set of numpy columns, one entry per
 transaction, plus the one direction all its rows move in;
@@ -409,23 +410,24 @@ def _parse_plain(data: bytes, offset: int) -> tuple[np.ndarray, ...] | None:
     return (*values, resp, critical)
 
 
-def _parse_lines(lines: list[str], path: Path, num_initiators: int,
+def _parse_lines(body: bytes, path: Path, num_initiators: int,
                  num_targets: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Parse body lines one by one; returns the rows' columns and line numbers.
+    r"""Parse body lines one by one; returns the rows' columns and line numbers.
 
-    The columns are those :func:`_parse_plain` returns, and ``lines``
-    starts at line 2 of the file.  A malformed line raises
-    :class:`TraceError` naming it, unless an earlier line breaks a range
-    rule, which is then reported instead.
+    The columns are those :func:`_parse_plain` returns, and ``body``
+    starts at line 2 of the file.  A line ends at ``\n`` and is decoded
+    as UTF-8 on its own.  A malformed line raises :class:`TraceError`
+    naming it, unless an earlier line breaks a range rule, which is then
+    reported instead.
     """
     rows: list[tuple[int, ...]] = []
     linenos: list[int] = []
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw in enumerate(body.split(b"\n"), start=2):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
             if len(parts) != 6:
                 raise TraceError(f"expected 6 fields, got {len(parts)}")
             values = [int(p) for p in parts[:4]]
@@ -434,7 +436,7 @@ def _parse_lines(lines: list[str], path: Path, num_initiators: int,
             _check_direction(parts[4])
             if parts[5] not in ("0", "1"):
                 raise TraceError(f"critical must be 0 or 1, got {parts[5]!r}")
-        except ValueError as exc:  # a TraceError, or int() of a non-integer field
+        except ValueError as exc:  # a TraceError, a non-UTF-8 line or a non-integer field
             _check_rows(_row_columns(rows), num_initiators, num_targets, path, linenos)
             raise TraceError(f"{path}:{lineno}: {exc}") from None
         rows.append((*values, parts[4] == RESPONSE, parts[5] == "1"))
@@ -479,8 +481,7 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     if columns is not None:
         linenos = range(2, len(columns[0]) + 2)
     else:
-        lines = data.decode("utf-8")[eol + 1:].splitlines()
-        columns, linenos = _parse_lines(lines, path, num_initiators, num_targets)
+        columns, linenos = _parse_lines(data[eol + 1:], path, num_initiators, num_targets)
     del data
     _check_rows(columns, num_initiators, num_targets, path, linenos)
 

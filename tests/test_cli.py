@@ -474,6 +474,23 @@ def test_cycles_reaching_2_63_exit_one(tmp_path, capsys, command, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body, lineno, message", [
+    (b"0,0,1,1,req,0\n", 2, "non-positive duration 0"),
+    (b"0,5,1,1,req,0\n\xff\n", 3,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"0,5,1,1,req,0\f\n0,0,1,1,req,0\n", 3, "non-positive duration 0"),
+], ids=["zero-duration", "not-utf-8", "form-feed"])
+def test_malformed_trace_body_names_its_line(tmp_path, capsys, body, lineno, message):
+    # a line ends at \n alone and is decoded on its own, so a stray byte or a
+    # form feed neither hides the line number nor shifts the ones after it
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"#xbar-trace v1,initiators=1,targets=1\n" + body)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
 def mat2like_run(out_dir, node_limit=None):
     # default analysis knobs: probes 7/5/4/3 all feasible, then a short
     # binding search, so every solve phase has nodes to cut

@@ -490,7 +490,7 @@ def test_bulk_parse_matches_line_parser(case):
     assert columns is not None or not must_bulk
     if columns is not None:
         try:
-            ref, _ = trace_module._parse_lines(text.splitlines(), Path("t.csv"), 1, 1)
+            ref, _ = trace_module._parse_lines(text.encode(), Path("t.csv"), 1, 1)
         except TraceError as exc:
             pytest.fail(f"bulk parse accepted a body the line parser rejects: {exc}")
         assert len(columns) == len(ref) == 6
