@@ -16,6 +16,7 @@ suite's per-cycle oracle is an independent check.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,10 @@ from .trace import Trace, group_rows
 
 
 def _check_window_size(window_size: int) -> None:
-    """A window size is 1 to 2**63 - 1 cycles: no trace ends later, and
-    the int64 window arithmetic cannot take a larger one."""
+    """A window size is an integer from 1 to 2**63 - 1 cycles: no trace
+    ends later, and the int64 window arithmetic cannot take a larger one."""
+    if not isinstance(window_size, numbers.Integral):
+        raise ValueError(f"window size must be an integer, got {window_size}")
     if window_size < 1:
         raise ValueError("window size must be >= 1 cycle")
     if window_size >= 1 << 63:

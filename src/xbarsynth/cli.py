@@ -14,13 +14,14 @@ Each subcommand takes only the options it acts on (:data:`_COMMANDS`);
 builds its :class:`RunConfig` once, for the subcommand's handler.
 
 Exit codes: 0 success, 1 usage error (command-line parse errors, an
-option the subcommand does not take among them, included), 2 infeasible
-instance, 3 solver limit hit (the cut's incumbent, the best binding
-known, if any, is still written; see
-:class:`~xbarsynth.solver.SolverLimitReached`).  One solver budget bounds
-the whole solve of a ``design`` run.  A failure travels as
-its exception from the solver to :func:`main`, the one map from
-exception to exit code; ``design`` keeps the exception it caught in
+option the subcommand does not take or a bad ``--ws-list`` or
+``--theta-list`` entry among them, included), 2 infeasible instance, 3
+solver limit hit (the cut's incumbent, the best binding known, if any, is
+still written; see :class:`~xbarsynth.solver.SolverLimitReached`).  One
+solver budget bounds the whole solve of a ``design`` run.  The
+subcommand handlers return nothing: a failure travels as its exception
+from the solver to :func:`main`, which maps every outcome, success
+included, to its exit code; ``design`` keeps the exception it caught in
 :attr:`DesignOutcome.error` so that its artifacts are written first.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AnalysisParams, WindowProfile, aggregate_overlap, preprocess, profile
-from .gen import GenSpec, PRESET_NAMES, benchmark_preset, generate, spec_from_text
+from .gen import GenSpec, PRESET_NAMES, benchmark_preset, generate, load_spec
 from .lpexport import export_milp
 from .sim import SimReport, baseline_configs, compare, simulate
 from .solver import (
@@ -326,7 +326,7 @@ def sweep_window(run: RunConfig, ws_list: list[int]) -> Path:
     point's status is in its row."""
     if not ws_list:
         raise ValueError("ws_list must be nonempty")
-    points = [(ws, replace(run.params, window_size=int(ws))) for ws in ws_list]
+    points = [(ws, replace(run.params, window_size=ws)) for ws in ws_list]
     return _sweep(run, points, "ws", "sweep_window.csv",
                   ["window_size", "bus_count", "avg_latency", "max_latency", "status"],
                   _window_cells)
@@ -416,6 +416,15 @@ def _parse_binding(text: str, num_targets: int) -> tuple[int, ...]:
     return binding
 
 
+def _list_of(kind: type):
+    """An argparse ``type``: the comma-separated ``kind`` values of a list
+    option, blank entries skipped; a bad entry is a parse error."""
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
 # Every option's --help section (None: the subcommand's own list) and spec,
 # written once; a subcommand takes the options _COMMANDS names, and no others.
 # (A section's options skip argparse's costly per-option help-formatter check.)
@@ -435,8 +444,10 @@ _OPTIONS: dict[str, tuple[str | None, dict]] = {
         type=float, default=None, help="seconds for the whole solve (all probes and phases)")),
     "--buses": ("analysis", dict(type=int, default=None, help="fix the bus count")),
     "--binding": (None, dict(help="comma-separated bus id per target")),
-    "--ws-list": (None, dict(help="comma-separated window sizes (cycles)")),
-    "--theta-list": (None, dict(help="comma-separated thresholds in (0, 0.5]")),
+    "--ws-list": (None, dict(type=_list_of(int),
+                             help="comma-separated integer window sizes (cycles)")),
+    "--theta-list": (None, dict(type=_list_of(float), default=[0.1, 0.2, 0.3, 0.4, 0.5],
+                                help="comma-separated thresholds in (0, 0.5]")),
     "--num-random": (None, dict(type=int, default=10)),
 }
 _SOURCES = ("--trace", "--preset", "--config")  # exactly one per run
@@ -468,7 +479,7 @@ def _run_from_args(args) -> RunConfig:
         source = benchmark_preset(opts["preset"])
         label = f"preset:{opts['preset']}"
     elif opts["config"]:
-        source = spec_from_text(Path(opts["config"]).read_text())
+        source = load_spec(opts["config"])
         label = f"config:{opts['config']}"
     else:
         source = opts["trace"]
@@ -494,7 +505,7 @@ def _run_from_args(args) -> RunConfig:
     )
 
 
-def _cmd_gen(run: RunConfig, args) -> int:
+def _cmd_gen(run: RunConfig, args) -> None:
     trace = generate(run.source)
     out = args.out
     if out is None:  # --out-dir is made only to hold the trace
@@ -502,17 +513,15 @@ def _cmd_gen(run: RunConfig, args) -> int:
         out = run.out_dir / "trace.csv"
     save_trace(trace, out)
     print(f"wrote {len(trace.start)} transactions to {out}")
-    return EXIT_OK
 
 
-def _cmd_analyze(run: RunConfig, args) -> int:
+def _cmd_analyze(run: RunConfig, args) -> None:
     artifacts = analyze(run)
     for name, path in sorted(artifacts.items()):
         print(f"{name}: {path}")
-    return EXIT_OK
 
 
-def _cmd_design(run: RunConfig, args) -> int:
+def _cmd_design(run: RunConfig, args) -> None:
     outcome = design(run)
     if outcome.report is not None:
         cfg = outcome.report.config
@@ -528,10 +537,9 @@ def _cmd_design(run: RunConfig, args) -> int:
             )
     if outcome.error is not None:
         raise outcome.error
-    return EXIT_OK
 
 
-def _cmd_simulate(run: RunConfig, args) -> int:
+def _cmd_simulate(run: RunConfig, args) -> None:
     trace = run.resolve_trace()
     configs = baseline_configs(trace.num_targets)
     if args.binding:
@@ -545,46 +553,33 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         )
     run.out_dir.mkdir(parents=True, exist_ok=True)
     _write_latency_csv(run.out_dir / "latency.csv", replays)
-    return EXIT_OK
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _cmd_sweep_window(run: RunConfig, args) -> int:
-    if args.ws_list:
-        sizes = _parse_float_list(args.ws_list)
-        for size in sizes:
-            if not math.isfinite(size):
-                raise ValueError(f"window size must be finite, got {size}")
-        ws_list = [int(size) for size in sizes]
-    else:
+def _cmd_sweep_window(run: RunConfig, args) -> None:
+    ws_list = args.ws_list
+    if ws_list is None:
         base = run.params.window_size  # below 4, sizes floored at 1 cycle repeat
-        ws_list = list(dict.fromkeys(max(1, int(base * f)) for f in (0.25, 0.5, 1, 2, 4, 8)))
+        sizes = (base // 4, base // 2, base, 2 * base, 4 * base, 8 * base)
+        ws_list = list(dict.fromkeys(max(1, size) for size in sizes))
     path = sweep_window(run, ws_list)
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def _cmd_sweep_threshold(run: RunConfig, args) -> int:
-    thetas = _parse_float_list(args.theta_list) if args.theta_list else [0.1, 0.2, 0.3, 0.4, 0.5]
-    path = sweep_threshold(run, thetas)
+def _cmd_sweep_threshold(run: RunConfig, args) -> None:
+    path = sweep_threshold(run, args.theta_list)
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def _cmd_compare_bindings(run: RunConfig, args) -> int:
+def _cmd_compare_bindings(run: RunConfig, args) -> None:
     result = compare_bindings(run, args.num_random)
     print(
         f"optimal avg {result.optimal_avg:.2f}; mean random/optimal ratio "
         f"{result.mean_ratio:.3f} over {len(result.random_avgs)} samples"
     )
     print(f"wrote {result.csv_path}")
-    return EXIT_OK
 
 
-def _cmd_export_lp(run: RunConfig, args) -> int:
+def _cmd_export_lp(run: RunConfig, args) -> None:
     prof, om, conflict = _analysis(run)
     inst = build_instance(prof, om, conflict, run.params)
     if run.buses_override is not None:
@@ -596,7 +591,6 @@ def _cmd_export_lp(run: RunConfig, args) -> int:
     path = run.out_dir / "model.lp"
     path.write_text(text)
     print(f"wrote {path} ({buses} buses)")
-    return EXIT_OK
 
 
 # subcommand: (help, handler, the options it takes)
@@ -658,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         raise  # --help
     try:
-        return args.func(_run_from_args(args), args)
+        args.func(_run_from_args(args), args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -668,6 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

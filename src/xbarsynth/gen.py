@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -287,15 +288,18 @@ def _field_types() -> dict[str, type]:
 
 
 def spec_from_text(text: str) -> GenSpec:
-    """Parse the key=value config format written by spec_to_text.
+    r"""Parse the key=value config format written by spec_to_text.
 
-    Unknown keys and malformed lines raise GenError; omitted keys take
-    the GenSpec defaults (required fields must appear).  Scalar values
-    are read as their field's annotated type.
+    A line ends at ``\n`` and a ``\r`` before it is stripped, as in a
+    trace file; ``#`` starts a comment.  Unknown keys and malformed lines
+    raise GenError naming the line; omitted keys take the GenSpec
+    defaults (required fields must appear).  Scalar values are read as
+    their field's annotated type.
     """
     types = _field_types()
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -329,3 +333,15 @@ def spec_from_text(text: str) -> GenSpec:
     if required:
         raise GenError(f"missing required keys: {', '.join(required)}")
     return GenSpec(**values)
+
+
+def load_spec(path: str | Path) -> GenSpec:
+    """Read a config file for :func:`spec_from_text`, each line decoded as
+    UTF-8 on its own, so a line that is not UTF-8 is reported by number."""
+    lines = []
+    for lineno, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise GenError(f"line {lineno}: {exc}") from None
+    return spec_from_text("\n".join(lines))

@@ -179,6 +179,15 @@ def test_window_size_of_2_63_or_more_rejected(window_size):
         profile(Trace(1, 1, [0], [5], [1], [1]), window_size)
 
 
+def test_window_size_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"^window size must be an integer, got 500\.7$"):
+        AnalysisParams(500.7, 0.3)
+    with pytest.raises(ValueError, match=r"^window size must be an integer, got 500\.7$"):
+        profile(Trace(1, 1, [0], [5], [1], [1]), 500.7)
+    assert AnalysisParams(np.int64(500)).window_size == 500
+    assert profile(Trace(1, 1, [0], [5], [1], [1]), np.int64(2)).comm.tolist() == [[2, 2, 1]]
+
+
 def test_preprocess_rejects_mismatched_window_size():
     prof = profile(trace_of(1, 1, [Transaction(0, 5, 1, 1)]), 10)
     with pytest.raises(ValueError, match="window size"):

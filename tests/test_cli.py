@@ -87,6 +87,21 @@ def test_gen_to_an_explicit_out_makes_no_out_dir(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"seed = 3\f\n\nbogus\n", "line 3: expected key = value, got 'bogus'"),
+    (b"seed = 3\n# a note \xff\n",
+     "line 2: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["form-feed", "not-utf-8"])
+def test_config_errors_name_their_line(tmp_path, capsys, data, message):
+    """A config line ends at \\n alone and is decoded as UTF-8 on its own."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    out = tmp_path / "o"
+    assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_requires_a_generator_source(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["gen", "--out-dir", str(out)]) == 1
@@ -873,13 +888,14 @@ def test_sweep_point_failures_repeat_per_point(tmp_path):
     ("sweep-window", ["--ws-list", "500,1000", "--buses", "9"], "bus count 9 outside 1..4"),
     ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "0"], "bus count 0 outside 1..4"),
     ("sweep-threshold", ["--theta-list", "0.2,0.3", "--buses", "9"], "bus count 9 outside 1..4"),
-    ("sweep-window", ["--ws-list", "1000,500,500.7"], "sweep point 500 is listed twice"),
+    ("sweep-window", ["--ws-list", "1000,500,500"], "sweep point 500 is listed twice"),
     ("sweep-threshold", ["--theta-list", "0.3,0.1,0.1000001"],
      "sweep point 0.100000 is listed twice"),
     ("sweep-window", ["--ws-list", ","], "ws_list must be nonempty"),
     ("sweep-threshold", ["--theta-list", ","], "theta_list must be nonempty"),
-    ("sweep-window", ["--ws-list", "500,1e400"], "window size must be finite, got inf"),
-    ("sweep-window", ["--ws-list", "500,1e19"],
+    ("sweep-window", ["--ws-list", "500,9223372036854775808"],
+     "window size must be below 2**63 cycles, got 9223372036854775808"),
+    ("sweep-window", ["--ws-list", "500,10000000000000000000"],
      "window size must be below 2**63 cycles, got 10000000000000000000"),
 ])
 def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command, extra,
@@ -890,6 +906,49 @@ def test_sweep_usage_errors_exit_one_before_any_point(tmp_path, capsys, command,
     assert main([command, "--preset", "hotspot", "--out-dir", str(out)] + extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep-window", "500.7"),
+    ("sweep-window", "2e3"),
+    ("sweep-window", "1000,500,500.7"),
+    ("sweep-window", "500,1e400"),
+    ("sweep-window", "500,1e19"),
+    ("sweep-threshold", "0.1,x"),
+])
+def test_bad_list_entry_is_a_parse_error(tmp_path, capsys, command, text):
+    """A list entry is read like its single-value option: a window size is
+    an int, as --window-size is, and a threshold a float."""
+    out = tmp_path / "o"
+    option, kind = {"sweep-window": ("--ws-list", "int"),
+                    "sweep-threshold": ("--theta-list", "float")}[command]
+    assert main([command, "--preset", "hotspot", "--out-dir", str(out), option, text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: xbarsynth {command} ")
+    assert err.endswith(f"xbarsynth {command}: error: argument {option}: "
+                        f"invalid {kind} value: '{text}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, message", [
+    ("sweep-window", "--ws-list", "ws_list must be nonempty"),
+    ("sweep-threshold", "--theta-list", "theta_list must be nonempty"),
+])
+def test_an_empty_sweep_list_is_a_usage_error(tmp_path, capsys, command, option, message):
+    """An empty list holds no point, as one of only blank entries does."""
+    out = tmp_path / "o"
+    assert main([command, "--preset", "hotspot", "--out-dir", str(out), option, ""]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_default_window_list_is_exact_past_2_53(tmp_path):
+    """The default sizes are integer multiples and quotients of the base."""
+    out = tmp_path / "o"
+    assert main(["sweep-window", "--preset", "hotspot", "--window-size", "9007199254740995",
+                 "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "sweep_window.csv")
+    assert [r[0] for r in rows[1:3]] == ["2251799813685248", "4503599627370497"]
 
 
 @pytest.mark.parametrize("command, points, name", [
