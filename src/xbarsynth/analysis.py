@@ -56,8 +56,12 @@ class AnalysisParams:
                 f"overlap threshold must be in (0, 0.5], got {self.overlap_threshold}"
                 " (pairs overlapping more than 50% of a window cannot share a bus)"
             )
-        if self.max_targets_per_bus is not None and self.max_targets_per_bus < 1:
-            raise ValueError("max targets per bus must be >= 1")
+        maxtb = self.max_targets_per_bus
+        if maxtb is not None:
+            if not isinstance(maxtb, numbers.Integral):
+                raise ValueError(f"max targets per bus must be an integer >= 1, got {maxtb}")
+            if maxtb < 1:
+                raise ValueError("max targets per bus must be >= 1")
 
 
 @dataclass

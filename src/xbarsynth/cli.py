@@ -10,8 +10,8 @@ binding) reuse the same pipeline per point.
 All artifacts are plain CSV or JSON plus a key = value manifest; for a
 fixed RunConfig (seed included) every artifact is byte-reproducible.
 Each subcommand takes only the options it acts on (:data:`_COMMANDS`);
-:func:`main` builds the options of the invoked subcommand only, and
-builds its :class:`RunConfig` once, for the subcommand's handler.
+:func:`main` parses with one parser, built on its first call and reused,
+and builds its :class:`RunConfig` once, for the subcommand's handler.
 
 Exit codes: 0 success, 1 usage error (command-line parse errors, an
 option the subcommand does not take or a bad ``--ws-list`` or
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -427,7 +428,6 @@ def _list_of(kind: type):
 
 # Every option's --help section (None: the subcommand's own list) and spec,
 # written once; a subcommand takes the options _COMMANDS names, and no others.
-# (A section's options skip argparse's costly per-option help-formatter check.)
 _OPTIONS: dict[str, tuple[str | None, dict]] = {
     "--trace": ("input", dict(type=Path, help="trace CSV path")),
     "--preset": ("input", dict(choices=PRESET_NAMES, help="synthetic benchmark preset")),
@@ -613,13 +613,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the options of ``command`` only.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and its options, built once per process.
 
-    Every subcommand is registered with its help and handler, so the
-    top-level help, usage line and parse errors do not depend on
-    ``command``; only the subcommand named ``command`` (all of them when
-    it is None) gets its options.
+    ``parse_args`` leaves the parser as it was, so every :func:`main` call
+    reuses it; help is formatted to ``COLUMNS`` as it is when printed.
     """
     p = argparse.ArgumentParser(
         prog="xbarsynth",
@@ -629,8 +628,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, func, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
-        if command not in (None, name):
-            continue
         sections = {None: cmd, "input": cmd.add_argument_group("input"),
                     "analysis": cmd.add_argument_group("analysis")}  # empty ones stay hidden
         for opt in options:
@@ -640,13 +637,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # The subcommand is the first argument that is not an option; when that
-    # is argv[0], no other subcommand's options are needed to parse argv.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)  # None: sys.argv[1:]
     except SystemExit as exc:
         if exc.code:  # argparse's usage errors exit 2, which means infeasible here
             return EXIT_USAGE

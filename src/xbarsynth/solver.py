@@ -85,6 +85,7 @@ which a random-binding sampler calls once per draw, read the same one.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -165,7 +166,9 @@ class ProblemInstance:
     Immutable, so that the packed form the search builds on first use
     (``_packed``, see the module docstring) never goes stale: the fields
     cannot be reassigned and the arrays are read-only views.  Build a
-    changed instance with :func:`dataclasses.replace`.
+    changed instance with :func:`dataclasses.replace`.  Its counts,
+    ``window_size`` and ``maxtb``, are integers >= 1 (numpy integers too):
+    the packed search shifts and masks by them.
     """
 
     window_size: int
@@ -196,10 +199,9 @@ class ProblemInstance:
             raise InstanceError("busy cycles (comm) must be non-negative")
         if (self.om < 0).any():
             raise InstanceError("overlaps (om) must be non-negative")
-        if self.maxtb < 1:
-            raise InstanceError("maxtb must be >= 1")
-        if self.window_size < 1:
-            raise InstanceError("window size must be >= 1")
+        for name, count in (("maxtb", self.maxtb), ("window size", self.window_size)):
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise InstanceError(f"{name} must be an integer >= 1, got {count}")
 
     @property
     def num_targets(self) -> int:

@@ -188,6 +188,15 @@ def test_window_size_must_be_an_integer():
     assert profile(Trace(1, 1, [0], [5], [1], [1]), np.int64(2)).comm.tolist() == [[2, 2, 1]]
 
 
+def test_max_targets_per_bus_must_be_an_integer():
+    # a cap of 2.5 would let the search put 3 targets on a bus that validation caps at 2.5
+    with pytest.raises(ValueError, match=r"^max targets per bus must be an integer >= 1, got 2\.5$"):
+        AnalysisParams(1000, 0.3, 2.5)
+    with pytest.raises(ValueError, match=r"^max targets per bus must be >= 1$"):
+        AnalysisParams(1000, 0.3, 0)
+    assert AnalysisParams(1000, 0.3, np.int64(2)).max_targets_per_bus == 2
+
+
 def test_preprocess_rejects_mismatched_window_size():
     prof = profile(trace_of(1, 1, [Transaction(0, 5, 1, 1)]), 10)
     with pytest.raises(ValueError, match="window size"):

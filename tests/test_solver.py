@@ -379,6 +379,14 @@ def test_instance_validation():
         ProblemInstance(10, good, np.zeros((2, 2)), np.array([[0, 1], [0, 0]], bool), 2)
     with pytest.raises(InstanceError, match="window size"):
         ProblemInstance(0, good, np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
+    with pytest.raises(InstanceError, match=r"^window size must be an integer >= 1, got 10\.5$"):
+        ProblemInstance(10.5, good, np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
+    for maxtb in (1.5, 2.0):  # the packed search shifts by maxtb
+        with pytest.raises(InstanceError, match=f"^maxtb must be an integer >= 1, got {maxtb}$"):
+            ProblemInstance(10, good, np.zeros((2, 2)), np.zeros((2, 2), bool), maxtb)
+    counts = ProblemInstance(np.int64(10), good, np.zeros((2, 2)), np.zeros((2, 2), bool),
+                             np.int32(2))
+    assert (counts.window_size, counts.maxtb) == (10, 2)
 
 
 def test_config_validation_and_views():
