@@ -13,16 +13,19 @@ Each subcommand takes only the options it acts on (:data:`_COMMANDS`);
 :func:`main` parses with one parser, built on its first call and reused,
 and builds its :class:`RunConfig` once, for the subcommand's handler.
 
-Exit codes: 0 success, 1 usage error (command-line parse errors, an
-option the subcommand does not take or a bad ``--ws-list`` or
-``--theta-list`` entry among them, included), 2 infeasible instance, 3
+Exit codes: 0 success, 1 usage or input error, 2 infeasible instance, 3
 solver limit hit (the cut's incumbent, the best binding known, if any, is
-still written; see :class:`~xbarsynth.solver.SolverLimitReached`).  One
-solver budget bounds the whole solve of a ``design`` run.  The
-subcommand handlers return nothing: a failure travels as its exception
-from the solver to :func:`main`, which maps every outcome, success
-included, to its exit code; ``design`` keeps the exception it caught in
-:attr:`DesignOutcome.error` so that its artifacts are written first.
+still written; see :class:`~xbarsynth.solver.SolverLimitReached`).  Bad
+input fails every subcommand, the sweeps included, one way: a parse
+error, a value out of range, or a missing or malformed trace or config
+file prints one ``error:`` line, naming the file if there is one, exits 1
+and writes nothing.  One solver budget bounds the whole solve of a
+``design`` run or of one sweep point, so a sweep of P points may take P
+times a ``--time-limit``.  The subcommand handlers return nothing: a
+failure travels as its exception from the solver to :func:`main`, which
+maps every outcome, success included, to its exit code; ``design`` keeps
+the exception it caught in :attr:`DesignOutcome.error` so that its
+artifacts are written first.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
-
-# Bad input: a usage error, a malformed or missing trace or config file
-# (TraceError and GenError are ValueErrors), or an unwritable output.
-INPUT_ERRORS = (ValueError, OSError)
 
 # compare-bindings gives up after this many rejected samples per accepted
 # one; hitting it means the feasible set is a sliver of the sample space.
@@ -274,33 +273,28 @@ def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: 
 
     The trace is loaded once and profiled once per window size, and each
     config is replayed once: the shared and full baselines at the first
-    point that needs them, and a designed config at its first point.  A load
-    that fails with one of :data:`INPUT_ERRORS` (a missing or malformed
-    file) gives every point that error row; otherwise a point's row is its
-    label and ``cells(outcome)``, and an error ``design`` raises ends the
-    sweep as it ends a design run.  No point's outcome outlives its row;
-    only its replays stay, for the points after it.
-    The sweep's own out dir is made only to write the CSV.  Two points with
-    one label would share a point dir, so a repeated label is a
-    ``ValueError`` before anything is loaded or written.
+    point that needs them, and a designed config at its first point.  A
+    point's row is its label and ``cells(outcome)``: an infeasible or cut
+    point writes its status there.  Any error ``design`` raises, and a
+    trace that fails to load, ends the sweep as it ends a design run.  No
+    point's outcome outlives its row; only its replays stay, for the
+    points after it.  The sweep's own out dir is made only to write the
+    CSV.  Two points with one label would share a point dir, so a repeated
+    label is a ``ValueError`` before anything is loaded or written.
     """
     seen = set()
     for label, _ in points:
         if label in seen:
             raise ValueError(f"sweep point {label} is listed twice")
         seen.add(label)
-    try:
-        trace = run.resolve_trace()
-    except INPUT_ERRORS as exc:
-        rows = [[label] + [""] * (len(header) - 2) + [f"error: {exc}"] for label, _ in points]
-    else:
-        rows, prof, replayed = [], None, {}
-        for label, params in points:
-            if prof is None or prof.window_size != params.window_size:
-                prof = None  # free the last window size's profile before the next
-                prof = profile(trace, params.window_size)
-            point = replace(run, params=params, out_dir=run.out_dir / f"{subdir}_{label}")
-            rows.append([label] + cells(design(point, prof, replayed)))
+    trace = run.resolve_trace()
+    rows, prof, replayed = [], None, {}
+    for label, params in points:
+        if prof is None or prof.window_size != params.window_size:
+            prof = None  # free the last window size's profile before the next
+            prof = profile(trace, params.window_size)
+        point = replace(run, params=params, out_dir=run.out_dir / f"{subdir}_{label}")
+        rows.append([label] + cells(design(point, prof, replayed)))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / name
     _write_csv(path, header, rows)
@@ -441,7 +435,9 @@ _OPTIONS: dict[str, tuple[str | None, dict]] = {
     "--overlap-threshold": ("analysis", dict(type=float, default=0.3)),
     "--max-targets-per-bus": ("analysis", dict(type=int, default=None)),
     "--time-limit": ("analysis", dict(
-        type=float, default=None, help="seconds for the whole solve (all probes and phases)")),
+        type=float, default=None, help=(
+            "seconds for the whole solve (all probes and phases) of a design or of each "
+            "sweep point: a sweep of P points may take P times the limit"))),
     "--buses": ("analysis", dict(type=int, default=None, help="fix the bus count")),
     "--binding": (None, dict(help="comma-separated bus id per target")),
     "--ws-list": (None, dict(type=_list_of(int),
@@ -506,7 +502,7 @@ def _run_from_args(args) -> RunConfig:
 
 
 def _cmd_gen(run: RunConfig, args) -> None:
-    trace = generate(run.source)
+    trace = run.resolve_trace()
     out = args.out
     if out is None:  # --out-dir is made only to hold the trace
         run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,7 +647,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverLimitReached as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
+        # bad input: a usage error, a missing or malformed trace or config
+        # file (TraceError and GenError are ValueErrors), or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -33,7 +33,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .trace import Trace
+from .trace import MAX_CORES, Trace
 
 PRESET_NAMES = ("mat2like", "uniform", "hotspot")
 
@@ -79,6 +79,8 @@ class GenSpec:
     def __post_init__(self):
         if self.num_initiators < 1 or self.num_targets < 1:
             raise GenError("num_initiators and num_targets must be positive")
+        if max(self.num_initiators, self.num_targets) > MAX_CORES:  # a trace's bound
+            raise GenError(f"num_initiators and num_targets must be at most {MAX_CORES}")
         if self.burst_len_mean < 1:
             raise GenError("burst_len_mean must be positive")
         if not 0.0 <= self.burst_len_jitter < 1.0:
@@ -292,56 +294,63 @@ def spec_from_text(text: str) -> GenSpec:
 
     A line ends at ``\n`` and a ``\r`` before it is stripped, as in a
     trace file; ``#`` starts a comment.  Unknown keys and malformed lines
-    raise GenError naming the line; omitted keys take the GenSpec
-    defaults (required fields must appear).  Scalar values are read as
-    their field's annotated type.
+    raise GenError naming the line (``line <n>: ...``); omitted keys take
+    the GenSpec defaults (required fields must appear).  Scalar values are
+    read as their field's annotated type.
     """
-    types = _field_types()
-    values: dict = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.removesuffix("\r")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise GenError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in types:
-            raise GenError(f"line {lineno}: unknown key {key!r}")
-        try:
-            if key == "shared_target_ids":
-                values[key] = tuple(
-                    int(t) for t in val.replace(";", ",").split(",") if t.strip()
-                )
-            elif key == "critical_stream_pairs":
-                pairs = []
-                for chunk in val.split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    a, _, b = chunk.partition(":")
-                    pairs.append((int(a), int(b)))
-                values[key] = tuple(pairs)
-            else:
-                values[key] = types[key](val)
-        except ValueError as exc:
-            raise GenError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    required = [
-        f.name for f in fields(GenSpec) if f.default is MISSING and f.name not in values
-    ]
-    if required:
-        raise GenError(f"missing required keys: {', '.join(required)}")
-    return GenSpec(**values)
+    return _parse_spec(text.encode("utf-8").split(b"\n"), None)
 
 
 def load_spec(path: str | Path) -> GenSpec:
-    """Read a config file for :func:`spec_from_text`, each line decoded as
-    UTF-8 on its own, so a line that is not UTF-8 is reported by number."""
-    lines = []
-    for lineno, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+    """Read a config file as :func:`spec_from_text` reads its text, each
+    line decoded as UTF-8 on its own.  A fault names the file, as a trace
+    fault does: ``<path>:<line>: ...`` for a line, ``<path>: ...`` for the
+    whole spec (a missing key or a value out of range)."""
+    path = Path(path)
+    return _parse_spec(path.read_bytes().split(b"\n"), path)
+
+
+def _parse_spec(lines: list[bytes], path: Path | None) -> GenSpec:
+    """The GenSpec of config ``lines``; faults are prefixed with ``path``, if any."""
+    types = _field_types()
+    values: dict = {}
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise GenError(f"line {lineno}: {exc}") from None
-    return spec_from_text("\n".join(lines))
+            values.update(_parse_line(raw, types))
+        except ValueError as exc:  # a GenError or a line that is not UTF-8
+            where = f"line {lineno}" if path is None else f"{path}:{lineno}"
+            raise GenError(f"{where}: {exc}") from None
+    try:
+        required = [
+            f.name for f in fields(GenSpec) if f.default is MISSING and f.name not in values
+        ]
+        if required:
+            raise GenError(f"missing required keys: {', '.join(required)}")
+        return GenSpec(**values)
+    except GenError as exc:
+        if path is None:
+            raise
+        raise GenError(f"{path}: {exc}") from None
+
+
+def _parse_line(raw: bytes, types: dict[str, type]) -> dict:
+    """The ``{key: value}`` of one config line; empty for a blank or comment line."""
+    text = raw.decode("utf-8").removesuffix("\r")
+    line = text.split("#", 1)[0].strip()
+    if not line:
+        return {}
+    if "=" not in line:
+        raise GenError(f"expected key = value, got {text!r}")
+    key, _, val = line.partition("=")
+    key, val = key.strip(), val.strip()
+    if key not in types:
+        raise GenError(f"unknown key {key!r}")
+    try:
+        if key == "shared_target_ids":
+            return {key: tuple(int(t) for t in val.replace(";", ",").split(",") if t.strip())}
+        if key == "critical_stream_pairs":
+            pairs = (chunk.partition(":") for chunk in val.split(";") if chunk.strip())
+            return {key: tuple((int(a), int(b)) for a, _, b in pairs)}
+        return {key: types[key](val)}
+    except ValueError as exc:
+        raise GenError(f"bad value for {key}: {val!r}") from exc

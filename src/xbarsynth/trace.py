@@ -50,6 +50,10 @@ DIRECTIONS = (REQUEST, RESPONSE)
 
 _HEADER_RE = re.compile(r"^#xbar-trace v1,initiators=(\d+),targets=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# The most initiators, and the most targets, a trace may declare: a T x T
+# int64 matrix then stays within 8 MiB.  One bound serves both sides,
+# since a response trace swaps them.
+MAX_CORES = 1024
 _BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
 _SUM_BLOCK = 1 << 14  # entries exact_sum reads at once
@@ -106,6 +110,14 @@ def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets:
     if bad is not None:
         row, message = bad
         raise TraceError(message if path is None else f"{path}:{linenos[row]}: {message}")
+
+
+def _check_core_counts(num_initiators: int, num_targets: int) -> None:
+    if num_initiators < 1 or num_targets < 1:
+        raise TraceError("core counts must be positive")
+    if max(num_initiators, num_targets) > MAX_CORES:
+        raise TraceError(f"core counts must be at most {MAX_CORES}, got "
+                         f"{num_initiators} initiators and {num_targets} targets")
 
 
 def _check_direction(direction: str) -> None:
@@ -213,8 +225,7 @@ def _sorted(start, duration, initiator, target, critical) -> tuple[np.ndarray, .
 def _validated(num_initiators, num_targets, direction, start, duration, initiator, target,
                critical) -> tuple[np.ndarray, ...]:
     """Sorted copies of the columns, after checking them against the core counts."""
-    if num_initiators < 1 or num_targets < 1:
-        raise TraceError("core counts must be positive")
+    _check_core_counts(num_initiators, num_targets)
     _check_direction(direction)
     columns = (*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
                np.array(critical, dtype=bool))
@@ -474,9 +485,11 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
         raise TraceError(
             f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
         )
-    num_initiators, num_targets = int(header[1]), int(header[2])
-    if not (num_initiators and num_targets):
-        raise TraceError(f"{path}:1: core counts must be positive")
+    try:  # a count of thousands of digits is past int()'s limit: a ValueError too
+        num_initiators, num_targets = int(header[1]), int(header[2])
+        _check_core_counts(num_initiators, num_targets)
+    except ValueError as exc:
+        raise TraceError(f"{path}:1: {exc}") from None
     columns = _parse_plain(data, eol + 1)
     if columns is not None:
         linenos = range(2, len(columns[0]) + 2)

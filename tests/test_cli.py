@@ -1,13 +1,17 @@
 """Command-line flow: artifacts, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsynth import cli, sim
 from xbarsynth.analysis import AnalysisParams
@@ -89,17 +93,18 @@ def test_gen_to_an_explicit_out_makes_no_out_dir(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("data, message", [
-    (b"seed = 3\f\n\nbogus\n", "line 3: expected key = value, got 'bogus'"),
+    (b"seed = 3\f\n\nbogus\n", "3: expected key = value, got 'bogus'"),
     (b"seed = 3\n# a note \xff\n",
-     "line 2: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+     "2: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
 ], ids=["form-feed", "not-utf-8"])
 def test_config_errors_name_their_line(tmp_path, capsys, data, message):
-    """A config line ends at \\n alone and is decoded as UTF-8 on its own."""
+    """A config line ends at \\n alone and is decoded as UTF-8 on its own;
+    its fault is named ``<path>:<line>:`` as a trace file's is."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(data)
     out = tmp_path / "o"
     assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
     assert not out.exists()
 
 
@@ -464,20 +469,24 @@ def test_negative_seed_in_a_config_file_names_the_field(tmp_path, capsys):
     cfg.write_text(spec_to_text(tiny_spec()).replace("seed = 3", "seed = -5"))
     out = tmp_path / "o"
     assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
+    assert capsys.readouterr().err == f"error: {cfg}: seed must be non-negative, got -5\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
-    ("num_initiators 3\n", "line 1: expected key = value, got 'num_initiators 3'"),
-    ("num_initiators = x\n", "line 1: bad value for num_initiators: 'x'"),
-], ids=["no-equals", "bad-value"])
+    ("num_initiators 3\n", ":1: expected key = value, got 'num_initiators 3'"),
+    ("num_initiators = x\n", ":1: bad value for num_initiators: 'x'"),
+    ("num_initiators = 3\n", ": missing required keys: num_targets, burst_len_mean, "
+     "burst_len_jitter, inter_burst_gap_mean, phase_correlation, shared_target_ids, "
+     "critical_stream_pairs, horizon, seed"),
+], ids=["no-equals", "bad-value", "missing-keys"])
 def test_malformed_config_line_exits_one(tmp_path, capsys, text, message):
+    """A line fault is named ``<path>:<line>:``, a whole-file one ``<path>:``."""
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(text)
     out = tmp_path / "o"
     assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}{message}\n"
     assert not out.exists()
 
 
@@ -548,6 +557,24 @@ def test_node_limit_bounds_the_whole_solve(tmp_path):
     cut = design_mat2like(tmp_path / "cut", node_limit=limit)
     assert isinstance(cut.error, SolverLimitReached)
     assert "status = limit" in (tmp_path / "cut" / "manifest.txt").read_text()
+
+
+def test_a_solver_limit_bounds_each_sweep_point(tmp_path):
+    """A limit bounds the solve of each sweep point, not the sweep: a sweep
+    of P points may take P times it.  Each point here fits the node limit
+    alone, and the two together do not."""
+    nodes = {}
+    for ws in (1000, 2000):
+        alone = design(RunConfig(benchmark_preset("mat2like"), AnalysisParams(ws, 0.3),
+                                 out_dir=tmp_path / f"alone_{ws}"))
+        nodes[ws] = probe_nodes(alone.instance) + alone.report.nodes_explored
+    limit = max(nodes.values())
+    assert limit < sum(nodes.values())
+    path = cli.sweep_window(mat2like_run(tmp_path / "o", limit), [*nodes])
+    assert [r[4] for r in read_csv(path)[1:]] == ["ok", "ok"]
+    # one node fewer cuts the larger point only
+    path = cli.sweep_window(mat2like_run(tmp_path / "cut", limit - 1), [*nodes])
+    assert [r[4] == "ok" for r in read_csv(path)[1:]] == [n < limit for n in nodes.values()]
 
 
 def test_limit_after_feasible_probe_writes_witness(tmp_path):
@@ -885,16 +912,6 @@ def test_sweep_replays_each_config_once(tmp_path, monkeypatch, argv, subdir, fla
                 == (alone / "comparison.csv").read_bytes())
 
 
-def test_sweep_point_failures_repeat_per_point(tmp_path):
-    out = tmp_path / "o"
-    bad = tmp_path / "bad.csv"
-    bad.write_text("#xbar-trace v1,initiators=1,targets=1\n0,0,1,1,req,0\n")
-    assert main(["sweep-threshold", "--trace", str(bad), "--out-dir", str(out),
-                 "--theta-list", "0.1,0.2"]) == 0
-    rows = read_csv(out / "sweep_threshold.csv")
-    assert [r[3] for r in rows[1:]] == [f"error: {bad}:2: non-positive duration 0"] * 2
-
-
 @pytest.mark.parametrize("command, extra, message", [
     ("sweep-window", ["--ws-list", "500,0"], "window size must be >= 1 cycle"),
     ("sweep-threshold", ["--theta-list", "0.2,0.9"], (
@@ -967,18 +984,77 @@ def test_default_window_list_is_exact_past_2_53(tmp_path):
     assert [r[0] for r in rows[1:3]] == ["2251799813685248", "4503599627370497"]
 
 
-@pytest.mark.parametrize("command, points, name", [
-    ("sweep-window", ["--ws-list", "500,1000"], "sweep_window.csv"),
-    ("sweep-threshold", ["--theta-list", "0.1,0.2"], "sweep_threshold.csv"),
+ONE_TO_ONE = "#xbar-trace v1,initiators=1,targets=1\n"
+MISSING = "[Errno 2] No such file or directory: '{path}'"
+# source option, case: (file text, None for no file; the fault, given the path)
+BAD_INPUTS = {
+    ("--trace", "missing"): (None, MISSING),
+    ("--trace", "bad-header"): (
+        "#xbar-trace v2\n",
+        "{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"),
+    ("--trace", "malformed-row"): (ONE_TO_ONE + "0,5,1,1,req\n",
+                                   "{path}:2: expected 6 fields, got 5"),
+    ("--trace", "range-row"): (ONE_TO_ONE + "0,0,1,1,req,0\n",
+                               "{path}:2: non-positive duration 0"),
+    ("--trace", "huge-count"): (
+        "#xbar-trace v1,initiators=2,targets=99999999999999999999\n0,5,1,1,req,0\n",
+        "{path}:1: core counts must be at most 1024, got 2 initiators and "
+        "99999999999999999999 targets"),
+    ("--config", "missing"): (None, MISSING),
+    ("--config", "bad-line"): ("seed = 3\nbogus\n",
+                               "{path}:2: expected key = value, got 'bogus'"),
+    ("--config", "huge-count"): (
+        spec_to_text(tiny_spec()).replace("num_targets = 3",
+                                          "num_targets = 99999999999999999999"),
+        "{path}: num_initiators and num_targets must be at most 1024"),
+}
+TRACE_COMMANDS = ("analyze", "design", "simulate", "sweep-window", "sweep-threshold",
+                  "compare-bindings", "export-lp")
+
+
+@pytest.mark.parametrize("command, option, case", [
+    pytest.param(command, option, case, id=f"{command}-{option[2:]}-{case}")
+    for command in ("gen",) + TRACE_COMMANDS
+    for option, case in BAD_INPUTS
+    if command != "gen" or option == "--config"
 ])
-def test_sweep_on_a_missing_trace_writes_error_rows(tmp_path, command, points, name):
-    """A missing file fails each point's load like a malformed one does."""
+def test_bad_input_fails_every_subcommand_one_way(tmp_path, capsys, command, option, case):
+    """A missing or malformed input file fails every subcommand that reads
+    one, the sweeps included, as it fails design: exit 1, one error line
+    naming the file, and nothing written."""
+    text, fault = BAD_INPUTS[option, case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
     out = tmp_path / "o"
-    missing = tmp_path / "nope.csv"
-    assert main([command, "--trace", str(missing), "--out-dir", str(out)] + points) == 0
-    rows = read_csv(out / name)
-    assert [r[-1] for r in rows[1:]] == [
-        f"error: [Errno 2] No such file or directory: '{missing}'"] * 2
+    assert main([command, option, str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {fault.format(path=path)}\n")
+    assert not out.exists()
+
+
+COUNTS = st.one_of(st.integers(0, 3), st.just(99999999999999999999))
+ROWS = st.lists(st.tuples(st.integers(-1, 40), st.integers(0, 20), st.integers(0, 3),
+                          st.integers(0, 3), st.sampled_from(["req", "resp", "both"]),
+                          st.sampled_from(["0", "1", "2"])), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(TRACE_COMMANDS), counts=st.tuples(COUNTS, COUNTS), rows=ROWS,
+       direction=st.sampled_from(["req", "resp"]))
+@example(command="simulate", counts=(2, 99999999999999999999), rows=[(0, 5, 1, 1, "req", "0")],
+         direction="req")
+def test_main_never_raises_on_a_trace_file(command, counts, rows, direction):
+    """Whatever a trace file declares and holds, main returns an exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(f"#xbar-trace v1,initiators={counts[0]},targets={counts[1]}\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        argv = [command, "--trace", str(path), "--direction", direction,
+                "--out-dir", str(Path(tmp) / "o")]
+        if command != "simulate":  # the one that takes no window size
+            argv += ["--window-size", "10"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
 
 
 def loose_pair_trace():

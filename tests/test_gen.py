@@ -13,6 +13,7 @@ from xbarsynth.gen import (
     _cut_packets,
     benchmark_preset,
     generate,
+    load_spec,
     spec_from_text,
     spec_to_text,
 )
@@ -215,7 +216,8 @@ def test_generated_trace_fits_horizon():
     dict(phase_correlation=1.5), dict(horizon=0), dict(intra_duty=0.0),
     dict(intra_duty=1.2), dict(run_jitter=-0.1), dict(packet_len=-1),
     dict(run_jitter=2.0), dict(shared_target_ids=(9,)),
-    dict(critical_stream_pairs=((3, 1),)),
+    dict(critical_stream_pairs=((3, 1),)), dict(num_initiators=1025),
+    dict(num_targets=99999999999999999999),  # above a trace's core bound
 ])
 def test_spec_validation(kw):
     with pytest.raises(GenError):
@@ -290,6 +292,28 @@ def test_spec_text_missing_required_key():
     stripped = "\n".join(l for l in text.splitlines() if not l.startswith("horizon"))
     with pytest.raises(GenError, match="horizon"):
         spec_from_text(stripped)
+
+
+@pytest.mark.parametrize("edit, text_fault, file_fault", [
+    (lambda t: t + "bogus\n", "line 14: expected key = value, got 'bogus'",
+     ":14: expected key = value, got 'bogus'"),
+    (lambda t: t.replace("horizon = 1000\n", ""), "missing required keys: horizon",
+     ": missing required keys: horizon"),
+    (lambda t: t.replace("horizon = 1000", "horizon = 0"), "horizon must be positive",
+     ": horizon must be positive"),
+], ids=["line", "missing-key", "range"])
+def test_config_faults_name_the_file(tmp_path, edit, text_fault, file_fault):
+    """load_spec prefixes a fault with its file, as a trace fault is:
+    ``<path>:<line>:`` for a line, ``<path>:`` for the whole spec."""
+    text = edit(spec_to_text(plain_spec()))
+    with pytest.raises(GenError) as err:
+        spec_from_text(text)
+    assert str(err.value) == text_fault
+    path = tmp_path / "spec.cfg"
+    path.write_text(text)
+    with pytest.raises(GenError) as err:
+        load_spec(path)
+    assert str(err.value) == f"{path}{file_fault}"
 
 
 def test_spec_text_unknown_key():

@@ -123,6 +123,35 @@ def test_zero_core_count_header_rejected_at_line_1(tmp_path, counts, body):
         assert str(err.value) == f"{path}:1: core counts must be positive"
 
 
+@pytest.mark.parametrize("counts, declared", [
+    ("initiators=1025,targets=3", "1025 initiators and 3 targets"),
+    ("initiators=2,targets=99999999999999999999", "2 initiators and 99999999999999999999 targets"),
+], ids=["initiators", "huge-targets"])
+def test_core_counts_above_the_maximum_rejected_at_line_1(tmp_path, counts, declared):
+    """One bound for both sides, since a response trace swaps them."""
+    path = write(tmp_path, f"#xbar-trace v1,{counts}\n0,5,1,1,req,0\n")
+    for direction in (REQUEST, RESPONSE):
+        with pytest.raises(TraceError) as err:
+            load_trace(path, direction)
+        assert str(err.value) == f"{path}:1: core counts must be at most 1024, got {declared}"
+
+
+def test_a_count_past_the_int_digit_limit_names_line_1(tmp_path):
+    # Python refuses int() of over 4300 digits with a ValueError of its own
+    path = write(tmp_path, "#xbar-trace v1,initiators=1,targets=" + "9" * 5000 + "\n")
+    with pytest.raises(TraceError, match=f"^{re.escape(str(path))}:1: "):
+        load_trace(path)
+
+
+def test_core_counts_bound_the_constructor():
+    assert trace_module.MAX_CORES == 1024
+    for counts in [(1, 2**63), (1025, 1)]:
+        with pytest.raises(TraceError, match="^core counts must be at most 1024, got "):
+            Trace(*counts, [0], [5], [1], [1])
+    tr = Trace(1024, 1024, [0], [5], [1024], [1024])
+    assert (tr.num_initiators, tr.num_targets) == (1024, 1024)
+
+
 @pytest.mark.parametrize("rows", [
     ["9223372036854775800,100,1,1,req,0"],
     ["0,4611686018427387905,1,1,req,0", "0,4611686018427387905,2,1,req,0"],
