@@ -23,6 +23,10 @@ import numpy as np
 
 from .trace import Trace, group_rows
 
+# The most target-windows (T x windows) a profile holds: 32 MiB of int64 busy
+# counts, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
+MAX_PROFILE_CELLS = 1 << 22
+
 
 def _check_window_size(window_size: int) -> None:
     """A window size is an integer from 1 to 2**63 - 1 cycles: no trace
@@ -219,10 +223,15 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     Row i of the overlap counts is summed per window over the segments on
     which target i+1 is busy (``_row_overlaps``), reduced to ``om`` and
     ``peak`` and dropped, so no T x T x windows tensor is ever held.
+    More than ``MAX_PROFILE_CELLS`` targets x windows is a ``ValueError``,
+    raised before anything is allocated.
     """
     _check_window_size(window_size)
-    n = trace.num_targets
-    comm = np.zeros((n, -(-trace.horizon // window_size)), dtype=np.int64)
+    n, windows = trace.num_targets, -(-trace.horizon // window_size)
+    if n * windows > MAX_PROFILE_CELLS:
+        raise ValueError(f"a profile of {n} targets x {windows} windows exceeds "
+                         f"{MAX_PROFILE_CELLS} target-windows; use a larger window size")
+    comm = np.zeros((n, windows), dtype=np.int64)
     om = np.zeros((n, n), dtype=np.int64)
     peak = np.zeros((n, n), dtype=np.int64)
     crit = np.zeros((n, n), dtype=bool)

@@ -55,6 +55,7 @@ from .solver import (
     binding_fits,
     build_instance,
     check_bus_count,
+    check_target_count,
     min_config,
     optimal_binding,
     validate_binding,
@@ -84,10 +85,15 @@ class RunConfig:
     buses_override: int | None = None
     source_label: str = ""
 
-    def resolve_trace(self) -> Trace:
+    def resolve_trace(self, solve: bool = False) -> Trace:
+        """The run's trace; ``solve`` refuses more targets than the solver takes."""
         if isinstance(self.source, GenSpec):
-            return generate(self.source)
-        return load_trace(self.source, direction=self.direction)
+            trace = generate(self.source)
+        else:
+            trace = load_trace(self.source, direction=self.direction)
+        if solve:
+            check_target_count(trace.num_targets)
+        return trace
 
 
 @dataclass
@@ -151,7 +157,7 @@ def _manifest_params(run: RunConfig) -> list[tuple[str, object]]:
     ]
 
 
-def _analysis(run: RunConfig, prof: WindowProfile | None = None
+def _analysis(run: RunConfig, prof: WindowProfile | None = None, solve: bool = True
               ) -> tuple[WindowProfile, np.ndarray, np.ndarray]:
     """Profile, overlap matrix and conflict matrix of a run.
 
@@ -160,13 +166,13 @@ def _analysis(run: RunConfig, prof: WindowProfile | None = None
     trace (``prof.trace``).
     """
     if prof is None:
-        prof = profile(run.resolve_trace(), run.params.window_size)
+        prof = profile(run.resolve_trace(solve), run.params.window_size)
     return prof, aggregate_overlap(prof), preprocess(prof, run.params)
 
 
 def analyze(run: RunConfig) -> dict[str, Path]:
     """Write comm, overlap, and conflict matrices for inspection."""
-    prof, om, conflict = _analysis(run)
+    prof, om, conflict = _analysis(run, solve=False)
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {
@@ -200,8 +206,9 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
     prof, om, conflict = _analysis(run, prof)
     trace = prof.trace
     inst = build_instance(prof, om, conflict, run.params)
-    if run.buses_override is not None:  # a usage error, raised before any artifact
-        check_bus_count(run.buses_override, inst.num_targets)
+    buses, witness = run.buses_override, None
+    if buses is not None:  # a usage error, raised before any artifact
+        check_bus_count(buses, inst.num_targets)
 
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -211,14 +218,11 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
     error: InfeasibleError | SolverLimitReached | None = None
     report: SolveReport | None = None
     replays: dict[str, SimReport] = {}
-    probes: list[tuple[int, bool]] = []
-    budget = SearchBudget(run.limits)  # one budget bounds the whole solve
+    budget = SearchBudget(run.limits)  # one budget bounds and records the whole solve
     try:
-        if run.buses_override is not None:
-            report = optimal_binding(inst, run.buses_override, budget)
-        else:
-            buses, probes, witness = min_config(inst, budget)
-            report = optimal_binding(inst, buses, budget, witness)
+        if buses is None:
+            buses, _, witness = min_config(inst, budget)
+        report = optimal_binding(inst, buses, budget, witness)
     except InfeasibleError as exc:
         # kept without its traceback, which would tie this frame, the
         # profile included, into a reference cycle
@@ -228,7 +232,6 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
     inst.release_packed()  # nothing below searches: free it before the simulations
 
     if report is not None:
-        report.feasibility_probes = probes + report.feasibility_probes
         violations = validate_binding(inst, report.config)
         if violations:
             raise RuntimeError(
@@ -287,7 +290,7 @@ def _sweep(run: RunConfig, points: list[tuple[object, AnalysisParams]], subdir: 
         if label in seen:
             raise ValueError(f"sweep point {label} is listed twice")
         seen.add(label)
-    trace = run.resolve_trace()
+    trace = run.resolve_trace(solve=True)
     rows, prof, replayed = [], None, {}
     for label, params in points:
         if prof is None or prof.window_size != params.window_size:
@@ -578,9 +581,8 @@ def _cmd_compare_bindings(run: RunConfig, args) -> None:
 def _cmd_export_lp(run: RunConfig, args) -> None:
     prof, om, conflict = _analysis(run)
     inst = build_instance(prof, om, conflict, run.params)
-    if run.buses_override is not None:
-        buses = run.buses_override
-    else:
+    buses = run.buses_override
+    if buses is None:
         buses, _, _ = min_config(inst, SearchBudget(run.limits))
     text = export_milp(inst, buses)
     run.out_dir.mkdir(parents=True, exist_ok=True)

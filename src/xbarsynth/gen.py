@@ -37,6 +37,10 @@ from .trace import MAX_CORES, Trace
 
 PRESET_NAMES = ("mat2like", "uniform", "hotspot")
 
+# The most rows a spec may emit, by the bound GenSpec computes; it bounds the
+# generator's time and memory.  The 100x uniform spec (520 k rows) bounds at 1.28 M.
+MAX_GEN_ROWS = 1 << 21
+
 # Shared-target accesses are sized so every shared target carries at most
 # a twentieth of a private target's busy mass, half the documented 10% cap.
 _SHARED_MASS_DIVISOR = 20
@@ -107,6 +111,14 @@ class GenSpec:
         for init, tgt in self.critical_stream_pairs:
             if not 1 <= init <= self.num_initiators or not 1 <= tgt <= self.num_targets:
                 raise GenError(f"critical stream ({init}, {tgt}) out of range")
+        # generate() emits one row per packet of each burst, whose span is at
+        # most 2 * burst_len_mean cycles, and at most one shared access per burst
+        packets = -(-2 * self.burst_len_mean // self.packet_len) if self.packet_len else 1
+        bursts = self.num_initiators * (self.horizon // self.slot_period + 1)
+        rows = bursts * (packets + bool(self.shared_target_ids))
+        if rows > MAX_GEN_ROWS:
+            raise GenError(f"spec may emit {rows} trace rows, more than {MAX_GEN_ROWS}: "
+                           "shorten the horizon or lengthen packet_len")
 
     @property
     def slot_period(self) -> int:

@@ -29,9 +29,9 @@ fit); :func:`optimal_binding`'s seed search and branch-and-bound branch in
 decreasing busy-cycle order.  The order moves a probe's node count and
 witness, never its answer.
 
-One :class:`SearchBudget` bounds every search of a run: pass the same
-budget to :func:`min_config` and :func:`optimal_binding` and the node and
-time limits cover the whole solve, probes and tie-break included.
+One :class:`SearchBudget` bounds and records a solve: pass one budget to
+:func:`min_config` and :func:`optimal_binding` and its limits, its probes
+and every report's wall time cover the whole solve, tie-break included.
 
 Bus loads inside the search are bit-packed (SWAR): each bus's loads over
 the W windows form one Python int with one ``f``-bit field per window,
@@ -88,7 +88,7 @@ import math
 import numbers
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -183,10 +183,7 @@ class ProblemInstance:
         t = self.comm.shape[0]
         if t < 1:
             raise InstanceError("instance needs at least one target")
-        if t > MAX_SOLVER_TARGETS:
-            raise InstanceError(
-                f"{t} targets exceeds the largest supported crossbar ({MAX_SOLVER_TARGETS})"
-            )
+        check_target_count(t)
         if self.om.shape != (t, t) or self.conflict.shape != (t, t):
             raise InstanceError("om/conflict dimensions do not match comm")
         if not np.array_equal(self.om, self.om.T):
@@ -214,6 +211,13 @@ class ProblemInstance:
     def release_packed(self) -> None:
         """Free the cached packed form; the next search that needs it rebuilds it."""
         self.__dict__.pop("_packed", None)
+
+
+def check_target_count(num_targets: int) -> None:
+    """Raise :class:`InstanceError` when ``num_targets`` exceeds ``MAX_SOLVER_TARGETS``."""
+    if num_targets > MAX_SOLVER_TARGETS:
+        raise InstanceError(f"{num_targets} targets exceeds the largest supported "
+                            f"crossbar ({MAX_SOLVER_TARGETS})")
 
 
 def check_bus_count(num_buses: int, num_targets: int) -> None:
@@ -325,7 +329,7 @@ def validate_binding(inst: ProblemInstance, config: CrossbarConfig) -> list[str]
     return violations
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Result of the two-phase solve, including search bookkeeping.
 
@@ -335,10 +339,10 @@ class SolveReport:
 
     config: CrossbarConfig
     maxov: int
-    feasibility_probes: list[tuple[int, bool]] = field(default_factory=list)
-    nodes_explored: int = 0
-    wall_time_s: float = 0.0
-    optimal: bool = True
+    feasibility_probes: tuple[tuple[int, bool], ...]
+    nodes_explored: int
+    wall_time_s: float
+    optimal: bool
 
     def to_dict(self) -> dict:
         return {
@@ -353,21 +357,21 @@ class SolveReport:
 
 
 class SearchBudget:
-    """Node/time accounting shared by every search of one run.
+    """Node/time accounting and :func:`min_config`'s probes for one solve.
 
-    The deadline starts when the budget is created.  The solver functions
-    take an optional budget: pass one budget to several calls to bound them
-    together; None gives the call an unlimited budget of its own.
+    The deadline and every report's wall time run from ``start``, when the
+    budget is created.  Pass one budget to several solver calls to bound and
+    record them together; None gives a call an unlimited budget of its own.
     """
 
     def __init__(self, limits: SolverLimits | None = None):
         limits = limits or SolverLimits()
         self.nodes = 0
         self.node_limit = limits.node_limit
-        self.deadline = (
-            time.monotonic() + limits.time_limit_s
-            if limits.time_limit_s is not None else None
-        )
+        self.start = time.monotonic()
+        limit = limits.time_limit_s
+        self.deadline = None if limit is None else self.start + limit
+        self.probes: list[tuple[int, bool]] = []
 
     def next_check(self, nodes: int) -> int:
         """First tick count after ``nodes`` at which a limit can trip: one
@@ -390,6 +394,15 @@ class SearchBudget:
             if time.monotonic() >= self.deadline:
                 raise SolverLimitReached("time limit exhausted")
         return self.next_check(nodes)
+
+
+def _report(budget: SearchBudget, num_buses: int, binding: Sequence[int], maxov: int,
+            optimal: bool, start_nodes: int) -> SolveReport:
+    """The report of ``binding`` onto ``num_buses`` buses, canonicalized: the
+    probes, time and nodes since ``start_nodes`` are ``budget``'s."""
+    return SolveReport(CrossbarConfig(num_buses, canonical_binding(binding)), maxov,
+                       tuple(budget.probes), budget.nodes - start_nodes,
+                       time.monotonic() - budget.start, optimal)
 
 
 def _busy_order(inst: ProblemInstance) -> tuple[int, ...]:
@@ -678,19 +691,18 @@ def min_config(
     witness found, with the probes so far, as an ``optimal=False``
     incumbent.
     """
-    t0 = time.monotonic()
     _check_single_target_fit(inst)
     budget = budget or SearchBudget()
+    first = len(budget.probes)
     lo = lower_bound(inst)
     hi = inst.num_targets
     assert lo <= hi, "lower bound cannot exceed target count once comm <= WS"
-    probes: list[tuple[int, bool]] = []
     witness: CrossbarConfig | None = None
     try:
         while lo < hi:
             mid = (lo + hi) // 2
             feasible, config = check_feasible(inst, mid, budget)
-            probes.append((mid, feasible))
+            budget.probes.append((mid, feasible))
             if feasible:
                 hi, witness = mid, config
             else:
@@ -698,18 +710,13 @@ def min_config(
     except SolverLimitReached as exc:
         incumbent = None
         if witness is not None:
-            incumbent = SolveReport(
-                config=witness,
-                maxov=binding_maxov(inst.om, witness),
-                feasibility_probes=probes,
-                wall_time_s=time.monotonic() - t0,
-                optimal=False,
-            )
+            incumbent = _report(budget, witness.num_buses, witness.binding,
+                                binding_maxov(inst.om, witness), False, budget.nodes)
         raise SolverLimitReached(
             f"bus-count search stopped with proven bounds [{lo}, {hi}]: {exc}",
             incumbent=incumbent,
         ) from None
-    return lo, probes, witness
+    return lo, budget.probes[first:], witness
 
 
 def optimal_binding(
@@ -729,20 +736,9 @@ def optimal_binding(
     best binding so far, ``optimal=False``, in the branch-and-bound; the
     proven optimum, ``optimal=True`` but not canonical, in the tie-break.
     """
-    t0 = time.monotonic()
     check_bus_count(num_buses, inst.num_targets)
     budget = budget or SearchBudget()
     start_nodes = budget.nodes
-
-    def report(binding: list[int] | tuple[int, ...], maxov: int, optimal: bool) -> SolveReport:
-        return SolveReport(
-            config=CrossbarConfig(num_buses, canonical_binding(binding)),
-            maxov=maxov,
-            nodes_explored=budget.nodes - start_nodes,
-            wall_time_s=time.monotonic() - t0,
-            optimal=optimal,
-        )
-
     order = _busy_order(inst)
     seed, _, cut = _search(inst, num_buses, order, math.inf, True, budget)
     if cut is not None:
@@ -752,7 +748,8 @@ def optimal_binding(
             raise SolverLimitReached(message)
         raise SolverLimitReached(
             message + "; the bus-count search's witness is returned",
-            incumbent=report(witness.binding, binding_maxov(inst.om, witness), False),
+            incumbent=_report(budget, num_buses, witness.binding,
+                              binding_maxov(inst.om, witness), False, start_nodes),
         )
     if seed is None:
         raise InfeasibleError(f"no feasible binding exists on {num_buses} buses")
@@ -762,7 +759,7 @@ def optimal_binding(
     if cut is not None:
         raise SolverLimitReached(
             "solver limit hit; incumbent binding returned, optimality unproven",
-            incumbent=report(best, best_cost, False),
+            incumbent=_report(budget, num_buses, best, best_cost, False, start_nodes),
         )
     # the first binding in target-id order within the proven optimum is
     # the lexicographically smallest canonical one
@@ -772,7 +769,7 @@ def optimal_binding(
         raise SolverLimitReached(
             "solver limit hit in the tie-break; maxov is proven optimal "
             "but the binding is not the canonical one",
-            incumbent=report(best, best_cost, True),
+            incumbent=_report(budget, num_buses, best, best_cost, True, start_nodes),
         )
     assert lex_min is not None, "a binding achieving the proven optimum must exist"
-    return report(lex_min, best_cost, True)
+    return _report(budget, num_buses, lex_min, best_cost, True, start_nodes)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xbarsynth.analysis import (
+    MAX_PROFILE_CELLS,
     AnalysisParams,
     aggregate_overlap,
     preprocess,
@@ -168,6 +169,18 @@ def test_windows_tile_a_horizon_past_2_53_exactly():
     # a float ceil(horizon / WS) reads 1 window here, whose comm would exceed WS
     prof = profile(Trace(1, 1, [0], [2**62 + 1], [1], [1]), 2**62)
     assert prof.comm.tolist() == [[2**62, 1]]
+
+
+def test_profile_cells_are_capped_before_anything_is_allocated():
+    # the 100x uniform trace at ws = 250: 20 targets x 48,000 windows
+    assert profile(Trace(1, 20, [0], [12_000_000], [1], [1]), 250).comm.shape == (20, 48_000)
+    # 1024 targets x 4096 windows is the cap exactly; one more window is past it
+    assert 1024 * 4096 == MAX_PROFILE_CELLS
+    assert profile(Trace(1, 1024, [4095], [1], [1], [1]), 1).num_windows == 4096
+    with pytest.raises(ValueError, match=r"^a profile of 1024 targets x 4097 windows exceeds "):
+        profile(Trace(1, 1024, [4096], [1], [1], [1]), 1)
+    with pytest.raises(ValueError, match=r"^a profile of 1 targets x 1000000000000005 windows "):
+        profile(Trace(1, 1, [10**15], [5], [1], [1]), 1)
 
 
 @pytest.mark.parametrize("window_size", [2**63, 10**20])

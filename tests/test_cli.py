@@ -3,18 +3,20 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xbarsynth import cli, sim
-from xbarsynth.analysis import AnalysisParams
+from xbarsynth import cli, sim, solver
+from xbarsynth.analysis import MAX_PROFILE_CELLS, AnalysisParams
 from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
 from xbarsynth.sim import simulate
@@ -514,6 +516,48 @@ def test_cycles_reaching_2_63_exit_one(tmp_path, capsys, command, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "design", "sweep-window", "export-lp"])
+def test_a_profile_past_its_cell_cap_is_refused(tmp_path, capsys, command):
+    # one transaction at cycle 10**15: at ws 1 its profile would span 10**15
+    # windows, 7 PiB of busy counts
+    path = tmp_path / "far.csv"
+    path.write_text("#xbar-trace v1,initiators=1,targets=1\n1000000000000000,5,1,1,req,0\n")
+    out = tmp_path / "o"
+    argv = [command, "--trace", str(path), "--window-size", "1", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: a profile of 1 targets x 1000000000000005 windows exceeds "
+        f"{MAX_PROFILE_CELLS} target-windows; use a larger window size\n")
+    assert not out.exists()
+
+
+WIDE_TRACE = "#xbar-trace v1,initiators=1,targets=33\n0,5,1,1,req,0\n"
+
+
+@pytest.mark.parametrize("command", ["design", "sweep-window", "sweep-threshold",
+                                     "compare-bindings", "export-lp"])
+def test_more_targets_than_the_solver_takes_are_refused_before_profiling(
+        tmp_path, capsys, monkeypatch, command):
+    def profile(*args):
+        raise AssertionError("a trace the solver cannot take was profiled")
+
+    monkeypatch.setattr(cli, "profile", profile)
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_TRACE)
+    out = tmp_path / "o"
+    assert main([command, "--trace", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 33 targets exceeds the largest supported crossbar (32)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_inspection_takes_more_targets_than_the_solver(tmp_path, command):
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_TRACE)
+    assert main([command, "--trace", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("body, lineno, message", [
     (b"0,0,1,1,req,0\n", 2, "non-positive duration 0"),
     (b"0,5,1,1,req,0\n\xff\n", 3,
@@ -648,6 +692,24 @@ def test_cut_tie_break_exits_three(tmp_path):
     assert "status = limit" in manifest
     assert "optimal = True" in manifest
     assert "not the canonical one" in manifest
+
+
+def test_wall_time_covers_the_whole_solve(tmp_path, monkeypatch):
+    # with each bus-count probe slowed by 50 ms, the report's wall time
+    # holds the probes too, not the binding search alone
+    check_feasible = solver.check_feasible
+
+    def slow_check_feasible(*args, **kwargs):
+        time.sleep(0.05)
+        return check_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "check_feasible", slow_check_feasible)
+    outcome = design_mat2like(tmp_path)
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["feasibility_probes"] == [[7, True], [5, True], [4, True], [3, True]]
+    assert report["wall_time_s"] >= 0.05 * 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.report.wall_time_s = 0.0
 
 
 def test_design_on_csv_builds_no_transaction_objects(tmp_path, count_transactions):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xbarsynth.gen import (
+    MAX_GEN_ROWS,
     GenError,
     GenSpec,
     PRESET_NAMES,
@@ -222,6 +223,18 @@ def test_generated_trace_fits_horizon():
 def test_spec_validation(kw):
     with pytest.raises(GenError):
         plain_spec(**kw)
+
+
+def test_spec_bounds_the_rows_it_may_emit():
+    # 1 initiator, bursts of 1 every 2 cycles, one row each: horizon // 2 + 1 rows
+    plain_spec(burst_len_mean=1, inter_burst_gap_mean=1, horizon=2 * MAX_GEN_ROWS - 2)
+    with pytest.raises(GenError, match=f"^spec may emit {MAX_GEN_ROWS + 1} trace rows, "
+                                       f"more than {MAX_GEN_ROWS}: shorten the horizon"):
+        plain_spec(burst_len_mean=1, inter_burst_gap_mean=1, horizon=2 * MAX_GEN_ROWS)
+    # the 100x uniform spec (520 k rows) is accepted; a horizon of 10**12 is not
+    spec = dataclasses.replace(benchmark_preset("uniform"), horizon=12_000_000)
+    with pytest.raises(GenError, match=r"^spec may emit 106666667200 trace rows"):
+        dataclasses.replace(spec, horizon=10**12)
 
 
 def test_negative_seed_rejected():

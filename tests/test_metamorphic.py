@@ -11,21 +11,43 @@ Each relation pairs a tighter problem with a looser one on the same trace:
 Three things hold for every pair: the looser problem's conflict graph is a
 subgraph of the tighter one's (the cap leaves it as it is), the tighter
 problem's optimal binding passes ``validate_binding`` on the looser one,
-and the looser minimum bus count B is no larger.  None needs a reference
-answer, so they check the solver past the exhaustive oracles' reach.
+and the looser minimum bus count B is no larger.
+
+Two more relations hold on one problem:
+
+- relabelling: permuting the target ids of the trace leaves B and the
+  optimal ``maxov`` unchanged, while it changes the search tree, so it
+  checks the pruning, not just the bookkeeping;
+- proof replay: every bus-count probe, re-run under a random target order,
+  gives the same answer; the infeasible probe at B - 1, the proof that B
+  is minimal unless B is the lower bound, is among them.
+
+None needs a reference answer, so they check the solver past the
+exhaustive oracles' reach.
 """
 
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsynth import solver
 from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
-from xbarsynth.solver import build_instance, min_config, optimal_binding, validate_binding
+from xbarsynth.solver import (
+    binding_maxov,
+    build_instance,
+    check_feasible,
+    lower_bound,
+    min_config,
+    optimal_binding,
+    validate_binding,
+)
+from xbarsynth.trace import Trace
 
 from oracles import make_random_trace
 
@@ -33,12 +55,42 @@ SETTINGS = settings(max_examples=40, deadline=None)
 MAT2LIKE_WINDOWS = (250, 500, 1000, 2000, 4000, 8000)
 
 
+def instance(trace, params):
+    prof = profile(trace, params.window_size)
+    return build_instance(prof, prof.om, preprocess(prof, params), params)
+
+
 def solve(trace, params):
     """The instance of ``params`` on ``trace`` and its optimal binding."""
-    prof = profile(trace, params.window_size)
-    inst = build_instance(prof, prof.om, preprocess(prof, params), params)
+    inst = instance(trace, params)
     buses, _, witness = min_config(inst)
     return inst, optimal_binding(inst, buses, witness=witness).config
+
+
+def optimum(solved):
+    """B and the optimal ``maxov`` of a solved ``(instance, binding)``,
+    the ``maxov`` recomputed from the binding."""
+    inst, config = solved
+    return config.num_buses, binding_maxov(inst.om, config)
+
+
+def relabelled(trace, rng):
+    """``trace`` with its target ids permuted at random."""
+    perm = rng.permutation(trace.num_targets) + 1
+    return Trace(trace.num_initiators, trace.num_targets, trace.start, trace.duration,
+                 trace.initiator, perm[trace.target - 1], trace.critical)
+
+
+def replay_probes(inst, rng):
+    """Re-run every probe of ``inst``'s bus-count search with the targets
+    branched on in a random order, and check that the B - 1 probe is there
+    unless B is the lower bound."""
+    buses, probes, _ = min_config(inst)
+    order = tuple(rng.permutation(inst.num_targets).tolist())
+    with mock.patch.object(solver, "_overlap_order", lambda _: order):
+        for num_buses, feasible in probes:
+            assert check_feasible(inst, num_buses)[0] == feasible
+    assert buses == lower_bound(inst) or (buses - 1, False) in probes
 
 
 def check_relation(tight, loose):
@@ -106,3 +158,29 @@ def test_threshold_and_cap_on_mat2like(mat2like, ws):
     capped = [solve(trace, AnalysisParams(ws, 0.3, maxtb)) for maxtb in (2, 3, 4)]
     for tight, loose in itertools.pairwise(capped + [solved[ws]]):
         check_relation(tight, loose)
+
+
+@SETTINGS
+@given(problem=problems(), seed=st.integers(0, 2**32 - 1))
+def test_relabelling(problem, seed):
+    trace, params = problem
+    moved = relabelled(trace, np.random.default_rng(seed))
+    assert optimum(solve(moved, params)) == optimum(solve(trace, params))
+
+
+@SETTINGS
+@given(problem=problems(), seed=st.integers(0, 2**32 - 1))
+def test_proof_replay(problem, seed):
+    trace, params = problem
+    replay_probes(instance(trace, params), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("ws", MAT2LIKE_WINDOWS)
+def test_relabelling_and_proof_replay_on_mat2like(mat2like, ws):
+    # at ws 250 and 500 the B - 1 probe is infeasible; above, B is the lower bound
+    trace, solved = mat2like
+    rng = np.random.default_rng(ws)
+    for _ in range(3):
+        moved = relabelled(trace, rng)
+        assert optimum(solve(moved, AnalysisParams(ws, 0.3))) == optimum(solved[ws])
+        replay_probes(solved[ws][0], rng)
