@@ -184,7 +184,7 @@ def _busy_segments(start: np.ndarray, end: np.ndarray, target: np.ndarray,
     toggle = np.zeros((num_targets, len(cuts)), dtype=bool)
     toggle[owner, at[:len(lo)]] = True
     toggle[owner, at[len(lo):2 * len(lo)]] = True
-    return np.logical_xor.accumulate(toggle, axis=1)[:, :-1], cuts
+    return np.logical_xor.accumulate(toggle, axis=1, out=toggle)[:, :-1], cuts
 
 
 def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):

@@ -206,7 +206,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
     prof, om, conflict = _analysis(run, prof)
     trace = prof.trace
     inst = build_instance(prof, om, conflict, run.params)
-    buses, witness = run.buses_override, None
+    buses = run.buses_override
     if buses is not None:  # a usage error, raised before any artifact
         check_bus_count(buses, inst.num_targets)
 
@@ -221,8 +221,8 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
     budget = SearchBudget(run.limits)  # one budget bounds and records the whole solve
     try:
         if buses is None:
-            buses, _, witness = min_config(inst, budget)
-        report = optimal_binding(inst, buses, budget, witness)
+            buses, _ = min_config(inst, budget)
+        report = optimal_binding(inst, buses, budget)
     except InfeasibleError as exc:
         # kept without its traceback, which would tie this frame, the
         # profile included, into a reference cycle
@@ -583,7 +583,7 @@ def _cmd_export_lp(run: RunConfig, args) -> None:
     inst = build_instance(prof, om, conflict, run.params)
     buses = run.buses_override
     if buses is None:
-        buses, _, _ = min_config(inst, SearchBudget(run.limits))
+        buses, _ = min_config(inst, SearchBudget(run.limits))
     text = export_milp(inst, buses)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "model.lp"

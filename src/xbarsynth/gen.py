@@ -103,6 +103,9 @@ class GenSpec:
             raise GenError("packet_len must be non-negative")
         if not 0.0 <= self.run_jitter <= 1.0:
             raise GenError("run_jitter must lie in [0, 1]")
+        for name in ("burst_len_mean", "inter_burst_gap_mean", "horizon", "packet_len"):
+            if getattr(self, name) >= 1 << 63:  # generate() computes with floats
+                raise GenError(f"{name} must be below 2**63 cycles")
         bad = [t for t in self.shared_target_ids if not 1 <= t <= self.num_targets]
         if bad:
             raise GenError(f"shared_target_ids outside 1..{self.num_targets}: {bad}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import CrossbarConfig, full_crossbar_config, shared_bus_config
+from .solver import CrossbarConfig, canonical_binding, full_crossbar_config, shared_bus_config
 from .trace import Trace, exact_sum, group_rows
 
 
@@ -80,8 +80,9 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     if n and len(set(config.binding[:trace.num_targets])) == 1:
         _complete(start, duration, latency, np.empty_like(start))
     elif n:
-        bus = (np.array((0, *config.binding)) - 1)[trace.target]  # ids are 1-based
-        order, bounds = group_rows(bus, config.num_buses)  # grant order within a bus
+        labels = canonical_binding(config.binding)  # 1..K: no label sizes an array
+        bus = (np.array((0, *labels)) - 1)[trace.target]  # ids are 1-based
+        order, bounds = group_rows(bus, max(labels))  # grant order within a bus
         del bus
         s, d = start[order], duration[order]
         for lo, hi in zip(bounds[:-1], bounds[1:]):

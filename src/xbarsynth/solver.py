@@ -32,6 +32,8 @@ witness, never its answer.
 One :class:`SearchBudget` bounds and records a solve: pass one budget to
 :func:`min_config` and :func:`optimal_binding` and its limits, its probes
 and every report's wall time cover the whole solve, tie-break included.
+Every search leaves each complete binding it finds, with its ``maxov``, on
+the budget as ``best``, the incumbent that every report is built from.
 
 Bus loads inside the search are bit-packed (SWAR): each bus's loads over
 the W windows form one Python int with one ``f``-bit field per window,
@@ -357,11 +359,14 @@ class SolveReport:
 
 
 class SearchBudget:
-    """Node/time accounting and :func:`min_config`'s probes for one solve.
+    """Node/time accounting, :func:`min_config`'s probes and the incumbent
+    of one solve.
 
     The deadline and every report's wall time run from ``start``, when the
-    budget is created.  Pass one budget to several solver calls to bound and
-    record them together; None gives a call an unlimited budget of its own.
+    budget is created.  ``best`` is ``(buses, binding, maxov)`` of the last
+    complete binding any search found (None before the first).  Pass one
+    budget to several solver calls to bound and record them together; None
+    gives a call an unlimited budget of its own.
     """
 
     def __init__(self, limits: SolverLimits | None = None):
@@ -372,6 +377,7 @@ class SearchBudget:
         limit = limits.time_limit_s
         self.deadline = None if limit is None else self.start + limit
         self.probes: list[tuple[int, bool]] = []
+        self.best: tuple[int, list[int], int] | None = None
 
     def next_check(self, nodes: int) -> int:
         """First tick count after ``nodes`` at which a limit can trip: one
@@ -396,13 +402,19 @@ class SearchBudget:
         return self.next_check(nodes)
 
 
-def _report(budget: SearchBudget, num_buses: int, binding: Sequence[int], maxov: int,
-            optimal: bool, start_nodes: int) -> SolveReport:
-    """The report of ``binding`` onto ``num_buses`` buses, canonicalized: the
-    probes, time and nodes since ``start_nodes`` are ``budget``'s."""
+def _report(budget: SearchBudget, optimal: bool, start_nodes: int) -> SolveReport:
+    """The report of ``budget.best``, canonicalized: the probes, time and
+    nodes since ``start_nodes`` are ``budget``'s."""
+    num_buses, binding, maxov = budget.best
     return SolveReport(CrossbarConfig(num_buses, canonical_binding(binding)), maxov,
                        tuple(budget.probes), budget.nodes - start_nodes,
                        time.monotonic() - budget.start, optimal)
+
+
+def _incumbent(budget: SearchBudget, num_buses: int, start_nodes: int) -> SolveReport | None:
+    """An unproven report of ``budget.best``, or None unless it binds onto ``num_buses``."""
+    best = budget.best
+    return _report(budget, False, start_nodes) if best and best[0] == num_buses else None
 
 
 def _busy_order(inst: ProblemInstance) -> tuple[int, ...]:
@@ -507,8 +519,7 @@ def binding_fits(inst: ProblemInstance, binding: tuple[int, ...]) -> bool:
 
 
 def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: float,
-            first_only: bool, budget: SearchBudget,
-            ) -> tuple[list[int] | None, float, SolverLimitReached | None]:
+            first_only: bool, budget: SearchBudget) -> list[int] | None:
     """Depth-first branch-and-bound over canonical bindings onto ``num_buses``.
 
     Targets are placed in ``order``, each on every used bus and then on one
@@ -516,10 +527,12 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     per-bus pairwise overlap sum; a placement is taken only when that cost
     stays below ``bound``.  With ``first_only`` the search stops at the first
     complete binding; otherwise each complete binding tightens ``bound`` to
-    its cost.  Returns ``(binding, bound, cut)``: the last complete binding
-    found (1-based labels by target, None when there was none), the final
-    bound, and the :class:`SolverLimitReached` that cut the search short
-    (None when it finished), without its traceback.
+    its cost.  Each complete binding is written to ``budget.best`` with its
+    cost, which is its ``maxov``: a bus's overlap sum only grows as targets
+    join it.  Returns the last complete binding found (1-based labels by
+    target), or None when there was none; a cut raises
+    :class:`SolverLimitReached`, leaving the best binding so far on the
+    budget.
 
     Each ``(target, bus)`` attempt ticks one node before it is tested.  A
     depth is handed the mask of buses its target may join (see the module
@@ -550,13 +563,13 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
     maxtb = inst.maxtb
     buses = [(p.bias, 0, 0, 0)] * num_buses  # (load, overlap, acc, count) per bus
     binding = [0] * inst.num_targets
-    best = None
+    prior = budget.best  # replaced by the first complete binding found
     nodes = budget.nodes
     next_check = budget.next_check(nodes)
     last = len(order) - 1
 
     def descend(depth: int, cost: int, used: int, blocked: int, free: int) -> bool:
-        nonlocal nodes, next_check, bound, best
+        nonlocal nodes, next_check, bound
         t, row, shift, om_row, neighbours, next_field = steps[depth]
         prev = -1
         while free:
@@ -578,7 +591,7 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
                 continue
             if depth == last:
                 binding[t] = k + 1
-                best = binding.copy()
+                budget.best = (num_buses, binding.copy(), c)
                 if first_only:
                     return True
                 bound = c
@@ -601,16 +614,13 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
             next_check = budget.check(next_check)
         return False
 
-    cut = None
     try:
         if bound > 0:
             descend(0, 0, 0, 0, reach[0])
-        budget.nodes = nodes
-    except SolverLimitReached as exc:
-        cut = exc.with_traceback(None)
     finally:
         del descend  # the closure holds itself through its cell
-    return best, bound, cut
+    budget.nodes = nodes
+    return None if budget.best is prior else budget.best[1]
 
 
 def check_feasible(
@@ -623,13 +633,8 @@ def check_feasible(
     Returns the decision and, when feasible, a canonicalized witness.
     """
     check_bus_count(num_buses, inst.num_targets)
-    binding, _, cut = _search(inst, num_buses, _overlap_order(inst), math.inf, True,
-                              budget or SearchBudget())
-    if cut is not None:
-        try:
-            raise cut
-        finally:
-            del cut  # its traceback holds this frame
+    binding = _search(inst, num_buses, _overlap_order(inst), math.inf, True,
+                      budget or SearchBudget())
     if binding is None:
         return False, None
     return True, CrossbarConfig(num_buses, canonical_binding(binding))
@@ -677,18 +682,18 @@ def lower_bound(inst: ProblemInstance) -> int:
 def min_config(
     inst: ProblemInstance,
     budget: SearchBudget | None = None,
-) -> tuple[int, list[tuple[int, bool]], CrossbarConfig | None]:
+) -> tuple[int, list[tuple[int, bool]]]:
     """Binary-search the minimum feasible bus count.
 
-    Returns ``(buses, probes, witness)``: the minimum, the ``(bus count,
-    feasible)`` probes in order, and the canonical binding that proved
-    ``buses`` feasible (None when no probe did; ``buses`` is then the
-    target count).  Valid because feasibility is monotone in the bus
-    count.  Raises :class:`BandwidthInfeasibleError` when some target
-    alone overflows a window (infeasible even with one bus per target).
-    A budget cut raises :class:`SolverLimitReached` whose message states
-    the proven bounds; after a feasible probe it carries the smallest
-    witness found, with the probes so far, as an ``optimal=False``
+    Returns ``(buses, probes)``: the minimum and the ``(bus count,
+    feasible)`` probes in order.  The last feasible probe's witness is
+    left on ``budget.best`` (none when no probe was feasible; ``buses``
+    is then the target count).  Valid because feasibility is monotone in
+    the bus count.  Raises :class:`BandwidthInfeasibleError` when some
+    target alone overflows a window (infeasible even with one bus per
+    target).  A budget cut raises :class:`SolverLimitReached` whose
+    message states the proven bounds; after a feasible probe it carries
+    that witness, with the probes so far, as an ``optimal=False``
     incumbent.
     """
     _check_single_target_fit(inst)
@@ -697,33 +702,28 @@ def min_config(
     lo = lower_bound(inst)
     hi = inst.num_targets
     assert lo <= hi, "lower bound cannot exceed target count once comm <= WS"
-    witness: CrossbarConfig | None = None
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            feasible, config = check_feasible(inst, mid, budget)
+            feasible = check_feasible(inst, mid, budget)[0]
             budget.probes.append((mid, feasible))
             if feasible:
-                hi, witness = mid, config
+                hi = mid
             else:
                 lo = mid + 1
     except SolverLimitReached as exc:
-        incumbent = None
-        if witness is not None:
-            incumbent = _report(budget, witness.num_buses, witness.binding,
-                                binding_maxov(inst.om, witness), False, budget.nodes)
+        exc.with_traceback(None)  # the context of the cut below: its frames would cycle
         raise SolverLimitReached(
             f"bus-count search stopped with proven bounds [{lo}, {hi}]: {exc}",
-            incumbent=incumbent,
+            incumbent=_incumbent(budget, hi, budget.nodes),
         ) from None
-    return lo, budget.probes[first:], witness
+    return lo, budget.probes[first:]
 
 
 def optimal_binding(
     inst: ProblemInstance,
     num_buses: int,
     budget: SearchBudget | None = None,
-    witness: CrossbarConfig | None = None,
 ) -> SolveReport:
     """Find the binding minimizing the worst per-bus overlap sum.
 
@@ -731,45 +731,42 @@ def optimal_binding(
     optimal bindings resolve to the lexicographically smallest canonical
     binding.  ``nodes_explored`` counts this call's nodes only, also when
     the budget is shared.  A cut raises :class:`SolverLimitReached` whose
-    incumbent is, by phase: ``witness`` (a known binding onto ``num_buses``
-    buses, such as :func:`min_config`'s) or None in the seed search; the
-    best binding so far, ``optimal=False``, in the branch-and-bound; the
-    proven optimum, ``optimal=True`` but not canonical, in the tie-break.
+    incumbent is, by phase: in the seed search, ``budget.best`` when it
+    binds onto ``num_buses`` buses (the last feasible probe of a
+    :func:`min_config` on the same budget), else None; the best binding
+    so far, ``optimal=False``, in the branch-and-bound; the proven
+    optimum, ``optimal=True`` but not canonical, in the tie-break.
     """
     check_bus_count(num_buses, inst.num_targets)
     budget = budget or SearchBudget()
     start_nodes = budget.nodes
     order = _busy_order(inst)
-    seed, _, cut = _search(inst, num_buses, order, math.inf, True, budget)
-    if cut is not None:
-        message = (f"binding search on {num_buses} buses stopped before any "
-                   f"incumbent was found: {cut}")
-        if witness is None:
-            raise SolverLimitReached(message)
+    proven = None  # None in the seed search, then whether maxov is proven optimal
+    try:
+        if _search(inst, num_buses, order, math.inf, True, budget) is None:
+            raise InfeasibleError(f"no feasible binding exists on {num_buses} buses")
+        proven = False
+        _search(inst, num_buses, order, budget.best[2], False, budget)
+        proven = True
+        # the first binding in target-id order within the proven optimum is
+        # the lexicographically smallest canonical one
+        lex_min = _search(inst, num_buses, list(range(inst.num_targets)),
+                          budget.best[2] + 1, True, budget)
+    except SolverLimitReached as exc:
+        exc.with_traceback(None)  # the context of the cut below: its frames would cycle
+        if proven is None:
+            witness = _incumbent(budget, num_buses, start_nodes)
+            raise SolverLimitReached(
+                f"binding search on {num_buses} buses stopped before any incumbent "
+                f"was found: {exc}"
+                + ("; the bus-count search's witness is returned" if witness else ""),
+                incumbent=witness,
+            ) from None
         raise SolverLimitReached(
-            message + "; the bus-count search's witness is returned",
-            incumbent=_report(budget, num_buses, witness.binding,
-                              binding_maxov(inst.om, witness), False, start_nodes),
-        )
-    if seed is None:
-        raise InfeasibleError(f"no feasible binding exists on {num_buses} buses")
-    seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
-    improved, best_cost, cut = _search(inst, num_buses, order, seed_cost, False, budget)
-    best = improved or seed
-    if cut is not None:
-        raise SolverLimitReached(
+            "solver limit hit in the tie-break; maxov is proven optimal but the "
+            "binding is not the canonical one" if proven else
             "solver limit hit; incumbent binding returned, optimality unproven",
-            incumbent=_report(budget, num_buses, best, best_cost, False, start_nodes),
-        )
-    # the first binding in target-id order within the proven optimum is
-    # the lexicographically smallest canonical one
-    lex_min, _, cut = _search(inst, num_buses, list(range(inst.num_targets)),
-                              best_cost + 1, True, budget)
-    if cut is not None:
-        raise SolverLimitReached(
-            "solver limit hit in the tie-break; maxov is proven optimal "
-            "but the binding is not the canonical one",
-            incumbent=_report(budget, num_buses, best, best_cost, True, start_nodes),
-        )
+            incumbent=_report(budget, proven, start_nodes),
+        ) from None
     assert lex_min is not None, "a binding achieving the proven optimum must exist"
-    return _report(budget, num_buses, lex_min, best_cost, True, start_nodes)
+    return _report(budget, True, start_nodes)

@@ -435,6 +435,7 @@ def reference_feasible(inst: ProblemInstance, num_buses: int, order: list[int],
 
     def descend(depth: int) -> bool:
         if depth == len(order):
+            budget.best = (num_buses, binding.copy(), max(state.overlap))
             return True
         t = order[depth]
         limit = min(state.used + 1, num_buses)
@@ -457,8 +458,7 @@ def reference_improve(inst: ProblemInstance, num_buses: int, order: list[int],
                       best_cost: int, budget: SearchBudget):
     """Branch-and-bound for bindings cheaper than ``best_cost``.
 
-    Returns ``(binding, cost, cut)``: the cheapest binding found (None if
-    none beat ``best_cost``), its cost, and the limit that cut the search.
+    Returns the cheapest binding found, None if none beat ``best_cost``.
     """
     state = _AssignState(inst, num_buses)
     binding = [0] * inst.num_targets
@@ -471,6 +471,7 @@ def reference_improve(inst: ProblemInstance, num_buses: int, order: list[int],
         if depth == len(order):
             best_cost = cost
             best_binding = binding.copy()
+            budget.best = (num_buses, best_binding, cost)
             return
         t = order[depth]
         limit = min(state.used + 1, num_buses)
@@ -486,11 +487,8 @@ def reference_improve(inst: ProblemInstance, num_buses: int, order: list[int],
                 improve(depth + 1, new_cost)
             state.unplace(t, k, added, prev_used)
 
-    try:
-        improve(0, 0)
-    except SolverLimitReached as exc:
-        return best_binding, best_cost, exc
-    return best_binding, best_cost, None
+    improve(0, 0)
+    return best_binding
 
 
 def reference_lex_min(inst: ProblemInstance, num_buses: int, target_cost: int,
@@ -502,6 +500,7 @@ def reference_lex_min(inst: ProblemInstance, num_buses: int, target_cost: int,
 
     def descend(t: int) -> bool:
         if t == inst.num_targets:
+            budget.best = (num_buses, binding.copy(), max(state.overlap))
             return True
         limit = min(state.used + 1, num_buses)
         for k in range(limit):
@@ -524,27 +523,30 @@ def reference_search(inst: ProblemInstance, num_buses: int, order: list[int], bo
                      first_only: bool, budget: SearchBudget):
     """``solver._search``'s contract served by the three reference searches:
     feasibility (infinite bound), improvement (all leaves) and the
-    target-id-order tie-break (finite bound, first leaf)."""
+    target-id-order tie-break (finite bound, first leaf).  Each complete
+    binding goes to ``budget.best`` with its cost; a cut raises."""
     if not first_only:
         return reference_improve(inst, num_buses, order, bound, budget)
-    try:
-        if bound == math.inf:
-            return reference_feasible(inst, num_buses, order, budget), bound, None
-        assert list(order) == list(range(inst.num_targets))
-        return reference_lex_min(inst, num_buses, bound - 1, budget), bound, None
-    except SolverLimitReached as exc:
-        return None, bound, exc
+    if bound == math.inf:
+        return reference_feasible(inst, num_buses, order, budget)
+    assert list(order) == list(range(inst.num_targets))
+    return reference_lex_min(inst, num_buses, bound - 1, budget)
 
 
 def search_outcome(search, inst: ProblemInstance, num_buses: int, order: list[int], bound,
                    first_only: bool, limits: SolverLimits | None = None,
                    start_nodes: int = 0):
-    """Everything a ``_search``-shaped function leaves observable: binding,
-    bound, the cut's type and message, and the budget's final node count."""
+    """Everything a ``_search``-shaped function leaves observable: the
+    binding it returns (None when cut), the budget's ``best`` (the best
+    binding and its cost, also at a cut), the cut's type and message, and
+    the budget's final node count."""
     budget = SearchBudget(limits)
     budget.nodes = start_nodes
-    binding, bound, cut = search(inst, num_buses, order, bound, first_only, budget)
-    return binding, bound, type(cut), str(cut), budget.nodes
+    try:
+        binding, cut = search(inst, num_buses, order, bound, first_only, budget), None
+    except SolverLimitReached as exc:
+        binding, cut = None, exc
+    return binding, budget.best, type(cut), str(cut), budget.nodes
 
 
 # ------------------------------------------------------------ LP parsing

@@ -39,7 +39,7 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
     rng = np.random.Generator(np.random.PCG64(2201))
     for _ in range(200):
         inst = make_random_instance(rng, max_targets=8, max_windows=6)
-        buses, _, _ = min_config(inst)
+        buses, _ = min_config(inst)
         assert buses == brute_min_buses(inst)
         rep = optimal_binding(inst, buses)
         assert rep.optimal

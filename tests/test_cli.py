@@ -4,11 +4,13 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -475,6 +477,20 @@ def test_negative_seed_in_a_config_file_names_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "gen"])
+def test_config_cycle_count_past_int64_exits_one(tmp_path, capsys, command):
+    # the row bound alone admits this spec: about ten rows
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(spec_to_text(tiny_spec(num_initiators=1, num_targets=1))
+                   .replace("burst_len_mean = 50", f"burst_len_mean = {10**400}")
+                   .replace("horizon = 1000", f"horizon = {10**401}"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: burst_len_mean must be below 2**63 cycles\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("num_initiators 3\n", ":1: expected key = value, got 'num_initiators 3'"),
     ("num_initiators = x\n", ":1: bad value for num_initiators: 'x'"),
@@ -675,6 +691,31 @@ def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
     assert "status = limit\n" in manifest
     assert "stopped before any incumbent was found: node limit 1 exhausted\n" in manifest
     assert "num_buses" not in manifest
+
+
+def test_design_cuts_leave_no_frame_in_a_cycle(tmp_path):
+    """A design cut in any phase keeps its error, but no traceback of the
+    search it stopped, whose frames would tie design's frame, the profile
+    included, into a reference cycle.  (``json.dump`` with ``indent``
+    leaves cycles of its own, so only frames are looked for.)"""
+    full = design_mat2like(tmp_path / "full")
+    probes = probe_nodes(full.instance)
+    total = probes + full.report.nodes_explored
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for limit in (5, probes + 1, (probes + total) // 2, total - 1):
+            cut = design_mat2like(tmp_path / str(limit), node_limit=limit)
+            assert isinstance(cut.error, SolverLimitReached)
+            del cut
+            gc.collect()
+            assert [o for o in gc.garbage if isinstance(o, types.FrameType)] == [], limit
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def test_cut_tie_break_exits_three(tmp_path):

@@ -237,6 +237,17 @@ def test_spec_bounds_the_rows_it_may_emit():
         dataclasses.replace(spec, horizon=10**12)
 
 
+@pytest.mark.parametrize("field", ["burst_len_mean", "inter_burst_gap_mean", "horizon",
+                                   "packet_len"])
+def test_spec_bounds_every_cycle_count_below_two_to_the_63(field):
+    # the generator multiplies them by floats, and a trace's cycles are int64
+    with pytest.raises(GenError, match=f"^{field} must be below 2\\*\\*63 cycles$"):
+        plain_spec(**{field: 1 << 63})
+    big = plain_spec(burst_len_mean=1 << 62, inter_burst_gap_mean=(1 << 63) - 1,
+                     horizon=(1 << 63) - 1, packet_len=(1 << 63) - 1)
+    assert generate(big).duration.tolist() == [1 << 62]
+
+
 def test_negative_seed_rejected():
     # named here, not left to numpy's SeedSequence, which names no field
     with pytest.raises(GenError, match="^seed must be non-negative, got -5$"):

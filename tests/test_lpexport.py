@@ -72,7 +72,7 @@ def test_external_solver_reproduces_internal_optimum():
     rng = np.random.Generator(np.random.PCG64(97))
     for _ in range(6):
         inst = make_random_instance(rng, max_targets=5, max_windows=3)
-        buses, _, _ = min_config(inst)
+        buses, _ = min_config(inst)
         rep = optimal_binding(inst, buses)
         status, obj = solve_lp_with_highs(export_milp(inst, buses))
         assert status == 0

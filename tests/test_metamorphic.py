@@ -63,8 +63,8 @@ def instance(trace, params):
 def solve(trace, params):
     """The instance of ``params`` on ``trace`` and its optimal binding."""
     inst = instance(trace, params)
-    buses, _, witness = min_config(inst)
-    return inst, optimal_binding(inst, buses, witness=witness).config
+    buses, _ = min_config(inst)
+    return inst, optimal_binding(inst, buses).config
 
 
 def optimum(solved):
@@ -85,7 +85,7 @@ def replay_probes(inst, rng):
     """Re-run every probe of ``inst``'s bus-count search with the targets
     branched on in a random order, and check that the B - 1 probe is there
     unless B is the lower bound."""
-    buses, probes, _ = min_config(inst)
+    buses, probes = min_config(inst)
     order = tuple(rng.permutation(inst.num_targets).tolist())
     with mock.patch.object(solver, "_overlap_order", lambda _: order):
         for num_buses, feasible in probes:

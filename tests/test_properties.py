@@ -30,6 +30,7 @@ from xbarsynth.solver import (
     _overlap_order,
     _search,
     binding_fits,
+    binding_maxov,
     min_config,
     optimal_binding,
     validate_binding,
@@ -265,7 +266,8 @@ def budget_limits(draw, full_nodes: int) -> SolverLimits:
 @given(solver_instances(), st.data())
 def test_search_kernel_matches_reference(inst, data):
     """One call of the fused kernel against the reference search: same
-    binding, bound, cut type and message, and final budget node count.
+    returned binding, best binding and cost left on the budget, cut type
+    and message, and final budget node count.
     The feasibility and improvement searches branch in busy-cycle order,
     overlap order or a random permutation; the tie-break in id order."""
     t = inst.num_targets
@@ -290,16 +292,48 @@ def test_search_kernel_matches_reference(inst, data):
             == search_outcome(reference_search, *args, limits, start))
 
 
+@SETTINGS
+@given(solver_instances(), st.data())
+def test_every_search_leaves_its_best_binding_with_its_maxov(inst, data):
+    """After every search of a solve, finished or cut, the cost on
+    ``budget.best`` is its binding's ``maxov``, and a search that returns a
+    binding returns that one."""
+    searches = []
+
+    def checked_search(inst, num_buses, order, bound, first_only, budget):
+        found = _search(inst, num_buses, order, bound, first_only, budget)
+        searches.append((found, budget.best))
+        return found
+
+    buses = data.draw(st.one_of(st.none(), st.integers(1, inst.num_targets)))
+    limits = SolverLimits(node_limit=data.draw(st.one_of(st.none(), st.integers(0, 3000))))
+    budget = SearchBudget(limits)
+    with mock.patch.object(solver, "_search", checked_search):
+        try:
+            if buses is None:
+                buses, _ = min_config(inst, budget)
+            optimal_binding(inst, buses, budget)
+        except (SolverLimitReached, InfeasibleError):
+            pass
+    for found, best in searches + [(None, budget.best)]:
+        if best is not None:
+            num_buses, binding, maxov = best
+            assert maxov == binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(binding)))
+        if found is not None:
+            assert found == best[1]
+
+
 def bus_count_outcome(inst):
-    """``min_config``'s bus count and probes, or its error; its witness
-    must be a valid binding onto that many buses."""
+    """``min_config``'s bus count and probes, or its error; the witness it
+    leaves on the budget must be a valid binding onto that many buses."""
+    budget = SearchBudget()
     try:
-        buses, probes, witness = min_config(inst)
+        buses, probes = min_config(inst, budget)
     except BandwidthInfeasibleError as exc:
         return type(exc), str(exc)
-    if witness is not None:
-        assert witness.num_buses == buses
-        assert validate_binding(inst, witness) == []
+    if budget.best is not None:
+        assert budget.best[0] == buses
+        assert validate_binding(inst, CrossbarConfig(buses, tuple(budget.best[1]))) == []
     return buses, probes
 
 
@@ -319,16 +353,15 @@ def test_min_config_probes_match_busy_order_reference(inst):
 def solve_outcome(inst, limits, buses):
     """Observable result of ``min_config`` then ``optimal_binding`` on one
     budget (or ``optimal_binding`` alone at ``buses``), wall times aside.
-    As in ``design``, ``min_config``'s witness is the binding search's
-    fallback incumbent."""
+    As in ``design``, the witness ``min_config`` leaves on the budget is the
+    binding search's fallback incumbent."""
     budget = SearchBudget(limits)
     out = []
-    witness = None
     try:
         if buses is None:
-            buses, probes, witness = min_config(inst, budget)
-            out.append((buses, probes, witness))
-        rep = optimal_binding(inst, buses, budget, witness)
+            buses, probes = min_config(inst, budget)
+            out.append((buses, probes, budget.best))
+        rep = optimal_binding(inst, buses, budget)
         out.append((rep.config, rep.maxov, rep.nodes_explored, rep.optimal,
                     rep.feasibility_probes))
     except SolverLimitReached as exc:
@@ -365,7 +398,7 @@ def test_solve_matches_enumeration(seed):
     lexicographically smallest canonical binding reaching it."""
     inst = make_random_instance(np.random.Generator(np.random.PCG64(seed)),
                                 max_targets=6, max_windows=4)
-    buses, _, _ = min_config(inst)
+    buses, _ = min_config(inst)
     assert buses == brute_min_buses(inst)
     rep = optimal_binding(inst, buses)
     assert rep.maxov == brute_best_maxov(inst, buses)

@@ -167,6 +167,15 @@ def test_missing_target_binding_rejected():
         simulate(tr, CrossbarConfig(1, (1, 1)))
 
 
+@pytest.mark.parametrize("label", [10**12, 10**20])
+def test_bus_labels_never_size_an_array(label):
+    # rows are grouped by the labels the binding uses; a label is only a name
+    trace = generate(benchmark_preset("hotspot"))
+    expected = simulate(trace, CrossbarConfig(2, (2, 1, 1, 1))).latency
+    assert np.array_equal(simulate(trace, CrossbarConfig(label, (label, 1, 1, 1))).latency,
+                          expected)
+
+
 def test_compare_table_and_size_ratio():
     tr = trace_of(2, 2, [Transaction(0, 5, 1, 1), Transaction(0, 5, 2, 2)])
     rows = compare(tr, baseline_configs(2))

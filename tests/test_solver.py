@@ -94,14 +94,14 @@ def test_bandwidth_pairs_need_three_buses():
 
 def test_min_config_idle_instance():
     inst = inst_of(10, np.zeros((4, 2)))
-    buses, probes, _ = min_config(inst)
+    buses, probes = min_config(inst)
     assert buses == 1
     assert all(isinstance(b, int) for b, _ in probes)
 
 
 def test_min_config_conflict_clique_of_four():
     inst = inst_of(10, np.ones((6, 1)), conflict=clique_conflict(6, range(4)))
-    buses, _, _ = min_config(inst)
+    buses, _ = min_config(inst)
     assert buses == 4
     assert brute_min_buses(inst) == 4
 
@@ -109,7 +109,7 @@ def test_min_config_conflict_clique_of_four():
 def test_min_config_probes_are_honest():
     rng = np.random.Generator(np.random.PCG64(31))
     inst = make_random_instance(rng)
-    buses, probes, _ = min_config(inst)
+    buses, probes = min_config(inst)
     for b, feas in probes:
         assert check_feasible(inst, b)[0] == feas
     assert check_feasible(inst, buses)[0]
@@ -117,17 +117,21 @@ def test_min_config_probes_are_honest():
 
 
 def test_min_config_returns_the_witness_of_its_minimum():
+    # the last feasible probe's binding is left on the budget
     rng = np.random.Generator(np.random.PCG64(31))
     for _ in range(10):
         inst = make_random_instance(rng)
-        buses, probes, witness = min_config(inst)
+        budget = SearchBudget()
+        buses, probes = min_config(inst, budget)
         if (buses, True) in probes:
-            assert witness == check_feasible(inst, buses)[1]
-            assert witness.num_buses == buses
+            witness = check_feasible(inst, buses)[1]
+            num_buses, binding, maxov = budget.best
+            assert (num_buses, canonical_binding(binding)) == (buses, witness.binding)
+            assert maxov == binding_maxov(inst.om, witness)
         else:  # only infeasible probes: the minimum is the target count
-            assert buses == inst.num_targets and witness is None
+            assert buses == inst.num_targets and budget.best is None
     clique = inst_of(10, np.ones((4, 1)), conflict=clique_conflict(4, range(4)))
-    assert min_config(clique) == (4, [], None)
+    assert min_config(clique) == (4, [])
 
 
 def test_optimal_binding_splits_heavy_pair():
@@ -163,7 +167,7 @@ def test_oracle_equivalence_small_random():
     rng = np.random.Generator(np.random.PCG64(41))
     for _ in range(40):
         inst = make_random_instance(rng, max_targets=6, max_windows=4)
-        buses, _, _ = min_config(inst)
+        buses, _ = min_config(inst)
         assert buses == brute_min_buses(inst)
         rep = optimal_binding(inst, buses)
         assert rep.maxov == brute_best_maxov(inst, buses)
@@ -184,7 +188,7 @@ def test_lex_min_tie_break():
     rng = np.random.Generator(np.random.PCG64(47))
     for _ in range(15):
         inst = make_random_instance(rng, max_targets=6, max_windows=3)
-        buses, _, _ = min_config(inst)
+        buses, _ = min_config(inst)
         rep = optimal_binding(inst, buses)
         candidates = brute_optimal_bindings(inst, buses, rep.maxov)
         assert rep.config.binding == min(candidates)
@@ -311,21 +315,42 @@ def test_tie_break_cut_keeps_proven_optimum():
     assert not err.value.incumbent.optimal
 
 
+SEED_CUT = "binding search on {} buses stopped before any incumbent was found: "
+
+
 def test_seed_search_cut_falls_back_to_the_witness():
+    # min_config then optimal_binding on one budget, cut one node into the
+    # seed search: the last probe's witness is the incumbent
     inst = ranked_om_instance()
-    _, witness = check_feasible(inst, 4)
-    message = "binding search on 4 buses stopped before any incumbent was found: "
+    budget = SearchBudget()
+    buses, probes = min_config(inst, budget)
+    assert probes[-1] == (buses, True)
+    witness = check_feasible(inst, buses)[1]
     with pytest.raises(SolverLimitReached) as err:
-        optimal_binding(inst, 4, node_limited(0))
-    assert str(err.value) == message + "node limit 0 exhausted"
-    assert err.value.incumbent is None
-    with pytest.raises(SolverLimitReached) as err:
-        optimal_binding(inst, 4, node_limited(0), witness)
-    assert str(err.value) == (message + "node limit 0 exhausted; "
-                              "the bus-count search's witness is returned")
+        cut_budget = node_limited(budget.nodes)
+        min_config(inst, cut_budget)
+        optimal_binding(inst, buses, cut_budget)
+    assert str(err.value) == (SEED_CUT.format(buses) + f"node limit {budget.nodes} "
+                              "exhausted; the bus-count search's witness is returned")
     rep = err.value.incumbent
     assert rep.config == witness and not rep.optimal
     assert (rep.maxov, rep.nodes_explored) == (binding_maxov(inst.om, witness), 1)
+    assert rep.feasibility_probes == tuple(probes)
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, buses, node_limited(0))  # a budget of its own: no witness
+    assert str(err.value) == SEED_CUT.format(buses) + "node limit 0 exhausted"
+    assert err.value.incumbent is None
+
+
+def test_seed_search_cut_ignores_a_binding_onto_another_bus_count():
+    inst = ranked_om_instance()
+    budget = SearchBudget()
+    assert check_feasible(inst, 5, budget)[0] and budget.best[0] == 5
+    budget.node_limit = budget.nodes
+    with pytest.raises(SolverLimitReached) as err:
+        optimal_binding(inst, 4, budget)
+    assert str(err.value) == SEED_CUT.format(4) + f"node limit {budget.node_limit} exhausted"
+    assert err.value.incumbent is None
 
 
 def test_solver_limits_reject_negative_values():
@@ -348,7 +373,7 @@ def test_shared_budget_counts_binding_phase_nodes_only():
     rng = np.random.Generator(np.random.PCG64(71))
     inst = make_random_instance(rng, max_targets=7)
     budget = SearchBudget()
-    buses, _, _ = min_config(inst, budget)
+    buses, _ = min_config(inst, budget)
     probe_nodes = budget.nodes
     rep = optimal_binding(inst, buses, budget)
     assert rep.nodes_explored == budget.nodes - probe_nodes
@@ -424,7 +449,7 @@ def test_build_instance_defaults_maxtb():
 def test_solver_determinism():
     rng = np.random.Generator(np.random.PCG64(67))
     inst = make_random_instance(rng, max_targets=7)
-    buses, _, _ = min_config(inst)
+    buses, _ = min_config(inst)
     a = optimal_binding(inst, buses)
     b = optimal_binding(inst, buses)
     assert a.config == b.config
@@ -500,7 +525,7 @@ def uniform_trace():
 def test_uniform_search_tree_pinned(ws, uniform_trace):
     inst = analysed_instance(uniform_trace, ws, 0.1)
     budget = SearchBudget()
-    buses, probes, _ = min_config(inst, budget)
+    buses, probes = min_config(inst, budget)
     rep = optimal_binding(inst, buses, budget)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
             budget.nodes) == UNIFORM_PINS[ws]
@@ -510,7 +535,7 @@ def test_unexpired_deadline_solves_as_unlimited(uniform_trace):
     # 67 k nodes: the deadline is read, and passes, at every 256th tick
     inst = analysed_instance(uniform_trace, 8000, 0.1)
     budget = SearchBudget(SolverLimits(time_limit_s=3600))
-    buses, probes, _ = min_config(inst, budget)
+    buses, probes = min_config(inst, budget)
     rep = optimal_binding(inst, buses, budget)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
             budget.nodes) == UNIFORM_PINS[8000]
@@ -525,7 +550,7 @@ def held_out_uniform_trace():
 def test_held_out_uniform_search_tree_pinned(ws, held_out_uniform_trace):
     inst = analysed_instance(held_out_uniform_trace, ws, 0.1)
     budget = SearchBudget()
-    buses, probes, _ = min_config(inst, budget)
+    buses, probes = min_config(inst, budget)
     rep = optimal_binding(inst, buses, budget)
     assert (buses, probes, rep.nodes_explored, rep.maxov, rep.config.binding,
             budget.nodes) == HELD_OUT_UNIFORM_PINS[ws]
@@ -544,7 +569,7 @@ def test_a_solve_packs_its_instance_once(uniform_trace, monkeypatch):
     monkeypatch.setattr(solver, "_pack", counting_pack)
     inst = analysed_instance(uniform_trace, 2000, 0.1)
     budget = SearchBudget()
-    buses, probes, _ = min_config(inst, budget)
+    buses, probes = min_config(inst, budget)
     optimal_binding(inst, buses, budget)
     assert len(probes) > 1 and calls == [inst]
 
@@ -571,7 +596,7 @@ def limited_solve(inst, node_limit):
     """min_config then optimal_binding on one budget; (cut?, budget nodes)."""
     budget = SearchBudget(SolverLimits(node_limit=node_limit))
     try:
-        buses, _, _ = min_config(inst, budget)
+        buses, _ = min_config(inst, budget)
         rep = optimal_binding(inst, buses, budget)
     except SolverLimitReached:
         return True, budget.nodes
@@ -607,10 +632,10 @@ def test_bulk_counted_rejections_cut_at_their_node(uniform_trace):
             buses, _, _, maxov = UNIFORM_PINS[ws][:4]
         else:
             inst = replace(inst, maxtb=maxtb)
-            buses, _, _ = min_config(inst)
+            buses, _ = min_config(inst)
             maxov = optimal_binding(inst, buses).maxov
         order = _busy_order(inst)
-        seed_binding = _search(inst, buses, order, float("inf"), True, SearchBudget())[0]
+        seed_binding = _search(inst, buses, order, float("inf"), True, SearchBudget())
         seed_cost = binding_maxov(inst.om, CrossbarConfig(buses, tuple(seed_binding)))
         modes = [(order, float("inf"), True), (order, seed_cost, False),
                  (list(range(inst.num_targets)), maxov + 1, True)]
@@ -634,7 +659,7 @@ def test_solves_leave_no_cyclic_garbage():
     a cut's traceback hold no reference cycle."""
     inst = analysed_instance(generate(benchmark_preset("mat2like")), 1000, 0.3)
     budget = SearchBudget()
-    buses, _, _ = min_config(inst, budget)
+    buses, _ = min_config(inst, budget)
     probe_nodes = budget.nodes
     optimal_binding(inst, buses, budget)
     phases = {
@@ -763,18 +788,20 @@ def search_modes(inst, num_buses):
     reference: feasibility, improvement from the seed's cost, tie-break."""
     order = _busy_order(inst)
     modes = [(order, float("inf"), True)]
-    seed = reference_search(inst, num_buses, order, float("inf"), True, SearchBudget())[0]
+    budget = SearchBudget()
+    seed = reference_search(inst, num_buses, order, float("inf"), True, budget)
     if seed is not None:
         seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
-        best = reference_search(inst, num_buses, order, seed_cost, False, SearchBudget())[1]
+        reference_search(inst, num_buses, order, seed_cost, False, budget)
+        best = budget.best[2]
         modes += [(order, seed_cost, False), (list(range(inst.num_targets)), best + 1, True)]
     return modes
 
 
 def assert_kernel_matches_reference(rng, inst, num_buses):
-    """The fused kernel against the three reference searches: same binding,
-    bound, cut and node count, in full and under node limits and deadlines
-    below the full count."""
+    """The fused kernel against the three reference searches: same returned
+    binding, best binding and cost, cut and node count, in full and under
+    node limits and deadlines below the full count."""
     for order, bound, first_only in search_modes(inst, num_buses):
         args = (inst, num_buses, order, bound, first_only)
         full = search_outcome(reference_search, *args)
@@ -829,7 +856,7 @@ def test_thirty_two_targets_pair_up_complementary_halves():
     inst = analysed_instance(trace_of(1, 32, txs), 10, 0.3)
     assert inst.num_targets == 32
     assert lower_bound(inst) == 16  # the half-window cliques
-    buses, _, _ = min_config(inst)
+    buses, _ = min_config(inst)
     assert buses == 16
     rep = optimal_binding(inst, buses)
     assert rep.maxov == 0 and rep.optimal
@@ -842,7 +869,7 @@ def test_one_target_per_bus_gives_the_full_crossbar():
     for inst in [inst_of(10, [[1]] * 4)] + [make_random_instance(rng, 8) for _ in range(20)]:
         inst = replace(inst, maxtb=1)
         t = inst.num_targets
-        assert min_config(inst) == (t, [], None)
+        assert min_config(inst) == (t, [])
         rep = optimal_binding(inst, t)
         assert rep.config == full_crossbar_config(t)
         assert rep.maxov == 0 and rep.optimal
