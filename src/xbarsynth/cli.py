@@ -557,9 +557,11 @@ def _cmd_simulate(run: RunConfig, args) -> None:
 def _cmd_sweep_window(run: RunConfig, args) -> None:
     ws_list = args.ws_list
     if ws_list is None:
-        base = run.params.window_size  # below 4, sizes floored at 1 cycle repeat
+        # below 4, sizes floored at 1 cycle repeat; from 2**60, 8 ws reaches
+        # 2**63, past the largest window size
+        base = run.params.window_size
         sizes = (base // 4, base // 2, base, 2 * base, 4 * base, 8 * base)
-        ws_list = list(dict.fromkeys(max(1, size) for size in sizes))
+        ws_list = list(dict.fromkeys(max(1, size) for size in sizes if size < 1 << 63))
     path = sweep_window(run, ws_list)
     print(f"wrote {path}")
 

@@ -9,7 +9,10 @@ an uncontended transaction's latency equals its duration.  A report holds
 its config, the per-transaction latencies and the three statistics the
 design flow reads: average and maximum latency, and average queuing delay
 (latency minus duration).  :func:`compare` is the one replay loop over
-named configs.
+named configs, and :func:`baseline_configs` names the two reference points
+a design is replayed against: the one shared bus
+(:func:`shared_bus_config`) and the full crossbar
+(:func:`full_crossbar_config`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import CrossbarConfig, canonical_binding, full_crossbar_config, shared_bus_config
+from .solver import CrossbarConfig, canonical_binding
 from .trace import Trace, exact_sum, group_rows
 
 
@@ -121,6 +124,16 @@ def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]],
         if config not in reports:
             reports[config] = simulate(trace, config)
     return {name: reports[config] for name, config in configs}
+
+
+def shared_bus_config(num_targets: int) -> CrossbarConfig:
+    """The one-bus degenerate case: every target on bus 1."""
+    return CrossbarConfig(1, tuple([1] * num_targets))
+
+
+def full_crossbar_config(num_targets: int) -> CrossbarConfig:
+    """One private bus per target."""
+    return CrossbarConfig(num_targets, tuple(range(1, num_targets + 1)))
 
 
 def baseline_configs(num_targets: int) -> list[tuple[str, CrossbarConfig]]:

@@ -7,7 +7,9 @@ different buses; and no bus may carry more than ``maxtb`` targets.  The
 minimum bus count is found by binary search over the bus count, valid
 because adding a bus can never break feasibility (buses may stay empty).
 The binding that minimizes the worst per-bus sum of pairwise overlaps is
-then found by branch-and-bound at the chosen bus count.
+then found by branch-and-bound at the chosen bus count.  The module holds
+synthesis only: the shared-bus and full-crossbar baselines that the
+designed config is replayed against are built in :mod:`xbarsynth.sim`.
 
 Both searches are exact: an "infeasible" answer is a proof of
 nonexistence, and a returned :class:`SolveReport` is proven optimal and
@@ -267,16 +269,6 @@ class CrossbarConfig:
         return members
 
 
-def shared_bus_config(num_targets: int) -> CrossbarConfig:
-    """The one-bus degenerate case: every target on bus 1."""
-    return CrossbarConfig(1, tuple([1] * num_targets))
-
-
-def full_crossbar_config(num_targets: int) -> CrossbarConfig:
-    """One private bus per target."""
-    return CrossbarConfig(num_targets, tuple(range(1, num_targets + 1)))
-
-
 def canonical_binding(binding: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Relabel buses in first-use order by target id (bus symmetry quotient)."""
     relabel: dict[int, int] = {}
@@ -286,18 +278,6 @@ def canonical_binding(binding: list[int] | tuple[int, ...]) -> tuple[int, ...]:
             relabel[k] = len(relabel) + 1
         out.append(relabel[k])
     return tuple(out)
-
-
-def binding_maxov(om: np.ndarray, config: CrossbarConfig) -> int:
-    """Worst per-bus sum of pairwise overlaps (unordered pairs i < j)."""
-    worst = 0
-    for members in config.bus_members().values():
-        total = 0
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                total += int(om[members[a], members[b]])
-        worst = max(worst, total)
-    return worst
 
 
 def validate_binding(inst: ProblemInstance, config: CrossbarConfig) -> list[str]:
@@ -417,11 +397,6 @@ def _incumbent(budget: SearchBudget, num_buses: int, start_nodes: int) -> SolveR
     return _report(budget, False, start_nodes) if best and best[0] == num_buses else None
 
 
-def _busy_order(inst: ProblemInstance) -> tuple[int, ...]:
-    """Targets by decreasing total busy cycles (first-fail heuristic)."""
-    return inst._packed.busy_order
-
-
 def _overlap_order(inst: ProblemInstance) -> tuple[int, ...]:
     """Targets by decreasing off-diagonal ``om`` row sum, ties by id: the
     target that overlaps the others most, and so is hardest to fit onto a
@@ -466,8 +441,8 @@ class _Packed(NamedTuple):
     ov_width: int                 # bits per overlap field
     om_rows: tuple[int, ...]      # packed ``om`` row per target, diagonal zeroed
     adjacency: tuple[int, ...]    # bit ``u`` of entry ``t``: t and u conflict
-    busy_order: tuple[int, ...]
-    overlap_order: tuple[int, ...]
+    busy_order: tuple[int, ...]   # targets by decreasing total busy cycles, ties by id
+    overlap_order: tuple[int, ...]  # see :func:`_overlap_order`
 
 
 def _pack(inst: ProblemInstance) -> _Packed:
@@ -740,7 +715,7 @@ def optimal_binding(
     check_bus_count(num_buses, inst.num_targets)
     budget = budget or SearchBudget()
     start_nodes = budget.nodes
-    order = _busy_order(inst)
+    order = inst._packed.busy_order
     proven = None  # None in the seed search, then whether maxov is proven optimal
     try:
         if _search(inst, num_buses, order, math.inf, True, budget) is None:

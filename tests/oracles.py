@@ -167,11 +167,15 @@ def blocks_feasible(inst: ProblemInstance, blocks: list[list[int]]) -> bool:
     return True
 
 
-def blocks_maxov(inst: ProblemInstance, blocks: list[list[int]]) -> int:
-    worst = 0
-    for blk in blocks:
-        worst = max(worst, sum(int(inst.om[i, j]) for i, j in combinations(blk, 2)))
-    return worst
+def blocks_maxov(om: np.ndarray, blocks) -> int:
+    """Worst per-block sum of pairwise overlaps (unordered pairs i < j)."""
+    return max((sum(int(om[i, j]) for i, j in combinations(blk, 2)) for blk in blocks),
+               default=0)
+
+
+def binding_maxov(om: np.ndarray, config: CrossbarConfig) -> int:
+    """``maxov`` of ``config``, recomputed from its buses' members."""
+    return blocks_maxov(om, config.bus_members().values())
 
 
 def brute_min_buses(inst: ProblemInstance) -> int | None:
@@ -190,7 +194,7 @@ def brute_best_maxov(inst: ProblemInstance, num_buses: int) -> int | None:
     for blocks in all_partitions(inst.num_targets):
         if len(blocks) > num_buses or not blocks_feasible(inst, blocks):
             continue
-        cost = blocks_maxov(inst, blocks)
+        cost = blocks_maxov(inst.om, blocks)
         if best is None or cost < best:
             best = cost
     return best
@@ -204,7 +208,7 @@ def brute_optimal_bindings(inst: ProblemInstance, num_buses: int, maxov: int):
     for blocks in all_partitions(inst.num_targets):
         if len(blocks) > num_buses or not blocks_feasible(inst, blocks):
             continue
-        if blocks_maxov(inst, blocks) != maxov:
+        if blocks_maxov(inst.om, blocks) != maxov:
             continue
         binding = [0] * inst.num_targets
         for k, blk in enumerate(blocks, start=1):

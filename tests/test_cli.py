@@ -21,7 +21,7 @@ from xbarsynth import cli, sim, solver
 from xbarsynth.analysis import MAX_PROFILE_CELLS, AnalysisParams
 from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
-from xbarsynth.sim import simulate
+from xbarsynth.sim import full_crossbar_config, shared_bus_config, simulate
 from xbarsynth.solver import (
     CrossbarConfig,
     InfeasibleError,
@@ -30,9 +30,7 @@ from xbarsynth.solver import (
     SolverLimits,
     binding_fits,
     check_feasible,
-    full_crossbar_config,
     min_config,
-    shared_bus_config,
     validate_binding,
 )
 from xbarsynth.trace import Trace, Transaction, load_trace, save_trace
@@ -802,6 +800,49 @@ def test_design_at_window_size_one(tmp_path):
     assert outcome.report.optimal
 
 
+def test_design_one_target_per_bus_is_the_full_crossbar(tmp_path):
+    # the cardinality bound is T, so no bus-count probe runs
+    out = tmp_path / "o"
+    assert main(["design", "--preset", "hotspot", "--max-targets-per-bus", "1",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert (report["num_buses"], report["binding"], report["maxov"],
+            report["feasibility_probes"]) == (4, [1, 2, 3, 4], 0, [])
+    rows = read_csv(out / "comparison.csv")
+    assert [r[0] for r in rows[2:]] == ["designed", "full"] and rows[2][1:] == rows[3][1:]
+
+
+@pytest.mark.parametrize("critical, buses", [(True, 3), (False, 1)])
+def test_design_separates_every_pair_of_overlapping_critical_streams(
+        tmp_path, critical, buses):
+    # each pair overlaps for 10 cycles, far below the threshold's 300 at
+    # ws 1000: only the critical flag makes it conflict
+    tr = trace_of(3, 3, [Transaction(0, 10, i, i, critical=critical) for i in (1, 2, 3)])
+    path = tmp_path / "t.csv"
+    save_trace(tr, path)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--out-dir", str(out)]) == 0
+    conflict = [[int(v) for v in r[1:]] for r in read_csv(out / "conflict.csv")[1:]]
+    assert conflict == [[int(critical and i != j) for j in range(3)] for i in range(3)]
+    assert json.loads((out / "solve_report.json").read_text())["num_buses"] == buses
+
+
+def test_design_takes_thirty_two_targets(tmp_path):
+    """T = 32, the largest solve: the odd targets are busy in the first half
+    of each 10-cycle window and the even ones in the second, so each odd
+    target pairs with the even one after it on its own bus."""
+    txs = [Transaction(10 * m + 5 * (t % 2 == 0), 5, 1, t)
+           for m in range(4) for t in range(1, 33)]
+    path = tmp_path / "t.csv"
+    save_trace(trace_of(1, 32, txs), path)
+    out = tmp_path / "o"
+    assert main(["design", "--trace", str(path), "--window-size", "10",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert (report["num_buses"], report["maxov"], report["optimal"]) == (16, 0, True)
+    assert report["binding"] == [k for k in range(1, 17) for _ in range(2)]
+
+
 def test_saturated_target_still_fits_one_window(tmp_path):
     # occupancy equal to the window size sits exactly on the bandwidth cap
     tr = trace_of(1, 1, [Transaction(0, 100, 1, 1)])
@@ -969,9 +1010,11 @@ def test_sweeps_load_and_profile_once(tmp_path, config_file, monkeypatch):
     ("1", ["1", "2", "4", "8"]),
     ("3", ["1", "3", "6", "12", "24"]),
     ("4", ["1", "2", "4", "8", "16", "32"]),
+    (str(1 << 61), [str(1 << 59), str(1 << 60), str(1 << 61), str(1 << 62)]),
 ])
 def test_sweep_window_default_list_drops_repeated_sizes(tmp_path, window_size, points):
-    """ws x 0.25, 0.5, 1, 2, 4, 8 floored at 1 repeats sizes below ws 4."""
+    """ws x 0.25, 0.5, 1, 2, 4, 8 floored at 1 repeats sizes below ws 4, and
+    reaches 2**63 from ws 2**60: both are dropped, not refused."""
     out = tmp_path / "o"
     assert main(["sweep-window", "--preset", "hotspot", "--window-size", window_size,
                  "--out-dir", str(out)]) == 0

@@ -39,7 +39,6 @@ from xbarsynth import solver
 from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.solver import (
-    binding_maxov,
     build_instance,
     check_feasible,
     lower_bound,
@@ -49,10 +48,11 @@ from xbarsynth.solver import (
 )
 from xbarsynth.trace import Trace
 
-from oracles import make_random_trace
+from oracles import binding_maxov, make_random_trace
 
 SETTINGS = settings(max_examples=40, deadline=None)
-MAT2LIKE_WINDOWS = (250, 500, 1000, 2000, 4000, 8000)
+WINDOWS = (250, 500, 1000, 2000, 4000, 8000)
+UNIFORM_THETAS = (0.1, 0.2, 0.3)
 
 
 def instance(trace, params):
@@ -141,16 +141,16 @@ def test_cap(problem, extra):
 def mat2like():
     """mat2like (seed 2024) at theta 0.3 over ws 250-8000, solved once per window size."""
     trace = generate(benchmark_preset("mat2like"))
-    return trace, {ws: solve(trace, AnalysisParams(ws, 0.3)) for ws in MAT2LIKE_WINDOWS}
+    return trace, {ws: solve(trace, AnalysisParams(ws, 0.3)) for ws in WINDOWS}
 
 
 def test_window_chain_on_mat2like(mat2like):
     _, solved = mat2like
-    for ws, coarser in itertools.combinations(MAT2LIKE_WINDOWS, 2):
+    for ws, coarser in itertools.combinations(WINDOWS, 2):
         check_relation(solved[ws], solved[coarser])
 
 
-@pytest.mark.parametrize("ws", MAT2LIKE_WINDOWS)
+@pytest.mark.parametrize("ws", WINDOWS)
 def test_threshold_and_cap_on_mat2like(mat2like, ws):
     trace, solved = mat2like
     for theta in (0.4, 0.5):
@@ -175,7 +175,7 @@ def test_proof_replay(problem, seed):
     replay_probes(instance(trace, params), np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("ws", MAT2LIKE_WINDOWS)
+@pytest.mark.parametrize("ws", WINDOWS)
 def test_relabelling_and_proof_replay_on_mat2like(mat2like, ws):
     # at ws 250 and 500 the B - 1 probe is infeasible; above, B is the lower bound
     trace, solved = mat2like
@@ -184,3 +184,34 @@ def test_relabelling_and_proof_replay_on_mat2like(mat2like, ws):
         moved = relabelled(trace, rng)
         assert optimum(solve(moved, AnalysisParams(ws, 0.3))) == optimum(solved[ws])
         replay_probes(solved[ws][0], rng)
+
+
+@pytest.fixture(scope="module", params=(2024, 7), ids=lambda seed: f"corpus-{seed}")
+def uniform(request):
+    """uniform (T = 20) at corpus seed 2024 or 7, solved once per theta
+    0.1-0.3 and ws 250-8000."""
+    trace = generate(replace(benchmark_preset("uniform"), seed=request.param))
+    return trace, {(theta, ws): solve(trace, AnalysisParams(ws, theta))
+                   for theta in UNIFORM_THETAS for ws in WINDOWS}
+
+
+def test_window_chain_on_uniform(uniform):
+    _, solved = uniform
+    for ws, coarser in itertools.combinations(WINDOWS, 2):
+        check_relation(solved[0.1, ws], solved[0.1, coarser])
+
+
+def test_threshold_on_uniform(uniform):
+    _, solved = uniform
+    for ws in WINDOWS:
+        for theta, looser in itertools.combinations(UNIFORM_THETAS, 2):
+            check_relation(solved[theta, ws], solved[looser, ws])
+
+
+@pytest.mark.parametrize("ws", WINDOWS)
+def test_relabelling_and_proof_replay_on_uniform(uniform, ws):
+    trace, solved = uniform
+    rng = np.random.default_rng(ws)
+    moved = relabelled(trace, rng)
+    assert optimum(solve(moved, AnalysisParams(ws, 0.1))) == optimum(solved[0.1, ws])
+    replay_probes(solved[0.1, ws][0], rng)

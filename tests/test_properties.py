@@ -26,11 +26,9 @@ from xbarsynth.solver import (
     SolverLimitReached,
     SolverLimits,
     BandwidthInfeasibleError,
-    _busy_order,
     _overlap_order,
     _search,
     binding_fits,
-    binding_maxov,
     min_config,
     optimal_binding,
     validate_binding,
@@ -45,6 +43,7 @@ from xbarsynth.trace import (
 )
 
 from oracles import (
+    binding_maxov,
     brute_best_maxov,
     brute_min_buses,
     brute_optimal_bindings,
@@ -273,7 +272,7 @@ def test_search_kernel_matches_reference(inst, data):
     t = inst.num_targets
     num_buses = data.draw(st.integers(1, t))
     mode = data.draw(st.sampled_from(["feasible", "improve", "tie-break"]))
-    order = data.draw(st.one_of(st.just(_busy_order(inst)), st.just(_overlap_order(inst)),
+    order = data.draw(st.one_of(st.just(inst._packed.busy_order), st.just(_overlap_order(inst)),
                                 st.permutations(range(t))))
     first_only = mode != "improve"
     top = int(inst.om.sum()) // 2 + 1  # above any binding's cost
@@ -345,7 +344,7 @@ def test_min_config_probes_match_busy_order_reference(inst):
     in busy-cycle order: the branching order moves the probes' trees and
     witnesses, never the bus count or a probe's answer."""
     with mock.patch.object(solver, "_search", reference_search), \
-            mock.patch.object(solver, "_overlap_order", _busy_order):
+            mock.patch.object(solver, "_overlap_order", lambda inst: inst._packed.busy_order):
         expected = bus_count_outcome(inst)
     assert bus_count_outcome(inst) == expected
 

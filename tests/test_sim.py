@@ -8,8 +8,15 @@ import pytest
 
 from xbarsynth import sim
 from xbarsynth.gen import benchmark_preset, generate
-from xbarsynth.sim import SimulationError, baseline_configs, compare, simulate
-from xbarsynth.solver import CrossbarConfig, full_crossbar_config, shared_bus_config
+from xbarsynth.sim import (
+    SimulationError,
+    baseline_configs,
+    compare,
+    full_crossbar_config,
+    shared_bus_config,
+    simulate,
+)
+from xbarsynth.solver import CrossbarConfig
 from xbarsynth.trace import Trace, Transaction
 
 from oracles import make_random_config, make_random_trace, replay_simulate, trace_of

@@ -10,6 +10,7 @@ import pytest
 from xbarsynth import solver
 from xbarsynth.analysis import AnalysisParams, aggregate_overlap, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
+from xbarsynth.sim import full_crossbar_config, shared_bus_config
 from xbarsynth.solver import (
     BandwidthInfeasibleError,
     CrossbarConfig,
@@ -19,24 +20,21 @@ from xbarsynth.solver import (
     SearchBudget,
     SolverLimitReached,
     SolverLimits,
-    _busy_order,
     _field_width,
     _search,
-    binding_maxov,
     build_instance,
     canonical_binding,
     check_feasible,
-    full_crossbar_config,
     lower_bound,
     min_config,
     optimal_binding,
-    shared_bus_config,
     validate_binding,
 )
 from xbarsynth.trace import Transaction
 
 from oracles import (
     _AssignState,
+    binding_maxov,
     brute_best_maxov,
     brute_min_buses,
     brute_optimal_bindings,
@@ -634,7 +632,7 @@ def test_bulk_counted_rejections_cut_at_their_node(uniform_trace):
             inst = replace(inst, maxtb=maxtb)
             buses, _ = min_config(inst)
             maxov = optimal_binding(inst, buses).maxov
-        order = _busy_order(inst)
+        order = inst._packed.busy_order
         seed_binding = _search(inst, buses, order, float("inf"), True, SearchBudget())
         seed_cost = binding_maxov(inst.om, CrossbarConfig(buses, tuple(seed_binding)))
         modes = [(order, float("inf"), True), (order, seed_cost, False),
@@ -786,7 +784,7 @@ def test_packed_can_place_matches_reference(ws, windows, oversize):
 def search_modes(inst, num_buses):
     """The kernel's three uses on one instance, parameters taken from the
     reference: feasibility, improvement from the seed's cost, tie-break."""
-    order = _busy_order(inst)
+    order = inst._packed.busy_order
     modes = [(order, float("inf"), True)]
     budget = SearchBudget()
     seed = reference_search(inst, num_buses, order, float("inf"), True, budget)
