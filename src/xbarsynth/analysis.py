@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Trace, group_rows
+from .trace import Trace, group_rows, row_blocks
 
 # The most target-windows (T x windows) a profile holds: 32 MiB of int64 busy
 # counts, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
@@ -105,20 +105,18 @@ class WindowProfile:
     @property
     def wo(self) -> np.ndarray:
         """Dense wo[i, j, m], built from the trace on each access."""
-        return self._dense(slice(None))
+        return self._dense(None)
 
     @property
     def crit_wo(self) -> np.ndarray:
         """Dense crit_wo[i, j, m], built from the trace on each access."""
         return self._dense(self.trace.critical)
 
-    def _dense(self, rows) -> np.ndarray:
-        """The overlap tensor of the trace rows selected by ``rows``."""
+    def _dense(self, rows: np.ndarray | None) -> np.ndarray:
+        """The overlap tensor of the trace rows selected by the mask ``rows`` (all if None)."""
         tr = self.trace
         wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
-        busy, cuts = _busy_segments(tr.start[rows], (tr.start + tr.duration)[rows],
-                                    tr.target[rows], self.num_targets,
-                                    self._boundaries())
+        busy, cuts = _busy_segments(tr, _by_target(tr), self._boundaries(), rows)
         for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size):
             wo[i, i:][:, windows] = per_window
             wo[i:, i][:, windows] = per_window
@@ -128,18 +126,34 @@ class WindowProfile:
         return np.arange(1, self.num_windows, dtype=np.int64) * self.window_size
 
 
-def _merged(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Union of half-open intervals sorted by start, as disjoint intervals.
+def _merged(trace: Trace, idx: np.ndarray, rows: np.ndarray | None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Union of the busy intervals of trace rows ``idx``, sorted by start,
+    that the mask ``rows`` selects (all if None), as disjoint intervals.
 
     Touching intervals merge too, so the results are separated by gaps.
-    The input is not empty.
+    The rows are read in blocks (:func:`~xbarsynth.trace.row_blocks`),
+    each block's running end continuing from the one before.
     """
-    reach = np.maximum.accumulate(end)
-    # gap[k]: a gap between intervals k-1 and k, the two ends counting as gaps
-    gap = np.empty(len(start) + 1, dtype=bool)
-    gap[0] = gap[-1] = True
-    np.greater(start[1:], reach[:-1], out=gap[1:-1])
-    return start[gap[:-1]], reach[gap[1:]]
+    lo, hi, reach = [], [], -1  # no start is negative: the first row opens an interval
+    for block in row_blocks(len(idx)):
+        r = idx[block]
+        if rows is not None:
+            r = r[rows[r]]
+        if not len(r):
+            continue
+        start = trace.start[r]
+        ends = np.empty(len(r) + 1, dtype=np.int64)  # ends[k + 1]: the latest end up to row k
+        ends[0] = reach  # carried from the block before
+        np.add(start, trace.duration[r], out=ends[1:])
+        np.maximum.accumulate(ends, out=ends)
+        before = ends[:-1]
+        gap = start > before
+        lo.append(start[gap])
+        hi.append(before[gap])  # where the interval before each new one ends
+        reach = int(ends[-1])
+    # the first close belongs to no interval; the last interval ends at reach
+    return np.concatenate(lo or [np.zeros(0, dtype=np.int64)]), np.concatenate((*hi, [reach]))[1:]
 
 
 def _changes(a: np.ndarray) -> np.ndarray:
@@ -150,22 +164,32 @@ def _changes(a: np.ndarray) -> np.ndarray:
     return flag
 
 
-def _busy_segments(start: np.ndarray, end: np.ndarray, target: np.ndarray,
-                   num_targets: int, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _by_target(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """The trace's rows grouped by target id (:func:`~xbarsynth.trace.group_rows`):
+    those of target i+1 are ``order[bounds[i + 1]:bounds[i + 2]]``, by start."""
+    return group_rows(trace.target, trace.num_targets + 1)
+
+
+def _busy_segments(trace: Trace, by_target: tuple[np.ndarray, np.ndarray],
+                   boundaries: np.ndarray, rows: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Cut the timeline into segments on which each target is busy or idle throughout.
 
-    Rows are (start, end, 1-based target), sorted by start.  Each target's
-    intervals are merged; the cut points of all merged intervals plus the
-    sorted ``boundaries`` give ``cuts``, and segment k is
-    [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
+    Reads the trace rows selected by the mask ``rows`` (all if None),
+    grouped by :func:`_by_target`.  Each target's intervals are merged,
+    its ends formed from its own rows; the cut points of all merged
+    intervals plus the sorted ``boundaries`` give ``cuts``, and segment k
+    is [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
     true when target i+1 is busy on segment k.
     """
-    order, bounds = group_rows(target - 1, num_targets)
-    pieces = [
-        (i, *_merged(start[idx], end[idx]))
-        for i in range(num_targets)
-        if len(idx := order[bounds[i]:bounds[i + 1]])
-    ]
+    num_targets = trace.num_targets
+    order, bounds = by_target
+    bounds = bounds.tolist()
+    pieces = []
+    for i in range(num_targets):
+        lo, hi = _merged(trace, order[bounds[i + 1]:bounds[i + 2]], rows)
+        if len(lo):
+            pieces.append((i, lo, hi))
     if not pieces:
         return np.zeros((num_targets, 0), dtype=bool), np.zeros(0, dtype=np.int64)
     owner = np.concatenate([np.full(len(s), i) for i, s, _ in pieces])
@@ -237,18 +261,19 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     crit = np.zeros((n, n), dtype=bool)
     prof = WindowProfile(window_size, comm, om, peak, crit, trace)
 
-    start, end, target = trace.start, trace.start + trace.duration, trace.target
-    busy, cuts = _busy_segments(start, end, target, n, prof._boundaries())
+    by_target = _by_target(trace)
+    # Critical overlap needs no windows: any shared busy segment counts.
+    busy, _ = _busy_segments(trace, by_target, np.zeros(0, dtype=np.int64), trace.critical)
+    for i in range(n):
+        crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
+    del busy
+
+    busy, cuts = _busy_segments(trace, by_target, prof._boundaries())
+    del by_target
     for i, windows, per_window in _row_overlaps(busy, cuts, window_size):
         comm[i, windows] = per_window[0]
         om[i, i:] = om[i:, i] = per_window.sum(axis=1)
         peak[i, i:] = peak[i:, i] = per_window.max(axis=1)
-
-    # Critical overlap needs no windows: any shared busy segment counts.
-    c = trace.critical
-    busy, _ = _busy_segments(start[c], end[c], target[c], n, np.zeros(0, dtype=np.int64))
-    for i in range(n):
-        crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
     return prof
 
 

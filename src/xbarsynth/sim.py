@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import CrossbarConfig, canonical_binding
-from .trace import Trace, exact_sum, group_rows
+from .trace import Trace, exact_sum, group_rows, row_blocks
 
 
 class SimulationError(ValueError):
@@ -45,17 +45,17 @@ class SimReport:
         return self.latency.tolist()
 
 
-def _complete(start: np.ndarray, duration: np.ndarray, out: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """Completion cycles of one bus's grant-ordered rows, written to ``out``.
-
-    ``out`` and ``scratch`` may be ``duration`` and ``start`` themselves.
-    """
+def _complete(start: np.ndarray, duration: np.ndarray, done: int, out: np.ndarray) -> int:
+    """Write to ``out`` the completion cycles of grant-ordered rows of one
+    bus, the row before them completing at ``done`` (0 before the first:
+    no start is negative); return the last."""
     np.cumsum(duration, out=out)  # D
-    scratch[0] = start[0]
-    np.subtract(start[1:], out[:-1], out=scratch[1:])  # s - (D - d)
-    np.maximum.accumulate(scratch, out=scratch)
-    np.add(out, scratch, out=out)
+    wait = start - out
+    wait += duration  # s - (D - d)
+    wait[0] = max(int(wait[0]), done)  # the running maximum carries it on
+    np.maximum.accumulate(wait, out=wait)
+    out += wait
+    return int(out[-1])
 
 
 def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
@@ -65,12 +65,16 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     for a transaction's duration, so completions follow Lindley's
     recursion c[k] = max(s[k], c[k-1]) + d[k].  Unrolled with
     D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
-    computed exactly in int64 per bus: a trace's last start plus its total
-    duration, which bounds every completion, is below 2**63.  The scan
-    runs in place in two full-length arrays, one of which becomes the
-    latencies.  When every target sits on one bus, trace order is grant
-    order and the rows are scanned where they are; otherwise they are
-    grouped by bus first.
+    computed exactly in int64: a trace's last start plus its total
+    duration, which bounds every completion, is below 2**63.  The rows are
+    read in grant order a block at a time
+    (:func:`~xbarsynth.trace.row_blocks`), and each bus's run of rows in a
+    block is scanned from the completion c_prev before it:
+    c = D + max(c_prev, cummax(s - (D - d))), with D summed within the
+    run.  When every target sits on one bus, trace order is grant order
+    and the rows are read where they are; otherwise they are grouped by
+    bus first, on 8- or 16-bit bus keys.  Beyond the latencies, the
+    scratch is that grouping's row order and a few blocks.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
@@ -79,20 +83,28 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
         )
     start, duration = trace.start, trace.duration
     n = len(start)
-    latency = np.empty_like(start)
-    if n and len(set(config.binding[:trace.num_targets])) == 1:
-        _complete(start, duration, latency, np.empty_like(start))
-    elif n:
+    order, bounds = None, [0, n]
+    if n and len(set(config.binding[:trace.num_targets])) > 1:
         labels = canonical_binding(config.binding)  # 1..K: no label sizes an array
-        bus = (np.array((0, *labels)) - 1)[trace.target]  # ids are 1-based
-        order, bounds = group_rows(bus, max(labels))  # grant order within a bus
-        del bus
-        s, d = start[order], duration[order]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                _complete(s[lo:hi], d[lo:hi], d[lo:hi], s[lo:hi])
-        latency[order] = d  # completions
-    np.subtract(latency, start, out=latency)
+        buses = max(labels)
+        bus_of = np.array((0, *labels), dtype=np.min_scalar_type(buses))  # ids are 1-based
+        order, bounds = group_rows(bus_of[trace.target], buses + 1)  # grant order within a bus
+        bounds = bounds.tolist()
+    latency = np.empty_like(start)
+    ends = iter(bounds[1:])  # where each bus's rows end in grant order
+    end = done = 0
+    for rows in row_blocks(n):
+        at, idx = rows.start, rows if order is None else order[rows]
+        s, d = start[idx], duration[idx]
+        c = np.empty_like(s)
+        while at < rows.stop:
+            while end == at:  # a bus ends here: the next one starts idle
+                end, done = next(ends), 0
+            run = slice(at - rows.start, min(end, rows.stop) - rows.start)
+            done = _complete(s[run], d[run], done, c[run])
+            at = rows.start + run.stop
+        c -= s
+        latency[idx] = c
     latency.flags.writeable = False
 
     total = exact_sum(latency)  # an int64 sum could wrap where no latency does

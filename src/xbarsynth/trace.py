@@ -22,25 +22,28 @@ transaction, plus the one direction all its rows move in;
 :class:`Transaction` objects are built only when a caller reads rows
 through :attr:`Trace.transactions`.
 
-:func:`load_trace` reads a body in the layout :func:`save_trace` writes
-in bulk (:func:`_parse_plain`): blocks of lines pass exact structure
-guards (five commas a line, the direction and critical tokens in place,
-numeric fields of 1 to 18 digits and no other byte), and then a digit
-kernel computes every numeric field from the 8-byte words that end it,
-eight digits a word folded by three multiply-shift steps (SWAR).  Any
-other body (comments, blank lines, spaces, signs, ``\r\n``, longer
-fields) and every malformed one go through the line parser
+:func:`load_trace` streams a body in the layout :func:`save_trace`
+writes (:func:`_parse_plain`): one pass over fixed-size reads counts the
+lines and sizes the columns, and a second hands blocks of lines to exact
+structure guards (five commas a line, the direction and critical tokens
+in place, numeric fields of 1 to 18 digits and no other byte) and then to
+a digit kernel that computes every numeric field from the 8-byte words
+that end it, eight digits a word folded by three multiply-shift steps
+(SWAR).  Any other body (comments, blank lines, spaces, signs, ``\r\n``,
+longer fields) and every malformed one go through the line parser
 (:func:`_parse_lines`), the reference, which also names the first bad
 line.  The rows are range-checked once, and the trace adopts the parsed
-columns as they are.
+columns as they are.  Beyond the columns, the bulk path and every pass
+over the columns hold scratch of a block of lines or rows.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -55,8 +58,9 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # since a response trace swaps them.
 MAX_CORES = 1024
 _BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
+_READ_BYTES = 1 << 18  # bytes a pass over a trace file reads at once
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
-_SUM_BLOCK = 1 << 14  # entries exact_sum reads at once
+_ROW_BLOCK = 1 << 14  # rows a pass over the columns reads at once (row_blocks)
 _PAD = 8  # zero bytes before a block, so the words ending in its first field lie inside
 # gap from the comma before a numeric field to the comma after it, less its digits
 _FIELD_GAP = np.array([3, 1, 1, 1])
@@ -103,13 +107,24 @@ def _first_invalid_row(start: np.ndarray, duration: np.ndarray, initiator: np.nd
                      if broken[row])
 
 
+def row_blocks(stop: int, start: int = 0) -> Iterator[slice]:
+    """Slices of at most ``_ROW_BLOCK`` rows that cover rows ``start`` to ``stop`` in order.
+
+    Every pass over the columns of a trace reads them so, which bounds its
+    scratch by the block instead of the trace.
+    """
+    return (slice(lo, min(lo + _ROW_BLOCK, stop)) for lo in range(start, stop, _ROW_BLOCK))
+
+
 def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets: int,
                 path: Path | None = None, linenos: Sequence[int] = ()) -> None:
     """Raise for the first row breaking a range rule; in a file, prefixed with its line."""
-    bad = _first_invalid_row(*columns[:4], num_initiators, num_targets)
-    if bad is not None:
-        row, message = bad
-        raise TraceError(message if path is None else f"{path}:{linenos[row]}: {message}")
+    for rows in row_blocks(len(columns[0])):
+        bad = _first_invalid_row(*(c[rows] for c in columns[:4]), num_initiators, num_targets)
+        if bad is not None:
+            row, message = bad
+            row += rows.start
+            raise TraceError(message if path is None else f"{path}:{linenos[row]}: {message}")
 
 
 def _check_core_counts(num_initiators: int, num_targets: int) -> None:
@@ -168,7 +183,8 @@ class Trace:
         self.num_targets = num_targets
         self.direction = direction
         self.start, self.duration, self.initiator, self.target, self.critical = columns
-        self.horizon = int((self.start + self.duration).max()) if len(self.start) else 0
+        self.horizon = max((int((self.start[rows] + self.duration[rows]).max())
+                            for rows in row_blocks(len(self.start))), default=0)
 
     @property
     def transactions(self) -> TransactionView:
@@ -200,18 +216,25 @@ class Trace:
 def exact_sum(values: np.ndarray) -> int:
     """Sum of a non-negative int64 column as a Python int, exact.
 
-    The high and low 32-bit halves of each block of :data:`_SUM_BLOCK`
+    The high and low 32-bit halves of each block of :data:`_ROW_BLOCK`
     entries are summed apart, so no int64 sum can wrap, and the scratch
     stays two blocks long.
     """
-    blocks = (values[i:i + _SUM_BLOCK] for i in range(0, len(values), _SUM_BLOCK))
+    blocks = (values[rows] for rows in row_blocks(len(values)))
     return sum((int((b >> 32).sum()) << 32) + int((b & 0xFFFFFFFF).sum()) for b in blocks)
 
 
 def _is_sorted(start: np.ndarray, target: np.ndarray, initiator: np.ndarray) -> bool:
-    """Whether rows are already in (start, target, initiator) order."""
-    ds, dt, di = np.diff(start), np.diff(target), np.diff(initiator)
-    return bool(((ds > 0) | ((ds == 0) & ((dt > 0) | ((dt == 0) & (di >= 0))))).all())
+    """Whether rows are already in (start, target, initiator) order.
+
+    Each block of rows is compared with the row before it, too.
+    """
+    for rows in row_blocks(len(start) - 1):
+        with_next = slice(rows.start, rows.stop + 1)
+        ds, dt, di = (np.diff(c[with_next]) for c in (start, target, initiator))
+        if not ((ds > 0) | ((ds == 0) & ((dt > 0) | ((dt == 0) & (di >= 0))))).all():
+            return False
+    return True
 
 
 def _sorted(start, duration, initiator, target, critical) -> tuple[np.ndarray, ...]:
@@ -241,13 +264,16 @@ def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray
     """Stable grouping of rows by ids in ``range(num_groups)``.
 
     Returns ``(order, bounds)``: the rows of group g are
-    ``order[bounds[g]:bounds[g + 1]]``, in their original order.
+    ``order[bounds[g]:bounds[g + 1]]``, in their original order.  The ids
+    are sorted as 8- or 16-bit keys, copied to that type unless they have
+    it already; beyond the keys the only row-length array is ``order``.
     """
-    keys = ids.astype(np.min_scalar_type(num_groups))  # 8/16-bit keys radix-sort
-    order = np.argsort(keys, kind="stable")
+    keys = ids.astype(np.min_scalar_type(num_groups - 1), copy=False)  # 8/16-bit keys radix-sort
     bounds = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=num_groups), out=bounds[1:])
-    return order, bounds
+    for rows in row_blocks(len(keys)):  # bincount widens its input to intp
+        bounds[1:] += np.bincount(keys[rows], minlength=num_groups)
+    np.cumsum(bounds, out=bounds)
+    return np.argsort(keys, kind="stable"), bounds
 
 
 class TransactionView(Sequence):
@@ -374,13 +400,52 @@ def _parse_block(block: bytes, eol: np.ndarray, values: np.ndarray, resp: np.nda
     return True
 
 
-def _parse_plain(data: bytes, offset: int) -> tuple[np.ndarray, ...] | None:
-    """Bulk-parse the body ``data[offset:]`` in the canonical layout, or return None.
+def _count_lines(stream: BinaryIO) -> int:
+    """Lines in the rest of ``stream``, a last one without its newline included."""
+    lines, last = 0, b"\n"
+    while chunk := stream.read(_READ_BYTES):
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _line_blocks(stream: BinaryIO) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The rest of ``stream`` as blocks of ``_BLOCK_LINES`` lines, the last one shorter.
+
+    Yields ``(block, eol)``: ``_PAD`` zero bytes followed by whole lines,
+    and the offset of each line's newline in it.  A last line without its
+    newline gains one.  A read is as long as the bytes carried over from
+    the one before, at least, so a long line costs no repeated copying.
+    """
+    rest, rest_eol = b"", np.zeros(0, dtype=np.int64)
+    while True:
+        chunk = stream.read(max(_READ_BYTES, len(rest)))
+        end = not chunk
+        if end and rest[-1:] not in (b"", b"\n"):
+            chunk = b"\n"
+        eol = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        eol = np.concatenate((rest_eol, eol + len(rest)))
+        data = rest + chunk
+        # at the end of the stream the last block takes what is left
+        whole = len(eol) if end else len(eol) - len(eol) % _BLOCK_LINES
+        lo = 0
+        for first in range(0, whole, _BLOCK_LINES):
+            block_eol = eol[first:min(first + _BLOCK_LINES, whole)]
+            yield bytes(_PAD) + memoryview(data)[lo:block_eol[-1] + 1], block_eol - (lo - _PAD)
+            lo = int(block_eol[-1]) + 1
+        if end:
+            return
+        rest, rest_eol = data[lo:], eol[whole:] - lo
+
+
+def _parse_plain(stream: BinaryIO, path: Path) -> tuple[np.ndarray, ...] | None:
+    """Bulk-parse the rest of ``stream``, a trace body in the canonical layout, or return None.
 
     The canonical layout is what :func:`save_trace` writes: every line is
     ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
-    comments or blank lines.  The body is read in blocks of
-    ``_BLOCK_LINES`` lines, each copied behind ``_PAD`` zero bytes:
+    comments or blank lines.  A first pass counts the lines, to size the
+    columns; a second reads the body in blocks of ``_BLOCK_LINES`` lines
+    (:func:`_line_blocks`), each behind ``_PAD`` zero bytes:
 
     1. The direction and critical fields are checked at fixed offsets
        from each line end, reading the line's last 8 bytes as one word.
@@ -397,27 +462,31 @@ def _parse_plain(data: bytes, offset: int) -> tuple[np.ndarray, ...] | None:
        keeps every word a field needs inside the block, and 18 digits
        always fit int64, so the values are exact.
 
-    Returns six columns of one entry per line, written in place block by
-    block: ``start``, ``duration``, ``initiator`` and ``target`` (int64
-    rows of one array), then whether the line is a response and whether it
-    is critical (bool).  Returns None when any line deviates, such as a
-    field of 19 or more digits; callers then parse line by line, which
-    also locates errors.
+    Returns six columns of one entry per line, written block by block:
+    ``start``, ``duration``, ``initiator`` and ``target`` (int64 rows of
+    one array), then whether the line is a response and whether it is
+    critical (bool).  Besides them the scratch is a few blocks.  Returns
+    None when any line deviates, such as a field of 19 or more digits;
+    callers then parse line by line, which also locates errors.  A second
+    pass that finds another number of lines than the first (the file
+    changed in between) raises :class:`TraceError` naming ``path``.
     """
-    body = memoryview(data)[offset:]
-    if body and body[-1] != ord("\n"):
-        body = memoryview(bytes(body) + b"\n")
-    nl = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    n = len(nl)
+    body = stream.tell()
+    n = _count_lines(stream)
+    stream.seek(body)
     values = np.empty((4, n), dtype=np.int64)
     resp, critical = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for first in range(0, n, _BLOCK_LINES):
-        last = min(first + _BLOCK_LINES, n)
-        lo = nl[first - 1] + 1 if first else 0
-        block = bytes(_PAD) + body[lo:nl[last - 1] + 1]
-        if not _parse_block(block, nl[first:last] - lo + _PAD, values[:, first:last],
-                            resp[first:last], critical[first:last]):
+    row = 0
+    for block, eol in _line_blocks(stream):
+        rows = slice(row, row + len(eol))
+        row = rows.stop
+        if row > n:
+            break
+        if not _parse_block(block, eol, values[:, rows], resp[rows], critical[rows]):
             return None
+    if row != n:
+        raise TraceError(f"{path}: changed while being read: {n} body lines at first, "
+                         f"then {'more' if row > n else row}")
     return (*values, resp, critical)
 
 
@@ -473,29 +542,28 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     """
     _check_direction(direction)
     path = Path(path)
-    data = path.read_bytes()
-    if not data:
-        raise TraceError(f"{path}: empty file, missing header")
-    eol = data.find(b"\n")
-    eol = len(data) if eol < 0 else eol
-    # A header holding any non-ASCII byte does not match, so a matched one
-    # is as many characters long as bytes.
-    header = _HEADER_RE.match(data[:eol].decode("ascii", errors="replace"))
-    if not header:
-        raise TraceError(
-            f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
-        )
-    try:  # a count of thousands of digits is past int()'s limit: a ValueError too
-        num_initiators, num_targets = int(header[1]), int(header[2])
-        _check_core_counts(num_initiators, num_targets)
-    except ValueError as exc:
-        raise TraceError(f"{path}:1: {exc}") from None
-    columns = _parse_plain(data, eol + 1)
-    if columns is not None:
-        linenos = range(2, len(columns[0]) + 2)
-    else:
-        columns, linenos = _parse_lines(data[eol + 1:], path, num_initiators, num_targets)
-    del data
+    with path.open("rb") as stream:
+        first = stream.readline()
+        if not first:
+            raise TraceError(f"{path}: empty file, missing header")
+        # A header holding any non-ASCII byte does not match, so a matched one
+        # is as many characters long as bytes.
+        header = _HEADER_RE.match(first.removesuffix(b"\n").decode("ascii", errors="replace"))
+        if not header:
+            raise TraceError(
+                f"{path}:1: bad header, expected '#xbar-trace v1,initiators=<n>,targets=<n>'"
+            )
+        try:  # a count of thousands of digits is past int()'s limit: a ValueError too
+            num_initiators, num_targets = int(header[1]), int(header[2])
+            _check_core_counts(num_initiators, num_targets)
+        except ValueError as exc:
+            raise TraceError(f"{path}:1: {exc}") from None
+        columns = _parse_plain(stream, path)
+        if columns is not None:
+            linenos = range(2, len(columns[0]) + 2)
+        else:
+            stream.seek(len(first))
+            columns, linenos = _parse_lines(stream.read(), path, num_initiators, num_targets)
     _check_rows(columns, num_initiators, num_targets, path, linenos)
 
     start, duration, initiator, target, resp, critical = columns

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from xbarsynth import sim
+from xbarsynth import trace as trace_module
+from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.sim import (
     SimulationError,
@@ -16,7 +18,13 @@ from xbarsynth.sim import (
     shared_bus_config,
     simulate,
 )
-from xbarsynth.solver import CrossbarConfig
+from xbarsynth.solver import (
+    CrossbarConfig,
+    SearchBudget,
+    build_instance,
+    min_config,
+    optimal_binding,
+)
 from xbarsynth.trace import Trace, Transaction
 
 from oracles import make_random_config, make_random_trace, replay_simulate, trace_of
@@ -107,14 +115,36 @@ def test_dominance_refinement_never_hurts():
             assert after <= before
 
 
-def test_matches_queue_replay_oracle():
+def _designed_hotspot():
+    """The hotspot preset's trace and its designed binding onto 2 buses."""
+    trace = generate(benchmark_preset("hotspot"))
+    params = AnalysisParams(1000, 0.3)
+    prof = profile(trace, params.window_size)
+    inst = build_instance(prof, prof.om, preprocess(prof, params), params)
+    budget = SearchBudget()
+    config = optimal_binding(inst, min_config(inst, budget)[0], budget).config
+    assert config.num_buses == 2
+    return trace, config
+
+
+def test_matches_queue_replay_oracle(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(83))
+    cases = []
     for _ in range(30):
         tr = make_random_trace(rng)
-        cfg = make_random_config(rng, tr.num_targets)
-        rep = simulate(tr, cfg)
-        oracle_lat, _ = replay_simulate(tr, cfg)
-        assert rep.per_transaction_latency == oracle_lat
+        cases += [(tr, make_random_config(rng, tr.num_targets)),
+                  (tr, shared_bus_config(tr.num_targets))]
+    # one queue of seven rows, granted back to back: blocks of 2 or 3 rows
+    # cut it, so each block starts from the completion before it
+    queue = trace_of(2, 2, [Transaction(s // 3, 4, s % 2 + 1, s % 2 + 1) for s in range(7)])
+    cases += [(queue, shared_bus_config(2)), (queue, CrossbarConfig(2, (2, 2))),
+              _designed_hotspot()]
+    for row_block in (trace_module._ROW_BLOCK, 3, 2):
+        monkeypatch.setattr(trace_module, "_ROW_BLOCK", row_block)
+        for tr, cfg in cases:
+            rep = simulate(tr, cfg)
+            oracle_lat, _ = replay_simulate(tr, cfg)
+            assert rep.per_transaction_latency == oracle_lat
 
 
 def test_one_bus_binding_of_many_matches_queue_replay_oracle():

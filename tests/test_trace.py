@@ -1,6 +1,8 @@
 """Trace model: parsing, validation, role swapping, stats."""
 
+import io
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarsynth import trace as trace_module
+from xbarsynth.analysis import profile
+from xbarsynth.gen import benchmark_preset, generate
+from xbarsynth.sim import simulate
+from xbarsynth.solver import CrossbarConfig
 from xbarsynth.trace import (
     REQUEST,
     RESPONSE,
@@ -175,7 +181,7 @@ def test_cycle_bound_is_the_last_below_2_63():
 
 
 def test_exact_sum_past_int64_over_several_blocks():
-    n = 3 * trace_module._SUM_BLOCK + 5
+    n = 3 * trace_module._ROW_BLOCK + 5
     values = np.full(n, 2**62 + 2**31 + 7, dtype=np.int64)
     assert trace_module.exact_sum(values) == n * (2**62 + 2**31 + 7)
     assert trace_module.exact_sum(values[:0]) == 0
@@ -230,6 +236,72 @@ def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
     rows[6] = "1e3" + rows[6][1:]  # third block
     with pytest.raises(TraceError, match="t.csv:8: invalid literal"):
         load_trace(write(tmp_path, HEADER + "\n".join(rows) + "\n"))
+
+
+# seven canonical rows of 13 bytes each
+ROWS = [f"{s},{s % 4 + 1},{s % 9 + 1},{s % 12 + 1},req,{s % 2}" for s in range(7)]
+ROW_TXS = [Transaction(s, s % 4 + 1, s % 9 + 1, s % 12 + 1, bool(s % 2)) for s in range(7)]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 2 lines read 7 bytes at a time: every line straddles a
+    read, and seven lines leave a last block of one.  Returns the number
+    of bulk blocks and of line-parser fallbacks so far."""
+    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 2)
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 7)
+    calls = {"blocks": 0, "fallbacks": 0}
+    parse_block, parse_lines = trace_module._parse_block, trace_module._parse_lines
+
+    def counted_block(*args):
+        calls["blocks"] += 1
+        return parse_block(*args)
+
+    def counted_lines(*args):
+        calls["fallbacks"] += 1
+        return parse_lines(*args)
+
+    monkeypatch.setattr(trace_module, "_parse_block", counted_block)
+    monkeypatch.setattr(trace_module, "_parse_lines", counted_lines)
+    return calls
+
+
+@pytest.mark.parametrize("text, txs", [
+    (HEADER + "\n".join(ROWS) + "\n", ROW_TXS),
+    (HEADER + "\n".join(ROWS), ROW_TXS),
+    (HEADER, []),
+    (HEADER.rstrip("\n"), []),
+], ids=["final-newline", "no-final-newline", "header-only", "header-only-no-newline"])
+def test_streamed_load_at_read_and_block_edges(tmp_path, small_blocks, text, txs):
+    tr = load_trace(write(tmp_path, text))
+    assert tr.transactions == txs
+    assert small_blocks == {"blocks": (len(txs) + 1) // 2, "fallbacks": 0}
+
+
+@pytest.mark.parametrize("late, error", [
+    ("# a comment", "t.csv:10: target id 13 outside 1..12"),
+    (ROWS[0] + "\r", "t.csv:10: target id 13 outside 1..12"),
+    ("9" * 19 + ",1,1,1,req,0", "t.csv:9: value outside the 64-bit integer range"),
+], ids=["comment", "crlf", "19-digit-field"])
+def test_late_deviation_falls_back_to_the_line_parser(tmp_path, small_blocks, late, error):
+    # lines 2-8 are the rows, so line 9 shares the fourth block with line 8;
+    # line 10 names a target the header does not declare
+    path = write(tmp_path, HEADER + "\n".join([*ROWS, late, "1,1,1,13,req,0"]) + "\n")
+    with pytest.raises(TraceError, match=f"/{re.escape(error)}$"):
+        load_trace(path)
+    assert small_blocks == {"blocks": 4, "fallbacks": 1}
+
+
+@pytest.mark.parametrize("miscount, found", [(1, "7"), (-1, "more")])
+def test_file_changed_between_the_two_passes(tmp_path, monkeypatch, miscount, found):
+    # the first pass counts the lines a file had before it grew or shrank
+    count_lines = trace_module._count_lines
+    monkeypatch.setattr(trace_module, "_count_lines",
+                        lambda stream: count_lines(stream) + miscount)
+    path = write(tmp_path, HEADER + "\n".join(ROWS) + "\n")
+    with pytest.raises(TraceError, match=f"t.csv: changed while being read: {7 + miscount} "
+                                         f"body lines at first, then {found}$"):
+        load_trace(path)
 
 
 def test_canonical_load_checks_ranges_once(tmp_path, monkeypatch):
@@ -503,7 +575,7 @@ def test_digit_kernel_matches_int(fields):
 
 def test_bulk_parse_widest_field_at_first_byte():
     text = "9" * 18 + ",10000000000000000,123456789,12345678,resp,1\n"
-    columns = trace_module._parse_plain(text.encode(), 0)
+    columns = trace_module._parse_plain(io.BytesIO(text.encode()), Path("t.csv"))
     assert [c.tolist() for c in columns] == [
         [10 ** 18 - 1], [10 ** 16], [123456789], [12345678], [True], [True]]
 
@@ -515,7 +587,9 @@ def test_bulk_parse_widest_field_at_first_byte():
 @example(("1,,3,4,req,0\n", False))  # an empty field
 def test_bulk_parse_matches_line_parser(case):
     text, must_bulk = case
-    columns = trace_module._parse_plain((HEADER + text).encode(), len(HEADER))
+    body = io.BytesIO((HEADER + text).encode())
+    body.seek(len(HEADER))
+    columns = trace_module._parse_plain(body, Path("t.csv"))
     assert columns is not None or not must_bulk
     if columns is not None:
         try:
@@ -525,3 +599,69 @@ def test_bulk_parse_matches_line_parser(case):
         assert len(columns) == len(ref) == 6
         for got, want in zip(columns, ref):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ------------------------------------------------------------ stage scratch
+
+LONG_WINDOW = 4000  # few windows: the answer-sized T x W terms stay small
+
+
+@pytest.fixture(scope="module")
+def long_trace(tmp_path_factory):
+    """A file of about 217 k rows of packet bursts with critical streams, and its trace."""
+    spec = replace(benchmark_preset("uniform"), horizon=5_000_000,
+                   critical_stream_pairs=((1, 1), (2, 2), (3, 3)))
+    path = tmp_path_factory.mktemp("long") / "long.csv"
+    save_trace(generate(spec), path)
+    return path, load_trace(path)
+
+
+def merged_cuts(trace: Trace, window_size: int) -> int:
+    """Distinct cut points of the profile timeline: the ends of each
+    target's merged busy intervals and the window boundaries."""
+    points = set(range(window_size, trace.horizon, window_size))
+    for t in range(1, trace.num_targets + 1):
+        rows = trace.target == t
+        start = trace.start[rows]
+        reach = np.maximum.accumulate(start + trace.duration[rows])
+        opens = np.r_[True, start[1:] > reach[:-1]]
+        points.update(start[opens].tolist())
+        points.update(reach[np.r_[opens[1:], True]].tolist())
+    return len(points)
+
+
+@pytest.mark.parametrize("stage", ["load", "profile", "simulate-1-bus", "simulate-3-buses"])
+def test_stage_scratch_is_blocks_and_one_row_index(long_trace, monkeypatch, stage):
+    """Beyond what it returns, a stage holds a few blocks of scratch and at
+    most one 8-byte-per-row array: the row order of a grouping, whose
+    8-bit keys the 1 MiB allowance also covers.  The block constants are
+    shrunk so that the blocks are small beside the rows.  ``profile`` also
+    holds answer-sized scratch: its per-window overlaps (T x W int64,
+    three at a time at most) and its segment table, a T-bool column plus
+    eight int64 per cut of the timeline."""
+    path, trace = long_trace
+    n = len(trace.start)
+    assert n >= 200_000 and trace.critical.any()
+    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 1024)
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
+    monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
+    run = {
+        "load": lambda: load_trace(path),
+        "profile": lambda: profile(trace, LONG_WINDOW),
+        "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * trace.num_targets)),
+        "simulate-3-buses": lambda: simulate(
+            trace, CrossbarConfig(3, tuple(t % 3 + 1 for t in range(trace.num_targets)))),
+    }[stage]
+    tracemalloc.start()
+    try:
+        result = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    allowed = 8 * n + (1 << 20)
+    if stage == "profile":
+        allowed += 3 * result.comm.nbytes
+        allowed += (trace.num_targets + 64) * merged_cuts(trace, LONG_WINDOW)
+    assert peak - kept <= allowed, (
+        f"{stage}: {(peak - kept) / 2**20:.2f} MiB of scratch for {n} rows, "
+        f"{allowed / 2**20:.2f} MiB allowed")
