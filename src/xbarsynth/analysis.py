@@ -23,9 +23,18 @@ import numpy as np
 
 from .trace import Trace, group_rows, row_blocks
 
-# The most target-windows (T x windows) a profile holds: 32 MiB of int64 busy
-# counts, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
+# The most target-windows (T x windows) a profile holds: at most 8 bytes a busy
+# count, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
 MAX_PROFILE_CELLS = 1 << 22
+
+
+def _count_type(bound: int) -> np.dtype:
+    """The narrowest of int8, int16, int32 and int64 whose maximum is at least
+    ``bound``; int64 past that."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).max >= bound:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _check_window_size(window_size: int) -> None:
@@ -82,9 +91,12 @@ class WindowProfile:
     crit[i, j]   whether the critical streams of i+1 and j+1 are ever busy
                  at once (= (crit_wo[i, j] > 0).any())
 
-    ``wo`` and ``crit_wo`` themselves (T x T x windows) are built from
-    ``trace`` on each access, for checks against per-cycle oracles; the
-    profile proper is O(T*W + T^2).
+    ``comm`` has the narrowest signed integer type that holds T times the
+    window size (:func:`_count_type`), so no sum of its entries over one
+    window's column can wrap; ``om`` and ``peak`` are int64 and ``crit``
+    bool.  ``wo`` and ``crit_wo`` themselves (T x T x windows, int64) are
+    built from ``trace`` on each access, for checks against per-cycle
+    oracles; the profile proper is O(T*W + T^2).
     """
 
     window_size: int
@@ -117,7 +129,8 @@ class WindowProfile:
         tr = self.trace
         wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
         busy, cuts = _busy_segments(tr, _by_target(tr), self._boundaries(), rows)
-        for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size):
+        for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size,
+                                                    self.comm.dtype):
             wo[i, i:][:, windows] = per_window
             wo[i:, i][:, windows] = per_window
         return wo
@@ -211,7 +224,7 @@ def _busy_segments(trace: Trace, by_target: tuple[np.ndarray, np.ndarray],
     return np.logical_xor.accumulate(toggle, axis=1, out=toggle)[:, :-1], cuts
 
 
-def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):
+def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int, dtype: np.dtype):
     """Per-window overlaps of each target with itself and the targets after it.
 
     Takes the output of ``_busy_segments``.  Yields ``(i, windows,
@@ -219,12 +232,15 @@ def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):
     ``per_window[j - i, r]`` (j >= i) is the number of cycles of window
     ``windows[r]`` in which targets i+1 and j+1 are both busy; windows in
     which i+1 is idle are left out.  Segments come in time order, so each
-    window's segments form one run for ``np.add.reduceat``.  Besides
-    ``per_window`` (at most T x W) the scratch is at most one row of i's
-    segments or the size of ``per_window``, whichever is larger.
+    window's segments form one run for ``np.add.reduceat``.  A segment
+    lies in one window, so its length, and the sum over one window's
+    segments, is at most ``window_size``: lengths, their products with
+    ``busy`` and ``per_window`` are all of ``dtype``, which must hold it.
+    Besides ``per_window`` (at most T x W) the scratch is at most one row
+    of i's segments or the size of ``per_window``, whichever is larger.
     """
     num_targets = len(busy)
-    length = np.diff(cuts)
+    length = np.diff(cuts).astype(dtype)
     window = cuts[:-1] // window_size
     for i in range(num_targets):
         seg = np.flatnonzero(busy[i])
@@ -232,12 +248,12 @@ def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int):
             continue
         w = window[seg]
         run = np.flatnonzero(_changes(w))
-        per_window = np.empty((num_targets - i, len(run)), dtype=np.int64)
-        # As many targets at a time as keep the int64 scratch within per_window.
+        per_window = np.empty((num_targets - i, len(run)), dtype=dtype)
+        # As many targets at a time as keep the scratch within per_window.
         step = max(1, per_window.size // len(seg))
         for j in range(i, num_targets, step):
             both = busy[j:j + step, seg] * length[seg]
-            per_window[j - i:j - i + step] = np.add.reduceat(both, run, axis=1)
+            np.add.reduceat(both, run, axis=1, out=per_window[j - i:j - i + step])
         yield i, w[run], per_window
 
 
@@ -255,7 +271,7 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     if n * windows > MAX_PROFILE_CELLS:
         raise ValueError(f"a profile of {n} targets x {windows} windows exceeds "
                          f"{MAX_PROFILE_CELLS} target-windows; use a larger window size")
-    comm = np.zeros((n, windows), dtype=np.int64)
+    comm = np.zeros((n, windows), dtype=_count_type(n * window_size))
     om = np.zeros((n, n), dtype=np.int64)
     peak = np.zeros((n, n), dtype=np.int64)
     crit = np.zeros((n, n), dtype=bool)
@@ -270,9 +286,9 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
 
     busy, cuts = _busy_segments(trace, by_target, prof._boundaries())
     del by_target
-    for i, windows, per_window in _row_overlaps(busy, cuts, window_size):
+    for i, windows, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
         comm[i, windows] = per_window[0]
-        om[i, i:] = om[i:, i] = per_window.sum(axis=1)
+        om[i, i:] = om[i:, i] = per_window.sum(axis=1, dtype=np.int64)
         peak[i, i:] = peak[i:, i] = per_window.max(axis=1)
     return prof
 

@@ -33,8 +33,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,6 +72,7 @@ EXIT_LIMIT = 3
 # compare-bindings gives up after this many rejected samples per accepted
 # one; hitting it means the feasible set is a sliver of the sample space.
 MAX_REJECTIONS_PER_SAMPLE = 1000
+_DRAW_BLOCK = 64  # random bindings drawn per rng.integers call
 
 
 @dataclass
@@ -345,16 +348,32 @@ def sweep_threshold(run: RunConfig, theta_list: list[float]) -> Path:
                   _threshold_cells)
 
 
+def binding_draws(rng: np.random.Generator, num_targets: int,
+                  num_buses: int) -> Iterator[tuple[int, ...]]:
+    """Endless uniform random bindings of ``num_targets`` targets onto
+    ``num_buses`` buses, ``_DRAW_BLOCK`` from each ``rng.integers`` call.
+
+    With a PCG64 ``rng`` they are, in order, the bindings of one
+    ``rng.integers(1, num_buses + 1, num_targets)`` call each: every bus
+    label takes whole 32-bit words, and PCG64 keeps the spare half of its
+    last 64-bit output from one call to the next.
+    """
+    while True:
+        yield from map(tuple, rng.integers(1, num_buses + 1,
+                                           (_DRAW_BLOCK, num_targets)).tolist())
+
+
 def random_feasible_binding(
-    inst: ProblemInstance, num_buses: int, rng: np.random.Generator
+    inst: ProblemInstance, num_buses: int, draws: Iterator[tuple[int, ...]]
 ) -> CrossbarConfig | None:
     """Uniform rejection sampling over all bindings into num_buses buses.
 
-    Each draw is tested by :func:`~xbarsynth.solver.binding_fits`; only the
-    accepted one becomes a :class:`CrossbarConfig`.
+    Takes at most ``MAX_REJECTIONS_PER_SAMPLE`` bindings from ``draws``
+    (:func:`binding_draws` onto ``num_buses``), leaving the rest for the
+    next sample.  Each is tested by :func:`~xbarsynth.solver.binding_fits`;
+    only the accepted one becomes a :class:`CrossbarConfig`.
     """
-    for _ in range(MAX_REJECTIONS_PER_SAMPLE):
-        binding = tuple(rng.integers(1, num_buses + 1, inst.num_targets).tolist())
+    for binding in itertools.islice(draws, MAX_REJECTIONS_PER_SAMPLE):
         if binding_fits(inst, binding):
             return CrossbarConfig(num_buses, binding)
     return None
@@ -378,10 +397,11 @@ def compare_bindings(run: RunConfig, num_random: int) -> BindingComparison:
     inst, trace = outcome.instance, outcome.trace
     best = outcome.report.config
     opt_avg = outcome.replays["designed"].avg_latency
-    rng = np.random.Generator(np.random.PCG64(run.seed))
+    draws = binding_draws(np.random.Generator(np.random.PCG64(run.seed)), inst.num_targets,
+                          best.num_buses)
     random_avgs = []
     for k in range(num_random):
-        config = random_feasible_binding(inst, best.num_buses, rng)
+        config = random_feasible_binding(inst, best.num_buses, draws)
         if config is None:  # the draw budget ran out, not a proof
             raise SolverLimitReached(
                 f"no feasible random binding found in {MAX_REJECTIONS_PER_SAMPLE} "

@@ -88,7 +88,11 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
         labels = canonical_binding(config.binding)  # 1..K: no label sizes an array
         buses = max(labels)
         bus_of = np.array((0, *labels), dtype=np.min_scalar_type(buses))  # ids are 1-based
-        order, bounds = group_rows(bus_of[trace.target], buses + 1)  # grant order within a bus
+        keys = np.empty(n, dtype=bus_of.dtype)
+        for rows in row_blocks(n):  # an id index widens to intp a block at a time
+            keys[rows] = bus_of[trace.target[rows]]
+        order, bounds = group_rows(keys, buses + 1)  # grant order within a bus
+        del keys
         bounds = bounds.tolist()
     latency = np.empty_like(start)
     ends = iter(bounds[1:])  # where each bus's rows end in grant order

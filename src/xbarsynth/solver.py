@@ -169,7 +169,10 @@ class ProblemInstance:
 
     Immutable, so that the packed form the search builds on first use
     (``_packed``, see the module docstring) never goes stale: the fields
-    cannot be reassigned and the arrays are read-only views.  Build a
+    cannot be reassigned and the arrays are read-only views.  ``comm``
+    keeps its type when that is a signed integer type (the profile's is
+    the narrowest that holds T times the window size) and is int64
+    otherwise; ``om`` is int64 and ``conflict`` bool.  Build a
     changed instance with :func:`dataclasses.replace`.  Its counts,
     ``window_size`` and ``maxtb``, are integers >= 1 (numpy integers too):
     the packed search shifts and masks by them.
@@ -182,7 +185,11 @@ class ProblemInstance:
     maxtb: int
 
     def __post_init__(self) -> None:
-        for name, dtype in (("comm", np.int64), ("om", np.int64), ("conflict", bool)):
+        # A signed integer comm keeps its type, so the profile's narrow
+        # counts are shared, not widened; every sum over it is taken in int64.
+        comm = np.asarray(self.comm)
+        comm_type = comm.dtype if np.issubdtype(comm.dtype, np.signedinteger) else np.int64
+        for name, dtype in (("comm", comm_type), ("om", np.int64), ("conflict", bool)):
             object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         t = self.comm.shape[0]
         if t < 1:
@@ -291,7 +298,7 @@ def validate_binding(inst: ProblemInstance, config: CrossbarConfig) -> list[str]
         return [f"binding covers {config.num_targets} targets, instance has {inst.num_targets}"]
     ws = inst.window_size
     for k, members in sorted(config.bus_members().items()):
-        loads = inst.comm[members].sum(axis=0)
+        loads = inst.comm[members].sum(axis=0, dtype=np.int64)
         if (loads > ws).any():
             m = int(np.argmax(loads > ws))
             violations.append(
@@ -454,7 +461,7 @@ def _pack(inst: ProblemInstance) -> _Packed:
     np.fill_diagonal(om, 0)
     sums = [sum(row) for row in om.tolist()]  # Python ints: a numpy sum can overflow
     ov_width = _field_width(max(sums))
-    totals = comm.sum(axis=1).tolist()
+    totals = comm.sum(axis=1, dtype=np.int64).tolist()
     return _Packed(
         guard=(1 << (width - 1)) * ones,
         bias=((1 << (width - 1)) - 1 - inst.window_size) * ones,
@@ -645,7 +652,7 @@ def _greedy_clique_size(adj: Sequence[int]) -> int:
 def lower_bound(inst: ProblemInstance) -> int:
     """Cheap proven lower bounds: window bandwidth, conflict clique, maxtb."""
     if inst.comm.shape[1]:
-        col = int(inst.comm.sum(axis=0).max())
+        col = int(inst.comm.sum(axis=0, dtype=np.int64).max())
         bw = -(-col // inst.window_size)  # ceil
     else:
         bw = 0

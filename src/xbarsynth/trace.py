@@ -30,11 +30,14 @@ in place, numeric fields of 1 to 18 digits and no other byte) and then to
 a digit kernel that computes every numeric field from the 8-byte words
 that end it, eight digits a word folded by three multiply-shift steps
 (SWAR).  Any other body (comments, blank lines, spaces, signs, ``\r\n``,
-longer fields) and every malformed one go through the line parser
+longer fields, a core id outside 1..``MAX_CORES``) and every malformed
+one go through the line parser
 (:func:`_parse_lines`), the reference, which also names the first bad
 line.  The rows are range-checked once, and the trace adopts the parsed
 columns as they are.  Beyond the columns, the bulk path and every pass
-over the columns hold scratch of a block of lines or rows.
+over the columns hold scratch of a block of lines or rows.  The id
+columns are int16, 21 bytes a row in all with the int64 cycles and the
+bool flag; an id is widened before any arithmetic.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # int64 matrix then stays within 8 MiB.  One bound serves both sides,
 # since a response trace swaps them.
 MAX_CORES = 1024
+_CORE_ID = np.int16  # the type of the id columns: it holds 1..MAX_CORES
 _BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
 _READ_BYTES = 1 << 18  # bytes a pass over a trace file reads at once
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
@@ -144,9 +148,9 @@ class Trace:
     """A validated trace stored as columns sorted by (start, target, initiator).
 
     Columns (read-only numpy arrays, one entry per transaction):
-    ``start``, ``duration``, ``initiator`` and ``target`` (int64, ids
-    1-based) and ``critical`` (bool).  Rows with equal sort keys keep their
-    input order.  Every row moves in ``direction`` (``req`` or ``resp``).
+    ``start`` and ``duration`` (int64), ``initiator`` and ``target``
+    (int16, ids 1-based, at most ``MAX_CORES``) and ``critical`` (bool).
+    Rows with equal sort keys keep their input order.  Every row moves in ``direction`` (``req`` or ``resp``).
     ``horizon`` is the last busy cycle, max(start + duration), or 0 for an
     empty trace: windows past it hold no traffic.
     """
@@ -167,8 +171,9 @@ class Trace:
                columns: tuple[np.ndarray, ...]) -> None:
         """Take sorted, validated columns as they are and make them read-only.
 
-        ``columns`` are ``start``, ``duration``, ``initiator``, ``target``
-        (int64) and ``critical`` (bool), each owned by this trace from now on.
+        ``columns`` are ``start`` and ``duration`` (int64), ``initiator`` and
+        ``target`` (int16) and ``critical`` (bool), each owned by this trace
+        from now on.
         The last start plus the total duration must stay below 2**63: that
         bounds every end, the horizon and every replay's completion cycle,
         so int64 cycle arithmetic cannot wrap.
@@ -227,11 +232,12 @@ def exact_sum(values: np.ndarray) -> int:
 def _is_sorted(start: np.ndarray, target: np.ndarray, initiator: np.ndarray) -> bool:
     """Whether rows are already in (start, target, initiator) order.
 
-    Each block of rows is compared with the row before it, too.
+    Each block of rows is compared with the row before it, too, in int64.
     """
     for rows in row_blocks(len(start) - 1):
         with_next = slice(rows.start, rows.stop + 1)
-        ds, dt, di = (np.diff(c[with_next]) for c in (start, target, initiator))
+        ds, dt, di = (np.diff(c[with_next].astype(np.int64, copy=False))
+                      for c in (start, target, initiator))
         if not ((ds > 0) | ((ds == 0) & ((dt > 0) | ((dt == 0) & (di >= 0))))).all():
             return False
     return True
@@ -247,7 +253,8 @@ def _sorted(start, duration, initiator, target, critical) -> tuple[np.ndarray, .
 
 def _validated(num_initiators, num_targets, direction, start, duration, initiator, target,
                critical) -> tuple[np.ndarray, ...]:
-    """Sorted copies of the columns, after checking them against the core counts."""
+    """Sorted copies of the columns, after checking them against the core
+    counts; the ids are read as int64 and narrowed once checked."""
     _check_core_counts(num_initiators, num_targets)
     _check_direction(direction)
     columns = (*(np.array(c, dtype=np.int64) for c in (start, duration, initiator, target)),
@@ -257,7 +264,8 @@ def _validated(num_initiators, num_targets, direction, start, duration, initiato
         raise TraceError(f"columns must be 1-D and of one length, got shapes {shapes}")
     columns = _sorted(*columns)
     _check_rows(columns, num_initiators, num_targets)
-    return columns
+    start, duration, initiator, target, critical = columns
+    return start, duration, initiator.astype(_CORE_ID), target.astype(_CORE_ID), critical
 
 
 def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +273,13 @@ def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(order, bounds)``: the rows of group g are
     ``order[bounds[g]:bounds[g + 1]]``, in their original order.  The ids
-    are sorted as 8- or 16-bit keys, copied to that type unless they have
-    it already; beyond the keys the only row-length array is ``order``.
+    are sorted as 8- or 16-bit keys, copied to the narrowest type that
+    holds them unless they are that narrow already (int16 trace ids
+    included); beyond the keys the only row-length array is ``order``.
     """
-    keys = ids.astype(np.min_scalar_type(num_groups - 1), copy=False)  # 8/16-bit keys radix-sort
+    narrow = np.min_scalar_type(num_groups - 1)
+    # 8/16-bit keys radix-sort
+    keys = ids if ids.dtype.itemsize <= narrow.itemsize else ids.astype(narrow)
     bounds = np.zeros(num_groups + 1, dtype=np.int64)
     for rows in row_blocks(len(keys)):  # bincount widens its input to intp
         bounds[1:] += np.bincount(keys[rows], minlength=num_groups)
@@ -361,15 +372,17 @@ def _field_values(words: np.ndarray, ends: np.ndarray, digits: np.ndarray,
         value[longer] += high
 
 
-def _parse_block(block: bytes, eol: np.ndarray, values: np.ndarray, resp: np.ndarray,
-                 critical: np.ndarray) -> bool:
-    """Parse the canonical lines of ``block`` into the given columns; False if any deviates.
+def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndarray,
+                 resp: np.ndarray, critical: np.ndarray) -> bool:
+    """Parse the canonical lines of ``block`` into the given columns; False if any
+    deviates or names a core id outside 1..``MAX_CORES``.
 
     ``block`` is ``_PAD`` zero bytes followed by whole lines; ``eol`` holds
     the offset of every newline in it, the last being its final byte.
-    ``values`` (int64, 4 x lines) receives ``start``, ``duration``,
-    ``initiator`` and ``target``; ``resp`` and ``critical`` (bool) receive
-    whether each line is a response and whether it is critical.
+    ``cycles`` (int64, 2 x lines) receives ``start`` and ``duration``,
+    ``ids`` (int16, 2 x lines) ``initiator`` and ``target``; ``resp`` and
+    ``critical`` (bool) receive whether each line is a response and whether
+    it is critical.
     """
     m = len(eol)
     c = np.frombuffer(block, dtype=np.uint8)
@@ -394,7 +407,12 @@ def _parse_block(block: bytes, eol: np.ndarray, values: np.ndarray, resp: np.nda
     if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - _PAD - 6 * m - letters:
         return False
 
-    _field_values(words, commas.reshape(m, 5)[:, :4], digits, values.T)
+    fields = np.empty((4, m), dtype=np.int64)
+    _field_values(words, commas.reshape(m, 5)[:, :4], digits, fields.T)
+    if fields[2:].min() < 1 or fields[2:].max() > MAX_CORES:
+        return False  # not an int16 id: the line parser reads it, and a check names it
+    cycles[:] = fields[:2]
+    ids[:] = fields[2:]
     resp[:] = is_resp
     np.equal(c[eol - 1], ord("1"), out=critical)
     return True
@@ -463,10 +481,11 @@ def _parse_plain(stream: BinaryIO, path: Path) -> tuple[np.ndarray, ...] | None:
        always fit int64, so the values are exact.
 
     Returns six columns of one entry per line, written block by block:
-    ``start``, ``duration``, ``initiator`` and ``target`` (int64 rows of
-    one array), then whether the line is a response and whether it is
-    critical (bool).  Besides them the scratch is a few blocks.  Returns
-    None when any line deviates, such as a field of 19 or more digits;
+    ``start`` and ``duration`` (int64 rows of one array), ``initiator``
+    and ``target`` (int16 rows of another), then whether the line is a
+    response and whether it is critical (bool).  Besides them the scratch
+    is a few blocks.  Returns None when any line deviates, such as a field
+    of 19 or more digits, or names a core id outside 1..``MAX_CORES``;
     callers then parse line by line, which also locates errors.  A second
     pass that finds another number of lines than the first (the file
     changed in between) raises :class:`TraceError` naming ``path``.
@@ -474,7 +493,7 @@ def _parse_plain(stream: BinaryIO, path: Path) -> tuple[np.ndarray, ...] | None:
     body = stream.tell()
     n = _count_lines(stream)
     stream.seek(body)
-    values = np.empty((4, n), dtype=np.int64)
+    cycles, ids = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=_CORE_ID)
     resp, critical = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     row = 0
     for block, eol in _line_blocks(stream):
@@ -482,21 +501,22 @@ def _parse_plain(stream: BinaryIO, path: Path) -> tuple[np.ndarray, ...] | None:
         row = rows.stop
         if row > n:
             break
-        if not _parse_block(block, eol, values[:, rows], resp[rows], critical[rows]):
+        if not _parse_block(block, eol, cycles[:, rows], ids[:, rows], resp[rows],
+                            critical[rows]):
             return None
     if row != n:
         raise TraceError(f"{path}: changed while being read: {n} body lines at first, "
                          f"then {'more' if row > n else row}")
-    return (*values, resp, critical)
+    return (*cycles, *ids, resp, critical)
 
 
 def _parse_lines(body: bytes, path: Path, num_initiators: int,
                  num_targets: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     r"""Parse body lines one by one; returns the rows' columns and line numbers.
 
-    The columns are those :func:`_parse_plain` returns, and ``body``
-    starts at line 2 of the file.  A line ends at ``\n`` and is decoded
-    as UTF-8 on its own.  A malformed line raises :class:`TraceError`
+    The columns are those :func:`_parse_plain` returns, the ids in int64
+    since they are not checked yet, and ``body`` starts at line 2 of the
+    file.  A line ends at ``\n`` and is decoded as UTF-8 on its own.  A malformed line raises :class:`TraceError`
     naming it, unless an earlier line breaks a range rule, which is then
     reported instead.
     """
@@ -567,6 +587,8 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     _check_rows(columns, num_initiators, num_targets, path, linenos)
 
     start, duration, initiator, target, resp, critical = columns
+    # checked, so the ids fit: the bulk columns have the type already
+    initiator, target = (c.astype(_CORE_ID, copy=False) for c in (initiator, target))
     keep = resp if direction == RESPONSE else ~resp
     if not keep.all():
         start, duration, initiator, target, critical = (

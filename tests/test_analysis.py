@@ -55,6 +55,41 @@ def test_same_target_concurrency_counts_once():
     assert prof.comm[0, 0] == 9
 
 
+@pytest.mark.parametrize("num_targets, window_size, dtype", [
+    (1, 127, np.int8), (1, 128, np.int16), (2, 63, np.int8), (2, 64, np.int16),
+    (7, 4681, np.int16), (1, 32768, np.int32), (2, 16384, np.int32),
+])
+def test_comm_type_holds_targets_times_window_size(num_targets, window_size, dtype):
+    """T x ws = 127/128 and 32767/32768: every target is busy through
+    window 0, so its column sums to T x ws, which must fit comm's type."""
+    rng = np.random.Generator(np.random.PCG64(window_size))
+    txs = [Transaction(0, window_size, 1, t) for t in range(1, num_targets + 1)]
+    for _ in range(20):
+        start = int(rng.integers(window_size, 3 * window_size))
+        txs.append(Transaction(start, int(rng.integers(1, window_size)), 1,
+                               int(rng.integers(1, num_targets + 1)), bool(rng.random() < 0.5)))
+    tr = trace_of(1, num_targets, txs)
+    prof = profile(tr, window_size)
+    comm, wo, crit_wo = cycle_profile(tr, window_size)
+    assert prof.comm.dtype == dtype
+    assert np.array_equal(prof.comm, comm)
+    assert np.array_equal(prof.om, wo.sum(axis=2)) and np.array_equal(prof.peak, wo.max(axis=2))
+    assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
+    assert np.array_equal(prof.wo, wo)
+    # summed in comm's own type, no column wraps
+    column_sums = np.add.reduce(prof.comm, axis=0, dtype=dtype)
+    assert np.array_equal(column_sums, comm.sum(axis=0))
+    assert column_sums[0] == num_targets * window_size
+
+
+@pytest.mark.parametrize("num_targets, window_size, dtype", [
+    (1, 2**31 - 1, np.int32), (2, 2**30, np.int64), (1, 2**62, np.int64),
+])
+def test_comm_type_past_int32(num_targets, window_size, dtype):
+    prof = profile(Trace(1, num_targets, [0], [5], [1], [num_targets]), window_size)
+    assert prof.comm.dtype == dtype and prof.comm[-1].tolist() == [5]
+
+
 def test_profile_matches_cycle_oracle():
     rng = np.random.Generator(np.random.PCG64(13))
     for _ in range(30):
@@ -275,5 +310,6 @@ def test_profile_memory_is_linear_in_windows_and_segments(make_trace):
     # Two ends per transfer plus the window cuts.  The T x segments arrays
     # are booleans: an int64 matrix of that shape would take 8 bytes per
     # target and segment, and the dense T x T x W tensor 8 * T per window.
+    # Each T x W term is counted at 8 bytes a cell, whatever type comm has.
     max_segments = 2 * len(trace.start) + prof.num_windows
-    assert peak < 3 * prof.comm.nbytes + 5 * trace.num_targets * max_segments
+    assert peak < 3 * 8 * prof.comm.size + 5 * trace.num_targets * max_segments

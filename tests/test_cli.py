@@ -13,6 +13,7 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1212,6 +1213,17 @@ def loose_pair_trace():
     txs.append(Transaction(60, 5, 3, 3))
     txs.append(Transaction(160, 5, 4, 4))
     return trace_of(4, 4, txs)
+
+
+@pytest.mark.parametrize("num_targets", [1, 7, 12, 13, 32])
+@pytest.mark.parametrize("num_buses", [2, 3, 5, 7, 32])
+def test_binding_draws_are_one_integers_call_each(num_targets, num_buses):
+    # blocks of draws reproduce the stream of one call per binding
+    draws = cli.binding_draws(np.random.Generator(np.random.PCG64(11)), num_targets, num_buses)
+    rng = np.random.Generator(np.random.PCG64(11))
+    count = 2 * cli._DRAW_BLOCK + 5
+    assert [next(draws) for _ in range(count)] == [
+        tuple(rng.integers(1, num_buses + 1, num_targets).tolist()) for _ in range(count)]
 
 
 def test_compare_bindings_artifact(tmp_path):

@@ -590,6 +590,30 @@ def test_instances_are_immutable_and_leave_the_callers_arrays_writable(uniform_t
     conflict[0, 1] = not conflict[0, 1]
 
 
+def test_build_instance_shares_the_profiles_narrow_comm(uniform_trace):
+    params = AnalysisParams(2000, 0.1)
+    prof = profile(uniform_trace, 2000)
+    inst = build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
+    assert inst.comm.dtype == prof.comm.dtype == np.int32  # 20 targets x 2000 cycles
+    assert np.shares_memory(inst.comm, prof.comm)
+
+
+@pytest.mark.parametrize("comm, dtype", [
+    (np.array([[100], [100]], dtype=np.int8), np.int8),
+    (np.array([[100], [100]], dtype=np.uint8), np.int64),
+    (np.array([[100.0], [100.0]]), np.int64),
+    ([[100], [100]], np.int64),
+])
+def test_a_signed_integer_comm_keeps_its_type_and_sums_in_int64(comm, dtype):
+    # 100 + 100 wraps in int8: every check that sums a window reads 200
+    inst = ProblemInstance(127, comm, np.zeros((2, 2)), np.zeros((2, 2), bool), 2)
+    assert inst.comm.dtype == dtype
+    assert lower_bound(inst) == 2
+    assert validate_binding(inst, CrossbarConfig(1, (1, 1))) == [
+        "bus 1 overloaded in window 0: 200 > 127"]
+    assert min_config(inst)[0] == 2
+
+
 def limited_solve(inst, node_limit):
     """min_config then optimal_binding on one budget; (cut?, budget nodes)."""
     budget = SearchBudget(SolverLimits(node_limit=node_limit))

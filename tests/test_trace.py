@@ -26,7 +26,7 @@ from xbarsynth.trace import (
     save_trace,
 )
 
-from oracles import make_random_trace, trace_of, trace_stats
+from oracles import make_random_trace, replay_simulate, trace_of, trace_stats
 
 
 def write(tmp_path, body, name="t.csv"):
@@ -156,6 +156,40 @@ def test_core_counts_bound_the_constructor():
             Trace(*counts, [0], [5], [1], [1])
     tr = Trace(1024, 1024, [0], [5], [1024], [1024])
     assert (tr.num_initiators, tr.num_targets) == (1024, 1024)
+
+
+def test_every_core_id_round_trips_through_save_load_and_simulate(tmp_path):
+    # 1024 initiators and 1024 targets, each id used; the columns are int16
+    n = trace_module.MAX_CORES
+    ids = np.arange(1, n + 1)
+    rng = np.random.Generator(np.random.PCG64(8))
+    tr = Trace(n, n, rng.integers(0, 300, 3 * n), rng.integers(1, 9, 3 * n),
+               np.r_[ids, rng.integers(1, n + 1, 2 * n)], np.r_[ids[::-1], ids, ids],
+               rng.random(3 * n) < 0.5)
+    path = tmp_path / "cores.csv"
+    save_trace(tr, path)
+    # a comment line sends the second copy through the line parser
+    lines = path.read_text().split("\n")
+    commented = write(tmp_path, "\n".join([lines[0], "# every core", *lines[1:]]), "c.csv")
+    configs = [CrossbarConfig(1, (1,) * n), CrossbarConfig(3, tuple(t % 3 + 1 for t in range(n))),
+               CrossbarConfig(n, tuple(range(1, n + 1)))]
+    for loaded in (load_trace(path), load_trace(commented)):
+        assert loaded == tr
+        assert loaded.initiator.dtype == loaded.target.dtype == np.int16
+        assert sorted(set(loaded.initiator.tolist())) == sorted(set(loaded.target.tolist())) \
+            == ids.tolist()
+        for config in configs:
+            assert simulate(loaded, config).per_transaction_latency == \
+                replay_simulate(tr, config)[0]
+
+
+@pytest.mark.parametrize("target", [32768, 70000])
+def test_target_past_int16_names_its_line(tmp_path, target):
+    # the bulk parser hands the block to the line parser, whose check names the line
+    path = write(tmp_path, HEADER + "0,5,1,2,req,0\n" + f"1,5,1,{target},req,0\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}:3: target id {target} outside 1..12"
 
 
 @pytest.mark.parametrize("rows", [
@@ -505,9 +539,15 @@ def digit_field(max_digits):
         lambda n: st.text("0123456789", min_size=n, max_size=n))
 
 
-def canonical_lines(max_digits):
+def core_id():
+    """An id in 1..MAX_CORES, sometimes with leading zeros."""
+    return st.builds(lambda zeros, n: "0" * zeros + str(n),
+                     st.integers(0, 3), st.integers(1, trace_module.MAX_CORES))
+
+
+def canonical_lines(max_digits, ids):
     field = digit_field(max_digits)
-    return st.lists(st.tuples(field, field, field, field, st.sampled_from(["req", "resp"]),
+    return st.lists(st.tuples(field, field, ids, ids, st.sampled_from(["req", "resp"]),
                               st.sampled_from(["0", "1"])).map(list), max_size=12)
 
 
@@ -534,10 +574,13 @@ def mutate(draw, row):
 @st.composite
 def trace_bodies(draw):
     """``(body, must_bulk)``: a body in the layout ``save_trace`` writes,
-    with fields of 1 to 18 or 1 to 20 digits, or one with a deviation;
-    ``must_bulk`` marks a canonical one whose fields all fit 18 digits."""
+    with fields of 1 to 18 or 1 to 20 digits and ids in 1..MAX_CORES or
+    any such field, or one with a deviation; ``must_bulk`` marks a
+    canonical one whose fields all fit 18 digits and whose ids fit."""
     canonical = draw(st.booleans())
-    lines = draw(canonical_lines(draw(st.sampled_from([18, 20]))))
+    max_digits = draw(st.sampled_from([18, 20]))
+    ids_fit = draw(st.booleans())
+    lines = draw(canonical_lines(max_digits, core_id() if ids_fit else digit_field(max_digits)))
     eol = "\n"
     if not canonical:
         if lines and draw(st.booleans()):
@@ -549,7 +592,7 @@ def trace_bodies(draw):
     if lines and draw(st.booleans()):
         text += eol
     fits = all(len(f) <= 18 for row in lines for f in row)
-    return text, canonical and fits
+    return text, canonical and fits and ids_fit
 
 
 def digit_kernel(fields: list[str]) -> list[int]:
@@ -574,10 +617,18 @@ def test_digit_kernel_matches_int(fields):
 
 
 def test_bulk_parse_widest_field_at_first_byte():
-    text = "9" * 18 + ",10000000000000000,123456789,12345678,resp,1\n"
+    text = "9" * 18 + ",10000000000000000,1024,1,resp,1\n123456789,12345678,0007,9,req,0\n"
     columns = trace_module._parse_plain(io.BytesIO(text.encode()), Path("t.csv"))
     assert [c.tolist() for c in columns] == [
-        [10 ** 18 - 1], [10 ** 16], [123456789], [12345678], [True], [True]]
+        [10 ** 18 - 1, 123456789], [10 ** 16, 12345678], [1024, 7], [1, 9],
+        [True, False], [True, False]]
+    assert [c.dtype for c in columns] == [np.int64, np.int64, np.int16, np.int16, bool, bool]
+
+
+@pytest.mark.parametrize("ids", ["0,1", "1,1025", "32768,1", "1,70000", "123456789,12345678"])
+def test_bulk_parse_leaves_ids_outside_the_core_bound_to_the_line_parser(ids):
+    text = f"0,5,{ids},req,0\n"
+    assert trace_module._parse_plain(io.BytesIO(text.encode()), Path("t.csv")) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -598,7 +649,8 @@ def test_bulk_parse_matches_line_parser(case):
             pytest.fail(f"bulk parse accepted a body the line parser rejects: {exc}")
         assert len(columns) == len(ref) == 6
         for got, want in zip(columns, ref):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype.kind == want.dtype.kind and np.array_equal(got, want)
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.int16, np.int16, bool, bool]
 
 
 # ------------------------------------------------------------ stage scratch
