@@ -128,7 +128,8 @@ class WindowProfile:
         """The overlap tensor of the trace rows selected by the mask ``rows`` (all if None)."""
         tr = self.trace
         wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
-        busy, cuts = _busy_segments(tr, _by_target(tr), self._boundaries(), rows)
+        busy, cuts = _busy_segments(self.num_targets, _merged_targets(tr, _by_target(tr), rows),
+                                    self._boundaries())
         for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size,
                                                     self.comm.dtype):
             wo[i, i:][:, windows] = per_window
@@ -183,26 +184,33 @@ def _by_target(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     return group_rows(trace.target, trace.num_targets + 1)
 
 
-def _busy_segments(trace: Trace, by_target: tuple[np.ndarray, np.ndarray],
-                   boundaries: np.ndarray, rows: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Cut the timeline into segments on which each target is busy or idle throughout.
+def _merged_targets(trace: Trace, by_target: tuple[np.ndarray, np.ndarray],
+                    rows: np.ndarray | None = None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Each target's merged busy intervals (:func:`_merged`) over the trace rows
+    the mask ``rows`` selects (all if None), grouped by :func:`_by_target`.
 
-    Reads the trace rows selected by the mask ``rows`` (all if None),
-    grouped by :func:`_by_target`.  Each target's intervals are merged,
-    its ends formed from its own rows; the cut points of all merged
-    intervals plus the sorted ``boundaries`` give ``cuts``, and segment k
-    is [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
-    true when target i+1 is busy on segment k.
+    Returns ``(i, lo, hi)`` for each target i+1 with a selected row, in
+    target order, each target's ends formed from its own rows.
     """
-    num_targets = trace.num_targets
     order, bounds = by_target
     bounds = bounds.tolist()
     pieces = []
-    for i in range(num_targets):
+    for i in range(trace.num_targets):
         lo, hi = _merged(trace, order[bounds[i + 1]:bounds[i + 2]], rows)
         if len(lo):
             pieces.append((i, lo, hi))
+    return pieces
+
+
+def _busy_segments(num_targets: int, pieces: list[tuple[int, np.ndarray, np.ndarray]],
+                   boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the timeline into segments on which each target is busy or idle throughout.
+
+    Takes the merged intervals of :func:`_merged_targets`; their cut points
+    plus the sorted ``boundaries`` give ``cuts``, and segment k is
+    [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
+    true when target i+1 is busy on segment k.
+    """
     if not pieces:
         return np.zeros((num_targets, 0), dtype=bool), np.zeros(0, dtype=np.int64)
     owner = np.concatenate([np.full(len(s), i) for i, s, _ in pieces])
@@ -279,13 +287,17 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
 
     by_target = _by_target(trace)
     # Critical overlap needs no windows: any shared busy segment counts.
-    busy, _ = _busy_segments(trace, by_target, np.zeros(0, dtype=np.int64), trace.critical)
+    busy, _ = _busy_segments(n, _merged_targets(trace, by_target, trace.critical),
+                             np.zeros(0, dtype=np.int64))
     for i in range(n):
         crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
     del busy
 
-    busy, cuts = _busy_segments(trace, by_target, prof._boundaries())
+    # Merged first, so that the row order is freed before the segment table is built.
+    merged = _merged_targets(trace, by_target)
     del by_target
+    busy, cuts = _busy_segments(n, merged, prof._boundaries())
+    del merged
     for i, windows, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
         comm[i, windows] = per_window[0]
         om[i, i:] = om[i:, i] = per_window.sum(axis=1, dtype=np.int64)

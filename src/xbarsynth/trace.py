@@ -22,22 +22,22 @@ transaction, plus the one direction all its rows move in;
 :class:`Transaction` objects are built only when a caller reads rows
 through :attr:`Trace.transactions`.
 
-:func:`load_trace` streams a body in the layout :func:`save_trace`
-writes (:func:`_parse_plain`): one pass over fixed-size reads counts the
-lines and sizes the columns, and a second hands blocks of lines to exact
-structure guards (five commas a line, the direction and critical tokens
-in place, numeric fields of 1 to 18 digits and no other byte) and then to
-a digit kernel that computes every numeric field from the 8-byte words
-that end it, eight digits a word folded by three multiply-shift steps
-(SWAR).  Any other body (comments, blank lines, spaces, signs, ``\r\n``,
-longer fields, a core id outside 1..``MAX_CORES``) and every malformed
-one go through the line parser
-(:func:`_parse_lines`), the reference, which also names the first bad
-line.  The rows are range-checked once, and the trace adopts the parsed
-columns as they are.  Beyond the columns, the bulk path and every pass
-over the columns hold scratch of a block of lines or rows.  The id
-columns are int16, 21 bytes a row in all with the int64 cycles and the
-bool flag; an id is widened before any arithmetic.
+:func:`load_trace` streams a body in one loop of blocks: one pass over
+fixed-size reads counts the lines and sizes the columns, and a second
+hands blocks of lines to exact structure guards (five commas a line, the
+direction and critical tokens in place, numeric fields of 1 to 18 digits
+and no other byte) and then to a digit kernel that computes every
+numeric field from the 8-byte words that end it, eight digits a word
+folded by three multiply-shift steps (SWAR).  A block holding any other
+line (comments, blank lines, spaces, signs, ``\r\n``, longer fields, a
+core id outside 1..``MAX_CORES``) or a malformed one goes alone through
+the line parser (:func:`_parse_lines`), the reference, which also names
+the first bad line.  Each block's rows are range-checked as they are
+read, and those moving in the loaded direction are kept; the trace
+adopts the parsed columns as they are.  Beyond the columns, the loader
+and every pass over the columns hold scratch of a block of lines or
+rows.  The id columns are int16, 21 bytes a row in all with the int64
+cycles and the bool flag; an id is widened before any arithmetic.
 """
 
 from __future__ import annotations
@@ -456,73 +456,21 @@ def _line_blocks(stream: BinaryIO) -> Iterator[tuple[bytes, np.ndarray]]:
         rest, rest_eol = data[lo:], eol[whole:] - lo
 
 
-def _parse_plain(stream: BinaryIO, path: Path) -> tuple[np.ndarray, ...] | None:
-    """Bulk-parse the rest of ``stream``, a trace body in the canonical layout, or return None.
-
-    The canonical layout is what :func:`save_trace` writes: every line is
-    ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
-    comments or blank lines.  A first pass counts the lines, to size the
-    columns; a second reads the body in blocks of ``_BLOCK_LINES`` lines
-    (:func:`_line_blocks`), each behind ``_PAD`` zero bytes:
-
-    1. The direction and critical fields are checked at fixed offsets
-       from each line end, reading the line's last 8 bytes as one word.
-    2. The structure is checked over the comma positions: each line holds
-       exactly five commas, the fifth just before the critical digit;
-       each of the four numeric fields has 1 to 18 digits; and the block
-       holds no byte but digits, commas, newlines and the direction's
-       letters.
-    3. Each numeric field is computed from the 8-byte little-endian words
-       that end it (one for up to 8 digits, two for 9 to 16, three for 17
-       or 18), each masked to the field's digits and folded into its value
-       by three multiply-shift steps in uint64 (SWAR, as in Langdale and
-       Lemire, "Parsing Gigabytes of JSON per Second", 2019).  The pad
-       keeps every word a field needs inside the block, and 18 digits
-       always fit int64, so the values are exact.
-
-    Returns six columns of one entry per line, written block by block:
-    ``start`` and ``duration`` (int64 rows of one array), ``initiator``
-    and ``target`` (int16 rows of another), then whether the line is a
-    response and whether it is critical (bool).  Besides them the scratch
-    is a few blocks.  Returns None when any line deviates, such as a field
-    of 19 or more digits, or names a core id outside 1..``MAX_CORES``;
-    callers then parse line by line, which also locates errors.  A second
-    pass that finds another number of lines than the first (the file
-    changed in between) raises :class:`TraceError` naming ``path``.
-    """
-    body = stream.tell()
-    n = _count_lines(stream)
-    stream.seek(body)
-    cycles, ids = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=_CORE_ID)
-    resp, critical = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    row = 0
-    for block, eol in _line_blocks(stream):
-        rows = slice(row, row + len(eol))
-        row = rows.stop
-        if row > n:
-            break
-        if not _parse_block(block, eol, cycles[:, rows], ids[:, rows], resp[rows],
-                            critical[rows]):
-            return None
-    if row != n:
-        raise TraceError(f"{path}: changed while being read: {n} body lines at first, "
-                         f"then {'more' if row > n else row}")
-    return (*cycles, *ids, resp, critical)
-
-
-def _parse_lines(body: bytes, path: Path, num_initiators: int,
-                 num_targets: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _parse_lines(body: bytes, path: Path, num_initiators: int, num_targets: int,
+                 first: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     r"""Parse body lines one by one; returns the rows' columns and line numbers.
 
-    The columns are those :func:`_parse_plain` returns, the ids in int64
-    since they are not checked yet, and ``body`` starts at line 2 of the
-    file.  A line ends at ``\n`` and is decoded as UTF-8 on its own.  A malformed line raises :class:`TraceError`
-    naming it, unless an earlier line breaks a range rule, which is then
+    The columns are ``start``, ``duration``, ``initiator`` and ``target``
+    (int64: the ids are not checked yet), then whether the row is critical
+    and whether it is a response (bool).  ``body`` starts at line
+    ``first`` of the file.  A line ends at ``\n`` and is decoded as UTF-8
+    on its own.  A malformed line raises :class:`TraceError` naming it,
+    unless an earlier line of ``body`` breaks a range rule, which is then
     reported instead.
     """
     rows: list[tuple[int, ...]] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(body.split(b"\n"), start=2):
+    for lineno, raw in enumerate(body.split(b"\n"), start=first):
         try:
             line = raw.decode("utf-8").strip()
             if not line or line.startswith("#"):
@@ -539,26 +487,61 @@ def _parse_lines(body: bytes, path: Path, num_initiators: int,
         except ValueError as exc:  # a TraceError, a non-UTF-8 line or a non-integer field
             _check_rows(_row_columns(rows), num_initiators, num_targets, path, linenos)
             raise TraceError(f"{path}:{lineno}: {exc}") from None
-        rows.append((*values, parts[4] == RESPONSE, parts[5] == "1"))
+        rows.append((*values, parts[5] == "1", parts[4] == RESPONSE))
         linenos.append(lineno)
     return _row_columns(rows), np.array(linenos, dtype=np.int64)
 
 
 def _row_columns(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """The columns of parsed ``(start, duration, initiator, target, resp, critical)`` rows."""
+    """The columns of parsed ``(start, duration, initiator, target, critical, resp)`` rows."""
     table = np.array(rows, dtype=np.int64).reshape(-1, 6).T
     return (*np.ascontiguousarray(table[:4]), table[4] == 1, table[5] == 1)
 
 
 def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
-    """Parse a trace file, keeping only rows moving in ``direction``.
+    r"""Parse a trace file, keeping only rows moving in ``direction``.
 
     For ``direction="resp"`` the initiator/target roles (and the declared
     core counts) are swapped in the returned trace, so downstream analysis
     always binds the *receivers* of the selected flow to buses.  Every row
     is validated once, whatever its direction; errors name the first
-    offending line.  The returned trace adopts the parsed columns (or their
-    selected rows) without copying or checking them again.
+    offending line.
+
+    After the header, a first pass counts the body's lines, to size the
+    columns; a second reads the body in blocks of ``_BLOCK_LINES`` lines
+    (:func:`_line_blocks`), each behind ``_PAD`` zero bytes.  A block in
+    the canonical layout :func:`save_trace` writes, every line
+    ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
+    comments or blank lines, is parsed in bulk (:func:`_parse_block`):
+
+    1. The direction and critical fields are checked at fixed offsets
+       from each line end, reading the line's last 8 bytes as one word.
+    2. The structure is checked over the comma positions: each line holds
+       exactly five commas, the fifth just before the critical digit;
+       each of the four numeric fields has 1 to 18 digits; and the block
+       holds no byte but digits, commas, newlines and the direction's
+       letters.
+    3. Each numeric field is computed from the 8-byte little-endian words
+       that end it (one for up to 8 digits, two for 9 to 16, three for 17
+       or 18), each masked to the field's digits and folded into its value
+       by three multiply-shift steps in uint64 (SWAR, as in Langdale and
+       Lemire, "Parsing Gigabytes of JSON per Second", 2019).  The pad
+       keeps every word a field needs inside the block, and 18 digits
+       always fit int64, so the values are exact.
+
+    Any other block, such as one holding a comment, a ``\r\n`` line end,
+    a field of 19 or more digits or a core id outside 1..``MAX_CORES``, is
+    parsed alone by :func:`_parse_lines`, which names its first malformed
+    line.  Each block's rows are then range-checked, naming their lines,
+    so every earlier block is checked before a later error is named; the
+    rows moving in ``direction`` are packed at the front of the columns.
+    When fewer rows are kept than the body has lines, they are copied once
+    into columns of their own size, so no buffer sized by the file's lines
+    outlives the load.  Besides the columns the scratch is a few blocks.
+    A second pass that finds another number of lines than the first (the
+    file changed in between) raises :class:`TraceError` naming ``path``.
+    The returned trace adopts the columns without copying or checking
+    them again.
     """
     _check_direction(direction)
     path = Path(path)
@@ -578,21 +561,36 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
             _check_core_counts(num_initiators, num_targets)
         except ValueError as exc:
             raise TraceError(f"{path}:1: {exc}") from None
-        columns = _parse_plain(stream, path)
-        if columns is not None:
-            linenos = range(2, len(columns[0]) + 2)
-        else:
-            stream.seek(len(first))
-            columns, linenos = _parse_lines(stream.read(), path, num_initiators, num_targets)
-    _check_rows(columns, num_initiators, num_targets, path, linenos)
-
-    start, duration, initiator, target, resp, critical = columns
-    # checked, so the ids fit: the bulk columns have the type already
-    initiator, target = (c.astype(_CORE_ID, copy=False) for c in (initiator, target))
-    keep = resp if direction == RESPONSE else ~resp
-    if not keep.all():
-        start, duration, initiator, target, critical = (
-            c[keep] for c in (start, duration, initiator, target, critical))
+        n = _count_lines(stream)
+        stream.seek(len(first))
+        cycles, ids = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=_CORE_ID)
+        critical, resp = np.empty(n, dtype=bool), np.empty(_BLOCK_LINES, dtype=bool)
+        columns = (*cycles, *ids, critical)
+        lines = kept = 0
+        for block, eol in _line_blocks(stream):
+            lineno, lines = lines + 2, lines + len(eol)
+            if lines > n:
+                break
+            rows = slice(kept, kept + len(eol))
+            if bulk := _parse_block(block, eol, cycles[:, rows], ids[:, rows], resp[:len(eol)],
+                                    critical[rows]):
+                parsed, is_resp = [c[rows] for c in columns], resp[:len(eol)]
+                linenos = range(lineno, lines + 2)
+            else:
+                (*parsed, is_resp), linenos = _parse_lines(block[_PAD:], path, num_initiators,
+                                                           num_targets, lineno)
+            _check_rows(parsed, num_initiators, num_targets, path, linenos)
+            keep = is_resp if direction == RESPONSE else ~is_resp
+            count = int(np.count_nonzero(keep))
+            if not bulk or count < len(keep):  # checked, so the ids fit the int16 columns
+                for col, values in zip(columns, parsed):
+                    col[kept:kept + count] = values[keep]
+            kept += count
+    if lines != n:
+        raise TraceError(f"{path}: changed while being read: {n} body lines at first, "
+                         f"then {'more' if lines > n else lines}")
+    start, duration, initiator, target, critical = (
+        columns if kept == n else (c[:kept].copy() for c in columns))
     if direction == RESPONSE:
         initiator, target = target, initiator
         num_initiators, num_targets = num_targets, num_initiators

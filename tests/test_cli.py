@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarsynth import cli, sim, solver
+from xbarsynth import trace as trace_module
 from xbarsynth.analysis import MAX_PROFILE_CELLS, AnalysisParams
 from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
@@ -869,21 +870,40 @@ def test_simulate_baselines_and_binding(tmp_path, config_file, capsys):
     assert {r[0] for r in rows[1:]} == {"shared", "full", "bound"}
 
 
-def test_latency_csv_bytes_match_csv_writer(tmp_path, config_file):
-    out = tmp_path / "o"
-    assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
-                 "--binding", "1,2,1"]) == 0
-    trace = generate(tiny_spec())
-    configs = [("shared", shared_bus_config(3)), ("full", full_crossbar_config(3)),
-               ("bound", CrossbarConfig(2, (1, 2, 1)))]
+def csv_writer_latency(trace, configs) -> bytes:
+    """``latency.csv`` as ``csv.writer`` writes it for the named replays."""
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["config", "txn", "latency"])
     for name, config in configs:
         writer.writerows([name, i, lat] for i, lat in
                          enumerate(simulate(trace, config).per_transaction_latency))
+    return expected.getvalue().encode()
+
+
+TINY_REPLAYS = [("shared", shared_bus_config(3)), ("full", full_crossbar_config(3)),
+                ("bound", CrossbarConfig(2, (1, 2, 1)))]
+
+
+def test_latency_csv_bytes_match_csv_writer(tmp_path, config_file):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
+                 "--binding", "1,2,1"]) == 0
+    trace = generate(tiny_spec())
     assert len(trace.transactions) > 10
-    assert (out / "latency.csv").read_bytes() == expected.getvalue().encode()
+    assert (out / "latency.csv").read_bytes() == csv_writer_latency(trace, TINY_REPLAYS)
+
+
+def test_latency_csv_written_in_row_blocks(tmp_path, config_file, monkeypatch):
+    # in blocks of 4 rows each replay crosses several block edges and ends
+    # in a short block
+    monkeypatch.setattr(trace_module, "_ROW_BLOCK", 4)
+    trace = generate(tiny_spec())
+    assert len(trace.start) > 8 and len(trace.start) % 4
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
+                 "--binding", "1,2,1"]) == 0
+    assert (out / "latency.csv").read_bytes() == csv_writer_latency(trace, TINY_REPLAYS)
 
 
 def test_simulate_replays_a_binding_equal_to_a_baseline_once(tmp_path, monkeypatch):

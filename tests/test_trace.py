@@ -300,30 +300,54 @@ def small_blocks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("text, txs", [
-    (HEADER + "\n".join(ROWS) + "\n", ROW_TXS),
-    (HEADER + "\n".join(ROWS), ROW_TXS),
-    (HEADER, []),
-    (HEADER.rstrip("\n"), []),
-], ids=["final-newline", "no-final-newline", "header-only", "header-only-no-newline"])
-def test_streamed_load_at_read_and_block_edges(tmp_path, small_blocks, text, txs):
-    tr = load_trace(write(tmp_path, text))
-    assert tr.transactions == txs
-    assert small_blocks == {"blocks": (len(txs) + 1) // 2, "fallbacks": 0}
+CANONICAL = HEADER + "\n".join(ROWS) + "\n"
+RESP_ROWS = [row.replace(",req,", ",resp,") for row in ROWS]
+RESP_CANONICAL = HEADER + "\n".join(RESP_ROWS) + "\n"
+MIXED = HEADER + "".join(f"{req}\n{resp}\n" for req, resp in zip(ROWS, RESP_ROWS))
 
 
-@pytest.mark.parametrize("late, error", [
-    ("# a comment", "t.csv:10: target id 13 outside 1..12"),
-    (ROWS[0] + "\r", "t.csv:10: target id 13 outside 1..12"),
-    ("9" * 19 + ",1,1,1,req,0", "t.csv:9: value outside the 64-bit integer range"),
+@pytest.mark.parametrize("text, direction, same_as, blocks, fallbacks", [
+    (CANONICAL, REQUEST, ROW_TXS, 4, 0),
+    (HEADER + "\n".join(ROWS), REQUEST, ROW_TXS, 4, 0),
+    (HEADER, REQUEST, [], 0, 0),
+    (HEADER.rstrip("\n"), REQUEST, [], 0, 0),
+    (CANONICAL.replace("\n", "\r\n"), REQUEST, CANONICAL, 4, 4),
+    (HEADER + "\n".join([*ROWS[:3], "# note", "", *ROWS[3:]]) + "\n", REQUEST, CANONICAL, 5, 2),
+    (MIXED, REQUEST, CANONICAL, 7, 0),
+    (MIXED, RESPONSE, RESP_CANONICAL, 7, 0),
+    (RESP_CANONICAL, REQUEST, HEADER, 4, 0),
+], ids=["final-newline", "no-final-newline", "header-only", "header-only-no-newline", "crlf",
+        "comment-and-blank-line", "mixed-as-req", "mixed-as-resp", "all-other-direction"])
+def test_streamed_load_at_read_and_block_edges(tmp_path, small_blocks, text, direction, same_as,
+                                               blocks, fallbacks):
+    """Each body loads as its transactions, or as the canonical body
+    ``same_as`` loads at the same block size.  Whatever lines were skipped
+    or rows dropped, the buffer behind each column holds no more than the
+    kept rows (a cycle or id column may share one with its pair)."""
+    tr = load_trace(write(tmp_path, text), direction)
+    assert small_blocks == {"blocks": blocks, "fallbacks": fallbacks}
+    if isinstance(same_as, str):
+        assert tr == load_trace(write(tmp_path, same_as, "canonical.csv"), direction)
+    else:
+        assert tr.transactions == same_as
+    for col in tr._columns():
+        assert (col if col.base is None else col.base).nbytes <= 2 * col.nbytes
+
+
+@pytest.mark.parametrize("late, error, blocks", [
+    ("# a comment", "t.csv:10: target id 13 outside 1..12", 5),
+    (ROWS[0] + "\r", "t.csv:10: target id 13 outside 1..12", 5),
+    ("9" * 19 + ",1,1,1,req,0", "t.csv:9: value outside the 64-bit integer range", 4),
 ], ids=["comment", "crlf", "19-digit-field"])
-def test_late_deviation_falls_back_to_the_line_parser(tmp_path, small_blocks, late, error):
+def test_late_deviation_falls_back_to_the_line_parser(tmp_path, small_blocks, late, error,
+                                                      blocks):
     # lines 2-8 are the rows, so line 9 shares the fourth block with line 8;
-    # line 10 names a target the header does not declare
+    # line 10 names a target the header does not declare, in a fifth block
+    # that is parsed in bulk again
     path = write(tmp_path, HEADER + "\n".join([*ROWS, late, "1,1,1,13,req,0"]) + "\n")
     with pytest.raises(TraceError, match=f"/{re.escape(error)}$"):
         load_trace(path)
-    assert small_blocks == {"blocks": 4, "fallbacks": 1}
+    assert small_blocks == {"blocks": blocks, "fallbacks": 1}
 
 
 @pytest.mark.parametrize("miscount, found", [(1, "7"), (-1, "more")])
@@ -616,9 +640,23 @@ def test_digit_kernel_matches_int(fields):
     assert digit_kernel(fields) == [int(f) for f in fields]
 
 
+def bulk_block(text: str) -> tuple[np.ndarray, ...] | None:
+    """The columns ``_parse_block`` fills from ``text`` read as one block by
+    ``_line_blocks``, in the line parser's order: start, duration,
+    initiator, target, whether each row is critical, and whether it is a
+    response; None if the block deviates."""
+    (block, eol), = trace_module._line_blocks(io.BytesIO(text.encode()))
+    m = len(eol)
+    cycles, ids = np.empty((2, m), dtype=np.int64), np.empty((2, m), dtype=np.int16)
+    resp, critical = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    if not trace_module._parse_block(block, eol, cycles, ids, resp, critical):
+        return None
+    return (*cycles, *ids, critical, resp)
+
+
 def test_bulk_parse_widest_field_at_first_byte():
     text = "9" * 18 + ",10000000000000000,1024,1,resp,1\n123456789,12345678,0007,9,req,0\n"
-    columns = trace_module._parse_plain(io.BytesIO(text.encode()), Path("t.csv"))
+    columns = bulk_block(text)
     assert [c.tolist() for c in columns] == [
         [10 ** 18 - 1, 123456789], [10 ** 16, 12345678], [1024, 7], [1, 9],
         [True, False], [True, False]]
@@ -627,8 +665,7 @@ def test_bulk_parse_widest_field_at_first_byte():
 
 @pytest.mark.parametrize("ids", ["0,1", "1,1025", "32768,1", "1,70000", "123456789,12345678"])
 def test_bulk_parse_leaves_ids_outside_the_core_bound_to_the_line_parser(ids):
-    text = f"0,5,{ids},req,0\n"
-    assert trace_module._parse_plain(io.BytesIO(text.encode()), Path("t.csv")) is None
+    assert bulk_block(f"0,5,{ids},req,0\n") is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,13 +675,13 @@ def test_bulk_parse_leaves_ids_outside_the_core_bound_to_the_line_parser(ids):
 @example(("1,,3,4,req,0\n", False))  # an empty field
 def test_bulk_parse_matches_line_parser(case):
     text, must_bulk = case
-    body = io.BytesIO((HEADER + text).encode())
-    body.seek(len(HEADER))
-    columns = trace_module._parse_plain(body, Path("t.csv"))
+    if not text:
+        return  # no lines, so no block
+    columns = bulk_block(text)
     assert columns is not None or not must_bulk
     if columns is not None:
         try:
-            ref, _ = trace_module._parse_lines(text.encode(), Path("t.csv"), 1, 1)
+            ref, _ = trace_module._parse_lines(text.encode(), Path("t.csv"), 1, 1, 2)
         except TraceError as exc:
             pytest.fail(f"bulk parse accepted a body the line parser rejects: {exc}")
         assert len(columns) == len(ref) == 6
@@ -668,6 +705,20 @@ def long_trace(tmp_path_factory):
     return path, load_trace(path)
 
 
+@pytest.fixture(scope="module")
+def long_variants(long_trace):
+    """The long file with a comment line after its header, and with every
+    other row turned into a response."""
+    path, _ = long_trace
+    header, *rows = path.read_text().splitlines()
+    commented = path.with_name("commented.csv")
+    commented.write_text("\n".join([header, "# a comment", *rows]) + "\n")
+    rows[1::2] = [row.replace(",req,", ",resp,") for row in rows[1::2]]
+    mixed = path.with_name("mixed.csv")
+    mixed.write_text("\n".join([header, *rows]) + "\n")
+    return commented, mixed
+
+
 def merged_cuts(trace: Trace, window_size: int) -> int:
     """Distinct cut points of the profile timeline: the ends of each
     target's merged busy intervals and the window boundaries."""
@@ -682,16 +733,20 @@ def merged_cuts(trace: Trace, window_size: int) -> int:
     return len(points)
 
 
-@pytest.mark.parametrize("stage", ["load", "profile", "simulate-1-bus", "simulate-3-buses"])
-def test_stage_scratch_is_blocks_and_one_row_index(long_trace, monkeypatch, stage):
+@pytest.mark.parametrize("stage", ["load", "load-commented", "load-mixed", "profile",
+                                   "simulate-1-bus", "simulate-3-buses"])
+def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, monkeypatch, stage):
     """Beyond what it returns, a stage holds a few blocks of scratch and at
     most one 8-byte-per-row array: the row order of a grouping, whose
     8-bit keys the 1 MiB allowance also covers.  The block constants are
-    shrunk so that the blocks are small beside the rows.  ``profile`` also
-    holds answer-sized scratch: its per-window overlaps (T x W int64,
-    three at a time at most) and its segment table, a T-bool column plus
-    eight int64 per cut of the timeline."""
+    shrunk so that the blocks are small beside the rows.  A load that
+    skips a line or drops rows of the other direction also holds the
+    columns sized by the file's lines until it copies the kept rows out.
+    ``profile`` also holds answer-sized scratch: its per-window overlaps
+    (T x W int64, three at a time at most) and its segment table, a
+    T-bool column plus eight int64 per cut of the timeline."""
     path, trace = long_trace
+    commented, mixed = long_variants
     n = len(trace.start)
     assert n >= 200_000 and trace.critical.any()
     monkeypatch.setattr(trace_module, "_BLOCK_LINES", 1024)
@@ -699,6 +754,8 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, monkeypatch, stag
     monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
     run = {
         "load": lambda: load_trace(path),
+        "load-commented": lambda: load_trace(commented),
+        "load-mixed": lambda: load_trace(mixed),
         "profile": lambda: profile(trace, LONG_WINDOW),
         "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * trace.num_targets)),
         "simulate-3-buses": lambda: simulate(
@@ -711,6 +768,8 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, monkeypatch, stag
     finally:
         tracemalloc.stop()
     allowed = 8 * n + (1 << 20)
+    if stage in ("load-commented", "load-mixed"):
+        allowed += sum(c.itemsize for c in trace._columns()) * n
     if stage == "profile":
         allowed += 3 * result.comm.nbytes
         allowed += (trace.num_targets + 64) * merged_cuts(trace, LONG_WINDOW)
