@@ -38,14 +38,18 @@ Every search leaves each complete binding it finds, with its ``maxov``, on
 the budget as ``best``, the incumbent that every report is built from.
 
 Bus loads inside the search are bit-packed (SWAR): each bus's loads over
-the W windows form one Python int with one ``f``-bit field per window,
+the windows form one Python int with one ``f``-bit field per window,
 field ``m`` in bits ``[m*f, (m+1)*f)``.  A field holds ``load + bias`` with
 ``bias = 2**(f-1) - 1 - window_size``, so its top (guard) bit is set exactly
 when ``load > window_size``.  ``f`` is the smallest of 16, 32 or 64 (or a
 multiple of 64 beyond) with ``window_size + max(comm) < 2**(f-1)``: a placed
 load never exceeds the window size, so adding any one target's packed
 ``comm`` row keeps every field below ``2**f`` and no carry crosses fields.
-One add and one mask test then check every window at once.
+One add and one mask test then check every window at once.  Only the
+windows whose column total (the sum of every target's busy cycles)
+exceeds the window size are packed: no bus can overflow any other window.
+When ``T * max(comm)`` reaches ``2**63`` a column total could overflow
+int64, and every window is packed.
 
 The overlap cost is packed the same way: each bus keeps one int with one
 field per target, field ``u`` in bits ``[u*g, (u+1)*g)`` holding the sum of
@@ -56,34 +60,49 @@ follows the same rule with the largest off-diagonal ``om`` row sum as the
 peak, computed with Python ints: no field can exceed it, so no carry
 crosses fields whichever targets share the bus.
 
-The conflict and ``maxtb`` tests are one int for all buses and targets,
-``blocked``, with one ``B``-bit field per target for ``B`` buses: bit
-``k`` of field ``u`` is set when target ``u`` may not join bus ``k``.  It
-is passed down the recursion, so backtracking restores nothing.  The
-parent of a depth, which has just built that depth's ``blocked`` word and
-knows how many buses are in use, reads the depth's field once and passes
-down the mask of buses left free, and the depth visits only those.  When
-the mask is empty the parent does not enter the depth at all: it counts
-the depth's attempts, every one blocked, in one step.  The attempts
-skipped either way are still counted as nodes, in bulk, so node counts
-and the node at which a limit cuts are those of testing every bus in turn.
+The tests that a pair of targets alone decides are one int for all buses
+and targets, ``blocked``, with one ``B``-bit field per target for ``B``
+buses: bit ``k`` of field ``u`` is set when target ``u`` may not join bus
+``k``.  Placing ``t`` on bus ``k`` sets bit ``k`` of each field of a
+target that may not share a bus with ``t``, or of every field once the
+bus holds ``maxtb`` targets.  Such a pair conflicts; or it is *apart*,
+its busy cycles together exceeding the window size in some packed
+window, so that the load test would refuse it (an implied conflict, as in
+bin packing with conflicts: Gendreau, Laporte and Semet 2004); or its
+``om`` is at or past the cost bound, so that the cost test would refuse
+it, the bus's overlap sum being at least that ``om``.  The bound only
+falls, so a pair once past it stays past it: each depth's neighbour bits
+gain the pairs the bound has reached whenever a complete binding brings
+it to or below another ``om`` value, and the frames already on the stack
+keep their fewer bits, which is still exact.  ``blocked`` is passed down
+the recursion, so backtracking restores nothing.  The parent of a depth,
+which has just built that depth's ``blocked`` word and knows how many
+buses are in use, reads the depth's field once and passes down the mask
+of buses left free, and the depth visits only those.  When the mask is
+empty the parent does not enter the depth at all: it counts the depth's
+attempts, every one blocked, in one step.  The attempts skipped either
+way are still counted as nodes, in bulk, so node counts and the node at
+which a limit cuts are those of testing every bus in turn.  The implied
+conflicts serve only this skipping: the clique lower bound and the
+orders read the conflicts and the full ``comm``, so every probe list,
+node count and binding is that of the plain tests.
 
 Each bus's search state is one tuple: its packed loads, its pairwise
 overlap sum, its packed overlap fields and its member count.  A visit
 reads one tuple, a placement stores one and backtracking restores the
-saved one.  A visit tests the overlap cost before the loads: in the
-branch-and-bound on ``uniform`` at ws=2000 and ws=4000 every rejection is a
-cost rejection, and testing cost first skips the load add, which is as
-wide as all the windows together.
+saved one.  A visit tests the overlap cost before the loads: a cost
+rejection skips the load add, which is as wide as all the packed
+windows together.
 
 Everything above that does not depend on the bus count is the instance's
 packed form (:class:`_Packed`): the load field width's guard bits and
 bias, the packed ``comm`` and ``om`` rows, the overlap field width, one
-conflict-adjacency int per target and the busy and overlap orders.  It is
-built once, on the instance's first use, and cached on the instance,
-which is immutable so that the cache never goes stale; the clique lower
-bound, every probe and binding search of a solve, and :func:`binding_fits`,
-which a random-binding sampler calls once per draw, read the same one.
+conflict-adjacency int per target, the apart pairs, the pairs by
+decreasing ``om`` and the busy and overlap orders.  It is built once, on
+the instance's first use, and cached on the instance, which is immutable
+so that the cache never goes stale; the clique lower bound, every probe
+and binding search of a solve, and :func:`binding_fits`, which a
+random-binding sampler calls once per draw, read the same one.
 """
 
 from __future__ import annotations
@@ -91,6 +110,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,6 +122,7 @@ from .analysis import AnalysisParams, WindowProfile
 
 MAX_SOLVER_TARGETS = 32
 _UNLIMITED = 1 << 63  # a tick count no search reaches
+_PAIR_CELLS = 1 << 16  # pair-window cells the pair-overflow test compares at once
 
 
 class InstanceError(ValueError):
@@ -428,14 +449,41 @@ def _pack_rows(rows: np.ndarray, width: int) -> list[int]:
     return [sum(int(v) << (width * m) for m, v in enumerate(row)) for row in rows]
 
 
-def _spread(bits: int, stride: int) -> int:
-    """``bits`` with each set bit ``u`` moved to bit ``u * stride``."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << ((low.bit_length() - 1) * stride)
-        bits ^= low
-    return out
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """One int per row of a square bool matrix: bit ``u`` of entry ``t`` is ``mask[t, u]``."""
+    return (mask @ (1 << np.arange(mask.shape[1], dtype=np.int64))).tolist()
+
+
+def _spread_rows(mask: np.ndarray, stride: int) -> list[int]:
+    """One int per row of a square bool matrix: bit ``u * stride`` of entry
+    ``t`` is ``mask[t, u]``."""
+    t = len(mask)
+    wide = np.zeros((t, t, stride), dtype=bool)
+    wide[:, :, 0] = mask
+    packed = np.packbits(wide.reshape(t, -1), axis=1, bitorder="little")
+    bits = int.from_bytes(packed.tobytes(), "little")
+    width = 8 * packed.shape[1]
+    row = (1 << width) - 1
+    return [bits >> (width * u) & row for u in range(t)]
+
+
+def _overflow_pairs(comm: np.ndarray, conflict: np.ndarray, window_size: int) -> np.ndarray:
+    """Which non-conflicting pairs of targets together exceed the window
+    size in some window of ``comm``, as a symmetric bool matrix.
+
+    The pairs are taken ``_PAIR_CELLS // windows`` at a time, so the
+    scratch stays bounded however many windows there are.
+    """
+    t, windows = comm.shape
+    over = np.zeros((t, t), dtype=bool)
+    first, second = np.nonzero(np.triu(~conflict, 1))
+    if len(first) and windows:
+        room = window_size - comm.astype(np.int64)  # cannot overflow: 0 <= comm < 2**63
+        step = max(1, _PAIR_CELLS // windows)
+        for lo in range(0, len(first), step):
+            i, j = first[lo:lo + step], second[lo:lo + step]
+            over[i, j] = (comm[i] > room[j]).any(axis=1)
+    return over | over.T
 
 
 class _Packed(NamedTuple):
@@ -444,32 +492,48 @@ class _Packed(NamedTuple):
 
     guard: int                    # the top bit of every load field
     bias: int                     # an empty bus's loads: the bias in every field
-    rows: tuple[int, ...]         # packed ``comm`` row per target
+    rows: tuple[int, ...]         # packed ``comm`` row per target, kept windows only
     ov_width: int                 # bits per overlap field
+    om: np.ndarray                # ``om`` with its diagonal zeroed
     om_rows: tuple[int, ...]      # packed ``om`` row per target, diagonal zeroed
     adjacency: tuple[int, ...]    # bit ``u`` of entry ``t``: t and u conflict
+    apart: np.ndarray             # pairs that conflict or overflow a kept window together
+    heavy_pairs: tuple[tuple[int, int, int], ...]  # (om, t, u), t < u, om > 0, by decreasing om
     busy_order: tuple[int, ...]   # targets by decreasing total busy cycles, ties by id
     overlap_order: tuple[int, ...]  # see :func:`_overlap_order`
 
 
 def _pack(inst: ProblemInstance) -> _Packed:
     """Build the packed form of ``inst``; only ``inst._packed`` calls this."""
-    comm, t = inst.comm, inst.num_targets
-    width = _field_width(inst.window_size + (int(comm.max()) if comm.size else 0))
-    ones = _pack_rows(np.ones((1, comm.shape[1]), dtype=np.int64), width)[0]
+    comm, t, ws = inst.comm, inst.num_targets, inst.window_size
+    peak = int(comm.max()) if comm.size else 0
+    width = _field_width(ws + peak)
+    kept, apart = comm, inst.conflict
+    # a bus's load in a window is at most the window's column total, at most T * peak
+    if t * peak <= ws:
+        kept = comm[:, :0]
+    elif t * peak < 1 << 63:  # else a column total could overflow int64: keep every window
+        kept = comm[:, comm.sum(axis=0, dtype=np.int64) > ws]
+        apart = apart | _overflow_pairs(kept, inst.conflict, ws)
+    ones = _pack_rows(np.ones((1, kept.shape[1]), dtype=np.int64), width)[0]
     om = inst.om.copy()
     np.fill_diagonal(om, 0)
-    sums = [sum(row) for row in om.tolist()]  # Python ints: a numpy sum can overflow
+    om_lists = om.tolist()
+    sums = [sum(row) for row in om_lists]  # Python ints: a numpy sum can overflow
     ov_width = _field_width(max(sums))
     totals = comm.sum(axis=1, dtype=np.int64).tolist()
+    pairs = [(v, i, j) for i, row in enumerate(om_lists)
+             for j, v in enumerate(row[i + 1:], i + 1) if v]
     return _Packed(
         guard=(1 << (width - 1)) * ones,
-        bias=((1 << (width - 1)) - 1 - inst.window_size) * ones,
-        rows=tuple(_pack_rows(comm, width)),
+        bias=((1 << (width - 1)) - 1 - ws) * ones,
+        rows=tuple(_pack_rows(kept, width)),
         ov_width=ov_width,
+        om=_read_only(om, np.int64),
         om_rows=tuple(_pack_rows(om, ov_width)),
-        adjacency=tuple(sum(1 << u for u, c in enumerate(row) if c)
-                        for row in inst.conflict.tolist()),
+        adjacency=tuple(_bit_rows(inst.conflict)),
+        apart=_read_only(apart, bool),
+        heavy_pairs=tuple(sorted(pairs, key=lambda pair: -pair[0])),
         busy_order=tuple(sorted(range(t), key=lambda i: (-totals[i], i))),
         overlap_order=tuple(sorted(range(t), key=lambda i: (-sums[i], i))),
     )
@@ -518,27 +582,53 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
 
     Each ``(target, bus)`` attempt ticks one node before it is tested.  A
     depth is handed the mask of buses its target may join (see the module
-    docstring), visits only those, and adds the attempts it skipped, before
-    each visit and after the last, to the count in bulk.  A child with no
-    free bus is not entered: the parent adds all of its attempts to the
-    count at once, and they are checked with the parent's next attempt or
-    closing count, before anything else happens.  Once a jump reaches the
-    budget's next check count, the budget is checked at that count, not at
-    the one jumped to, and then at each further check count the jump
-    passed.  So a node limit cuts at the node past it, as when every
-    attempt ticks alone, and the deadline is read on node 1 and every 256th
-    node after it.  The count is written back to ``budget.nodes`` on every
-    exit.
+    docstring): not blocked by a conflict, a full bus, a member it
+    overflows a window with, or a member whose ``om`` with it is at or past
+    ``bound``.  It visits only those, and adds the attempts it skipped,
+    before each visit and after the last, to the count in bulk.  A child
+    with no free bus is not entered: the parent adds all of its attempts to
+    the count at once, and they are checked with the parent's next attempt
+    or closing count, before anything else happens.  Once a jump reaches
+    the budget's next check count, the budget is checked at that count,
+    not at the one jumped to, and then at each further check count the
+    jump passed.  So a node limit cuts at the node past it, as when every
+    attempt ticks alone, and the deadline is read on node 1 and every
+    256th node after it.  The count is written back to ``budget.nodes`` on
+    every exit.
     """
     p = inst._packed
     guard, ov_width, rows, om_rows = p.guard, p.ov_width, p.rows, p.om_rows
     ov_mask = (1 << ov_width) - 1
-    full = _spread((1 << inst.num_targets) - 1, num_buses)
+    # bit 0 of every B-bit field: a full bus's neighbour bits, which block every target
+    full = ((1 << inst.num_targets * num_buses) - 1) // ((1 << num_buses) - 1)
     next_fields = [t * num_buses for t in order[1:]] + [0]
+    # the pairs that may not share a bus: those ``apart``, and those whose
+    # ``om`` alone reaches the bound, ORed in as the bound falls to their ``om``
+    heavy = p.heavy_pairs
+    reached = 0  # heavy[:reached] are among the neighbour bits
+    mask = p.apart
+    if heavy and bound <= heavy[0][0]:
+        mask = mask | (p.om >= bound)
+        reached = bisect_right(heavy, -bound, key=lambda pair: -pair[0])
+    floor = heavy[reached][0] if reached < len(heavy) else -1  # the bound that adds a pair
+    neighbours = _spread_rows(mask, num_buses)
     # per depth: its target, packed comm row, overlap field shift, packed om row,
-    # conflict neighbour bits spread to B-bit fields and the next depth's field shift
-    steps = [(t, rows[t], t * ov_width, om_rows[t], _spread(p.adjacency[t], num_buses), nf)
+    # neighbour bits spread to B-bit fields and the next depth's field shift
+    steps = [(t, rows[t], t * ov_width, om_rows[t], neighbours[t], nf)
              for t, nf in zip(order, next_fields)]
+
+    def tighten() -> None:
+        """OR into ``steps`` the pairs whose ``om`` the bound has reached."""
+        nonlocal reached, floor
+        while reached < len(heavy) and heavy[reached][0] >= bound:
+            _, t, u = heavy[reached]
+            reached += 1
+            for a, b in ((t, u), (u, t)):
+                depth = order.index(a)
+                step = steps[depth]
+                steps[depth] = (*step[:4], step[4] | 1 << b * num_buses, step[5])
+        floor = heavy[reached][0] if reached < len(heavy) else -1
+
     # how many buses a target may try with ``used`` buses in use, and their mask
     tries = [min(used + 1, num_buses) for used in range(num_buses + 1)]
     reach = [(1 << n) - 1 for n in tries]
@@ -577,6 +667,8 @@ def _search(inst: ProblemInstance, num_buses: int, order: Sequence[int], bound: 
                 if first_only:
                     return True
                 bound = c
+                if c <= floor:
+                    tighten()
                 continue
             count += 1
             child_used = used + (k == used)

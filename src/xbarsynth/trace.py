@@ -28,9 +28,10 @@ hands blocks of lines to exact structure guards (five commas a line, the
 direction and critical tokens in place, numeric fields of 1 to 18 digits
 and no other byte) and then to a digit kernel that computes every
 numeric field from the 8-byte words that end it, eight digits a word
-folded by three multiply-shift steps (SWAR).  A block holding any other
-line (comments, blank lines, spaces, signs, ``\r\n``, longer fields, a
-core id outside 1..``MAX_CORES``) or a malformed one goes alone through
+folded by three multiply-shift steps (SWAR).  The lines of such a block
+end all in ``\n`` or all in ``\r\n``.  A block holding any other line
+(comments, blank lines, spaces, signs, a mix of line ends, longer fields,
+a core id outside 1..``MAX_CORES``) or a malformed one goes alone through
 the line parser (:func:`_parse_lines`), the reference, which also names
 the first bad line.  Each block's rows are range-checked as they are
 read, and those moving in the loaded direction are kept; the trace
@@ -374,11 +375,12 @@ def _field_values(words: np.ndarray, ends: np.ndarray, digits: np.ndarray,
 
 def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndarray,
                  resp: np.ndarray, critical: np.ndarray) -> bool:
-    """Parse the canonical lines of ``block`` into the given columns; False if any
+    r"""Parse the canonical lines of ``block`` into the given columns; False if any
     deviates or names a core id outside 1..``MAX_CORES``.
 
     ``block`` is ``_PAD`` zero bytes followed by whole lines; ``eol`` holds
-    the offset of every newline in it, the last being its final byte.
+    the offset of every newline in it, the last being its final byte.  The
+    lines end all in ``\n`` or all in ``\r\n``, as the first one does.
     ``cycles`` (int64, 2 x lines) receives ``start`` and ``duration``,
     ``ids`` (int16, 2 x lines) ``initiator`` and ``target``; ``resp`` and
     ``critical`` (bool) receive whether each line is a response and whether
@@ -386,25 +388,29 @@ def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndar
     """
     m = len(eol)
     c = np.frombuffer(block, dtype=np.uint8)
+    cr = int(c[eol[0] - 1] == ord("\r"))  # bytes of a line end before its newline
+    end = eol - cr  # each line's last byte: its newline, or the carriage return before it
     words = _words(block)
-    tail = words[eol - 7]
-    is_req = _ends_with(tail, ",req,0\n") | _ends_with(tail, ",req,1\n")
-    is_resp = _ends_with(tail, ",resp,0\n") | _ends_with(tail, ",resp,1\n")
+    tail = words[end - 7]
+    last = "\r" if cr else "\n"
+    is_req = _ends_with(tail, ",req,0" + last) | _ends_with(tail, ",req,1" + last)
+    is_resp = _ends_with(tail, ",resp,0" + last) | _ends_with(tail, ",resp,1" + last)
     if not (is_req | is_resp).all():
         return False
 
     commas = np.flatnonzero(c == ord(","))
-    if len(commas) != 5 * m or not (commas[4::5] == eol - 2).all():
+    if len(commas) != 5 * m or not (commas[4::5] == end - 2).all():
         return False  # else line i holds exactly commas[5i:5i + 5]
     # a numeric field's digits: the gap to the comma before it, less that
-    # comma, or for the first field, less the previous line's last 3 bytes
-    digits = np.diff(commas, prepend=_PAD - 3).reshape(m, 5)[:, :4] - _FIELD_GAP
+    # comma, or for the first field, less the previous line's last 3 or 4 bytes
+    digits = np.diff(commas, prepend=_PAD - 3 - cr).reshape(m, 5)[:, :4] - _FIELD_GAP
+    digits[:, 0] -= cr
     if digits.min() < 1 or digits.max() > _MAX_DIGITS:
         return False
-    # besides the pad, 5 commas, 1 newline and the direction's 3 or 4
+    # besides the pad, 5 commas, the line end and the direction's 3 or 4
     # letters a line, every byte must be a digit
     letters = 3 * m + np.count_nonzero(is_resp)
-    if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - _PAD - 6 * m - letters:
+    if np.count_nonzero(c - np.uint8(ord("0")) < 10) != len(c) - _PAD - (6 + cr) * m - letters:
         return False
 
     fields = np.empty((4, m), dtype=np.int64)
@@ -414,7 +420,7 @@ def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndar
     cycles[:] = fields[:2]
     ids[:] = fields[2:]
     resp[:] = is_resp
-    np.equal(c[eol - 1], ord("1"), out=critical)
+    np.equal(c[end - 1], ord("1"), out=critical)
     return True
 
 
@@ -512,14 +518,16 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     (:func:`_line_blocks`), each behind ``_PAD`` zero bytes.  A block in
     the canonical layout :func:`save_trace` writes, every line
     ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
-    comments or blank lines, is parsed in bulk (:func:`_parse_block`):
+    comments or blank lines, is parsed in bulk (:func:`_parse_block`),
+    whether all its lines end in ``\n`` or all in ``\r\n``:
 
     1. The direction and critical fields are checked at fixed offsets
-       from each line end, reading the line's last 8 bytes as one word.
+       from each line end, reading the 8 bytes that end the line, less
+       its newline and any carriage return before it, as one word.
     2. The structure is checked over the comma positions: each line holds
        exactly five commas, the fifth just before the critical digit;
        each of the four numeric fields has 1 to 18 digits; and the block
-       holds no byte but digits, commas, newlines and the direction's
+       holds no byte but digits, commas, line ends and the direction's
        letters.
     3. Each numeric field is computed from the 8-byte little-endian words
        that end it (one for up to 8 digits, two for 9 to 16, three for 17
@@ -529,10 +537,10 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
        keeps every word a field needs inside the block, and 18 digits
        always fit int64, so the values are exact.
 
-    Any other block, such as one holding a comment, a ``\r\n`` line end,
-    a field of 19 or more digits or a core id outside 1..``MAX_CORES``, is
-    parsed alone by :func:`_parse_lines`, which names its first malformed
-    line.  Each block's rows are then range-checked, naming their lines,
+    Any other block, such as one holding a comment, both kinds of line
+    end, a field of 19 or more digits or a core id outside
+    1..``MAX_CORES``, is parsed alone by :func:`_parse_lines`, which names
+    its first malformed line.  Each block's rows are then range-checked, naming their lines,
     so every earlier block is checked before a later error is named; the
     rows moving in ``direction`` are packed at the front of the columns.
     When fewer rows are kept than the body has lines, they are copied once

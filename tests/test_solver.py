@@ -21,6 +21,7 @@ from xbarsynth.solver import (
     SolverLimitReached,
     SolverLimits,
     _field_width,
+    _pack_rows,
     _search,
     build_instance,
     canonical_binding,
@@ -38,6 +39,7 @@ from oracles import (
     brute_best_maxov,
     brute_min_buses,
     brute_optimal_bindings,
+    greedy_clique_size,
     make_random_instance,
     nodes_before_tie_break,
     reference_search,
@@ -640,10 +642,10 @@ def test_every_node_limit_cuts_at_its_node():
 def test_bulk_counted_rejections_cut_at_their_node(uniform_trace):
     """The kernel counts in bulk the attempts it skips: those of a bus its
     target may not join, and all of a child's when no bus is free to it.
-    On uniform at ws=2000, 73-83 % of the attempts are rejected by a
-    conflict and 30 % of the branch-and-bound's children have no free bus
-    (22 % at ws=4000); at ws=1000 with ``maxtb = 3`` children also have no
-    free bus because their parent's bus filled up.  On each, in each of
+    On uniform the branch-and-bound skips 83 % of its attempts as blocked
+    at ws=2000 and 75 % at ws=4000, and 36 % and 23 % of its children have
+    no free bus; at ws=1000 with ``maxtb = 3`` children also have no free
+    bus because their parent's bus filled up.  On each, in each of
     optimal_binding's feasibility search, branch-and-bound and tie-break,
     17 node limits below 20 k and below the search's own node count cut at
     the tick past the limit, as the reference search does, from a zero and
@@ -895,3 +897,151 @@ def test_one_target_per_bus_gives_the_full_crossbar():
         rep = optimal_binding(inst, t)
         assert rep.config == full_crossbar_config(t)
         assert rep.maxov == 0 and rep.optimal
+
+
+# ------------------------------------------------- implied separations
+
+def test_apart_is_conflict_plus_the_pairs_that_overflow_a_kept_window(uniform_trace):
+    """``_packed.apart`` holds the conflicting pairs and the pairs whose busy
+    cycles together exceed the window size in a window the loads keep, and
+    no other: a superset of the conflict graph, symmetric, zero diagonal."""
+    rng = np.random.Generator(np.random.PCG64(34))
+    instances = [analysed_instance(uniform_trace, ws, 0.1) for ws in (1000, 2000, 4000)]
+    instances += [make_random_instance(rng, 8) for _ in range(40)]
+    extra = 0
+    for inst in instances:
+        apart, conflict, ws = inst._packed.apart, inst.conflict, inst.window_size
+        assert (apart >= conflict).all() and (apart == apart.T).all()
+        assert not apart.diagonal().any()
+        comm = inst.comm.astype(np.int64)
+        kept = comm.sum(axis=0) > ws
+        t = inst.num_targets
+        for i in range(t):
+            for j in range(t):
+                overflow = i != j and (comm[i, kept] + comm[j, kept] > ws).any()
+                assert apart[i, j] == (conflict[i, j] or overflow), (i, j)
+        extra += int((apart & ~conflict).sum())
+    assert extra
+
+
+def test_pair_overflow_stays_out_of_the_bus_count_proof():
+    """Four targets, each pair busy 6 of 10 cycles in a window of its own:
+    every pair overflows together, so ``apart`` is a 4-clique while no pair
+    conflicts.  ``lower_bound`` keeps reading the conflict graph, so it and
+    ``min_config``'s probes are those the conflict graph alone gives."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    comm = np.zeros((4, len(pairs)), dtype=np.int64)
+    for m, pair in enumerate(pairs):
+        comm[list(pair), m] = 6
+    inst = inst_of(10, comm)
+    assert greedy_clique_size(inst._packed.apart) == 4
+    assert greedy_clique_size(inst.conflict) == 1
+    # bandwidth ceil(12 / 10), the conflict clique, maxtb
+    expected_lb = max(1, 2, greedy_clique_size(inst.conflict), 1)
+    assert lower_bound(inst) == expected_lb == 2
+    lo, hi, probes = expected_lb, inst.num_targets, []
+    while lo < hi:  # the binary search from the conflict graph's bound
+        mid = (lo + hi) // 2
+        probes.append((mid, mid >= brute_min_buses(inst)))
+        lo, hi = (lo, mid) if probes[-1][1] else (mid + 1, hi)
+    assert min_config(inst) == (4, probes) == (4, [(3, False)])
+
+
+def packed_windows(inst):
+    """The windows whose loads the packed form keeps, read off its guard bits,
+    and the load field width."""
+    p = inst._packed
+    width = (p.guard & -p.guard).bit_length() if p.guard else 0  # the guard is field bit width - 1
+    return p.guard.bit_count(), width
+
+
+def test_loads_pack_only_the_windows_that_can_overflow(uniform_trace):
+    """The packed rows span exactly the windows whose column total exceeds
+    the window size; the busy order still reads every window."""
+    for ws, kept, windows in ((2000, 24, 60), (4000, 15, 30)):
+        inst = analysed_instance(uniform_trace, ws, 0.1)
+        columns = np.flatnonzero(inst.comm.sum(axis=0, dtype=np.int64) > ws)
+        assert (len(columns), inst.comm.shape[1]) == (kept, windows)
+        count, width = packed_windows(inst)
+        assert count == kept
+        assert inst._packed.rows == tuple(_pack_rows(inst.comm[:, columns], width))
+    # window 0 holds t_1 alone (9 <= 10) and window 2 all three at 3 (9):
+    # both dropped; windows 1 (6 + 6) and 3 (5 + 6) are kept
+    comm = [[9, 0, 3, 5], [0, 6, 3, 6], [0, 6, 3, 0]]
+    inst = inst_of(10, comm)
+    count, width = packed_windows(inst)
+    assert count == 2
+    assert inst._packed.rows == tuple(_pack_rows(np.array(comm)[:, [1, 3]], width))
+    # totals 17, 15, 9 over every window; the kept windows alone give 5, 12, 6
+    assert inst._packed.busy_order == (0, 1, 2)
+    # three targets of 5 * 2**59 cycles in one window of 7 * 2**60: each pair
+    # fits, all three do not; the window is kept and its field is 128 bits wide
+    ws = 7 << 60
+    wide = inst_of(ws, [[5 << 59, 0]] * 3, om=[[0, 3, 5], [3, 0, 4], [5, 4, 0]])
+    assert packed_windows(wide) == (1, 128)
+    assert not wide._packed.apart.any()
+    rng = np.random.Generator(np.random.PCG64(35))
+    for num_buses in (1, 2, 3):
+        assert_kernel_matches_reference(rng, wide, num_buses)
+    assert min_config(wide)[0] == 2
+
+
+def test_an_instance_no_window_can_overflow_packs_zero_width_loads():
+    """With every column total within the window size no window is packed:
+    the loads are zero-width, and the kernel still matches the reference."""
+    rng = np.random.Generator(np.random.PCG64(36))
+    comm = [[3, 0, 1], [3, 4, 0], [4, 6, 9]]
+    om = np.triu(rng.integers(0, 30, size=(3, 3)), 1)
+    conflict = np.zeros((3, 3), dtype=bool)
+    conflict[0, 2] = conflict[2, 0] = True
+    for ws in (10, 1 << 70):
+        inst = inst_of(ws, comm, om=om + om.T, conflict=conflict)
+        p = inst._packed
+        assert p.guard == p.bias == 0 and p.rows == (0, 0, 0)
+        assert (p.apart == conflict).all()
+        for num_buses in (1, 2, 3):
+            assert_kernel_matches_reference(rng, inst, num_buses)
+
+
+class RecordingBudget(SearchBudget):
+    """A budget that records the cost of every complete binding found."""
+
+    def __setattr__(self, name, value):
+        if name == "best" and value is not None:
+            self.__dict__.setdefault("costs", []).append(value[2])
+        super().__setattr__(name, value)
+
+
+def test_a_bound_crossing_several_om_levels_cuts_at_each_node():
+    """Seven targets that never conflict and fit any bus, with distinct
+    pairwise overlaps: each improving binding of the branch-and-bound on 3
+    buses brings the bound to or below more of the ``om`` values, so the
+    pairs at or past it join the blocked bits several times during the
+    search.  A node limit at every node up to the full count, in the
+    branch-and-bound and in the tie-break, cuts on the same node as the
+    reference search; the sibling of
+    ``test_every_node_limit_cuts_at_its_node``."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    t, num_buses = 7, 3
+    om = np.zeros((t, t), dtype=np.int64)
+    om[np.triu_indices(t, 1)] = rng.permutation(np.arange(1, t * (t - 1) // 2 + 1))
+    inst = inst_of(10, np.ones((t, 2)), om=om + om.T)
+    order = inst._packed.busy_order
+    budget = RecordingBudget()
+    seed = _search(inst, num_buses, order, float("inf"), True, budget)
+    seed_cost = binding_maxov(inst.om, CrossbarConfig(num_buses, tuple(seed)))
+    _search(inst, num_buses, order, seed_cost, False, budget)
+    bounds = budget.costs
+    levels = set(om[np.triu_indices(t, 1)].tolist())
+    crossings = [c for b, c in zip(bounds, bounds[1:]) if any(c <= v < b for v in levels)]
+    assert len(crossings) >= 2, bounds
+    maxov = bounds[-1]
+    for args in ((inst, num_buses, order, seed_cost, False),
+                 (inst, num_buses, list(range(t)), maxov + 1, True)):
+        total = search_outcome(reference_search, *args)[-1]
+        assert search_outcome(_search, *args) == search_outcome(reference_search, *args)
+        for limit in range(total + 1):
+            lim = SolverLimits(node_limit=limit)
+            outcome = search_outcome(_search, *args, lim)
+            assert outcome == search_outcome(reference_search, *args, lim), limit
+            assert outcome[-1] == (limit + 1 if limit < total else total)

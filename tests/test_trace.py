@@ -311,7 +311,7 @@ MIXED = HEADER + "".join(f"{req}\n{resp}\n" for req, resp in zip(ROWS, RESP_ROWS
     (HEADER + "\n".join(ROWS), REQUEST, ROW_TXS, 4, 0),
     (HEADER, REQUEST, [], 0, 0),
     (HEADER.rstrip("\n"), REQUEST, [], 0, 0),
-    (CANONICAL.replace("\n", "\r\n"), REQUEST, CANONICAL, 4, 4),
+    (CANONICAL.replace("\n", "\r\n"), REQUEST, CANONICAL, 4, 0),
     (HEADER + "\n".join([*ROWS[:3], "# note", "", *ROWS[3:]]) + "\n", REQUEST, CANONICAL, 5, 2),
     (MIXED, REQUEST, CANONICAL, 7, 0),
     (MIXED, RESPONSE, RESP_CANONICAL, 7, 0),
@@ -332,6 +332,33 @@ def test_streamed_load_at_read_and_block_edges(tmp_path, small_blocks, text, dir
         assert tr.transactions == same_as
     for col in tr._columns():
         assert (col if col.base is None else col.base).nbytes <= 2 * col.nbytes
+
+
+def test_crlf_trace_loads_in_bulk(tmp_path, monkeypatch):
+    """A trace whose lines all end in ``\\r\\n`` loads, block by block in
+    bulk, to the columns of its ``\\n`` copy; a block that mixes both line
+    ends goes to the line parser and still loads to them."""
+    path = tmp_path / "lf.csv"
+    save_trace(generate(benchmark_preset("mat2like")), path)
+    lf = path.read_bytes()
+    header, body = lf.split(b"\n", 1)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(header + b"\n" + body.replace(b"\n", b"\r\n"))
+    lines = body.split(b"\n")
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(header + b"\n" + b"".join(
+        line + (b"\r\n" if i % 3 == 1 else b"\n") for i, line in enumerate(lines[:-1])))
+    expected = load_trace(path)
+    assert load_trace(mixed) == expected
+
+    def refuse(*args):
+        raise AssertionError("a CRLF block went to the line parser")
+
+    monkeypatch.setattr(trace_module, "_parse_lines", refuse)
+    assert len(lines) - 1 > trace_module._BLOCK_LINES // 4
+    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 1024)  # several blocks
+    assert load_trace(crlf) == expected
+    assert load_trace(crlf, RESPONSE) == load_trace(path, RESPONSE)
 
 
 @pytest.mark.parametrize("late, error, blocks", [
@@ -598,23 +625,25 @@ def mutate(draw, row):
 @st.composite
 def trace_bodies(draw):
     """``(body, must_bulk)``: a body in the layout ``save_trace`` writes,
-    with fields of 1 to 18 or 1 to 20 digits and ids in 1..MAX_CORES or
-    any such field, or one with a deviation; ``must_bulk`` marks a
-    canonical one whose fields all fit 18 digits and whose ids fit."""
+    its lines all ending in ``\\n`` or all in ``\\r\\n``, with fields of 1
+    to 18 or 1 to 20 digits and ids in 1..MAX_CORES or any such field, or
+    one with a deviation; ``must_bulk`` marks a canonical one whose fields
+    all fit 18 digits and whose ids fit."""
     canonical = draw(st.booleans())
     max_digits = draw(st.sampled_from([18, 20]))
     ids_fit = draw(st.booleans())
     lines = draw(canonical_lines(max_digits, core_id() if ids_fit else digit_field(max_digits)))
-    eol = "\n"
-    if not canonical:
-        if lines and draw(st.booleans()):
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [eol] * len(lines)  # each line's end; the last line's newline is dropped or kept
+    if not canonical and lines:
+        if draw(st.booleans()):
             for i in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
                 mutate(draw, lines[i])
-        else:
-            eol = "\r\n"
-    text = eol.join(",".join(row) for row in lines)
-    if lines and draw(st.booleans()):
-        text += eol
+        else:  # one line end of the other kind
+            ends[draw(st.integers(0, len(lines) - 1))] = "\r\n" if eol == "\n" else "\n"
+    text = "".join(",".join(row) + end for row, end in zip(lines, ends))
+    if lines and not draw(st.booleans()):
+        text = text[:-1]
     fits = all(len(f) <= 18 for row in lines for f in row)
     return text, canonical and fits and ids_fit
 
