@@ -449,11 +449,6 @@ def _pack_rows(rows: np.ndarray, width: int) -> list[int]:
     return [sum(int(v) << (width * m) for m, v in enumerate(row)) for row in rows]
 
 
-def _bit_rows(mask: np.ndarray) -> list[int]:
-    """One int per row of a square bool matrix: bit ``u`` of entry ``t`` is ``mask[t, u]``."""
-    return (mask @ (1 << np.arange(mask.shape[1], dtype=np.int64))).tolist()
-
-
 def _spread_rows(mask: np.ndarray, stride: int) -> list[int]:
     """One int per row of a square bool matrix: bit ``u * stride`` of entry
     ``t`` is ``mask[t, u]``."""
@@ -531,7 +526,7 @@ def _pack(inst: ProblemInstance) -> _Packed:
         ov_width=ov_width,
         om=_read_only(om, np.int64),
         om_rows=tuple(_pack_rows(om, ov_width)),
-        adjacency=tuple(_bit_rows(inst.conflict)),
+        adjacency=tuple(_spread_rows(inst.conflict, 1)),
         apart=_read_only(apart, bool),
         heavy_pairs=tuple(sorted(pairs, key=lambda pair: -pair[0])),
         busy_order=tuple(sorted(range(t), key=lambda i: (-totals[i], i))),

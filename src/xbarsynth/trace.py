@@ -22,23 +22,24 @@ transaction, plus the one direction all its rows move in;
 :class:`Transaction` objects are built only when a caller reads rows
 through :attr:`Trace.transactions`.
 
-:func:`load_trace` streams a body in one loop of blocks: one pass over
-fixed-size reads counts the lines and sizes the columns, and a second
-hands blocks of lines to exact structure guards (five commas a line, the
-direction and critical tokens in place, numeric fields of 1 to 18 digits
-and no other byte) and then to a digit kernel that computes every
-numeric field from the 8-byte words that end it, eight digits a word
-folded by three multiply-shift steps (SWAR).  The lines of such a block
-end all in ``\n`` or all in ``\r\n``.  A block holding any other line
-(comments, blank lines, spaces, signs, a mix of line ends, longer fields,
-a core id outside 1..``MAX_CORES``) or a malformed one goes alone through
-the line parser (:func:`_parse_lines`), the reference, which also names
-the first bad line.  Each block's rows are range-checked as they are
-read, and those moving in the loaded direction are kept; the trace
-adopts the parsed columns as they are.  Beyond the columns, the loader
-and every pass over the columns hold scratch of a block of lines or
-rows.  The id columns are int16, 21 bytes a row in all with the int64
-cycles and the bool flag; an id is widened before any arithmetic.
+:func:`load_trace` reads a body twice through one reader of byte blocks,
+the whole lines of a fixed-size read each: a first pass counts the lines
+and sizes the columns, and a second hands each block to exact structure
+guards (five commas a line, the direction and critical tokens in place,
+numeric fields of 1 to 18 digits and no other byte) and then to a digit
+kernel that computes every numeric field from the 8-byte words that end
+it, eight digits a word folded by three multiply-shift steps (SWAR).
+The lines of such a block end all in ``\n`` or all in ``\r\n``.  A
+block holding any other line (comments, blank lines, spaces, signs, a mix
+of line ends, longer fields, a core id outside 1..``MAX_CORES``) or a
+malformed one goes alone through the line parser (:func:`_parse_lines`),
+the reference, which also names the first bad line.  Each block's rows
+are range-checked as they are read, and those moving in the loaded
+direction are kept; the trace adopts the parsed columns as they are.
+Beyond the columns, the loader and every pass over the columns hold
+scratch of a block of lines or rows.  The id columns are int16, 21 bytes
+a row in all with the int64 cycles and the bool flag; an id is widened
+before any arithmetic.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # since a response trace swaps them.
 MAX_CORES = 1024
 _CORE_ID = np.int16  # the type of the id columns: it holds 1..MAX_CORES
-_BLOCK_LINES = 1 << 14  # lines the bulk parser reads at once; bounds its scratch
 _READ_BYTES = 1 << 18  # bytes a pass over a trace file reads at once
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
 _ROW_BLOCK = 1 << 14  # rows a pass over the columns reads at once (row_blocks)
@@ -388,6 +388,9 @@ def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndar
     """
     m = len(eol)
     c = np.frombuffer(block, dtype=np.uint8)
+    commas = np.flatnonzero(c == ord(","))
+    if len(commas) != 5 * m:
+        return False  # a comment or a blank line, say, found before any per-line scratch
     cr = int(c[eol[0] - 1] == ord("\r"))  # bytes of a line end before its newline
     end = eol - cr  # each line's last byte: its newline, or the carriage return before it
     words = _words(block)
@@ -398,8 +401,7 @@ def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndar
     if not (is_req | is_resp).all():
         return False
 
-    commas = np.flatnonzero(c == ord(","))
-    if len(commas) != 5 * m or not (commas[4::5] == end - 2).all():
+    if not (commas[4::5] == end - 2).all():
         return False  # else line i holds exactly commas[5i:5i + 5]
     # a numeric field's digits: the gap to the comma before it, less that
     # comma, or for the first field, less the previous line's last 3 or 4 bytes
@@ -424,42 +426,33 @@ def _parse_block(block: bytes, eol: np.ndarray, cycles: np.ndarray, ids: np.ndar
     return True
 
 
-def _count_lines(stream: BinaryIO) -> int:
-    """Lines in the rest of ``stream``, a last one without its newline included."""
-    lines, last = 0, b"\n"
-    while chunk := stream.read(_READ_BYTES):
-        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        last = chunk[-1:]
-    return lines + (last != b"\n")
-
-
 def _line_blocks(stream: BinaryIO) -> Iterator[tuple[bytes, np.ndarray]]:
-    """The rest of ``stream`` as blocks of ``_BLOCK_LINES`` lines, the last one shorter.
+    """The rest of ``stream`` as blocks of whole lines, one a read.
 
-    Yields ``(block, eol)``: ``_PAD`` zero bytes followed by whole lines,
-    and the offset of each line's newline in it.  A last line without its
-    newline gains one.  A read is as long as the bytes carried over from
-    the one before, at least, so a long line costs no repeated copying.
+    Yields ``(block, eol)``: ``_PAD`` zero bytes followed by the lines a
+    read completes, and the offset of each line's newline in the block.
+    The part of a line after a read's last newline is carried into the
+    next block, and a read asks for as many bytes as are carried, at
+    least, so a long line costs no repeated copying.  A read returning
+    fewer bytes than asked is the last, as a buffered file reads on to its
+    end; a last line without its newline gains one.
     """
-    rest, rest_eol = b"", np.zeros(0, dtype=np.int64)
+    rest = b""
     while True:
-        chunk = stream.read(max(_READ_BYTES, len(rest)))
-        end = not chunk
-        if end and rest[-1:] not in (b"", b"\n"):
-            chunk = b"\n"
+        size = max(_READ_BYTES, len(rest))
+        chunk = stream.read(size)
+        last = len(chunk) < size
+        if last and (rest or chunk) and not chunk.endswith(b"\n"):
+            chunk += b"\n"
         eol = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        eol = np.concatenate((rest_eol, eol + len(rest)))
-        data = rest + chunk
-        # at the end of the stream the last block takes what is left
-        whole = len(eol) if end else len(eol) - len(eol) % _BLOCK_LINES
-        lo = 0
-        for first in range(0, whole, _BLOCK_LINES):
-            block_eol = eol[first:min(first + _BLOCK_LINES, whole)]
-            yield bytes(_PAD) + memoryview(data)[lo:block_eol[-1] + 1], block_eol - (lo - _PAD)
-            lo = int(block_eol[-1]) + 1
-        if end:
+        if len(eol):
+            cut = int(eol[-1]) + 1
+            yield b"".join((bytes(_PAD), rest, memoryview(chunk)[:cut])), eol + (_PAD + len(rest))
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+        if last:
             return
-        rest, rest_eol = data[lo:], eol[whole:] - lo
 
 
 def _parse_lines(body: bytes, path: Path, num_initiators: int, num_targets: int,
@@ -513,13 +506,15 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
     is validated once, whatever its direction; errors name the first
     offending line.
 
-    After the header, a first pass counts the body's lines, to size the
-    columns; a second reads the body in blocks of ``_BLOCK_LINES`` lines
-    (:func:`_line_blocks`), each behind ``_PAD`` zero bytes.  A block in
-    the canonical layout :func:`save_trace` writes, every line
-    ``start,duration,initiator,target,req|resp,0|1`` with no spaces,
-    comments or blank lines, is parsed in bulk (:func:`_parse_block`),
-    whether all its lines end in ``\n`` or all in ``\r\n``:
+    After the header, both passes read the body through
+    :func:`_line_blocks`, in blocks of the whole lines of a
+    ``_READ_BYTES`` read, each behind ``_PAD`` zero bytes.  The first
+    counts the body's lines, to size the columns; the second parses each
+    block.  A block in the canonical layout :func:`save_trace` writes,
+    every line ``start,duration,initiator,target,req|resp,0|1`` with no
+    spaces, comments or blank lines, is parsed in bulk
+    (:func:`_parse_block`), whether all its lines end in ``\n`` or all in
+    ``\r\n``:
 
     1. The direction and critical fields are checked at fixed offsets
        from each line end, reading the 8 bytes that end the line, less
@@ -569,21 +564,20 @@ def load_trace(path: str | Path, direction: str = REQUEST) -> Trace:
             _check_core_counts(num_initiators, num_targets)
         except ValueError as exc:
             raise TraceError(f"{path}:1: {exc}") from None
-        n = _count_lines(stream)
+        n = sum(len(eol) for _, eol in _line_blocks(stream))
         stream.seek(len(first))
         cycles, ids = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=_CORE_ID)
-        critical, resp = np.empty(n, dtype=bool), np.empty(_BLOCK_LINES, dtype=bool)
+        critical = np.empty(n, dtype=bool)
         columns = (*cycles, *ids, critical)
         lines = kept = 0
         for block, eol in _line_blocks(stream):
             lineno, lines = lines + 2, lines + len(eol)
             if lines > n:
                 break
-            rows = slice(kept, kept + len(eol))
-            if bulk := _parse_block(block, eol, cycles[:, rows], ids[:, rows], resp[:len(eol)],
+            rows, is_resp = slice(kept, kept + len(eol)), np.empty(len(eol), dtype=bool)
+            if bulk := _parse_block(block, eol, cycles[:, rows], ids[:, rows], is_resp,
                                     critical[rows]):
-                parsed, is_resp = [c[rows] for c in columns], resp[:len(eol)]
-                linenos = range(lineno, lines + 2)
+                parsed, linenos = [c[rows] for c in columns], range(lineno, lines + 2)
             else:
                 (*parsed, is_resp), linenos = _parse_lines(block[_PAD:], path, num_initiators,
                                                            num_targets, lineno)

@@ -246,7 +246,7 @@ def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start)
 
 
 def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 3)
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 45)  # blocks of 3, 3 and 2 lines
     blocks = []
     parse_block = trace_module._parse_block
 
@@ -264,7 +264,7 @@ def test_bulk_parse_in_blocks(tmp_path, monkeypatch):
             for s in range(8) if s % 3]
     assert load_trace(write(tmp_path, body)).transactions == req
     assert load_trace(write(tmp_path, body), RESPONSE).transactions == resp
-    assert len(blocks) == 2 * 3  # 8 lines in blocks of 3, parsed in bulk twice
+    assert len(blocks) == 2 * 3  # 8 lines in three blocks, parsed in bulk twice
     crlf = write(tmp_path, body.replace("\n", "\r\n"), "crlf.csv")
     assert load_trace(crlf, RESPONSE).transactions == resp
     rows[6] = "1e3" + rows[6][1:]  # third block
@@ -279,11 +279,11 @@ ROW_TXS = [Transaction(s, s % 4 + 1, s % 9 + 1, s % 12 + 1, bool(s % 2)) for s i
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 2 lines read 7 bytes at a time: every line straddles a
-    read, and seven lines leave a last block of one.  Returns the number
-    of bulk blocks and of line-parser fallbacks so far."""
-    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 2)
-    monkeypatch.setattr(trace_module, "_READ_BYTES", 7)
+    """Reads of 30 bytes: a block holds the two or so lines of 14 bytes a
+    read completes, the line after them straddles the read's end, and
+    seven such lines leave a last block of one.  Returns the number of
+    bulk blocks and of line-parser fallbacks so far."""
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 30)
     calls = {"blocks": 0, "fallbacks": 0}
     parse_block, parse_lines = trace_module._parse_block, trace_module._parse_lines
 
@@ -312,16 +312,20 @@ MIXED = HEADER + "".join(f"{req}\n{resp}\n" for req, resp in zip(ROWS, RESP_ROWS
     (HEADER, REQUEST, [], 0, 0),
     (HEADER.rstrip("\n"), REQUEST, [], 0, 0),
     (CANONICAL.replace("\n", "\r\n"), REQUEST, CANONICAL, 4, 0),
-    (HEADER + "\n".join([*ROWS[:3], "# note", "", *ROWS[3:]]) + "\n", REQUEST, CANONICAL, 5, 2),
+    (HEADER + "\n".join([*ROWS[:3], "# note", "", *ROWS[3:]]) + "\n", REQUEST, CANONICAL, 4, 1),
+    # 90 bytes: the last line ends at a read's end, and the next read is empty
+    (HEADER + "\n".join([*ROWS[:3], "# note", *ROWS[3:6]]), REQUEST,
+     HEADER + "\n".join(ROWS[:6]) + "\n", 4, 1),
     (MIXED, REQUEST, CANONICAL, 7, 0),
     (MIXED, RESPONSE, RESP_CANONICAL, 7, 0),
     (RESP_CANONICAL, REQUEST, HEADER, 4, 0),
 ], ids=["final-newline", "no-final-newline", "header-only", "header-only-no-newline", "crlf",
-        "comment-and-blank-line", "mixed-as-req", "mixed-as-resp", "all-other-direction"])
+        "comment-and-blank-line", "no-final-newline-at-read-end", "mixed-as-req",
+        "mixed-as-resp", "all-other-direction"])
 def test_streamed_load_at_read_and_block_edges(tmp_path, small_blocks, text, direction, same_as,
                                                blocks, fallbacks):
     """Each body loads as its transactions, or as the canonical body
-    ``same_as`` loads at the same block size.  Whatever lines were skipped
+    ``same_as`` loads at the same read size.  Whatever lines were skipped
     or rows dropped, the buffer behind each column holds no more than the
     kept rows (a cycle or id column may share one with its pair)."""
     tr = load_trace(write(tmp_path, text), direction)
@@ -355,8 +359,8 @@ def test_crlf_trace_loads_in_bulk(tmp_path, monkeypatch):
         raise AssertionError("a CRLF block went to the line parser")
 
     monkeypatch.setattr(trace_module, "_parse_lines", refuse)
-    assert len(lines) - 1 > trace_module._BLOCK_LINES // 4
-    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 1024)  # several blocks
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
+    assert crlf.stat().st_size > 4 * trace_module._READ_BYTES  # several blocks
     assert load_trace(crlf) == expected
     assert load_trace(crlf, RESPONSE) == load_trace(path, RESPONSE)
 
@@ -364,26 +368,54 @@ def test_crlf_trace_loads_in_bulk(tmp_path, monkeypatch):
 @pytest.mark.parametrize("late, error, blocks", [
     ("# a comment", "t.csv:10: target id 13 outside 1..12", 5),
     (ROWS[0] + "\r", "t.csv:10: target id 13 outside 1..12", 5),
-    ("9" * 19 + ",1,1,1,req,0", "t.csv:9: value outside the 64-bit integer range", 4),
+    ("9" * 19 + ",1,1,1,req,0", "t.csv:9: value outside the 64-bit integer range", 5),
 ], ids=["comment", "crlf", "19-digit-field"])
 def test_late_deviation_falls_back_to_the_line_parser(tmp_path, small_blocks, late, error,
                                                       blocks):
-    # lines 2-8 are the rows, so line 9 shares the fourth block with line 8;
-    # line 10 names a target the header does not declare, in a fifth block
-    # that is parsed in bulk again
+    # lines 2-8 are the rows; line 10 names a target the header does not
+    # declare.  A short line 9 shares the fourth block with line 8, and line
+    # 10 is read in a fifth block, parsed in bulk again; a 32-byte line 9
+    # straddles the fourth read's end, so the fifth block holds it and line 10
     path = write(tmp_path, HEADER + "\n".join([*ROWS, late, "1,1,1,13,req,0"]) + "\n")
     with pytest.raises(TraceError, match=f"/{re.escape(error)}$"):
         load_trace(path)
     assert small_blocks == {"blocks": blocks, "fallbacks": 1}
 
 
+def test_long_line_is_read_in_growing_reads(tmp_path, small_blocks, monkeypatch):
+    """A comment line of 100 bytes, many 7-byte reads long, is carried into
+    reads that double with it, so its bytes are not copied over and over."""
+    monkeypatch.setattr(trace_module, "_READ_BYTES", 7)
+    body = "\n".join([ROWS[0], "#" * 99, ROWS[1]]) + "\n"
+
+    class RecordedReads(io.BytesIO):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    sizes, stream = [], RecordedReads(body.encode())
+    assert [bytes(block[trace_module._PAD:]) for block, _ in trace_module._line_blocks(stream)] \
+        == [line.encode() + b"\n" for line in body.splitlines()]
+    # two reads finish line 1; the comment's reads grow with the 7, 14, 28
+    # and 56 bytes carried; the last read asks for the 12 carried and gets 2
+    assert sizes == [7, 7, 7, 7, 14, 28, 56, 12]
+    assert load_trace(write(tmp_path, HEADER + body)).transactions == ROW_TXS[:2]
+    assert small_blocks == {"blocks": 3, "fallbacks": 1}
+
+
 @pytest.mark.parametrize("miscount, found", [(1, "7"), (-1, "more")])
 def test_file_changed_between_the_two_passes(tmp_path, monkeypatch, miscount, found):
-    # the first pass counts the lines a file had before it grew or shrank
-    count_lines = trace_module._count_lines
-    monkeypatch.setattr(trace_module, "_count_lines",
-                        lambda stream: count_lines(stream) + miscount)
-    path = write(tmp_path, HEADER + "\n".join(ROWS) + "\n")
+    # the file shrinks or grows to 7 body lines once the first pass has counted them
+    path = write(tmp_path, HEADER + "\n".join([*ROWS, ROWS[0]][:7 + miscount]) + "\n")
+    line_blocks, passes = trace_module._line_blocks, []
+
+    def rewritten_after_the_first_pass(stream):
+        yield from line_blocks(stream)
+        if not passes:
+            write(tmp_path, HEADER + "\n".join(ROWS) + "\n")
+        passes.append(1)
+
+    monkeypatch.setattr(trace_module, "_line_blocks", rewritten_after_the_first_pass)
     with pytest.raises(TraceError, match=f"t.csv: changed while being read: {7 + miscount} "
                                          f"body lines at first, then {found}$"):
         load_trace(path)
@@ -778,7 +810,6 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, mo
     commented, mixed = long_variants
     n = len(trace.start)
     assert n >= 200_000 and trace.critical.any()
-    monkeypatch.setattr(trace_module, "_BLOCK_LINES", 1024)
     monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
     monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
     run = {
