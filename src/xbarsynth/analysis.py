@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Trace, group_rows, row_blocks
+from .trace import Trace, group_rows, group_windows, row_blocks
 
 # The most target-windows (T x windows) a profile holds: at most 8 bytes a busy
 # count, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
@@ -128,7 +128,7 @@ class WindowProfile:
         """The overlap tensor of the trace rows selected by the mask ``rows`` (all if None)."""
         tr = self.trace
         wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
-        busy, cuts = _busy_segments(self.num_targets, _merged_targets(tr, _by_target(tr), rows),
+        busy, cuts = _busy_segments(self.num_targets, _merged_targets(tr, rows),
                                     self._boundaries())
         for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size,
                                                     self.comm.dtype):
@@ -140,36 +140,6 @@ class WindowProfile:
         return np.arange(1, self.num_windows, dtype=np.int64) * self.window_size
 
 
-def _merged(trace: Trace, idx: np.ndarray, rows: np.ndarray | None
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of the busy intervals of trace rows ``idx``, sorted by start,
-    that the mask ``rows`` selects (all if None), as disjoint intervals.
-
-    Touching intervals merge too, so the results are separated by gaps.
-    The rows are read in blocks (:func:`~xbarsynth.trace.row_blocks`),
-    each block's running end continuing from the one before.
-    """
-    lo, hi, reach = [], [], -1  # no start is negative: the first row opens an interval
-    for block in row_blocks(len(idx)):
-        r = idx[block]
-        if rows is not None:
-            r = r[rows[r]]
-        if not len(r):
-            continue
-        start = trace.start[r]
-        ends = np.empty(len(r) + 1, dtype=np.int64)  # ends[k + 1]: the latest end up to row k
-        ends[0] = reach  # carried from the block before
-        np.add(start, trace.duration[r], out=ends[1:])
-        np.maximum.accumulate(ends, out=ends)
-        before = ends[:-1]
-        gap = start > before
-        lo.append(start[gap])
-        hi.append(before[gap])  # where the interval before each new one ends
-        reach = int(ends[-1])
-    # the first close belongs to no interval; the last interval ends at reach
-    return np.concatenate(lo or [np.zeros(0, dtype=np.int64)]), np.concatenate((*hi, [reach]))[1:]
-
-
 def _changes(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of ``a`` that differ from the one before; the first is set."""
     flag = np.empty(len(a), dtype=bool)
@@ -178,28 +148,47 @@ def _changes(a: np.ndarray) -> np.ndarray:
     return flag
 
 
-def _by_target(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """The trace's rows grouped by target id (:func:`~xbarsynth.trace.group_rows`):
-    those of target i+1 are ``order[bounds[i + 1]:bounds[i + 2]]``, by start."""
-    return group_rows(trace.target, trace.num_targets + 1)
+def _merged_targets(trace: Trace, rows: np.ndarray | None = None
+                    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Each target's busy intervals over the trace rows the mask ``rows``
+    selects (all if None), merged into disjoint intervals sorted by start.
 
-
-def _merged_targets(trace: Trace, by_target: tuple[np.ndarray, np.ndarray],
-                    rows: np.ndarray | None = None) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Each target's merged busy intervals (:func:`_merged`) over the trace rows
-    the mask ``rows`` selects (all if None), grouped by :func:`_by_target`.
-
+    Touching intervals merge too, so the results are separated by gaps.
     Returns ``(i, lo, hi)`` for each target i+1 with a selected row, in
-    target order, each target's ends formed from its own rows.
+    target order, each target's ends formed from its own rows.  The
+    selected rows are grouped by target a window at a time
+    (:func:`~xbarsynth.trace.group_windows`), and each target's rows in a
+    window are read a block at a time (:func:`~xbarsynth.trace.row_blocks`),
+    each block's running end continuing the target's end before it.
     """
-    order, bounds = by_target
-    bounds = bounds.tolist()
-    pieces = []
-    for i in range(trace.num_targets):
-        lo, hi = _merged(trace, order[bounds[i + 1]:bounds[i + 2]], rows)
-        if len(lo):
-            pieces.append((i, lo, hi))
-    return pieces
+    num = trace.num_targets
+    reach = [-1] * num  # no start is negative: a target's first row opens an interval
+    lo: list[list[np.ndarray]] = [[] for _ in range(num)]
+    hi: list[list[np.ndarray]] = [[] for _ in range(num)]
+    for window in group_windows(len(trace.start), num + 1):
+        ids = trace.target[window]
+        picked = None if rows is None else np.flatnonzero(rows[window])
+        order, bounds = group_rows(ids if picked is None else ids[picked], num + 1)
+        if picked is not None:
+            order = picked[order]
+        order += window.start
+        bounds = bounds.tolist()
+        for i in range(num):
+            for block in row_blocks(bounds[i + 2], bounds[i + 1]):
+                r = order[block]
+                start = trace.start[r]
+                ends = np.empty(len(r) + 1, dtype=np.int64)  # ends[k + 1]: latest end to row k
+                ends[0] = reach[i]  # carried from the block before
+                np.add(start, trace.duration[r], out=ends[1:])
+                np.maximum.accumulate(ends, out=ends)
+                before = ends[:-1]
+                gap = start > before
+                lo[i].append(start[gap])
+                hi[i].append(before[gap])  # where the interval before each new one ends
+                reach[i] = int(ends[-1])
+    # the first close belongs to no interval; the last interval ends at reach
+    return [(i, np.concatenate(lo[i]), np.concatenate((*hi[i], [reach[i]]))[1:])
+            for i in range(num) if lo[i]]
 
 
 def _busy_segments(num_targets: int, pieces: list[tuple[int, np.ndarray, np.ndarray]],
@@ -271,7 +260,10 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     Row i of the overlap counts is summed per window over the segments on
     which target i+1 is busy (``_row_overlaps``), reduced to ``om`` and
     ``peak`` and dropped, so no T x T x windows tensor is ever held.
-    More than ``MAX_PROFILE_CELLS`` targets x windows is a ``ValueError``,
+    Beyond the profile, the scratch is the merged busy intervals, built
+    from one window's row order and a few blocks at a time
+    (:func:`_merged_targets`), then the segment table and a row of
+    per-window overlaps.  More than ``MAX_PROFILE_CELLS`` targets x windows is a ``ValueError``,
     raised before anything is allocated.
     """
     _check_window_size(window_size)
@@ -285,19 +277,14 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     crit = np.zeros((n, n), dtype=bool)
     prof = WindowProfile(window_size, comm, om, peak, crit, trace)
 
-    by_target = _by_target(trace)
     # Critical overlap needs no windows: any shared busy segment counts.
-    busy, _ = _busy_segments(n, _merged_targets(trace, by_target, trace.critical),
+    busy, _ = _busy_segments(n, _merged_targets(trace, trace.critical),
                              np.zeros(0, dtype=np.int64))
     for i in range(n):
         crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
     del busy
 
-    # Merged first, so that the row order is freed before the segment table is built.
-    merged = _merged_targets(trace, by_target)
-    del by_target
-    busy, cuts = _busy_segments(n, merged, prof._boundaries())
-    del merged
+    busy, cuts = _busy_segments(n, _merged_targets(trace), prof._boundaries())
     for i, windows, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
         comm[i, windows] = per_window[0]
         om[i, i:] = om[i:, i] = per_window.sum(axis=1, dtype=np.int64)

@@ -115,6 +115,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dump(value, indent=2, sort_keys=True)`` writes it.
+
+    Only keys and scalars go through ``json.dumps``, whose one-line C
+    encoder leaves no reference cycles; ``indent`` or ``sort_keys`` would
+    switch it to the pure-Python encoder, whose nested closures do.
+    """
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, indent + '  ')}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, indent + "  ") for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def _write_latency_csv(path: Path, replays: dict[str, SimReport]) -> None:
     """One ``config,txn,latency`` row per transaction of each named replay.
 
@@ -246,8 +268,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
             )
         artifacts["report"] = out / "solve_report.json"
         with open(artifacts["report"], "w", newline="") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(report.to_dict()) + "\n")
         shared, full = baseline_configs(trace.num_targets)
         replays = compare(trace, [shared, ("designed", report.config), full], replayed)
         artifacts["comparison"] = out / "comparison.csv"

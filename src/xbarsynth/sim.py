@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import CrossbarConfig, canonical_binding
-from .trace import Trace, exact_sum, group_rows, row_blocks
+from .trace import Trace, exact_sum, group_rows, group_windows, row_blocks
 
 
 class SimulationError(ValueError):
@@ -67,14 +67,16 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
     computed exactly in int64: a trace's last start plus its total
     duration, which bounds every completion, is below 2**63.  The rows are
-    read in grant order a block at a time
-    (:func:`~xbarsynth.trace.row_blocks`), and each bus's run of rows in a
-    block is scanned from the completion c_prev before it:
-    c = D + max(c_prev, cummax(s - (D - d))), with D summed within the
-    run.  When every target sits on one bus, trace order is grant order
-    and the rows are read where they are; otherwise they are grouped by
-    bus first, on 8- or 16-bit bus keys.  Beyond the latencies, the
-    scratch is that grouping's row order and a few blocks.
+    read a window at a time (:func:`~xbarsynth.trace.group_windows`), each
+    window grouped by bus on 8- or 16-bit bus keys, so that its rows come
+    in grant order, and walked a block at a time
+    (:func:`~xbarsynth.trace.row_blocks`).  Each bus's run of rows in a
+    block is scanned from the completion c_prev before it, carried across
+    blocks and windows: c = D + max(c_prev, cummax(s - (D - d))), with D
+    summed within the run.  When every target sits on one bus, trace
+    order is grant order and the rows are read where they are.  Beyond
+    the latencies, the scratch is one window's row order and a few
+    blocks.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
@@ -83,32 +85,36 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
         )
     start, duration = trace.start, trace.duration
     n = len(start)
-    order, bounds = None, [0, n]
+    bus_of, groups = None, 1
     if n and len(set(config.binding[:trace.num_targets])) > 1:
         labels = canonical_binding(config.binding)  # 1..K: no label sizes an array
-        buses = max(labels)
-        bus_of = np.array((0, *labels), dtype=np.min_scalar_type(buses))  # ids are 1-based
-        keys = np.empty(n, dtype=bus_of.dtype)
-        for rows in row_blocks(n):  # an id index widens to intp a block at a time
-            keys[rows] = bus_of[trace.target[rows]]
-        order, bounds = group_rows(keys, buses + 1)  # grant order within a bus
-        del keys
-        bounds = bounds.tolist()
+        groups = max(labels) + 1
+        bus_of = np.array((0, *labels), dtype=np.min_scalar_type(groups - 1))  # ids are 1-based
     latency = np.empty_like(start)
-    ends = iter(bounds[1:])  # where each bus's rows end in grant order
-    end = done = 0
-    for rows in row_blocks(n):
-        at, idx = rows.start, rows if order is None else order[rows]
-        s, d = start[idx], duration[idx]
-        c = np.empty_like(s)
-        while at < rows.stop:
-            while end == at:  # a bus ends here: the next one starts idle
-                end, done = next(ends), 0
-            run = slice(at - rows.start, min(end, rows.stop) - rows.start)
-            done = _complete(s[run], d[run], done, c[run])
-            at = rows.start + run.stop
-        c -= s
-        latency[idx] = c
+    done = [0] * groups  # each bus's last completion; no start is negative
+    for window in group_windows(n, groups):
+        if bus_of is None:
+            order, bounds = None, [0, window.stop - window.start]
+        else:  # an id index widens to intp a window at a time
+            order, bounds = group_rows(bus_of[trace.target[window]], groups)
+            order += window.start  # grant order within a bus
+            bounds = bounds.tolist()
+        bus, end = 0, bounds[1]  # where the rows of each bus end in the window
+        for rows in row_blocks(bounds[-1]):
+            at = rows.start
+            idx = (slice(window.start + at, window.start + rows.stop) if order is None
+                   else order[rows])
+            s, d = start[idx], duration[idx]
+            c = np.empty_like(s)
+            while at < rows.stop:
+                while end == at:  # this bus's rows end here: the next bus's begin
+                    bus += 1
+                    end = bounds[bus + 1]
+                run = slice(at - rows.start, min(end, rows.stop) - rows.start)
+                done[bus] = _complete(s[run], d[run], done[bus], c[run])
+                at = rows.start + run.stop
+            c -= s
+            latency[idx] = c
     latency.flags.writeable = False
 
     total = exact_sum(latency)  # an int64 sum could wrap where no latency does

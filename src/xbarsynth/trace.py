@@ -37,9 +37,10 @@ the reference, which also names the first bad line.  Each block's rows
 are range-checked as they are read, and those moving in the loaded
 direction are kept; the trace adopts the parsed columns as they are.
 Beyond the columns, the loader and every pass over the columns hold
-scratch of a block of lines or rows.  The id columns are int16, 21 bytes
-a row in all with the int64 cycles and the bool flag; an id is widened
-before any arithmetic.
+scratch of a block of lines or rows, and a pass that groups rows one
+window's row order (:func:`group_windows`).  The id columns are int16,
+21 bytes a row in all with the int64 cycles and the bool flag; an id is
+widened before any arithmetic.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _CORE_ID = np.int16  # the type of the id columns: it holds 1..MAX_CORES
 _READ_BYTES = 1 << 18  # bytes a pass over a trace file reads at once
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
 _ROW_BLOCK = 1 << 14  # rows a pass over the columns reads at once (row_blocks)
+_GROUP_ROWS = 1 << 10  # rows per group a window of group_windows holds, at the least
 _PAD = 8  # zero bytes before a block, so the words ending in its first field lie inside
 # gap from the comma before a numeric field to the comma after it, less its digits
 _FIELD_GAP = np.array([3, 1, 1, 1])
@@ -119,6 +121,19 @@ def row_blocks(stop: int, start: int = 0) -> Iterator[slice]:
     scratch by the block instead of the trace.
     """
     return (slice(lo, min(lo + _ROW_BLOCK, stop)) for lo in range(start, stop, _ROW_BLOCK))
+
+
+def group_windows(stop: int, num_groups: int) -> Iterator[slice]:
+    """Slices of max(``_ROW_BLOCK``, ``_GROUP_ROWS`` x ``num_groups``) rows at
+    most that cover rows 0 to ``stop`` in order.
+
+    A pass that groups rows (:func:`group_rows`) groups one window at a
+    time, so its row order is sized by the window instead of the trace,
+    while each of ``num_groups`` groups keeps runs of about
+    ``_GROUP_ROWS`` rows a window on average.
+    """
+    size = max(_ROW_BLOCK, _GROUP_ROWS * num_groups)
+    return (slice(lo, min(lo + size, stop)) for lo in range(0, stop, size))
 
 
 def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets: int,
@@ -276,7 +291,9 @@ def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray
     ``order[bounds[g]:bounds[g + 1]]``, in their original order.  The ids
     are sorted as 8- or 16-bit keys, copied to the narrowest type that
     holds them unless they are that narrow already (int16 trace ids
-    included); beyond the keys the only row-length array is ``order``.
+    included); beyond the keys the only array as long as ``ids`` is
+    ``order``.  The passes over a trace group one window of rows at a
+    time (:func:`group_windows`).
     """
     narrow = np.min_scalar_type(num_groups - 1)
     # 8/16-bit keys radix-sort

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xbarsynth import trace as trace_module
 from xbarsynth.analysis import (
     MAX_PROFILE_CELLS,
     AnalysisParams,
@@ -90,20 +91,32 @@ def test_comm_type_past_int32(num_targets, window_size, dtype):
     assert prof.comm.dtype == dtype and prof.comm[-1].tolist() == [5]
 
 
-def test_profile_matches_cycle_oracle():
+def test_profile_matches_cycle_oracle(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(13))
-    for _ in range(30):
-        tr = make_random_trace(rng)
-        ws = int(rng.integers(1, 80))
-        prof = profile(tr, ws)
-        comm, wo, crit_wo = cycle_profile(tr, ws)
-        assert np.array_equal(prof.comm, comm)
-        assert np.array_equal(prof.wo, wo)
-        assert np.array_equal(prof.crit_wo, crit_wo)
-        assert np.array_equal(prof.om, wo.sum(axis=2))
-        assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
-        assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
-        validate_profile(prof)
+    cases = [(make_random_trace(rng), int(rng.integers(1, 80))) for _ in range(30)]
+    # t_1's rows chain into one busy interval across the trace, and only
+    # t_2's rows at both ends are critical: with windows of a few rows, t_2
+    # misses the windows between them, where the critical mask selects no row
+    ends = trace_of(1, 3, [Transaction(0, 9, 1, 2, critical=True),
+                           *(Transaction(s, 3, 1, s % 2 * 2 + 1) for s in range(1, 13)),
+                           Transaction(12, 5, 1, 2, critical=True)])
+    cases += [(ends, 4), (ends, 100), (Trace(1, 3), 10)]
+    # windows of max(row block, rows per group x groups) rows: the defaults,
+    # then a window of a few rows per target
+    for row_block, group_rows in ((trace_module._ROW_BLOCK, trace_module._GROUP_ROWS),
+                                  (3, 1), (2, 1)):
+        monkeypatch.setattr(trace_module, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(trace_module, "_GROUP_ROWS", group_rows)
+        for tr, ws in cases:
+            prof = profile(tr, ws)
+            comm, wo, crit_wo = cycle_profile(tr, ws)
+            assert np.array_equal(prof.comm, comm)
+            assert np.array_equal(prof.wo, wo)
+            assert np.array_equal(prof.crit_wo, crit_wo)
+            assert np.array_equal(prof.om, wo.sum(axis=2))
+            assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
+            assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
+            validate_profile(prof)
 
 
 def test_partition_property():

@@ -694,10 +694,11 @@ def test_bus_override_seed_cut_writes_no_incumbent(tmp_path):
 
 
 def test_design_cuts_leave_no_frame_in_a_cycle(tmp_path):
-    """A design cut in any phase keeps its error, but no traceback of the
-    search it stopped, whose frames would tie design's frame, the profile
-    included, into a reference cycle.  (``json.dump`` with ``indent``
-    leaves cycles of its own, so only frames are looked for.)"""
+    """A design, cut in any phase or not, leaves no cyclic garbage: a cut
+    keeps its error, but no traceback of the search it stopped, whose
+    frames would tie design's frame, the profile included, into a reference
+    cycle, and ``solve_report.json`` is written without json's pure-Python
+    encoder, whose closures form cycles of their own."""
     full = design_mat2like(tmp_path / "full")
     probes = probe_nodes(full.instance)
     total = probes + full.report.nodes_explored
@@ -705,17 +706,33 @@ def test_design_cuts_leave_no_frame_in_a_cycle(tmp_path):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for limit in (5, probes + 1, (probes + total) // 2, total - 1):
+        for limit in (None, 5, probes + 1, (probes + total) // 2, total - 1):
             cut = design_mat2like(tmp_path / str(limit), node_limit=limit)
-            assert isinstance(cut.error, SolverLimitReached)
+            assert (cut.error is None if limit is None
+                    else isinstance(cut.error, SolverLimitReached))
             del cut
             gc.collect()
-            assert [o for o in gc.garbage if isinstance(o, types.FrameType)] == [], limit
-            gc.garbage.clear()
+            assert gc.garbage == [], (limit, sorted({type(o).__name__ for o in gc.garbage}))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({"binding": [1, 2], "feasibility_probes": [[2, True]], "maxov": 0,
+          "nodes_explored": 12, "optimal": True, "wall_time_s": 0.001234, "empty": [{}]})
+def test_report_text_matches_json_dump(value):
+    out = io.StringIO()
+    json.dump(value, out, indent=2, sort_keys=True)
+    assert cli._json_text(value) == out.getvalue()
 
 
 def test_cut_tie_break_exits_three(tmp_path):

@@ -137,10 +137,24 @@ def test_matches_queue_replay_oracle(monkeypatch):
     # one queue of seven rows, granted back to back: blocks of 2 or 3 rows
     # cut it, so each block starts from the completion before it
     queue = trace_of(2, 2, [Transaction(s // 3, 4, s % 2 + 1, s % 2 + 1) for s in range(7)])
+    # bus 2 serves t_2 at both ends alone, and its second row waits for the
+    # first: with windows of 3 or 4 rows it misses the windows between them,
+    # whose bus-1 runs continue across windows
+    ends = trace_of(1, 3, [Transaction(0, 50, 1, 2), *(Transaction(s, 4, 1, s % 2 * 2 + 1)
+                                                       for s in range(1, 13)),
+                           Transaction(40, 3, 1, 2)])
+    assert simulate(ends, CrossbarConfig(2, (1, 2, 1))).latency[-1] == 13
+    empty = Trace(1, 3)
     cases += [(queue, shared_bus_config(2)), (queue, CrossbarConfig(2, (2, 2))),
+              (ends, CrossbarConfig(2, (1, 2, 1))), (ends, full_crossbar_config(3)),
+              (empty, shared_bus_config(3)), (empty, full_crossbar_config(3)),
               _designed_hotspot()]
-    for row_block in (trace_module._ROW_BLOCK, 3, 2):
+    # windows of max(row block, rows per group x groups) rows: the defaults,
+    # then a window of a few rows per bus
+    for row_block, group_rows in ((trace_module._ROW_BLOCK, trace_module._GROUP_ROWS),
+                                  (3, 1), (2, 1)):
         monkeypatch.setattr(trace_module, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(trace_module, "_GROUP_ROWS", group_rows)
         for tr, cfg in cases:
             rep = simulate(tr, cfg)
             oracle_lat, _ = replay_simulate(tr, cfg)

@@ -795,20 +795,22 @@ def merged_cuts(trace: Trace, window_size: int) -> int:
 
 
 @pytest.mark.parametrize("stage", ["load", "load-commented", "load-mixed", "profile",
-                                   "simulate-1-bus", "simulate-3-buses"])
+                                   "simulate-1-bus", "simulate-3-buses", "simulate-full"])
 def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, monkeypatch, stage):
-    """Beyond what it returns, a stage holds a few blocks of scratch and at
-    most one 8-byte-per-row array: the row order of a grouping, whose
-    8-bit keys the 1 MiB allowance also covers.  The block constants are
-    shrunk so that the blocks are small beside the rows.  A load that
-    skips a line or drops rows of the other direction also holds the
-    columns sized by the file's lines until it copies the kept rows out.
-    ``profile`` also holds answer-sized scratch: its per-window overlaps
-    (T x W int64, three at a time at most) and its segment table, a
-    T-bool column plus eight int64 per cut of the timeline."""
+    """Beyond what it returns, a stage holds a few blocks of scratch and
+    the row order of one window of a grouping (``group_windows``: 1,024
+    rows per group), which, with its 8-bit keys, the 1 MiB allowance
+    covers.  The block constants are shrunk so that the blocks are small
+    beside the rows.  A load holds at most one 8-byte-per-row array, the
+    row order of a sort, and one that skips a line or drops rows of the
+    other direction also holds the columns sized by the file's lines until
+    it copies the kept rows out.  ``profile`` also holds answer-sized
+    scratch: its per-window overlaps (T x W int64, three at a time at most)
+    and its segment table, a T-bool column plus eight int64 per cut of the
+    timeline."""
     path, trace = long_trace
     commented, mixed = long_variants
-    n = len(trace.start)
+    n, targets = len(trace.start), trace.num_targets
     assert n >= 200_000 and trace.critical.any()
     monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
     monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
@@ -817,9 +819,11 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, mo
         "load-commented": lambda: load_trace(commented),
         "load-mixed": lambda: load_trace(mixed),
         "profile": lambda: profile(trace, LONG_WINDOW),
-        "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * trace.num_targets)),
+        "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * targets)),
         "simulate-3-buses": lambda: simulate(
-            trace, CrossbarConfig(3, tuple(t % 3 + 1 for t in range(trace.num_targets)))),
+            trace, CrossbarConfig(3, tuple(t % 3 + 1 for t in range(targets)))),
+        "simulate-full": lambda: simulate(
+            trace, CrossbarConfig(targets, tuple(range(1, targets + 1)))),
     }[stage]
     tracemalloc.start()
     try:
@@ -827,12 +831,14 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, mo
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    allowed = 8 * n + (1 << 20)
+    allowed = 1 << 20
+    if stage.startswith("load"):
+        allowed += 8 * n
     if stage in ("load-commented", "load-mixed"):
         allowed += sum(c.itemsize for c in trace._columns()) * n
     if stage == "profile":
         allowed += 3 * result.comm.nbytes
-        allowed += (trace.num_targets + 64) * merged_cuts(trace, LONG_WINDOW)
+        allowed += (targets + 64) * merged_cuts(trace, LONG_WINDOW)
     assert peak - kept <= allowed, (
         f"{stage}: {(peak - kept) / 2**20:.2f} MiB of scratch for {n} rows, "
         f"{allowed / 2**20:.2f} MiB allowed")
