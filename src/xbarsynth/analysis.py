@@ -10,8 +10,9 @@ between critical streams) gives the conflict matrix of pairs that must not
 share a bus.
 
 Implementation note: profiles are computed from merged busy intervals cut
-at window boundaries, never by stepping individual cycles, so the test
-suite's per-cycle oracle is an independent check.
+at window boundaries, a time block at a time, never by stepping
+individual cycles, so the test suite's per-cycle oracle is an independent
+check.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .trace import Trace, group_rows, group_windows, row_blocks
 # The most target-windows (T x windows) a profile holds: at most 8 bytes a busy
 # count, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
 MAX_PROFILE_CELLS = 1 << 22
+# About the most targets x cut points one time block of the profile holds
+# (_block_step) when T is small: its segment table takes a byte a cell.  The
+# 100x uniform trace at ws = 250 (20 targets, 80 k cuts) takes three blocks.
+_BLOCK_CELLS = 1 << 20
 
 
 def _count_type(bound: int) -> np.dtype:
@@ -126,18 +131,13 @@ class WindowProfile:
 
     def _dense(self, rows: np.ndarray | None) -> np.ndarray:
         """The overlap tensor of the trace rows selected by the mask ``rows`` (all if None)."""
-        tr = self.trace
         wo = np.zeros((self.num_targets, self.num_targets, self.num_windows), dtype=np.int64)
-        busy, cuts = _busy_segments(self.num_targets, _merged_targets(tr, rows),
-                                    self._boundaries())
-        for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size,
-                                                    self.comm.dtype):
-            wo[i, i:][:, windows] = per_window
-            wo[i:, i][:, windows] = per_window
+        for _, busy, cuts in _segment_tables(self.trace, rows, self.window_size):
+            for i, windows, per_window in _row_overlaps(busy, cuts, self.window_size,
+                                                        self.comm.dtype):
+                wo[i, i:][:, windows] += per_window.T  # a window cut by a block edge adds up
+                wo[i + 1:, i][:, windows] += per_window[:, 1:].T
         return wo
-
-    def _boundaries(self) -> np.ndarray:
-        return np.arange(1, self.num_windows, dtype=np.int64) * self.window_size
 
 
 def _changes(a: np.ndarray) -> np.ndarray:
@@ -149,14 +149,14 @@ def _changes(a: np.ndarray) -> np.ndarray:
 
 
 def _merged_targets(trace: Trace, rows: np.ndarray | None = None
-                    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each target's busy intervals over the trace rows the mask ``rows``
-    selects (all if None), merged into disjoint intervals sorted by start.
+    selects (all if None), merged into disjoint intervals.
 
-    Touching intervals merge too, so the results are separated by gaps.
-    Returns ``(i, lo, hi)`` for each target i+1 with a selected row, in
-    target order, each target's ends formed from its own rows.  The
-    selected rows are grouped by target a window at a time
+    Touching intervals merge too, so one target's intervals are separated
+    by gaps.  Returns ``(owner, lo, hi)``, interval k being [lo[k], hi[k])
+    of target owner[k] + 1, sorted by start.  The selected rows are
+    grouped by target a window at a time
     (:func:`~xbarsynth.trace.group_windows`), and each target's rows in a
     window are read a block at a time (:func:`~xbarsynth.trace.row_blocks`),
     each block's running end continuing the target's end before it.
@@ -186,25 +186,95 @@ def _merged_targets(trace: Trace, rows: np.ndarray | None = None
                 lo[i].append(start[gap])
                 hi[i].append(before[gap])  # where the interval before each new one ends
                 reach[i] = int(ends[-1])
-    # the first close belongs to no interval; the last interval ends at reach
-    return [(i, np.concatenate(lo[i]), np.concatenate((*hi[i], [reach[i]]))[1:])
-            for i in range(num) if lo[i]]
+    busy = [i for i in range(num) if lo[i]]
+    if not busy:
+        return np.zeros(0, dtype=np.int16), *np.zeros((2, 0), dtype=np.int64)
+    for i in busy:
+        hi[i][0] = hi[i][0][1:]  # the first close belongs to no interval
+        hi[i].append(np.array([reach[i]]))  # the last interval ends at reach
+    owner = np.repeat(np.array(busy, dtype=np.int16), [sum(map(len, lo[i])) for i in busy])
+    lo_all = np.concatenate([part for i in busy for part in lo[i]])
+    del lo  # each list of pieces goes once it is joined
+    hi_all = np.concatenate([part for i in busy for part in hi[i]])
+    del hi
+    by_start = np.argsort(lo_all, kind="stable")  # the targets' runs merge fast
+    return owner[by_start], lo_all[by_start], hi_all[by_start]
 
 
-def _busy_segments(num_targets: int, pieces: list[tuple[int, np.ndarray, np.ndarray]],
+def _block_step(num_targets: int) -> int:
+    """The interval starts, and the windows, one time block of the profile
+    takes at most (:func:`_segment_tables`): about ``_BLOCK_CELLS`` cells
+    of T x cuts, and at least 4 T.  A block's segment table then never
+    needs more than 14 T x T cells (bytes), less than ``om`` and ``peak``
+    take, and its pass over the T targets is spread over enough intervals.
+    """
+    return max(_BLOCK_CELLS // (3 * num_targets), 4 * num_targets)
+
+
+def _segment_tables(trace: Trace, rows: np.ndarray | None, window_size: int | None):
+    """The segment tables (:func:`_busy_segments`) of the merged busy
+    intervals (:func:`_merged_targets`) of the trace rows the mask ``rows``
+    selects (all if None), one per time block, in time order.
+
+    With ``window_size`` the segments are also cut at the window
+    boundaries.  Yields ``(shared, busy, cuts)`` for each block [a, b),
+    built from the intervals that meet it, clipped to it; ``shared`` is
+    the window the block shares with the blocks before or after it, or
+    None.  A block takes at most ``step`` (:func:`_block_step`) interval
+    starts after a and at most ``step`` windows, and ends on a window
+    boundary unless none lies past a, so a shared window is the only
+    window of each block but the last that meets it.  The cuts of a block
+    are then its two ends, its window boundaries and the ends of its
+    intervals: at most 3 ``step`` + 2 T + 2, with at most T intervals
+    carried in across a and ``step`` + T starting in it.  Stretches where
+    every target is idle are skipped.
+    """
+    num_targets = trace.num_targets
+    owner, lo, hi = _merged_targets(trace, rows)
+    step = _block_step(num_targets)
+    ws = int(window_size or (1 << 63) - 1)  # no windows: one window holds every cycle
+    end = int(hi.max()) if len(hi) else 0
+    k, b = 0, 0
+    carry_owner, carry_hi = owner[:0], hi[:0]  # intervals that go on past b
+    while b < end:
+        a = b
+        if not len(carry_hi):  # skip to the next start, or to its window's first cycle
+            a = max(a, int(lo[k]) // ws * ws)
+        ahead = int(np.searchsorted(lo, a, side="right")) + step
+        b = int(lo[ahead]) if ahead < len(lo) else end
+        b = min(b, (a // ws + step) * ws)
+        if b < end and b // ws * ws > a:
+            b = b // ws * ws
+        stop = int(np.searchsorted(lo, b))
+        block_owner, block_lo, block_hi = owner[k:stop], lo[k:stop], hi[k:stop]
+        if len(carry_hi):
+            block_owner = np.concatenate((carry_owner, block_owner))
+            block_lo = np.concatenate((np.full(len(carry_hi), a, dtype=np.int64), block_lo))
+            block_hi = np.concatenate((carry_hi, block_hi))
+        if b < end:
+            going_on = block_hi > b
+            carry_owner, carry_hi = block_owner[going_on], block_hi[going_on]
+            block_hi = np.minimum(block_hi, b)
+        k = stop
+        first, last = a // ws, (b - 1) // ws  # the windows that meet the block
+        edges = np.arange(first + 1, last + 1, dtype=np.int64) * ws
+        shared = first if a % ws else last if b % ws and b < end else None
+        yield (None if window_size is None else shared,
+               *_busy_segments(num_targets, block_owner, block_lo, block_hi, edges))
+
+
+def _busy_segments(num_targets: int, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut the timeline into segments on which each target is busy or idle throughout.
 
-    Takes the merged intervals of :func:`_merged_targets`; their cut points
-    plus the sorted ``boundaries`` give ``cuts``, and segment k is
-    [cuts[k], cuts[k + 1]).  Returns ``(busy, cuts)`` with ``busy[i, k]``
-    true when target i+1 is busy on segment k.
+    Takes intervals [lo[k], hi[k]) of target owner[k] + 1, one target's
+    disjoint and not touching; their ends plus the sorted ``boundaries``
+    give ``cuts``, and segment k is [cuts[k], cuts[k + 1]).  Returns
+    ``(busy, cuts)`` with ``busy[i, k]`` true when target i+1 is busy on
+    segment k.
     """
-    if not pieces:
+    if not len(lo):
         return np.zeros((num_targets, 0), dtype=bool), np.zeros(0, dtype=np.int64)
-    owner = np.concatenate([np.full(len(s), i) for i, s, _ in pieces])
-    lo = np.concatenate([s for _, s, _ in pieces])
-    hi = np.concatenate([e for _, _, e in pieces])
     points = np.concatenate([lo, hi, boundaries])
     # The points are a few sorted runs, which a stable sort merges fast.
     by_value = np.argsort(points, kind="stable")
@@ -213,8 +283,8 @@ def _busy_segments(num_targets: int, pieces: list[tuple[int, np.ndarray, np.ndar
     cuts = ranked[first]
     at = np.empty(len(points), dtype=np.int64)  # index in cuts of each point
     at[by_value] = np.cumsum(first) - 1
-    # Merged intervals of one target never touch, so each cut opens or
-    # closes at most one of them: a running parity marks the busy segments.
+    # Each cut opens or closes at most one interval of a target: a running
+    # parity marks the busy segments.
     toggle = np.zeros((num_targets, len(cuts)), dtype=bool)
     toggle[owner, at[:len(lo)]] = True
     toggle[owner, at[len(lo):2 * len(lo)]] = True
@@ -226,70 +296,110 @@ def _row_overlaps(busy: np.ndarray, cuts: np.ndarray, window_size: int, dtype: n
 
     Takes the output of ``_busy_segments``.  Yields ``(i, windows,
     per_window)`` for each target i+1 busy on some segment, where
-    ``per_window[j - i, r]`` (j >= i) is the number of cycles of window
+    ``per_window[r, j - i]`` (j >= i) is the number of cycles of window
     ``windows[r]`` in which targets i+1 and j+1 are both busy; windows in
-    which i+1 is idle are left out.  Segments come in time order, so each
-    window's segments form one run for ``np.add.reduceat``.  A segment
+    which i+1 is idle are left out.  A window's row is contiguous, so
+    reductions over the windows run along the targets.  Segments come in
+    time order, so each window's segments form one run for
+    ``np.add.reduceat``.  A segment
     lies in one window, so its length, and the sum over one window's
     segments, is at most ``window_size``: lengths, their products with
     ``busy`` and ``per_window`` are all of ``dtype``, which must hold it.
-    Besides ``per_window`` (at most T x W) the scratch is at most one row
-    of i's segments or the size of ``per_window``, whichever is larger.
+    Besides ``per_window`` (at most T x windows) the scratch is at most one
+    row of i's segments, ``_BLOCK_CELLS`` or the size of ``per_window``,
+    whichever is largest.
     """
     num_targets = len(busy)
     length = np.diff(cuts).astype(dtype)
     window = cuts[:-1] // window_size
-    for i in range(num_targets):
+    for i in np.flatnonzero(busy.any(axis=1)).tolist():
         seg = np.flatnonzero(busy[i])
-        if not len(seg):
-            continue
         w = window[seg]
         run = np.flatnonzero(_changes(w))
-        per_window = np.empty((num_targets - i, len(run)), dtype=dtype)
-        # As many targets at a time as keep the scratch within per_window.
-        step = max(1, per_window.size // len(seg))
+        per_window = np.empty((len(run), num_targets - i), dtype=dtype)
+        # As many targets at a time as keep the scratch within a block's
+        # cells or per_window, whichever is larger.
+        step = max(1, max(per_window.size, _BLOCK_CELLS) // len(seg))
+        seg_length = length[seg]
         for j in range(i, num_targets, step):
-            both = busy[j:j + step, seg] * length[seg]
-            np.add.reduceat(both, run, axis=1, out=per_window[j - i:j - i + step])
+            both = busy[j:j + step, seg] * seg_length
+            np.add.reduceat(both, run, axis=1, out=per_window[:, j - i:j - i + step].T)
         yield i, w[run], per_window
+
+
+def _mirror(m: np.ndarray) -> None:
+    """Copy the upper triangle of ``m``, which is non-negative, onto its
+    lower one, which is zero (False)."""
+    np.maximum(m, m.T, out=m)
 
 
 def profile(trace: Trace, window_size: int) -> WindowProfile:
     """Compute the per-window occupancy and overlap profile of a trace.
 
-    Row i of the overlap counts is summed per window over the segments on
-    which target i+1 is busy (``_row_overlaps``), reduced to ``om`` and
-    ``peak`` and dropped, so no T x T x windows tensor is ever held.
-    Beyond the profile, the scratch is the merged busy intervals, built
-    from one window's row order and a few blocks at a time
-    (:func:`_merged_targets`), then the segment table and a row of
-    per-window overlaps.  More than ``MAX_PROFILE_CELLS`` targets x windows is a ``ValueError``,
-    raised before anything is allocated.
+    The merged busy intervals (:func:`_merged_targets`) are cut into time
+    blocks (:func:`_segment_tables`) of about ``_BLOCK_CELLS`` targets x
+    cut points, or at most 14 T x T when that is more
+    (:func:`_block_step`).  Per block, row i of the
+    overlap counts is summed per window over the segments on which target
+    i+1 is busy (``_row_overlaps``) and dropped: ``comm`` is assigned and
+    the upper triangles of ``om`` (summed), ``peak`` (maximum) and
+    ``crit`` (or) accumulate across blocks, and are mirrored at the end.
+    A window cut by a block edge is summed in a T x T matrix until its
+    last block.  The critical pass needs no windows: any busy segment two
+    critical streams share sets ``crit``.  So no T x T x windows tensor
+    and no segment table of the whole timeline is ever held: beyond the
+    profile, the scratch is the merged intervals, built from one window's
+    row order and a few blocks at a time, and one block's segment table
+    and row of per-window overlaps.  More than ``MAX_PROFILE_CELLS``
+    targets x windows is a ``ValueError``, raised before anything is
+    allocated.
     """
     _check_window_size(window_size)
     n, windows = trace.num_targets, -(-trace.horizon // window_size)
     if n * windows > MAX_PROFILE_CELLS:
         raise ValueError(f"a profile of {n} targets x {windows} windows exceeds "
                          f"{MAX_PROFILE_CELLS} target-windows; use a larger window size")
-    comm = np.zeros((n, windows), dtype=_count_type(n * window_size))
+    comm = np.zeros((n, windows), dtype=_count_type(n * int(window_size)))  # no int64 wrap
     om = np.zeros((n, n), dtype=np.int64)
     peak = np.zeros((n, n), dtype=np.int64)
     crit = np.zeros((n, n), dtype=bool)
-    prof = WindowProfile(window_size, comm, om, peak, crit, trace)
 
-    # Critical overlap needs no windows: any shared busy segment counts.
-    busy, _ = _busy_segments(n, _merged_targets(trace, trace.critical),
-                             np.zeros(0, dtype=np.int64))
-    for i in range(n):
-        crit[i, i:] = crit[i:, i] = busy[i:, busy[i]].any(axis=1)
-    del busy
+    if trace.critical.any():
+        for _, busy, _ in _segment_tables(trace, trace.critical, None):
+            for i in np.flatnonzero(busy.any(axis=1)).tolist():
+                crit[i, i:] |= busy[i:, busy[i]].any(axis=1)
 
-    busy, cuts = _busy_segments(n, _merged_targets(trace), prof._boundaries())
-    for i, windows, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
-        comm[i, windows] = per_window[0]
-        om[i, i:] = om[i:, i] = per_window.sum(axis=1, dtype=np.int64)
-        peak[i, i:] = peak[i:, i] = per_window.max(axis=1)
-    return prof
+    split, part = None, None  # a window cut by block edges, and its overlaps so far
+    for shared, busy, cuts in _segment_tables(trace, None, window_size):
+        if split is not None and shared != split:  # its last block is done
+            _close_window(split, part, comm, peak)
+            split = None
+        if shared is not None:
+            if part is None:
+                part = np.zeros((n, n), dtype=comm.dtype)
+            split = shared
+        for i, where, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
+            om[i, i:] += per_window.sum(axis=0, dtype=np.int64)
+            # A part of the split window is at most its whole, which
+            # _close_window writes over comm and into peak.
+            if split is not None and split in (where[0], where[-1]):
+                part[i, i:] += per_window[0 if where[0] == split else -1]
+            comm[i, where] = per_window[:, 0]
+            row = peak[i, i:]
+            np.maximum(row, per_window.max(axis=0), out=row)
+    if split is not None:
+        _close_window(split, part, comm, peak)
+    for m in (om, peak, crit):
+        _mirror(m)
+    return WindowProfile(window_size, comm, om, peak, crit, trace)
+
+
+def _close_window(window: int, part: np.ndarray, comm: np.ndarray, peak: np.ndarray) -> None:
+    """Write the overlaps ``part`` of a window summed over its blocks into
+    ``comm`` and the upper triangle of ``peak``, and zero ``part``."""
+    comm[:, window] = part.diagonal()
+    np.maximum(peak, part, out=peak)
+    part[:] = 0
 
 
 def aggregate_overlap(prof: WindowProfile) -> np.ndarray:

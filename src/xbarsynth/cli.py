@@ -45,7 +45,7 @@ import numpy as np
 from .analysis import AnalysisParams, WindowProfile, aggregate_overlap, preprocess, profile
 from .gen import GenSpec, PRESET_NAMES, benchmark_preset, generate, load_spec
 from .lpexport import export_milp
-from .sim import SimReport, baseline_configs, compare, simulate
+from .sim import ReplayStats, SimReport, baseline_configs, compare, simulate
 from .solver import (
     CrossbarConfig,
     InfeasibleError,
@@ -105,7 +105,9 @@ class DesignOutcome:
     trace: Trace
     instance: ProblemInstance
     report: SolveReport | None
-    replays: dict[str, SimReport]  # shared, designed, full; empty without a report
+    # shared, designed, full: each replay's statistics, no latency array; empty
+    # without a report
+    replays: dict[str, ReplayStats]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -137,21 +139,18 @@ def _json_text(value, indent: str = "") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _write_latency_csv(path: Path, replays: dict[str, SimReport]) -> None:
-    """One ``config,txn,latency`` row per transaction of each named replay.
+def _write_latency_rows(fh, name: str, latency: np.ndarray) -> None:
+    """One ``config,txn,latency`` row per transaction of the replay ``name``.
 
     Config names and integers need no CSV quoting, so the rows are
     formatted directly: the bytes ``csv.writer`` would write, several
-    times faster on large traces.  Each replay is written a block of rows
-    at a time (:func:`~xbarsynth.trace.row_blocks`), so the text held at
-    once is a block's.
+    times faster on large traces.  They are written a block of rows at a
+    time (:func:`~xbarsynth.trace.row_blocks`), so the text held at once
+    is a block's.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("config,txn,latency\n")
-        for name, r in replays.items():
-            for rows in row_blocks(len(r.latency)):
-                fh.write("".join([f"{name},{i},{lat}\n" for i, lat in
-                                  zip(range(rows.start, rows.stop), r.latency[rows].tolist())]))
+    for rows in row_blocks(len(latency)):
+        fh.write("".join([f"{name},{i},{lat}\n" for i, lat in
+                          zip(range(rows.start, rows.stop), latency[rows].tolist())]))
 
 
 def _fmt(x) -> str:
@@ -224,11 +223,11 @@ def analyze(run: RunConfig) -> dict[str, Path]:
 
 
 def design(run: RunConfig, prof: WindowProfile | None = None,
-           replayed: dict[CrossbarConfig, SimReport] | None = None) -> DesignOutcome:
+           replayed: dict[CrossbarConfig, ReplayStats] | None = None) -> DesignOutcome:
     """Full pipeline; always writes whatever artifacts exist at failure.
 
     ``prof``, when given, is the profile of the run's trace at its window
-    size, and ``replayed`` the reports of that trace by config that
+    size, and ``replayed`` the replay statistics of that trace by config that
     :func:`~xbarsynth.sim.compare` reads and adds to; sweeps pass them to
     skip reloading, reprofiling and replaying.
     """
@@ -246,7 +245,7 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
 
     error: InfeasibleError | SolverLimitReached | None = None
     report: SolveReport | None = None
-    replays: dict[str, SimReport] = {}
+    replays: dict[str, ReplayStats] = {}
     budget = SearchBudget(run.limits)  # one budget bounds and records the whole solve
     try:
         if buses is None:
@@ -589,14 +588,22 @@ def _cmd_simulate(run: RunConfig, args) -> None:
     if args.binding:
         binding = _parse_binding(args.binding, trace.num_targets)
         configs.append(("bound", CrossbarConfig(max(binding), binding)))
-    replays = compare(trace, configs)
-    for name, rep in replays.items():
-        print(
-            f"{name:>8}: buses={rep.config.num_buses} avg={rep.avg_latency:.2f} "
-            f"max={rep.max_latency} queuing={rep.avg_queuing:.2f}"
-        )
+    # Each distinct config is simulated once, and its latencies are held
+    # only until the last name that uses it is written.
+    last = {config: k for k, (_, config) in enumerate(configs)}
+    held: dict[CrossbarConfig, SimReport] = {}
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_latency_csv(run.out_dir / "latency.csv", replays)
+    with open(run.out_dir / "latency.csv", "w", newline="") as fh:
+        fh.write("config,txn,latency\n")
+        for k, (name, config) in enumerate(configs):
+            rep = held.pop(config) if config in held else simulate(trace, config)
+            if last[config] > k:
+                held[config] = rep
+            print(
+                f"{name:>8}: buses={rep.config.num_buses} avg={rep.avg_latency:.2f} "
+                f"max={rep.max_latency} queuing={rep.avg_queuing:.2f}"
+            )
+            _write_latency_rows(fh, name, rep.latency)
 
 
 def _cmd_sweep_window(run: RunConfig, args) -> None:

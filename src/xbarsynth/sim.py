@@ -5,14 +5,16 @@ serves one transaction at a time, non-preemptively and for exactly its
 duration, granting queued requests in (arrival cycle, target_id,
 initiator_id) order; initiators are connected to every bus and never
 contend among themselves.  Latency is completion minus request start, so
-an uncontended transaction's latency equals its duration.  A report holds
-its config, the per-transaction latencies and the three statistics the
-design flow reads: average and maximum latency, and average queuing delay
-(latency minus duration).  :func:`compare` is the one replay loop over
-named configs, and :func:`baseline_configs` names the two reference points
-a design is replayed against: the one shared bus
-(:func:`shared_bus_config`) and the full crossbar
-(:func:`full_crossbar_config`).
+an uncontended transaction's latency equals its duration.  A replay's
+:class:`ReplayStats` hold its config and the three statistics the design
+flow reads: average and maximum latency, and average queuing delay
+(latency minus duration); :func:`simulate` returns them with the
+per-transaction latencies (:class:`SimReport`).  :func:`compare` is the
+one replay loop over named configs and keeps only each replay's
+statistics, so no latency array outlives its replay.
+:func:`baseline_configs` names the two reference points a design is
+replayed against: the one shared bus (:func:`shared_bus_config`) and the
+full crossbar (:func:`full_crossbar_config`).
 """
 
 from __future__ import annotations
@@ -30,14 +32,25 @@ class SimulationError(ValueError):
 
 
 @dataclass(eq=False)
-class SimReport:
-    """One config's per-transaction latencies plus the statistics the flow reads."""
+class ReplayStats:
+    """What the design flow reads of one replay: its config and three statistics."""
 
     config: CrossbarConfig
-    latency: np.ndarray  # int64 per transaction in trace order, read-only
     avg_latency: float
     max_latency: int
     avg_queuing: float  # mean of latency minus duration
+
+
+@dataclass(eq=False)
+class SimReport(ReplayStats):
+    """One replay's statistics plus its per-transaction latencies."""
+
+    latency: np.ndarray  # int64 per transaction in trace order, read-only
+
+    @property
+    def stats(self) -> ReplayStats:
+        """The statistics alone, which keep no reference to ``latency``."""
+        return ReplayStats(self.config, self.avg_latency, self.max_latency, self.avg_queuing)
 
     @property
     def per_transaction_latency(self) -> list[int]:
@@ -128,24 +141,26 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
 
 
 def compare(trace: Trace, configs: list[tuple[str, CrossbarConfig]],
-            replays: dict[CrossbarConfig, SimReport] | None = None
-            ) -> dict[str, SimReport]:
-    """Each named config's report, in ``configs`` order; equal configs
-    share one simulation.
+            replays: dict[CrossbarConfig, ReplayStats] | None = None
+            ) -> dict[str, ReplayStats]:
+    """Each named config's replay statistics, in ``configs`` order; equal
+    configs share one simulation.
 
-    ``replays``, when given, holds earlier reports of this same trace by
-    config: a config found there is not simulated again, and each new
-    report is added to it.
+    Each report's latency array is dropped as soon as :func:`simulate`
+    returns it, so the memory beyond the trace is one replay's at a time.
+    ``replays``, when given, holds earlier statistics of this same trace
+    by config: a config found there is not simulated again, and each new
+    replay's statistics are added to it.
 
     A config's size relative to the one-bus shared baseline is its bus
     count (bus-count granularity only: arbiters and adapters of a real
     interconnect are not modeled).
     """
-    reports = {} if replays is None else replays
+    stats = {} if replays is None else replays
     for _, config in configs:
-        if config not in reports:
-            reports[config] = simulate(trace, config)
-    return {name: reports[config] for name, config in configs}
+        if config not in stats:
+            stats[config] = simulate(trace, config).stats
+    return {name: stats[config] for name, config in configs}
 
 
 def shared_bus_config(num_targets: int) -> CrossbarConfig:

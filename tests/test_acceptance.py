@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from xbarsynth import analysis
 from xbarsynth.analysis import AnalysisParams, profile
 from xbarsynth.cli import RunConfig, compare_bindings, design, sweep_window
 from xbarsynth.gen import benchmark_preset
@@ -60,22 +61,31 @@ def test_criterion_2_sharing_linearization_is_exact():
     print(f"criterion 2: 4/4 input combinations unique [{elapsed:.3f}s] PASS")
 
 
-def test_criterion_3_profile_matches_per_cycle_simulation():
-    """100 random traces (horizon <= 1e5): comm/wo/crit_wo and om/peak/crit exact, < 30 s."""
+def test_criterion_3_profile_matches_per_cycle_simulation(monkeypatch):
+    """100 random traces (horizon <= 1e5): comm/wo/crit_wo and om/peak/crit exact, < 30 s.
+
+    comm/om/peak/crit are also taken in time blocks of at most 16 interval
+    starts and 16 windows each, whose edges cut busy intervals, and
+    windows, everywhere."""
     t0 = time.monotonic()
     rng = np.random.Generator(np.random.PCG64(2203))
+    whole = analysis._block_step
     for _ in range(100):
         horizon = int(rng.integers(50, 100_001))
         trace = make_random_trace(rng, horizon=horizon, max_txs=60)
         ws = int(rng.choice([1, 7, 64, 1000, horizon // 7 + 1, horizon]))
+        monkeypatch.setattr(analysis, "_block_step", whole)
         prof = profile(trace, ws)
         comm, wo, crit_wo = cycle_profile(trace, ws)
         assert np.array_equal(prof.comm, comm)
         assert np.array_equal(prof.wo, wo)
         assert np.array_equal(prof.crit_wo, crit_wo)
-        assert np.array_equal(prof.om, wo.sum(axis=2))
-        assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
-        assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
+        monkeypatch.setattr(analysis, "_block_step", lambda num_targets: 16)
+        for prof in (prof, profile(trace, ws)):
+            assert np.array_equal(prof.comm, comm)
+            assert np.array_equal(prof.om, wo.sum(axis=2))
+            assert np.array_equal(prof.peak, wo.max(axis=2, initial=0))
+            assert np.array_equal(prof.crit, (crit_wo > 0).any(axis=2))
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"criterion 3: 100/100 profiles exact [{elapsed:.1f}s] PASS")

@@ -1,11 +1,13 @@
 """Window profiling and conflict pre-processing against per-cycle oracles."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from xbarsynth import analysis
 from xbarsynth import trace as trace_module
 from xbarsynth.analysis import (
     MAX_PROFILE_CELLS,
@@ -91,6 +93,15 @@ def test_comm_type_past_int32(num_targets, window_size, dtype):
     assert prof.comm.dtype == dtype and prof.comm[-1].tolist() == [5]
 
 
+def test_comm_type_of_a_numpy_window_size():
+    # T x window size is taken in Python ints: as an int64 it would wrap
+    # negative here and pick int8
+    trace = Trace(1, 2, [0, 3], [2**62 + 1, 5], [1, 1], [1, 2])
+    prof = profile(trace, np.int64(2**62))
+    assert prof.comm.dtype == np.int64 and prof.comm.tolist() == [[2**62, 1], [5, 0]]
+    assert prof.peak.tolist() == [[2**62, 5], [5, 5]]
+
+
 def test_profile_matches_cycle_oracle(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(13))
     cases = [(make_random_trace(rng), int(rng.integers(1, 80))) for _ in range(30)]
@@ -100,13 +111,19 @@ def test_profile_matches_cycle_oracle(monkeypatch):
     ends = trace_of(1, 3, [Transaction(0, 9, 1, 2, critical=True),
                            *(Transaction(s, 3, 1, s % 2 * 2 + 1) for s in range(1, 13)),
                            Transaction(12, 5, 1, 2, critical=True)])
-    cases += [(ends, 4), (ends, 100), (Trace(1, 3), 10)]
+    # no row is critical: the critical pass has no busy interval at all
+    plain = trace_of(2, 3, [Transaction(s, 4, s % 2 + 1, s % 3 + 1) for s in range(0, 30, 3)])
+    cases += [(ends, 4), (ends, 100), (Trace(1, 3), 10), (plain, 5), (plain, 40)]
     # windows of max(row block, rows per group x groups) rows: the defaults,
-    # then a window of a few rows per target
-    for row_block, group_rows in ((trace_module._ROW_BLOCK, trace_module._GROUP_ROWS),
-                                  (3, 1), (2, 1)):
+    # then a window of a few rows per target; time blocks of the profile's
+    # own size, then of one interval start or one window each, whose edges
+    # cut busy intervals, and windows, everywhere
+    row_windows = ((trace_module._ROW_BLOCK, trace_module._GROUP_ROWS), (3, 1), (2, 1))
+    block_steps = (analysis._block_step, lambda num_targets: 1)
+    for (row_block, group_rows), block_step in itertools.product(row_windows, block_steps):
         monkeypatch.setattr(trace_module, "_ROW_BLOCK", row_block)
         monkeypatch.setattr(trace_module, "_GROUP_ROWS", group_rows)
+        monkeypatch.setattr(analysis, "_block_step", block_step)
         for tr, ws in cases:
             prof = profile(tr, ws)
             comm, wo, crit_wo = cycle_profile(tr, ws)

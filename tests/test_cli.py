@@ -23,7 +23,7 @@ from xbarsynth import trace as trace_module
 from xbarsynth.analysis import MAX_PROFILE_CELLS, AnalysisParams
 from xbarsynth.cli import RunConfig, compare_bindings, design, main
 from xbarsynth.gen import GenSpec, benchmark_preset, generate, spec_to_text
-from xbarsynth.sim import full_crossbar_config, shared_bus_config, simulate
+from xbarsynth.sim import ReplayStats, full_crossbar_config, shared_bus_config, simulate
 from xbarsynth.solver import (
     CrossbarConfig,
     InfeasibleError,
@@ -939,6 +939,19 @@ def test_simulate_replays_a_binding_equal_to_a_baseline_once(tmp_path, monkeypat
     # the bytes written when each of the three configs had its own replay
     digest = hashlib.sha256((out / "latency.csv").read_bytes()).hexdigest()
     assert digest == "e84c0062ee667ac8d140f17a2353d3bc33c4516857c3e58620bad745c24e9216"
+
+
+def test_design_replays_keep_only_statistics(tmp_path):
+    """A design of a long trace keeps of each replay its config and
+    statistics: no array with a row per transaction outlives its replay."""
+    spec = dataclasses.replace(benchmark_preset("uniform"), horizon=10 * 120_000)
+    outcome = design(RunConfig(spec, AnalysisParams(250, 0.1), out_dir=tmp_path,
+                               seed=spec.seed))
+    assert outcome.error is None
+    assert list(outcome.replays) == ["shared", "designed", "full"]
+    for r in outcome.replays.values():
+        assert type(r) is ReplayStats
+        assert not [v for v in vars(r).values() if isinstance(v, np.ndarray)]
 
 
 def test_simulate_bad_binding_length(tmp_path, config_file):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xbarsynth import solver
+from xbarsynth import analysis, solver
 from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.sim import simulate
 from xbarsynth.solver import (
@@ -100,10 +100,24 @@ def test_simulate_matches_replay(case):
     assert rep.avg_queuing == ((sum(latencies) - durations) / n if n else 0.0)
 
 
+def profile_in_blocks(trace, window_size, block_step):
+    """``profile`` in time blocks of its own size (``block_step`` None), or of
+    at most ``block_step`` interval starts and windows each."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block_step is not None:
+            patch.setattr(analysis, "_block_step", lambda num_targets: block_step)
+        return profile(trace, window_size)
+
+
+# Time blocks of one or two interval starts or windows cut busy intervals,
+# and windows, everywhere.
+BLOCK_STEPS = st.sampled_from([None, 1, 2])
+
+
 @SETTINGS
-@given(traces(), st.one_of(st.just(1), st.integers(1, 64)))
-def test_profile_matches_cycle_oracle(trace, window_size):
-    prof = profile(trace, window_size)
+@given(traces(), st.one_of(st.just(1), st.integers(1, 64)), BLOCK_STEPS)
+def test_profile_matches_cycle_oracle(trace, window_size, block_step):
+    prof = profile_in_blocks(trace, window_size, block_step)
     comm, wo, crit_wo = cycle_profile(trace, window_size)
     assert np.array_equal(prof.comm, comm)
     assert np.array_equal(prof.wo, wo)
@@ -115,10 +129,11 @@ def test_profile_matches_cycle_oracle(trace, window_size):
 
 @SETTINGS
 @given(traces(critical=st.just(True)), st.integers(1, 64),
-       st.floats(0.0, 0.5, exclude_min=True))
-def test_all_critical_streams_conflict_wherever_they_overlap(trace, window_size, theta):
+       st.floats(0.0, 0.5, exclude_min=True), BLOCK_STEPS)
+def test_all_critical_streams_conflict_wherever_they_overlap(trace, window_size, theta,
+                                                             block_step):
     """With every stream critical, any overlap is a conflict, whatever θ."""
-    prof = profile(trace, window_size)
+    prof = profile_in_blocks(trace, window_size, block_step)
     conflict = preprocess(prof, AnalysisParams(window_size, theta))
     expected = prof.om > 0
     np.fill_diagonal(expected, False)

@@ -11,6 +11,7 @@ from xbarsynth import trace as trace_module
 from xbarsynth.analysis import AnalysisParams, preprocess, profile
 from xbarsynth.gen import benchmark_preset, generate
 from xbarsynth.sim import (
+    ReplayStats,
     SimulationError,
     baseline_configs,
     compare,
@@ -262,13 +263,20 @@ def test_compare_simulates_each_distinct_config_once(monkeypatch):
 
 
 def test_compare_builds_no_per_transaction_list(monkeypatch):
-    """``compare`` keeps latencies in numpy: right after each ``simulate``
-    returns, the Python objects allocated since tracing began (tracemalloc
-    domain 0; numpy buffers are traced in their own domain) stay far below
-    one pointer per transaction, let alone one int object each."""
-    trace = generate(replace(benchmark_preset("uniform"), horizon=4 * 120_000))
+    """``compare`` keeps latencies in numpy and only until their statistics
+    are taken.  Right after each ``simulate`` returns, the Python objects
+    allocated since tracing began (tracemalloc domain 0; numpy buffers are
+    traced in their own domain) stay far below one pointer per
+    transaction, let alone one int object each.  Across a whole
+    ``compare`` of three configs the traced peak over what it started with
+    is one replay's latency array (8 bytes a row) and a few blocks, with
+    the block constants shrunk so that the blocks are small beside the
+    rows, and what it returns holds no array."""
+    trace = generate(replace(benchmark_preset("uniform"), horizon=10 * 120_000))
     n = len(trace.transactions)
-    assert n > 10_000
+    assert n > 40_000
+    configs = [*baseline_configs(trace.num_targets),
+               ("two", CrossbarConfig(2, tuple(t % 2 + 1 for t in range(trace.num_targets))))]
     python_bytes = []
 
     def traced_simulate(*args, **kwargs):
@@ -277,15 +285,36 @@ def test_compare_builds_no_per_transaction_list(monkeypatch):
         python_bytes.append(sum(stat.size for stat in snap.statistics("filename")))
         return report
 
-    monkeypatch.setattr(sim, "simulate", traced_simulate)
+    with monkeypatch.context() as patched:
+        patched.setattr(sim, "simulate", traced_simulate)
+        tracemalloc.start()
+        try:
+            rows = compare(trace, configs)
+        finally:
+            tracemalloc.stop()
+    assert len(rows) == len(python_bytes) == 3
+    assert max(python_bytes) < 8 * n
+
+    monkeypatch.setattr(trace_module, "_ROW_BLOCK", 256)
+    monkeypatch.setattr(trace_module, "_GROUP_ROWS", 16)
     tracemalloc.start()
     try:
-        rows = compare(trace, baseline_configs(trace.num_targets))
+        before = tracemalloc.get_traced_memory()[0]
+        rows = compare(trace, configs)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == len(python_bytes) == 2
-    assert max(python_bytes) < 8 * n
+    assert peak - before <= 8 * n + (1 << 16), (
+        f"{(peak - before) / 2**20:.2f} MiB over {n} rows: more than one latency array")
+    for row, (_, config) in zip(rows.values(), configs):
+        assert type(row) is ReplayStats and row.config == config
+        assert not [v for v in vars(row).values() if isinstance(v, np.ndarray)]
+
     report = simulate(trace, shared_bus_config(trace.num_targets))
     assert report.latency.dtype == np.int64 and not report.latency.flags.writeable
     assert report.per_transaction_latency == report.latency.tolist()
     assert len(report.latency) == n
+    stats = report.stats
+    assert type(stats) is ReplayStats
+    assert (stats.config, stats.avg_latency, stats.max_latency, stats.avg_queuing) == (
+        report.config, report.avg_latency, report.max_latency, report.avg_queuing)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xbarsynth import analysis
 from xbarsynth import trace as trace_module
 from xbarsynth.analysis import profile
 from xbarsynth.gen import benchmark_preset, generate
@@ -780,6 +781,16 @@ def long_variants(long_trace):
     return commented, mixed
 
 
+@pytest.fixture(scope="module")
+def wide_trace():
+    """40 k short rows over 128 targets: about as many merged busy intervals as rows."""
+    rng = np.random.default_rng(41)
+    rows, targets = 40_000, 128
+    return Trace(targets, targets, np.sort(rng.integers(0, 4_000_000, rows)),
+                 rng.integers(1, 100, rows), rng.integers(1, targets + 1, rows),
+                 rng.integers(1, targets + 1, rows), rng.random(rows) < 0.05)
+
+
 def merged_cuts(trace: Trace, window_size: int) -> int:
     """Distinct cut points of the profile timeline: the ends of each
     target's merged busy intervals and the window boundaries."""
@@ -795,8 +806,10 @@ def merged_cuts(trace: Trace, window_size: int) -> int:
 
 
 @pytest.mark.parametrize("stage", ["load", "load-commented", "load-mixed", "profile",
-                                   "simulate-1-bus", "simulate-3-buses", "simulate-full"])
-def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, monkeypatch, stage):
+                                   "profile-wide", "simulate-1-bus", "simulate-3-buses",
+                                   "simulate-full"])
+def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, wide_trace,
+                                                   monkeypatch, stage):
     """Beyond what it returns, a stage holds a few blocks of scratch and
     the row order of one window of a grouping (``group_windows``: 1,024
     rows per group), which, with its 8-bit keys, the 1 MiB allowance
@@ -805,20 +818,28 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, mo
     row order of a sort, and one that skips a line or drops rows of the
     other direction also holds the columns sized by the file's lines until
     it copies the kept rows out.  ``profile`` also holds answer-sized
-    scratch: its per-window overlaps (T x W int64, three at a time at most)
-    and its segment table, a T-bool column plus eight int64 per cut of the
-    timeline."""
+    scratch: its per-window overlaps (T x W, three at a time at most), the
+    merged busy intervals sorted by start (18 bytes each, with an 8-byte
+    sort order: under 24 bytes a cut of the timeline, two ends each), and
+    one time block's segment table, per-window overlaps and row products
+    (a few bytes a cell of the block, which holds at most the cell budget
+    plus 16 T x T cells).  Its many-target case is a segment table of
+    its whole timeline, T x cuts, at the parent, which is many times that."""
     path, trace = long_trace
     commented, mixed = long_variants
+    if stage == "profile-wide":
+        trace = wide_trace
     n, targets = len(trace.start), trace.num_targets
-    assert n >= 200_000 and trace.critical.any()
+    assert n >= (40_000 if stage == "profile-wide" else 200_000) and trace.critical.any()
     monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
     monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1 << 14)
     run = {
         "load": lambda: load_trace(path),
         "load-commented": lambda: load_trace(commented),
         "load-mixed": lambda: load_trace(mixed),
         "profile": lambda: profile(trace, LONG_WINDOW),
+        "profile-wide": lambda: profile(trace, LONG_WINDOW),
         "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * targets)),
         "simulate-3-buses": lambda: simulate(
             trace, CrossbarConfig(3, tuple(t % 3 + 1 for t in range(targets)))),
@@ -836,9 +857,9 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, mo
         allowed += 8 * n
     if stage in ("load-commented", "load-mixed"):
         allowed += sum(c.itemsize for c in trace._columns()) * n
-    if stage == "profile":
-        allowed += 3 * result.comm.nbytes
-        allowed += (targets + 64) * merged_cuts(trace, LONG_WINDOW)
+    if stage.startswith("profile"):
+        allowed += 3 * result.comm.nbytes + 24 * merged_cuts(trace, LONG_WINDOW)
+        allowed += 8 * (analysis._BLOCK_CELLS + 16 * targets ** 2)
     assert peak - kept <= allowed, (
         f"{stage}: {(peak - kept) / 2**20:.2f} MiB of scratch for {n} rows, "
         f"{allowed / 2**20:.2f} MiB allowed")
