@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Trace, group_rows, group_windows, row_blocks
+from .trace import Trace, grouped_blocks
 
 # The most target-windows (T x windows) a profile holds: at most 8 bytes a busy
 # count, four times the 20 x 48,000 of the 100x uniform trace at ws = 250.
@@ -155,37 +155,29 @@ def _merged_targets(trace: Trace, rows: np.ndarray | None = None
 
     Touching intervals merge too, so one target's intervals are separated
     by gaps.  Returns ``(owner, lo, hi)``, interval k being [lo[k], hi[k])
-    of target owner[k] + 1, sorted by start.  The selected rows are
-    grouped by target a window at a time
-    (:func:`~xbarsynth.trace.group_windows`), and each target's rows in a
-    window are read a block at a time (:func:`~xbarsynth.trace.row_blocks`),
-    each block's running end continuing the target's end before it.
+    of target owner[k] + 1, sorted by start.  The selected rows come
+    grouped by target a block at a time
+    (:func:`~xbarsynth.trace.grouped_blocks`); each block's columns are
+    gathered once, and each target's run in it is merged by a running end
+    that continues the target's end before it.
     """
     num = trace.num_targets
     reach = [-1] * num  # no start is negative: a target's first row opens an interval
     lo: list[list[np.ndarray]] = [[] for _ in range(num)]
     hi: list[list[np.ndarray]] = [[] for _ in range(num)]
-    for window in group_windows(len(trace.start), num + 1):
-        ids = trace.target[window]
-        picked = None if rows is None else np.flatnonzero(rows[window])
-        order, bounds = group_rows(ids if picked is None else ids[picked], num + 1)
-        if picked is not None:
-            order = picked[order]
-        order += window.start
-        bounds = bounds.tolist()
-        for i in range(num):
-            for block in row_blocks(bounds[i + 2], bounds[i + 1]):
-                r = order[block]
-                start = trace.start[r]
-                ends = np.empty(len(r) + 1, dtype=np.int64)  # ends[k + 1]: latest end to row k
-                ends[0] = reach[i]  # carried from the block before
-                np.add(start, trace.duration[r], out=ends[1:])
-                np.maximum.accumulate(ends, out=ends)
-                before = ends[:-1]
-                gap = start > before
-                lo[i].append(start[gap])
-                hi[i].append(before[gap])  # where the interval before each new one ends
-                reach[i] = int(ends[-1])
+    for index, runs in grouped_blocks(trace.target, num + 1, rows=rows):
+        start, duration = trace.start[index], trace.duration[index]
+        for target, run in runs:
+            i, s = target - 1, start[run]
+            ends = np.empty(len(s) + 1, dtype=np.int64)  # ends[k + 1]: latest end to row k
+            ends[0] = reach[i]  # carried from the run before
+            np.add(s, duration[run], out=ends[1:])
+            np.maximum.accumulate(ends, out=ends)
+            before = ends[:-1]
+            gap = s > before
+            lo[i].append(s[gap])
+            hi[i].append(before[gap])  # where the interval before each new one ends
+            reach[i] = int(ends[-1])
     busy = [i for i in range(num) if lo[i]]
     if not busy:
         return np.zeros(0, dtype=np.int16), *np.zeros((2, 0), dtype=np.int64)
@@ -339,18 +331,18 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     The merged busy intervals (:func:`_merged_targets`) are cut into time
     blocks (:func:`_segment_tables`) of about ``_BLOCK_CELLS`` targets x
     cut points, or at most 14 T x T when that is more
-    (:func:`_block_step`).  Per block, row i of the
-    overlap counts is summed per window over the segments on which target
-    i+1 is busy (``_row_overlaps``) and dropped: ``comm`` is assigned and
-    the upper triangles of ``om`` (summed), ``peak`` (maximum) and
-    ``crit`` (or) accumulate across blocks, and are mirrored at the end.
-    A window cut by a block edge is summed in a T x T matrix until its
-    last block.  The critical pass needs no windows: any busy segment two
-    critical streams share sets ``crit``.  So no T x T x windows tensor
-    and no segment table of the whole timeline is ever held: beyond the
-    profile, the scratch is the merged intervals, built from one window's
-    row order and a few blocks at a time, and one block's segment table
-    and row of per-window overlaps.  More than ``MAX_PROFILE_CELLS``
+    (:func:`_block_step`).  Per block, row i of the overlap counts is
+    summed per window over the segments on which target i+1 is busy
+    (``_row_overlaps``) and dropped: ``comm`` and the upper triangles of
+    ``om`` (summed), ``peak`` (maximum) and ``crit`` (or) accumulate across
+    blocks, and are mirrored at the end.  A window cut by a block edge adds
+    each block's part into ``comm``, and is summed in a T x T matrix for
+    ``peak`` until its last block.  The critical pass needs no windows: any
+    busy segment two critical streams share sets ``crit``.  So no T x T x
+    windows tensor and no segment table of the whole timeline is ever held:
+    beyond the profile, the scratch is the merged intervals, built from one
+    window's row order and a few blocks at a time, and one block's segment
+    table and row of per-window overlaps.  More than ``MAX_PROFILE_CELLS``
     targets x windows is a ``ValueError``, raised before anything is
     allocated.
     """
@@ -372,7 +364,7 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
     split, part = None, None  # a window cut by block edges, and its overlaps so far
     for shared, busy, cuts in _segment_tables(trace, None, window_size):
         if split is not None and shared != split:  # its last block is done
-            _close_window(split, part, comm, peak)
+            _close_window(part, peak)
             split = None
         if shared is not None:
             if part is None:
@@ -380,24 +372,23 @@ def profile(trace: Trace, window_size: int) -> WindowProfile:
             split = shared
         for i, where, per_window in _row_overlaps(busy, cuts, window_size, comm.dtype):
             om[i, i:] += per_window.sum(axis=0, dtype=np.int64)
-            # A part of the split window is at most its whole, which
-            # _close_window writes over comm and into peak.
+            # The parts of the split window add up in comm, and in part until
+            # _close_window folds their sum into peak; a part is at most the whole.
             if split is not None and split in (where[0], where[-1]):
                 part[i, i:] += per_window[0 if where[0] == split else -1]
-            comm[i, where] = per_window[:, 0]
+            comm[i, where] += per_window[:, 0]
             row = peak[i, i:]
             np.maximum(row, per_window.max(axis=0), out=row)
     if split is not None:
-        _close_window(split, part, comm, peak)
+        _close_window(part, peak)
     for m in (om, peak, crit):
         _mirror(m)
     return WindowProfile(window_size, comm, om, peak, crit, trace)
 
 
-def _close_window(window: int, part: np.ndarray, comm: np.ndarray, peak: np.ndarray) -> None:
-    """Write the overlaps ``part`` of a window summed over its blocks into
-    ``comm`` and the upper triangle of ``peak``, and zero ``part``."""
-    comm[:, window] = part.diagonal()
+def _close_window(part: np.ndarray, peak: np.ndarray) -> None:
+    """Fold the overlaps ``part`` of a window summed over its blocks into
+    the upper triangle of ``peak``, and zero ``part``."""
     np.maximum(peak, part, out=peak)
     part[:] = 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import CrossbarConfig, canonical_binding
-from .trace import Trace, exact_sum, group_rows, group_windows, row_blocks
+from .trace import Trace, exact_sum, grouped_blocks, row_blocks
 
 
 class SimulationError(ValueError):
@@ -79,17 +79,16 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
     recursion c[k] = max(s[k], c[k-1]) + d[k].  Unrolled with
     D = cumsum(d), that is the max-plus scan c = D + cummax(s - (D - d)),
     computed exactly in int64: a trace's last start plus its total
-    duration, which bounds every completion, is below 2**63.  The rows are
-    read a window at a time (:func:`~xbarsynth.trace.group_windows`), each
-    window grouped by bus on 8- or 16-bit bus keys, so that its rows come
-    in grant order, and walked a block at a time
-    (:func:`~xbarsynth.trace.row_blocks`).  Each bus's run of rows in a
-    block is scanned from the completion c_prev before it, carried across
-    blocks and windows: c = D + max(c_prev, cummax(s - (D - d))), with D
-    summed within the run.  When every target sits on one bus, trace
-    order is grant order and the rows are read where they are.  Beyond
-    the latencies, the scratch is one window's row order and a few
-    blocks.
+    duration, which bounds every completion, is below 2**63.  The rows come
+    grouped by bus, so in grant order, a block at a time
+    (:func:`~xbarsynth.trace.grouped_blocks`, which maps each target to
+    its bus); each block's columns are gathered once, and each bus's run
+    of rows in it is scanned from the completion c_prev before it, carried
+    across blocks: c = D + max(c_prev, cummax(s - (D - d))), with D summed
+    within the run.  When every target sits on one bus, trace order is
+    grant order and the rows are read where they are, a block at a time
+    (:func:`~xbarsynth.trace.row_blocks`).  Beyond the latencies, the
+    scratch is one window's row order and a few blocks.
     """
     if config.num_targets < trace.num_targets:
         missing = config.num_targets + 1
@@ -105,29 +104,17 @@ def simulate(trace: Trace, config: CrossbarConfig) -> SimReport:
         bus_of = np.array((0, *labels), dtype=np.min_scalar_type(groups - 1))  # ids are 1-based
     latency = np.empty_like(start)
     done = [0] * groups  # each bus's last completion; no start is negative
-    for window in group_windows(n, groups):
-        if bus_of is None:
-            order, bounds = None, [0, window.stop - window.start]
-        else:  # an id index widens to intp a window at a time
-            order, bounds = group_rows(bus_of[trace.target[window]], groups)
-            order += window.start  # grant order within a bus
-            bounds = bounds.tolist()
-        bus, end = 0, bounds[1]  # where the rows of each bus end in the window
-        for rows in row_blocks(bounds[-1]):
-            at = rows.start
-            idx = (slice(window.start + at, window.start + rows.stop) if order is None
-                   else order[rows])
-            s, d = start[idx], duration[idx]
-            c = np.empty_like(s)
-            while at < rows.stop:
-                while end == at:  # this bus's rows end here: the next bus's begin
-                    bus += 1
-                    end = bounds[bus + 1]
-                run = slice(at - rows.start, min(end, rows.stop) - rows.start)
-                done[bus] = _complete(s[run], d[run], done[bus], c[run])
-                at = rows.start + run.stop
-            c -= s
-            latency[idx] = c
+    if bus_of is None:  # one bus: its rows are every row, in place
+        blocks = ((rows, [(0, slice(None))]) for rows in row_blocks(n))
+    else:
+        blocks = grouped_blocks(trace.target, groups, relabel=bus_of)
+    for index, runs in blocks:
+        s, d = start[index], duration[index]
+        c = np.empty_like(s)
+        for bus, run in runs:
+            done[bus] = _complete(s[run], d[run], done[bus], c[run])
+        c -= s
+        latency[index] = c
     latency.flags.writeable = False
 
     total = exact_sum(latency)  # an int64 sum could wrap where no latency does

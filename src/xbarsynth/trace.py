@@ -36,16 +36,18 @@ malformed one goes alone through the line parser (:func:`_parse_lines`),
 the reference, which also names the first bad line.  Each block's rows
 are range-checked as they are read, and those moving in the loaded
 direction are kept; the trace adopts the parsed columns as they are.
-Beyond the columns, the loader and every pass over the columns hold
-scratch of a block of lines or rows, and a pass that groups rows one
-window's row order (:func:`group_windows`).  The id columns are int16,
-21 bytes a row in all with the int64 cycles and the bool flag; an id is
-widened before any arithmetic.
+Beyond the columns, the loader, :func:`save_trace` and every pass over
+the columns hold scratch of a block of lines or rows.  A pass that groups
+rows, by target or by bus, reads them through one walker,
+:func:`grouped_blocks`, which also holds one window's row order.  The
+id columns are int16, 21 bytes a row in all with the int64 cycles and
+the bool flag; an id is widened before any arithmetic.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +69,7 @@ _CORE_ID = np.int16  # the type of the id columns: it holds 1..MAX_CORES
 _READ_BYTES = 1 << 18  # bytes a pass over a trace file reads at once
 _MAX_DIGITS = 18  # longest numeric field the bulk parser takes: 10**18 - 1 fits int64
 _ROW_BLOCK = 1 << 14  # rows a pass over the columns reads at once (row_blocks)
-_GROUP_ROWS = 1 << 10  # rows per group a window of group_windows holds, at the least
+_GROUP_ROWS = 1 << 10  # rows per group a window of grouped_blocks holds, at the least
 _PAD = 8  # zero bytes before a block, so the words ending in its first field lie inside
 # gap from the comma before a numeric field to the comma after it, less its digits
 _FIELD_GAP = np.array([3, 1, 1, 1])
@@ -121,19 +123,6 @@ def row_blocks(stop: int, start: int = 0) -> Iterator[slice]:
     scratch by the block instead of the trace.
     """
     return (slice(lo, min(lo + _ROW_BLOCK, stop)) for lo in range(start, stop, _ROW_BLOCK))
-
-
-def group_windows(stop: int, num_groups: int) -> Iterator[slice]:
-    """Slices of max(``_ROW_BLOCK``, ``_GROUP_ROWS`` x ``num_groups``) rows at
-    most that cover rows 0 to ``stop`` in order.
-
-    A pass that groups rows (:func:`group_rows`) groups one window at a
-    time, so its row order is sized by the window instead of the trace,
-    while each of ``num_groups`` groups keeps runs of about
-    ``_GROUP_ROWS`` rows a window on average.
-    """
-    size = max(_ROW_BLOCK, _GROUP_ROWS * num_groups)
-    return (slice(lo, min(lo + size, stop)) for lo in range(0, stop, size))
 
 
 def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets: int,
@@ -284,25 +273,53 @@ def _validated(num_initiators, num_targets, direction, start, duration, initiato
     return start, duration, initiator.astype(_CORE_ID), target.astype(_CORE_ID), critical
 
 
-def group_rows(ids: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable grouping of rows by ids in ``range(num_groups)``.
+def grouped_blocks(ids: np.ndarray, num_groups: int, relabel: np.ndarray | None = None,
+                   rows: np.ndarray | None = None
+                   ) -> Iterator[tuple[np.ndarray, list[tuple[int, slice]]]]:
+    """The rows the mask ``rows`` selects (all if None), grouped by their
+    ``ids`` mapped through ``relabel`` (as they are if None) into
+    ``range(num_groups)``, a block at a time.
 
-    Returns ``(order, bounds)``: the rows of group g are
-    ``order[bounds[g]:bounds[g + 1]]``, in their original order.  The ids
-    are sorted as 8- or 16-bit keys, copied to the narrowest type that
-    holds them unless they are that narrow already (int16 trace ids
-    included); beyond the keys the only array as long as ``ids`` is
-    ``order``.  The passes over a trace group one window of rows at a
-    time (:func:`group_windows`).
+    Yields ``(index, runs)``: ``index`` holds the rows of a block, and
+    ``runs`` one ``(group, run)`` per group present in it, the group's
+    rows being ``index[run]``.  Each selected row comes once, and each
+    group's rows come in their original order across the whole pass.
+
+    The rows are grouped a window of max(``_ROW_BLOCK``, ``_GROUP_ROWS`` x
+    ``num_groups``) rows at a time, so each group keeps runs of about
+    ``_GROUP_ROWS`` rows a window on average, while the row order is sized
+    by the window.  A window's keys are sorted as 8- or 16-bit keys,
+    copied to the narrowest type that holds them unless they are that
+    narrow already, counted a block at a time (``bincount`` widens its
+    input to intp) and dropped before the first block is yielded: only the
+    window's row order, 8 bytes a row, outlives the grouping, and it is
+    yielded in blocks of ``_ROW_BLOCK`` rows.
     """
+    size = max(_ROW_BLOCK, _GROUP_ROWS * num_groups)
     narrow = np.min_scalar_type(num_groups - 1)
-    # 8/16-bit keys radix-sort
-    keys = ids if ids.dtype.itemsize <= narrow.itemsize else ids.astype(narrow)
-    bounds = np.zeros(num_groups + 1, dtype=np.int64)
-    for rows in row_blocks(len(keys)):  # bincount widens its input to intp
-        bounds[1:] += np.bincount(keys[rows], minlength=num_groups)
-    np.cumsum(bounds, out=bounds)
-    return np.argsort(keys, kind="stable"), bounds
+    for lo in range(0, len(ids), size):
+        keys = ids[lo:lo + size]
+        picked = None if rows is None else np.flatnonzero(rows[lo:lo + size])
+        if picked is not None:
+            keys = keys[picked]
+        if relabel is not None:
+            keys = relabel[keys]  # an id index widens to intp a window at a time
+        if keys.dtype.itemsize > narrow.itemsize:
+            keys = keys.astype(narrow)  # 8/16-bit keys radix-sort
+        bounds = np.zeros(num_groups + 1, dtype=np.int64)
+        for block in row_blocks(len(keys)):
+            bounds[1:] += np.bincount(keys[block], minlength=num_groups)
+        order = np.argsort(keys, kind="stable")
+        if picked is not None:
+            order = picked[order]
+        del keys, picked
+        order += lo
+        bounds = np.cumsum(bounds).tolist()  # group g holds order[bounds[g]:bounds[g + 1]]
+        for block in row_blocks(len(order)):
+            a, b = block.start, block.stop
+            groups = range(bisect_right(bounds, a) - 1, bisect_right(bounds, b - 1))
+            yield order[a:b], [(g, slice(max(bounds[g], a) - a, min(bounds[g + 1], b) - a))
+                               for g in groups if bounds[g] < bounds[g + 1]]
 
 
 class TransactionView(Sequence):
@@ -624,18 +641,18 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
     A response trace is written back in role frame (master column and
     count first), undoing the swap done at load time, so a save/load round
-    trip with the trace's direction reproduces it, empty or not.
+    trip with the trace's direction reproduces it, empty or not.  The rows
+    are written a block at a time (:func:`row_blocks`), so the text held at
+    once is a block's.
     """
     n_init, n_tgt = trace.num_initiators, trace.num_targets
     init_ids, tgt_ids = trace.initiator, trace.target
     if trace.direction == RESPONSE:
         n_init, n_tgt = n_tgt, n_init
         init_ids, tgt_ids = tgt_ids, init_ids
-    out = [f"#xbar-trace v1,initiators={n_init},targets={n_tgt}"]
-    out += [
-        f"{s},{d},{i},{t},{trace.direction},{c}"
-        for s, d, i, t, c in zip(trace.start.tolist(), trace.duration.tolist(),
-                                 init_ids.tolist(), tgt_ids.tolist(),
-                                 trace.critical.astype(np.int64).tolist())
-    ]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    columns = (trace.start, trace.duration, init_ids, tgt_ids, trace.critical.view(np.int8))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"#xbar-trace v1,initiators={n_init},targets={n_tgt}\n")
+        for rows in row_blocks(len(trace.start)):
+            fh.write("".join([f"{s},{d},{i},{t},{trace.direction},{c}\n"
+                              for s, d, i, t, c in zip(*(col[rows].tolist() for col in columns))]))

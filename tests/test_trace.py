@@ -222,6 +222,41 @@ def test_exact_sum_past_int64_over_several_blocks():
     assert trace_module.exact_sum(values[:0]) == 0
 
 
+@pytest.mark.parametrize("row_block, group_rows", [(1, 1), (2, 1), (3, 2), (2, 3),
+                                                   (1 << 14, 1 << 10)])
+def test_grouped_blocks_match_a_stable_argsort(monkeypatch, row_block, group_rows):
+    """Windows and blocks of 1 to 3 rows, groups with no rows, masks that
+    select none, some or all rows and an empty trace: each selected row
+    comes once, each group's rows come in row order across the pass, as a
+    stable argsort of the selected ids orders them, and the runs tile
+    each block."""
+    monkeypatch.setattr(trace_module, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(trace_module, "_GROUP_ROWS", group_rows)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(1, 5, 23).astype(np.int16)  # groups 0 and 5 to 6 have no rows
+    relabel = np.array([0, 2, 1, 2, 4, 0, 0], dtype=np.uint8)  # groups 0 and 3 have none
+    masks = (None, np.zeros(23, dtype=bool), np.ones(23, dtype=bool), rng.random(23) < 0.5)
+    cases = [(ids, 7, mapping, mask) for mapping in (None, relabel) for mask in masks]
+    cases.append((ids[:0], 3, None, None))
+    for case_ids, num_groups, mapping, mask in cases:
+        selected = np.arange(len(case_ids)) if mask is None else np.flatnonzero(mask)
+        keys = case_ids[selected] if mapping is None else mapping[case_ids[selected]]
+        order = np.argsort(keys, kind="stable")
+        expected = {g: selected[order][keys[order] == g].tolist() for g in range(num_groups)}
+        seen = {g: [] for g in range(num_groups)}
+        for index, runs in trace_module.grouped_blocks(case_ids, num_groups, mapping, mask):
+            assert 0 < len(index) <= row_block
+            groups = [g for g, _ in runs]
+            assert groups == sorted(set(groups))
+            edges = [0, *(run.stop for _, run in runs)]  # non-empty runs, end to end
+            assert [(run.start, run.stop) for _, run in runs] == list(zip(edges, edges[1:]))
+            assert edges[-1] == len(index) and edges == sorted(set(edges))
+            for g, run in runs:
+                seen[g] += index[run].tolist()
+        assert seen == expected
+        assert sorted(sum(seen.values(), [])) == selected.tolist()
+
+
 @pytest.mark.parametrize("start", ["1.5", "1e3", "-0.0", "-", "9" * 19])
 def test_float_field_rejected_whatever_numpy_reads(tmp_path, monkeypatch, start):
     # A lenient number reader takes "1.5" as 1, "-" as 0 and 19 nines as
@@ -791,11 +826,22 @@ def wide_trace():
                  rng.integers(1, targets + 1, rows), rng.random(rows) < 0.05)
 
 
+@pytest.fixture(scope="module")
+def skewed_trace():
+    """40 k short rows over 128 targets, about 99 % of them to target 1."""
+    rng = np.random.default_rng(43)
+    rows, targets = 40_000, 128
+    target = np.where(rng.random(rows) < 0.99, 1, rng.integers(1, targets + 1, rows))
+    return Trace(targets, targets, np.sort(rng.integers(0, 4_000_000, rows)),
+                 rng.integers(1, 100, rows), rng.integers(1, targets + 1, rows), target,
+                 rng.random(rows) < 0.05)
+
+
 def merged_cuts(trace: Trace, window_size: int) -> int:
     """Distinct cut points of the profile timeline: the ends of each
     target's merged busy intervals and the window boundaries."""
     points = set(range(window_size, trace.horizon, window_size))
-    for t in range(1, trace.num_targets + 1):
+    for t in np.unique(trace.target).tolist():
         rows = trace.target == t
         start = trace.start[rows]
         reach = np.maximum.accumulate(start + trace.duration[rows])
@@ -805,32 +851,36 @@ def merged_cuts(trace: Trace, window_size: int) -> int:
     return len(points)
 
 
-@pytest.mark.parametrize("stage", ["load", "load-commented", "load-mixed", "profile",
-                                   "profile-wide", "simulate-1-bus", "simulate-3-buses",
-                                   "simulate-full"])
+@pytest.mark.parametrize("stage", ["load", "load-commented", "load-mixed", "save", "profile",
+                                   "profile-wide", "profile-skewed", "simulate-1-bus",
+                                   "simulate-3-buses", "simulate-full", "simulate-full-skewed"])
 def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, wide_trace,
-                                                   monkeypatch, stage):
+                                                   skewed_trace, tmp_path, monkeypatch, stage):
     """Beyond what it returns, a stage holds a few blocks of scratch and
-    the row order of one window of a grouping (``group_windows``: 1,024
+    the row order of one window of a grouping (``grouped_blocks``: 1,024
     rows per group), which, with its 8-bit keys, the 1 MiB allowance
     covers.  The block constants are shrunk so that the blocks are small
-    beside the rows.  A load holds at most one 8-byte-per-row array, the
-    row order of a sort, and one that skips a line or drops rows of the
-    other direction also holds the columns sized by the file's lines until
-    it copies the kept rows out.  ``profile`` also holds answer-sized
+    beside the rows.  A save holds the text of a block of rows.  In the
+    skewed trace one target holds nearly every row of a window (129 groups
+    x 1,024 rows: the whole trace), so a full-crossbar replay stays in
+    bounds only if it gathers its columns a block at a time, not a window
+    at a time.  A load holds at most one 8-byte-per-row array, the row
+    order of a sort, and one that skips a line or drops rows of the other
+    direction also holds the columns sized by the file's lines until it
+    copies the kept rows out.  ``profile`` also holds answer-sized
     scratch: its per-window overlaps (T x W, three at a time at most), the
     merged busy intervals sorted by start (18 bytes each, with an 8-byte
     sort order: under 24 bytes a cut of the timeline, two ends each), and
     one time block's segment table, per-window overlaps and row products
     (a few bytes a cell of the block, which holds at most the cell budget
-    plus 16 T x T cells).  Its many-target case is a segment table of
-    its whole timeline, T x cuts, at the parent, which is many times that."""
+    plus 16 T x T cells).  In its many-target case a segment table of the
+    whole timeline, T x cuts, is many times that."""
     path, trace = long_trace
     commented, mixed = long_variants
-    if stage == "profile-wide":
-        trace = wide_trace
+    trace = {"profile-wide": wide_trace, "profile-skewed": skewed_trace,
+             "simulate-full-skewed": skewed_trace}.get(stage, trace)
     n, targets = len(trace.start), trace.num_targets
-    assert n >= (40_000 if stage == "profile-wide" else 200_000) and trace.critical.any()
+    assert n >= (40_000 if targets == 128 else 200_000) and trace.critical.any()
     monkeypatch.setattr(trace_module, "_READ_BYTES", 1 << 14)
     monkeypatch.setattr(trace_module, "_ROW_BLOCK", 1024)
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1 << 14)
@@ -838,12 +888,16 @@ def test_stage_scratch_is_blocks_and_one_row_index(long_trace, long_variants, wi
         "load": lambda: load_trace(path),
         "load-commented": lambda: load_trace(commented),
         "load-mixed": lambda: load_trace(mixed),
+        "save": lambda: save_trace(trace, tmp_path / "saved.csv"),
         "profile": lambda: profile(trace, LONG_WINDOW),
         "profile-wide": lambda: profile(trace, LONG_WINDOW),
+        "profile-skewed": lambda: profile(trace, LONG_WINDOW),
         "simulate-1-bus": lambda: simulate(trace, CrossbarConfig(1, (1,) * targets)),
         "simulate-3-buses": lambda: simulate(
             trace, CrossbarConfig(3, tuple(t % 3 + 1 for t in range(targets)))),
         "simulate-full": lambda: simulate(
+            trace, CrossbarConfig(targets, tuple(range(1, targets + 1)))),
+        "simulate-full-skewed": lambda: simulate(
             trace, CrossbarConfig(targets, tuple(range(1, targets + 1)))),
     }[stage]
     tracemalloc.start()
