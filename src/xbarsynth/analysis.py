@@ -265,8 +265,6 @@ def _busy_segments(num_targets: int, owner: np.ndarray, lo: np.ndarray, hi: np.n
     ``(busy, cuts)`` with ``busy[i, k]`` true when target i+1 is busy on
     segment k.
     """
-    if not len(lo):
-        return np.zeros((num_targets, 0), dtype=bool), np.zeros(0, dtype=np.int64)
     points = np.concatenate([lo, hi, boundaries])
     # The points are a few sorted runs, which a stable sort merges fast.
     by_value = np.argsort(points, kind="stable")

@@ -46,10 +46,7 @@ multiple of 64 beyond) with ``window_size + max(comm) < 2**(f-1)``: a placed
 load never exceeds the window size, so adding any one target's packed
 ``comm`` row keeps every field below ``2**f`` and no carry crosses fields.
 One add and one mask test then check every window at once.  Only the
-windows whose column total (the sum of every target's busy cycles)
-exceeds the window size are packed: no bus can overflow any other window.
-When ``T * max(comm)`` reaches ``2**63`` a column total could overflow
-int64, and every window is packed.
+windows in which a bus can overflow are packed (:func:`binding_windows`).
 
 The overlap cost is packed the same way: each bus keeps one int with one
 field per target, field ``u`` in bits ``[u*g, (u+1)*g)`` holding the sum of
@@ -462,6 +459,17 @@ def _spread_rows(mask: np.ndarray, stride: int) -> list[int]:
     return [bits >> (width * u) & row for u in range(t)]
 
 
+def binding_windows(comm: np.ndarray, window_size: int) -> np.ndarray:
+    """The indices of the windows in which some bus's load can exceed
+    ``window_size``: those whose column total, the sum of every target's
+    busy cycles, exceeds it.  A bus's load in a window is at most that
+    total, so no other window can bind.  The totals are int64 unless
+    ``T * max(comm)`` reaches ``2**63``, and Python ints then."""
+    peak = int(comm.max()) if comm.size else 0
+    total_type = np.int64 if len(comm) * peak < 1 << 63 else object
+    return np.flatnonzero(comm.sum(axis=0, dtype=total_type) > window_size)
+
+
 def _overflow_pairs(comm: np.ndarray, conflict: np.ndarray, window_size: int) -> np.ndarray:
     """Which non-conflicting pairs of targets together exceed the window
     size in some window of ``comm``, as a symmetric bool matrix.
@@ -473,11 +481,11 @@ def _overflow_pairs(comm: np.ndarray, conflict: np.ndarray, window_size: int) ->
     over = np.zeros((t, t), dtype=bool)
     first, second = np.nonzero(np.triu(~conflict, 1))
     if len(first) and windows:
-        room = window_size - comm.astype(np.int64)  # cannot overflow: 0 <= comm < 2**63
+        wide = comm.astype(np.uint64)  # a pair's sum fits: 0 <= comm < 2**63
         step = max(1, _PAIR_CELLS // windows)
         for lo in range(0, len(first), step):
             i, j = first[lo:lo + step], second[lo:lo + step]
-            over[i, j] = (comm[i] > room[j]).any(axis=1)
+            over[i, j] = (wide[i] + wide[j] > int(window_size)).any(axis=1)
     return over | over.T
 
 
@@ -503,13 +511,8 @@ def _pack(inst: ProblemInstance) -> _Packed:
     comm, t, ws = inst.comm, inst.num_targets, inst.window_size
     peak = int(comm.max()) if comm.size else 0
     width = _field_width(ws + peak)
-    kept, apart = comm, inst.conflict
-    # a bus's load in a window is at most the window's column total, at most T * peak
-    if t * peak <= ws:
-        kept = comm[:, :0]
-    elif t * peak < 1 << 63:  # else a column total could overflow int64: keep every window
-        kept = comm[:, comm.sum(axis=0, dtype=np.int64) > ws]
-        apart = apart | _overflow_pairs(kept, inst.conflict, ws)
+    kept = comm[:, binding_windows(comm, ws)]
+    apart = inst.conflict | _overflow_pairs(kept, inst.conflict, ws)
     ones = _pack_rows(np.ones((1, kept.shape[1]), dtype=np.int64), width)[0]
     om = inst.om.copy()
     np.fill_diagonal(om, 0)

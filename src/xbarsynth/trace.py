@@ -116,13 +116,13 @@ def _first_invalid_row(start: np.ndarray, duration: np.ndarray, initiator: np.nd
                      if broken[row])
 
 
-def row_blocks(stop: int, start: int = 0) -> Iterator[slice]:
-    """Slices of at most ``_ROW_BLOCK`` rows that cover rows ``start`` to ``stop`` in order.
+def row_blocks(stop: int) -> Iterator[slice]:
+    """Slices of at most ``_ROW_BLOCK`` rows that cover rows 0 to ``stop`` in order.
 
     Every pass over the columns of a trace reads them so, which bounds its
     scratch by the block instead of the trace.
     """
-    return (slice(lo, min(lo + _ROW_BLOCK, stop)) for lo in range(start, stop, _ROW_BLOCK))
+    return (slice(lo, min(lo + _ROW_BLOCK, stop)) for lo in range(0, stop, _ROW_BLOCK))
 
 
 def _check_rows(columns: Sequence[np.ndarray], num_initiators: int, num_targets: int,

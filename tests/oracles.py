@@ -2,8 +2,9 @@
 
 Everything here is written directly from the definitions, with different
 mechanics than the shipped code: per-cycle boolean arrays instead of
-interval arithmetic, exhaustive set-partition enumeration instead of
-branch-and-bound, and per-bus queue replay instead of the one-pass sweep.
+interval arithmetic, exhaustive set-partition enumeration and a sparse
+MILP instead of branch-and-bound, and per-bus queue replay instead of the
+one-pass sweep.
 The reference search keeps the solver's branch-and-bound as three readable
 depth-first searches over a state object, with one budget tick per attempt,
 to pin the fused search kernel's tree and budget accounting.
@@ -653,8 +654,12 @@ def parse_lp(text: str):
     return variables, c, a_ub, b_ub, a_eq, b_eq, set(binaries), bounded
 
 
-def solve_lp_with_highs(text: str):
-    """Feed a parsed LP model to scipy's MILP solver; returns (status, objective)."""
+def solve_lp_with_highs(text: str, time_limit: float | None = None):
+    """Feed a parsed LP model to scipy's MILP solver; returns (status, objective).
+
+    Status 0 is optimal, 1 a limit (``time_limit`` seconds, when given)
+    and 2 infeasible, as :func:`scipy.optimize.milp` reports them.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     variables, c, a_ub, b_ub, a_eq, b_eq, binaries, bounded = parse_lp(text)
@@ -675,5 +680,73 @@ def solve_lp_with_highs(text: str):
         constraints=constraints,
         integrality=integrality,
         bounds=Bounds(lo, hi),
+        options={} if time_limit is None else {"time_limit": time_limit},
     )
     return res.status, (None if res.x is None else float(res.fun))
+
+
+# ------------------------------------------------------------ sparse MILP
+
+def solve_sparse_milp(inst: ProblemInstance, num_buses: int, time_limit: float):
+    """Solve the binding model as a MILP built straight from ``inst``'s
+    arrays as ``scipy.sparse`` rows, sharing nothing with the LP exporter
+    or the search; returns (status, maxov) as :func:`solve_lp_with_highs`.
+
+    Binary ``x[t, k]``, 1 when target t sits on bus k, is fixed to 0 for
+    k > t: buses are interchangeable, so some optimal binding opens its
+    buses in target order.  Each target sits on one bus; each bus carries
+    at most ``maxtb`` targets, no conflicting pair, and fits every window
+    whose column total exceeds the window size (no other can overflow).
+    For the non-conflicting pairs with ``om > 0``, ``y[p, k] >= x[i, k] +
+    x[j, k] - 1`` and each bus's ``sum(om * y) <= maxov``: minimizing
+    ``maxov`` drives each ``y`` down to the product, so the optimum is the
+    worst bus's overlap sum.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    t, b = inst.num_targets, num_buses
+    comm = [[int(v) for v in row] for row in inst.comm]
+    om = [[int(v) for v in row] for row in inst.om]
+    pairs = [(i, j) for i, j in combinations(range(t), 2)
+             if om[i][j] > 0 and not inst.conflict[i, j]]
+    x = np.arange(t * b).reshape(t, b)  # column of each variable; maxov is last
+    y = t * b + np.arange(len(pairs) * b).reshape(len(pairs), b)
+    n = t * b + len(pairs) * b + 1
+    rows, cols, vals, lo, hi = [], [], [], [], []
+
+    def add(terms, low, high):
+        for col, val in terms:
+            rows.append(len(lo))
+            cols.append(col)
+            vals.append(val)
+        lo.append(low)
+        hi.append(high)
+
+    for i in range(t):
+        add([(x[i, k], 1) for k in range(b)], 1, 1)
+    windows = [m for m in range(inst.comm.shape[1])
+               if sum(row[m] for row in comm) > inst.window_size]
+    for k in range(b):
+        add([(x[i, k], 1) for i in range(t)], -np.inf, inst.maxtb)
+        for m in windows:
+            add([(x[i, k], comm[i][m]) for i in range(t) if comm[i][m]], -np.inf,
+                inst.window_size)
+        for i, j in zip(*np.nonzero(np.triu(inst.conflict))):
+            add([(x[i, k], 1), (x[j, k], 1)], -np.inf, 1)
+        for p, (i, j) in enumerate(pairs):
+            add([(y[p, k], 1), (x[i, k], -1), (x[j, k], -1)], -1, np.inf)
+        add([(y[p, k], om[i][j]) for p, (i, j) in enumerate(pairs)] + [(n - 1, -1)],
+            -np.inf, 0)
+    upper = np.ones(n)
+    upper[-1] = np.inf
+    for i in range(t):
+        upper[x[i, i + 1:]] = 0
+    integrality = np.zeros(n)
+    integrality[:t * b] = 1
+    cost = np.zeros(n)
+    cost[-1] = 1
+    matrix = coo_matrix((vals, (rows, cols)), shape=(len(lo), n)).tocsr()
+    res = milp(cost, constraints=LinearConstraint(matrix, lo, hi), integrality=integrality,
+               bounds=Bounds(np.zeros(n), upper), options={"time_limit": time_limit})
+    return res.status, (None if res.x is None else round(res.fun))

@@ -23,6 +23,7 @@ from xbarsynth.solver import (
     _field_width,
     _pack_rows,
     _search,
+    binding_windows,
     build_instance,
     canonical_binding,
     check_feasible,
@@ -961,6 +962,7 @@ def test_loads_pack_only_the_windows_that_can_overflow(uniform_trace):
     for ws, kept, windows in ((2000, 24, 60), (4000, 15, 30)):
         inst = analysed_instance(uniform_trace, ws, 0.1)
         columns = np.flatnonzero(inst.comm.sum(axis=0, dtype=np.int64) > ws)
+        assert (binding_windows(inst.comm, ws) == columns).all()
         assert (len(columns), inst.comm.shape[1]) == (kept, windows)
         count, width = packed_windows(inst)
         assert count == kept
@@ -984,6 +986,25 @@ def test_loads_pack_only_the_windows_that_can_overflow(uniform_trace):
     for num_buses in (1, 2, 3):
         assert_kernel_matches_reference(rng, wide, num_buses)
     assert min_config(wide)[0] == 2
+
+
+def test_column_totals_past_int64_pick_the_binding_windows():
+    """Three targets of about 2**62 cycles in each of two windows: the column
+    totals pass int64, and a window size of 2**63 or more, which an
+    instance takes, is compared with them and with the pair sums exactly."""
+    comm = [[(1 << 62) + 5, 1 << 62]] * 3
+    rng = np.random.Generator(np.random.PCG64(39))
+    for ws, windows, apart, buses in (((1 << 63) + 9, [0, 1], True, 3),
+                                      ((1 << 63) + 10, [0, 1], False, 2),
+                                      (3 * (1 << 62) + 14, [0], False, 2),
+                                      (3 * (1 << 62) + 15, [], False, 1),
+                                      (1 << 70, [], False, 1)):
+        inst = inst_of(ws, comm)
+        assert list(binding_windows(inst.comm, ws)) == windows
+        assert inst._packed.apart[0, 1] == apart
+        assert min_config(inst)[0] == buses
+        for num_buses in range(buses, 4):
+            assert_kernel_matches_reference(rng, inst, num_buses)
 
 
 def test_an_instance_no_window_can_overflow_packs_zero_width_loads():
