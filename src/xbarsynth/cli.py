@@ -257,7 +257,6 @@ def design(run: RunConfig, prof: WindowProfile | None = None,
         error = exc.with_traceback(None)
     except SolverLimitReached as exc:
         error, report = exc.with_traceback(None), exc.incumbent
-    inst.release_packed()  # nothing below searches: free it before the simulations
 
     if report is not None:
         violations = validate_binding(inst, report.config)

@@ -182,22 +182,23 @@ def generate(spec: GenSpec) -> Trace:
     rows: list[tuple[int, int, int, int, bool, bool]] = []  # ..., critical, split
     spread = 1.0 - spec.phase_correlation
     pc = spec.phase_correlation
+    # Every initiator replays the same shared jitter sequence, one draw per
+    # slot; mixing it with the private one by phase_correlation makes the
+    # walks identical at 1.0 and independent at 0.0.
+    common = np.random.Generator(np.random.PCG64(seq[-1])).random(
+        spec.horizon // period + 1).tolist()
     for idx in range(spec.num_initiators):
         init = idx + 1
         rng = np.random.Generator(np.random.PCG64(seq[idx]))
-        # Every initiator replays the same shared jitter sequence; mixing
-        # it with the private one by phase_correlation makes the walks
-        # identical at 1.0 and independent at 0.0.
-        common = np.random.Generator(np.random.PCG64(seq[-1]))
         tgt = privates[idx % len(privates)]
         crit = (init, tgt) in critical_set
         span_start = int(spread * rng.random() * period)
         # Persistent run placement inside the span, drawn once so the
         # initiator keeps its rhythm from burst to burst.
         home_frac = rng.random()
-        for slot in range(spec.horizon // period + 1):
+        for slot, shared_draw in enumerate(common):
             u = rng.random()
-            eps = pc * (2 * common.random() - 1) + spread * (2 * rng.random() - 1)
+            eps = pc * (2 * shared_draw - 1) + spread * (2 * rng.random() - 1)
             span = max(
                 1, round(spec.burst_len_mean * (1.0 + spec.burst_len_jitter * (2 * u - 1)))
             )

@@ -95,11 +95,13 @@ Everything above that does not depend on the bus count is the instance's
 packed form (:class:`_Packed`): the load field width's guard bits and
 bias, the packed ``comm`` and ``om`` rows, the overlap field width, one
 conflict-adjacency int per target, the apart pairs, the pairs by
-decreasing ``om`` and the busy and overlap orders.  It is built once, on
-the instance's first use, and cached on the instance, which is immutable
-so that the cache never goes stale; the clique lower bound, every probe
-and binding search of a solve, and :func:`binding_fits`, which a
-random-binding sampler calls once per draw, read the same one.
+decreasing ``om`` and the busy and overlap orders.  It is built on the
+instance's first use and cached on it for the instance's lifetime (about
+0.85 MiB on the 100x ``uniform`` trace at ws=250, 18,353 packed windows);
+the instance is immutable, so the cache never goes stale.  The clique
+lower bound, every probe and binding search of a solve, and
+:func:`binding_fits`, which a random-binding sampler calls once per draw
+after the solve, read the same one.
 """
 
 from __future__ import annotations
@@ -186,11 +188,12 @@ class ProblemInstance:
     """All solver inputs: per-window demands, overlaps, conflicts, caps.
 
     Immutable, so that the packed form the search builds on first use
-    (``_packed``, see the module docstring) never goes stale: the fields
-    cannot be reassigned and the arrays are read-only views.  ``comm``
-    keeps its type when that is a signed integer type (the profile's is
-    the narrowest that holds T times the window size) and is int64
-    otherwise; ``om`` is int64 and ``conflict`` bool.  Build a
+    (``_packed``, see the module docstring), which lives as long as the
+    instance (0.85 MiB on the 100x ``uniform`` trace), never goes stale:
+    the fields cannot be reassigned and the arrays are read-only views.
+    ``comm`` keeps its type when that is a signed integer type (the
+    profile's is the narrowest that holds T times the window size) and is
+    int64 otherwise; ``om`` is int64 and ``conflict`` bool.  Build a
     changed instance with :func:`dataclasses.replace`.  Its counts,
     ``window_size`` and ``maxtb``, are integers >= 1 (numpy integers too):
     the packed search shifts and masks by them.
@@ -236,10 +239,6 @@ class ProblemInstance:
     @cached_property
     def _packed(self) -> _Packed:
         return _pack(self)
-
-    def release_packed(self) -> None:
-        """Free the cached packed form; the next search that needs it rebuilds it."""
-        self.__dict__.pop("_packed", None)
 
 
 def check_target_count(num_targets: int) -> None:
@@ -713,9 +712,8 @@ def check_feasible(
 
 
 def _check_single_target_fit(inst: ProblemInstance) -> None:
-    over = np.argwhere(inst.comm > inst.window_size)
-    if over.size:
-        i, m = (int(v) for v in over[0])
+    if int(inst.comm.max(initial=0)) > inst.window_size:
+        i, m = (int(v) for v in np.argwhere(inst.comm > inst.window_size)[0])
         raise BandwidthInfeasibleError(i + 1, m, int(inst.comm[i, m]), inst.window_size)
 
 

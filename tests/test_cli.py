@@ -152,12 +152,21 @@ def test_design_full_pipeline(tmp_path, config_file):
     assert "binding = " in manifest
 
 
-def test_design_frees_the_packed_instance(tmp_path):
+def test_compare_bindings_packs_its_instance_once(tmp_path, monkeypatch):
+    """The packed form a design's solve builds lives as long as its instance,
+    so the random-binding sampler's ``binding_fits`` reads it, not a rebuild."""
+    packed = []
+    pack = solver._pack
+    monkeypatch.setattr(solver, "_pack", lambda inst: packed.append(inst) or pack(inst))
     outcome = design(RunConfig(benchmark_preset("hotspot"), AnalysisParams(1000, 0.3),
                                out_dir=tmp_path / "o"))
     assert outcome.error is None
-    assert "_packed" not in vars(outcome.instance)  # built by the solve, then freed
-    assert binding_fits(outcome.instance, outcome.report.config.binding)  # rebuilt on use
+    assert binding_fits(outcome.instance, outcome.report.config.binding)
+    assert len(packed) == 1 and packed[0] is outcome.instance
+    packed.clear()
+    assert main(["compare-bindings", "--preset", "mat2like", "--num-random", "10",
+                 "--out-dir", str(tmp_path / "c")]) == 0
+    assert len(packed) == 1
 
 
 def test_design_single_target_degenerates_to_one_bus(tmp_path):

@@ -1,5 +1,6 @@
 """LP text export: linearization, structure, external-solver agreement."""
 
+import functools
 import re
 from dataclasses import replace
 
@@ -152,6 +153,36 @@ def test_sparse_milp_matches_enumeration():
             assert solve_sparse_milp(inst, buses - 1, HIGHS_LIMIT_S)[0] == 2
 
 
+def assert_oracles_agree(inst, solvers, instance_name):
+    """Each of ``solvers`` (name: bus count -> HiGHS status and ``maxov``)
+    finds the solver's bus count B feasible at its ``maxov`` and proves
+    B - 1 buses infeasible.  A HiGHS time limit skips, naming the instance."""
+    buses, _ = min_config(inst)
+    maxov = optimal_binding(inst, buses).maxov
+    assert buses > 1  # so B - 1 buses is a model to solve
+    for name, solve in solvers.items():
+        for b, expected in ((buses, (0, maxov)), (buses - 1, (2, None))):
+            status, objective = solve(b)
+            if status == 1:
+                pytest.skip(f"HiGHS time limit: {name} of {instance_name} on {b} buses")
+            assert (status, objective if objective is None else round(objective)) == expected, \
+                (name, b)
+
+
+def windowed_instance(trace, ws, theta):
+    params = AnalysisParams(ws, theta)
+    prof = profile(trace, ws)
+    return build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
+
+
+@functools.cache
+def uniform_trace(seed, size):
+    """The ``uniform`` preset's trace at corpus ``seed``, with ``size``
+    initiators and as many targets."""
+    return generate(replace(benchmark_preset("uniform"), seed=seed, num_initiators=size,
+                            num_targets=size))
+
+
 @pytest.fixture(scope="module")
 def preset_traces():
     return {preset: generate(benchmark_preset(preset)) for preset in ("mat2like", "hotspot")}
@@ -166,20 +197,27 @@ def test_sparse_milp_and_export_agree_with_solver(preset_traces, preset, ws):
     pytest.importorskip("scipy")
     from oracles import solve_lp_with_highs, solve_sparse_milp
 
-    params = AnalysisParams(ws, 0.3)
-    prof = profile(preset_traces[preset], ws)
-    inst = build_instance(prof, aggregate_overlap(prof), preprocess(prof, params), params)
-    buses, _ = min_config(inst)
-    maxov = optimal_binding(inst, buses).maxov
-    assert buses > 1  # so B - 1 buses is a model to solve
-    solvers = {
+    inst = windowed_instance(preset_traces[preset], ws, 0.3)
+    assert_oracles_agree(inst, {
         "sparse MILP": lambda b: solve_sparse_milp(inst, b, HIGHS_LIMIT_S),
         "exported LP": lambda b: solve_lp_with_highs(export_milp(inst, b), HIGHS_LIMIT_S),
-    }
-    for name, solve in solvers.items():
-        for b, expected in ((buses, (0, maxov)), (buses - 1, (2, None))):
-            status, objective = solve(b)
-            if status == 1:
-                pytest.skip(f"HiGHS time limit: {name} of {preset} ws {ws} on {b} buses")
-            assert (status, objective if objective is None else round(objective)) == expected, \
-                (name, b)
+    }, f"{preset} ws {ws}")
+
+
+# The criterion-6 sweep at T = 20 on two corpora, and T = 32 (about a minute).
+UNIFORM_POINTS = [(seed, 20, ws) for seed in (2024, 7)
+                  for ws in (250, 500, 1000, 2000, 4000, 8000)]
+UNIFORM_POINTS += [pytest.param(2024, 32, ws, marks=pytest.mark.slow) for ws in (1000, 2000, 4000)]
+
+
+@pytest.mark.parametrize("seed, size, ws", UNIFORM_POINTS)
+def test_sparse_milp_agrees_with_solver_on_uniform(seed, size, ws):
+    """On ``uniform`` (θ 0.1) with ``size`` initiators and targets, the
+    sparse MILP proves the solver's bus count B and ``maxov``."""
+    pytest.importorskip("scipy")
+    from oracles import solve_sparse_milp
+
+    inst = windowed_instance(uniform_trace(seed, size), ws, 0.1)
+    assert_oracles_agree(inst, {
+        "sparse MILP": lambda b: solve_sparse_milp(inst, b, HIGHS_LIMIT_S),
+    }, f"uniform T = {size} seed {seed} ws {ws}")
